@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError
-from .groups import sample_norm_ball
+from .groups import sample_ball_rejection, sample_norm_ball
 from .rng import substream
 
 __all__ = [
@@ -49,9 +49,9 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T: float, cells: int) -> "TimeGrid":
-        if T <= 0 or cells < 1:
-            raise ParameterError(f"need T > 0 and cells >= 1, got T={T}, cells={cells}")
-        return cls(np.linspace(0.0, T, cells + 1))
+        if T <= 0 or cells < 1 or cells != int(cells):
+            raise ParameterError(f"need T > 0 and an integer cells >= 1, got T={T}, cells={cells}")
+        return cls(np.linspace(0.0, T, int(cells) + 1))
 
     @property
     def n_cells(self) -> int:
@@ -170,17 +170,10 @@ class SubspaceBallJumps:
     def sample(self, rng, space, count):
         if np.any(self.indices >= space.dim):
             raise InvalidInputError(f"subspace indices exceed dimension {space.dim}")
-        out = np.empty((count, space.dim))
-        have = 0
-        while have < count:
-            batch = max(64, 4 * (count - have))
-            cand = self._lift(space, rng.uniform(-self.radius, self.radius,
-                                                 size=(batch, self.indices.size)))
-            good = cand[space.norm(cand) < self.radius]
-            take = min(count - have, good.shape[0])
-            out[have:have + take] = good[:take]
-            have += take
-        return out
+        sub = sample_ball_rejection(rng, self.indices.size,
+                                    lambda v: space.norm(self._lift(space, v)),
+                                    self.radius, count)
+        return self._lift(space, sub)
 
     def max_norm(self, space):
         return self.radius
@@ -240,6 +233,14 @@ class DiscreteJumps:
         return self.vectors
 
 
+def _per_direction(dim: int, name: str, value) -> np.ndarray:
+    """A scalar or a length-``dim`` coefficient as a length-``dim`` array."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim > 1 or arr.size not in (1, dim):
+        raise ParameterError(f"{name} must be a scalar or have {dim} entries, got shape {arr.shape}")
+    return np.broadcast_to(arr, (dim,)).copy()
+
+
 @dataclass(frozen=True)
 class LevyModel:
     """Driver model: drift, per-direction diffusion, and compound Poisson jumps.
@@ -266,9 +267,8 @@ class LevyModel:
     bound_delta: float | None = None
 
     def __post_init__(self):
-        d = self.space.dim
-        drift = np.broadcast_to(np.asarray(self.drift, dtype=float), (d,)).copy()
-        diffusion = np.broadcast_to(np.asarray(self.diffusion, dtype=float), (d,)).copy()
+        drift = _per_direction(self.space.dim, "drift", self.drift)
+        diffusion = _per_direction(self.space.dim, "diffusion", self.diffusion)
         if np.any(diffusion < 0):
             raise ParameterError("diffusion coefficients must be nonnegative")
         if self.jump_intensity < 0:

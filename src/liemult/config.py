@@ -9,6 +9,7 @@ name the offending field path.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ import numpy as np
 from .additive import (DiscreteJumps, FixedAtomJumps, LevyModel, PiecewiseConstantRate,
                        SubspaceBallJumps, TimeGrid, UniformBallJumps)
 from .errors import ConfigError
-from .experiments import EXPERIMENTS
-from .groups import HeisenbergGroup, group_from_config
+from .experiments import EXPERIMENTS, merge_params, reference_table
+from .groups import group_from_config
 
 __all__ = ["load_config", "validate_config", "build_context", "default_config",
            "SCHEMA_VERSION"]
@@ -25,7 +26,7 @@ __all__ = ["load_config", "validate_config", "build_context", "default_config",
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"schema_version", "group", "grids", "models", "experiments", "output"}
-_GROUP_KEYS = {"kind", "N", "p", "n", "chart"}
+_GROUP_KEYS = {"heisenberg": {"kind", "N", "p", "chart"}, "unipotent": {"kind", "n", "chart"}}
 _CHART_KEYS = {"rho_prime", "rho_double_prime", "bracket_bound"}
 _GRID_KEYS = {"T", "cells"}
 _MODEL_KEYS = {"space", "drift", "diffusion", "jump_intensity", "jump_law",
@@ -55,53 +56,45 @@ def _require(obj, key, path):
     return obj[key]
 
 
-def _check_number(value, path, minimum=None):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
+@contextmanager
+def _at(path: str):
+    """Report a constructor's rejection of a config value as a ConfigError at ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(path, f"missing required key {exc}") from exc
+    except (ValueError, TypeError) as exc:   # ParameterError, InvalidInputError, bad casts
+        raise ConfigError(path, str(exc)) from exc
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise ConfigError (with a field path) on any schema violation."""
+    """Raise ConfigError (with a field path) on any schema violation.
+
+    The key structure is checked here; the values of the group, grids and
+    models are checked by building them (``build_context``), so each range
+    rule lives in one constructor.
+    """
     _check_keys(cfg, _TOP_KEYS, "config")
     version = _require(cfg, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError("config.schema_version", f"expected {SCHEMA_VERSION}, got {version}")
 
     group = _require(cfg, "group", "config")
-    _check_keys(group, _GROUP_KEYS, "config.group")
+    _check_keys(group, set().union(*_GROUP_KEYS.values()), "config.group")
     kind = _require(group, "kind", "config.group")
-    if kind == "heisenberg":
-        _check_number(_require(group, "N", "config.group"), "config.group.N", minimum=1)
-        if "p" in group:
-            _check_number(group["p"], "config.group.p")
-            if not (1.0 < group["p"]):
-                raise ConfigError("config.group.p", f"must lie in (1, inf), got {group['p']}")
-        if "n" in group:
-            raise ConfigError("config.group.n", "not a heisenberg parameter")
-    elif kind == "unipotent":
-        n = _require(group, "n", "config.group")
-        if n not in (3, 4):
-            raise ConfigError("config.group.n", f"must be 3 or 4, got {n}")
-        for bad in ("N", "p"):
-            if bad in group:
-                raise ConfigError(f"config.group.{bad}", "not a unipotent parameter")
-    else:
+    if kind not in _GROUP_KEYS:
         raise ConfigError("config.group.kind", f"unknown kind {kind!r}")
-    if "chart" in group and group["chart"] is not None:
+    extra = sorted(set(group) - _GROUP_KEYS[kind])
+    if extra:
+        raise ConfigError(f"config.group.{extra[0]}", f"not a {kind} parameter")
+    if group.get("chart") is not None:
         _check_keys(group["chart"], _CHART_KEYS, "config.group.chart")
 
     grids = cfg.get("grids", {})
     if not isinstance(grids, dict):
         raise ConfigError("config.grids", "expected an object of named grids")
     for name, block in grids.items():
-        path = f"config.grids.{name}"
-        _check_keys(block, _GRID_KEYS, path)
-        _check_number(_require(block, "T", path), f"{path}.T", minimum=0)
-        cells = _require(block, "cells", path)
-        if not isinstance(cells, int) or cells < 1:
-            raise ConfigError(f"{path}.cells", f"expected a positive integer, got {cells!r}")
+        _check_keys(block, _GRID_KEYS, f"config.grids.{name}")
 
     models = cfg.get("models", {})
     if not isinstance(models, dict):
@@ -125,8 +118,7 @@ def validate_config(cfg: dict) -> None:
         scale = block.get("scale")
         if scale is not None:
             _check_keys(scale, _SCALE_KEYS, f"{path}.scale")
-        if "jump_intensity" in block:
-            _check_number(block["jump_intensity"], f"{path}.jump_intensity", minimum=0)
+    build_context(cfg)
 
     experiments = _require(cfg, "experiments", "config")
     if not isinstance(experiments, list) or not experiments:
@@ -141,88 +133,60 @@ def validate_config(cfg: dict) -> None:
         if not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"{path}.seed", "every experiment needs an explicit"
                                               f" nonnegative integer seed, got {seed!r}")
-        spec = EXPERIMENTS[name]
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{path}.params", "expected an object")
-        unknown = set(params) - set(spec.params)
-        if unknown:
-            raise ConfigError(f"{path}.params", f"unknown parameters {sorted(unknown)}")
-        for key, (typ, default) in spec.params.items():
-            if default is None and key not in params:
-                raise ConfigError(f"{path}.params.{key}", "required parameter missing")
-            if key in params:
-                value = params[key]
-                if typ is float:
-                    _check_number(value, f"{path}.params.{key}")
-                elif typ is int and (not isinstance(value, int) or isinstance(value, bool)):
-                    raise ConfigError(f"{path}.params.{key}", f"expected an integer, got {value!r}")
-                elif typ is str and not isinstance(value, str):
-                    raise ConfigError(f"{path}.params.{key}", f"expected a string, got {value!r}")
-                elif typ is bool and not isinstance(value, bool):
-                    raise ConfigError(f"{path}.params.{key}", f"expected a boolean, got {value!r}")
-                elif typ is list and not isinstance(value, list):
-                    raise ConfigError(f"{path}.params.{key}", f"expected a list, got {value!r}")
-        # reference checks
-        for ref_key, table, label in (("model", models, "models"), ("grid", grids, "grids")):
-            if ref_key in spec.params:
-                value = params.get(ref_key)
-                if value is not None and value not in table:
-                    raise ConfigError(f"{path}.params.{ref_key}",
-                                      f"unknown {label} reference {value!r}")
-        for block_key in ("model_x", "model_y", "model_z"):
-            if block_key in params and params[block_key] not in models:
-                raise ConfigError(f"{path}.params.{block_key}",
-                                  f"unknown models reference {params[block_key]!r}")
+        for key, value in merge_params(name, params, f"{path}.params").items():
+            table = reference_table(key)
+            if table and value not in cfg.get(table, {}):
+                raise ConfigError(f"{path}.params.{key}", f"unknown {table} reference {value!r}")
 
     if "output" in cfg:
         _check_keys(cfg["output"], _OUTPUT_KEYS, "config.output")
 
 
-def _space_for(group, tag: str):
-    if tag == "group":
-        return group
-    if not isinstance(group, HeisenbergGroup):
-        raise ConfigError("config.models", "block spaces are heisenberg-only")
-    return {"x": group.x_space, "y": group.y_space, "z": group.z_space}[tag]
-
-
-def _build_law(block: dict):
-    kind = block["kind"]
-    if kind == "uniform_ball":
-        return UniformBallJumps(block["radius"])
-    if kind == "subspace_ball":
-        return SubspaceBallJumps(block["radius"], block["indices"])
-    if kind == "fixed_atom":
-        return FixedAtomJumps(np.asarray(block["vector"], dtype=float))
-    if kind == "discrete":
-        return DiscreteJumps(np.asarray(block["vectors"], dtype=float),
-                             np.asarray(block["probs"], dtype=float))
-    raise ConfigError("jump_law.kind", f"unknown jump law {kind!r}")
+_LAWS = {
+    "uniform_ball": lambda law: UniformBallJumps(law["radius"]),
+    "subspace_ball": lambda law: SubspaceBallJumps(law["radius"], law["indices"]),
+    "fixed_atom": lambda law: FixedAtomJumps(np.asarray(law["vector"], dtype=float)),
+    "discrete": lambda law: DiscreteJumps(np.asarray(law["vectors"], dtype=float),
+                                          np.asarray(law["probs"], dtype=float)),
+}
 
 
 def build_context(cfg: dict) -> dict:
-    """Instantiate group/grids/models from a validated config."""
-    group = group_from_config(cfg["group"])
-    grids = {name: TimeGrid.uniform(block["T"], block["cells"])
-             for name, block in cfg.get("grids", {}).items()}
+    """Instantiate group/grids/models from a config with a valid key structure.
+
+    A value that a constructor rejects raises ConfigError at its field path.
+    """
+    with _at("config.group"):
+        group = group_from_config(cfg["group"])
+    grids = {}
+    for name, block in cfg.get("grids", {}).items():
+        with _at(f"config.grids.{name}"):
+            grids[name] = TimeGrid.uniform(block["T"], block["cells"])
     models = {}
     for name, block in cfg.get("models", {}).items():
-        space = _space_for(group, block.get("space", "group"))
-        law = _build_law(block["jump_law"]) if block.get("jump_law") else None
-        scale = None
+        path = f"config.models.{name}"
+        law = scale = None
+        if block.get("jump_law"):
+            with _at(f"{path}.jump_law"):
+                law = _LAWS[block["jump_law"]["kind"]](block["jump_law"])
         if block.get("scale"):
-            scale = PiecewiseConstantRate(np.asarray(block["scale"]["breaks"], dtype=float),
-                                          np.asarray(block["scale"]["rates"], dtype=float))
-        models[name] = LevyModel(
-            space=space,
-            drift=np.asarray(block.get("drift", 0.0), dtype=float),
-            diffusion=np.asarray(block.get("diffusion", 0.0), dtype=float),
-            jump_intensity=block.get("jump_intensity", 0.0),
-            jump_law=law,
-            scale=scale,
-            bound_delta=block.get("bound_delta"),
-        )
+            with _at(f"{path}.scale"):
+                scale = PiecewiseConstantRate(np.asarray(block["scale"]["breaks"], dtype=float),
+                                              np.asarray(block["scale"]["rates"], dtype=float))
+        tag = block.get("space", "group")
+        with _at(path):
+            models[name] = LevyModel(
+                space=group if tag == "group" else getattr(group, f"{tag}_space"),
+                drift=np.asarray(block.get("drift", 0.0), dtype=float),
+                diffusion=np.asarray(block.get("diffusion", 0.0), dtype=float),
+                jump_intensity=block.get("jump_intensity", 0.0),
+                jump_law=law,
+                scale=scale,
+                bound_delta=block.get("bound_delta"),
+            )
     return {"group": group, "grids": grids, "models": models}
 
 

@@ -5,17 +5,30 @@ models and grids from the config, runs at an explicit seed, and returns a
 JSON-ready report with a ``status`` of ``pass``, ``fail``, or
 ``inconclusive``.  The catalog is the single source of truth for parameter
 validation and for ``list-experiments``.
+
+Adding an experiment means adding one ``ExperimentSpec`` to ``EXPERIMENTS``:
+its runner, a one-line description, the catalog module, and the parameter
+schema ``name -> (type, default)``.  A battery whose report carries its own
+``pass`` needs no runner code: ``_battery(module, "function", *args)`` names
+the battery and maps its positional arguments to parameters or to the
+derived values of ``_DERIVED``.  Any other runner takes
+``(ctx, params, seed)`` and returns ``(report, verdict)``, the verdict being
+True, False or None (inconclusive).  ``run_experiment`` merges the
+parameters over their defaults with ``merge_params``, resolves ``model*``
+and ``grid`` names into the context, and derives ``status`` from the
+verdict; no runner sets it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import geometry, jumps, regularity
 from .additive import sample_additive
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .multiplicative import (convergence_study, product_exponential,
                              verify_multiplicative)
 from .regularity import exhaustive_count_reference, oscillation_counts_from_outside
@@ -23,24 +36,23 @@ from .reporting import jsonable, write_csv
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, binom_se
 
-__all__ = ["EXPERIMENTS", "run_experiment", "catalog"]
+__all__ = ["EXPERIMENTS", "run_experiment", "catalog", "merge_params", "reference_table"]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Catalog entry: runner, one-line property description, parameter schema."""
 
-    runner: object
+    runner: Callable  # (ctx, params, seed) -> (report, verdict)
     verifies: str
     module: str
     params: dict      # name -> (type, default); default None means required
-    models: tuple = ("model",)
 
 
-def _status(passed) -> str:
-    if passed is None:
+def _status(verdict) -> str:
+    if verdict is None:
         return "inconclusive"
-    return "pass" if passed else "fail"
+    return "pass" if verdict else "fail"
 
 
 def _sample_scales(rng, group, scale, size):
@@ -48,6 +60,41 @@ def _sample_scales(rng, group, scale, size):
     mags = rng.uniform(0.0, scale, size=size)
     norms = group.norm(vecs)
     return vecs * (mags / np.where(norms > 0, norms, 1.0))[:, None]
+
+
+def _side_csv(ctx, filename, header, rows):
+    """Optional CSV side output, written only when the config enables it."""
+    if ctx.get("csv_dir"):
+        write_csv(ctx["csv_dir"] / filename, header, rows)
+
+
+# Battery arguments that are not plain parameters.
+_DERIVED = {
+    "group": lambda ctx, params, seed: ctx["group"],
+    "jump_set": lambda ctx, params, seed: jumps.JumpSetSpec(params["epsilon"]),
+    "window": lambda ctx, params, seed: (params["r"], params["u"]),
+    "seed": lambda ctx, params, seed: seed,
+}
+
+
+def _battery(module, name: str, *args: str, csv=None):
+    """Runner forwarding ``args`` to the battery ``module.name``.
+
+    Each argument is a parameter or a ``_DERIVED`` value; the verdict is the
+    report's own ``pass``.  ``csv`` is an optional side output
+    ``(file, header, rows_of(report))``.  The battery is looked up on its
+    module at every call and never stored, so a wrapper installed on the
+    module binding (a profiling span) sees the call.
+    """
+    def runner(ctx, params, seed):
+        values = [_DERIVED[a](ctx, params, seed) if a in _DERIVED else params[a]
+                  for a in args]
+        report = getattr(module, name)(*values)
+        if csv:
+            _side_csv(ctx, csv[0], csv[1], csv[2](report))
+        out = jsonable(report)
+        return out, out["pass"]
+    return runner
 
 
 # --------------------------------------------------------------------------
@@ -71,8 +118,7 @@ def _run_group_axioms(ctx, params, seed):
                       "max_identity_defect": float(ident),
                       "max_inverse_defect": float(inverse)},
         "tol": tol,
-        "status": _status(worst <= tol),
-    }
+    }, worst <= tol
 
 
 def _run_exp_log_roundtrip(ctx, params, seed):
@@ -84,11 +130,8 @@ def _run_exp_log_roundtrip(ctx, params, seed):
     g = group.exp(vecs)
     worst_grp = float(np.max(group.norm(group.log(group.exp(group.log(g))) - group.log(g))))
     worst = max(worst_alg, worst_grp)
-    return {
-        "estimates": {"max_roundtrip_defect": worst},
-        "tol": params["tol"],
-        "status": _status(worst <= params["tol"]),
-    }
+    report = {"estimates": {"max_roundtrip_defect": worst}, "tol": params["tol"]}
+    return report, worst <= params["tol"]
 
 
 def _run_bch_consistency(ctx, params, seed):
@@ -99,11 +142,8 @@ def _run_bch_consistency(ctx, params, seed):
     direct = group.bch(u, v)
     via_product = group.log(group.mul(group.exp(u), group.exp(v)))
     worst = float(np.max(group.norm(direct - via_product)))
-    return {
-        "estimates": {"max_bch_defect": worst},
-        "tol": params["tol"],
-        "status": _status(worst <= params["tol"]),
-    }
+    report = {"estimates": {"max_bch_defect": worst}, "tol": params["tol"]}
+    return report, worst <= params["tol"]
 
 
 def _run_bracket_properties(ctx, params, seed):
@@ -122,8 +162,7 @@ def _run_bracket_properties(ctx, params, seed):
                       "max_jacobi_residual": float(jacobi),
                       "max_self_bracket": float(self_bracket)},
         "tol": params["tol"],
-        "status": _status(worst <= params["tol"]),
-    }
+    }, worst <= params["tol"]
 
 
 def _run_chart_certification(ctx, params, seed):
@@ -134,9 +173,8 @@ def _run_chart_certification(ctx, params, seed):
     report = {"bracket_bound_worst_ratio": ratio, "delta": delta, "power": power,
               "certified_radius": radius}
     if radius is None:
-        report["status"] = "inconclusive"
         report["notes"] = {"inconclusive": "radius recursion left the chart"}
-        return report
+        return report, None
     rng = substream(seed, "ball-power")
     worst = 0.0
     remaining = params["products"]
@@ -149,39 +187,31 @@ def _run_chart_certification(ctx, params, seed):
         worst = max(worst, float(np.max(group.chart_norm(prod))))
         remaining -= batch
     report["worst_product_norm"] = worst
-    report["status"] = _status(worst < radius)
-    return report
+    return report, worst < radius
 
 
 # --------------------------------------------------------------------------
 # multiplicative-path experiments
 # --------------------------------------------------------------------------
 
-def _driver_path(ctx, params, seed, trial=0):
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    return model, grid, sample_additive(model, grid, seed, stream=(trial,))
+def _driver_path(params, seed, trial=0):
+    return sample_additive(params["model"], params["grid"], seed, stream=(trial,))
 
 
 def _run_cocycle(ctx, params, seed):
-    group = ctx["group"]
     worst = None
     for trial in range(params["paths"]):
-        _, _, driver = _driver_path(ctx, params, seed, trial)
-        path = product_exponential(driver, group)
+        path = product_exponential(_driver_path(params, seed, trial), ctx["group"])
         rep = verify_multiplicative(path, samples=params["triples"],
                                     tol=params["tol"], seed=seed)
         if worst is None or rep.max_defect > worst.max_defect:
             worst = rep
-    out = worst.to_dict()
-    out["status"] = _status(worst.passed)
-    return out
+    return worst, worst.passed
 
 
 def _run_cocycle_fault(ctx, params, seed):
     group = ctx["group"]
-    _, grid, driver = _driver_path(ctx, params, seed)
-    path = product_exponential(driver, group)
+    path = product_exponential(_driver_path(params, seed), group)
     offset = group.exp(substream(seed, "fault").standard_normal(group.dim))
     bad = path.with_corrupted_cell(params["cell"], offset)
     rep = verify_multiplicative(bad, samples=params["triples"], tol=params["tol"], seed=seed)
@@ -189,17 +219,13 @@ def _run_cocycle_fault(ctx, params, seed):
     out["corrupted_cell"] = params["cell"]
     # the corrupted path must fail verification; this experiment is the
     # pipeline's negative control and reports that failure
-    out["status"] = _status(rep.passed)
-    return out
+    return out, rep.passed
 
 
 def _run_convergence(ctx, params, seed):
-    group = ctx["group"]
-    models = {key: ctx["models"][params[f"model_{key}"]] for key in ("x", "y", "z")}
-    grid = ctx["grids"][params["grid"]]
-    rep = convergence_study(group, models, grid, params["refinements"],
+    models = {key: params[f"model_{key}"] for key in ("x", "y", "z")}
+    rep = convergence_study(ctx["group"], models, params["grid"], params["refinements"],
                             params["trials"], seed)
-    out = rep.to_dict()
     expect = params["expect"]
     if expect == "exact":
         passed = all(e <= 1e-12 for e in rep.max_errors)
@@ -209,25 +235,21 @@ def _run_convergence(ctx, params, seed):
         passed = rep.fitted_slope is not None and 0.35 <= rep.fitted_slope <= 0.65
     else:
         raise ParameterError(f"unknown expectation {expect!r}")
-    if ctx.get("csv_dir"):
-        write_csv(ctx["csv_dir"] / "convergence.csv",
-                  ["mesh", "rms_error", "max_error"],
-                  zip(rep.meshes, rep.rms_errors, rep.max_errors))
+    _side_csv(ctx, "convergence.csv", ["mesh", "rms_error", "max_error"],
+              zip(rep.meshes, rep.rms_errors, rep.max_errors))
+    out = rep.to_dict()
     out["expect"] = expect
-    out["status"] = _status(passed)
-    return out
+    return out, passed
 
 
 def _run_right_limit(ctx, params, seed):
-    group = ctx["group"]
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
+    group, grid = ctx["group"], params["grid"]
     probes = np.linspace(0.0, grid.T, params["probe_points"] + 2)[1:-1]
     medians = []
     for level in range(params["refinements"]):
         defects = []
         for trial in range(params["trials"]):
-            driver = sample_additive(model, grid, seed, stream=(trial,))
+            driver = _driver_path(params, seed, trial)
             for step in range(level):
                 driver = driver.refine(seed, stream=(trial, "rl", step))
             fine = driver.refine(seed, stream=(trial, "rl", level))
@@ -239,10 +261,7 @@ def _run_right_limit(ctx, params, seed):
                 defects.append(float(group.norm(group.log(a) - group.log(b))))
         medians.append(float(np.median(defects)))
     decreasing = all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
-    return {
-        "median_defects_per_level": medians,
-        "status": _status(decreasing and medians[-1] <= medians[0]),
-    }
+    return {"median_defects_per_level": medians}, decreasing and medians[-1] <= medians[0]
 
 
 # --------------------------------------------------------------------------
@@ -262,66 +281,26 @@ def _run_oscillation_dp(ctx, params, seed):
         "instances": params["instances"],
         "max_points": params["max_points"],
         "mismatches": mismatches,
-        "status": _status(mismatches == 0),
-    }
+    }, mismatches == 0
 
 
 def _run_oscillation_axioms(ctx, params, seed):
-    group = ctx["group"]
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    paths = []
-    for trial in range(params["paths"]):
-        driver = sample_additive(model, grid, seed, stream=(trial,))
-        paths.append(product_exponential(driver, group))
+    paths = [product_exponential(_driver_path(params, seed, trial), ctx["group"])
+             for trial in range(params["paths"])]
     rep = regularity.oscillation_axioms_test(paths, params["delta"],
                                              cases=params["cases"], seed=seed)
-    rep["status"] = _status(rep["pass"])
-    return rep
-
-
-def _run_max_oscillation(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    rep = regularity.mc_maximum_oscillation(model, grid, params["delta"],
-                                            params["trials"], seed)
-    out = rep.to_dict()
-    out["status"] = _status(rep.passed)
-    return out
-
-
-def _run_largest_step(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    rep = regularity.mc_largest_step(model, grid, params["delta"], params["trials"], seed)
-    out = rep.to_dict()
-    out["status"] = _status(rep.passed)
-    return out
-
-
-def _run_expectation_bound(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    rep = regularity.mc_expectation_bound(model, grid, params["delta"],
-                                          params["trials"], seed)
-    out = rep.to_dict()
-    if ctx.get("csv_dir"):
-        write_csv(ctx["csv_dir"] / "oscillation_counts.csv", ["count", "trials"],
-                  sorted(rep.count_distribution.items()))
-    out["status"] = _status(rep.passed)
-    return out
+    return rep, rep["pass"]
 
 
 def _run_uniform_continuity(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    rep = regularity.uniform_continuity_probe(
-        model, params["T"], params["delta"], params["alpha"],
-        params["trials"], seed, cells=params["cells"])
-    out = rep.to_dict()
+    def probe(probe_seed):
+        return regularity.uniform_continuity_probe(
+            params["model"], params["T"], params["delta"], params["alpha"],
+            params["trials"], probe_seed, cells=params["cells"])
+
+    rep = probe(seed)
     # out-of-sample revalidation on a decorrelated stream
-    check = regularity.uniform_continuity_probe(
-        model, params["T"], params["delta"], params["alpha"],
-        params["trials"], seed + 1_000_003, cells=params["cells"])
+    check = probe(seed + 1_000_003)
     fresh_p = None
     for h_val, p in check.probability_curve.items():
         if float(h_val) <= rep.window:
@@ -329,9 +308,9 @@ def _run_uniform_continuity(ctx, params, seed):
             break
     slack = SLACK_MULTIPLIER * binom_se(params["alpha"], params["trials"])
     revalidated = fresh_p is not None and fresh_p <= params["alpha"] + slack
+    out = rep.to_dict()
     out["fresh_seed_probability"] = fresh_p
-    out["status"] = _status(bool(rep.monotone and not rep.none_found and revalidated))
-    return out
+    return out, bool(rep.monotone and not rep.none_found and revalidated)
 
 
 # --------------------------------------------------------------------------
@@ -339,15 +318,12 @@ def _run_uniform_continuity(ctx, params, seed):
 # --------------------------------------------------------------------------
 
 def _run_detector_fidelity(ctx, params, seed):
-    group = ctx["group"]
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
     jump_set = jumps.JumpSetSpec(params["epsilon"])
     agg_precision, agg_recall, scored = [], [], 0
     rows = []
     for trial in range(params["trials"]):
-        driver = sample_additive(model, grid, seed, stream=(trial,))
-        path = product_exponential(driver, group)
+        driver = _driver_path(params, seed, trial)
+        path = product_exponential(driver, ctx["group"])
         rep = jumps.detector_fidelity(path, jump_set, driver)
         if rep["precision"] is not None:
             agg_precision.append(rep["precision"])
@@ -356,59 +332,34 @@ def _run_detector_fidelity(ctx, params, seed):
         scored += rep["scored_true_jumps"]
         for n, tau in enumerate(jumps.hitting_times(path, jump_set)):
             rows.append((trial, n, float(tau)))
-    if ctx.get("csv_dir"):
-        write_csv(ctx["csv_dir"] / "hitting_times.csv", ["trial", "n", "tau"], rows)
+    _side_csv(ctx, "hitting_times.csv", ["trial", "n", "tau"], rows)
     precision = float(np.mean(agg_precision)) if agg_precision else None
     recall = float(np.mean(agg_recall)) if agg_recall else None
     out = {"precision": precision, "recall": recall, "scored_true_jumps": scored,
            "trials": params["trials"]}
     if precision is None or recall is None:
-        out["status"] = "inconclusive"
         out["notes"] = {"inconclusive": "no scored jumps or no detections"}
-    else:
-        out["status"] = _status(precision == 1.0 and recall == 1.0)
-    return out
-
-
-def _run_poisson_battery(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    rep = jumps.poisson_battery(model, grid, jumps.JumpSetSpec(params["epsilon"]),
-                                params["trials"], seed)
-    out = rep.to_dict()
-    out["status"] = _status(rep.passed)
-    return out
+        return out, None
+    return out, precision == 1.0 and recall == 1.0
 
 
 def _run_restart_probe(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    rep = jumps.restart_probe(model, grid, jumps.JumpSetSpec(params["epsilon"]),
+    rep = jumps.restart_probe(params["model"], params["grid"],
+                              jumps.JumpSetSpec(params["epsilon"]),
                               params["h"], params["trials"], seed)
-    expect = params["expect"]
-    if rep.get("pass") is None:
-        rep["status"] = "inconclusive"
-    elif expect == "match":
-        rep["status"] = _status(rep["pass"])
-    elif expect == "reject":
-        rep["status"] = _status(not rep["pass"])
-        rep["negative_control"] = True
-    else:
+    expect, verdict = params["expect"], rep.get("pass")
+    if expect not in ("match", "reject"):
         raise ParameterError(f"unknown expectation {expect!r}")
     rep["expect"] = expect
-    return rep
+    if expect == "reject" and verdict is not None:
+        rep["negative_control"] = True
+        verdict = not verdict
+    return rep, verdict
 
 
 # --------------------------------------------------------------------------
 # geometry experiments
 # --------------------------------------------------------------------------
-
-def _run_step_triangle(ctx, params, seed):
-    rep = geometry.step_triangle_test(ctx["group"], params["samples"],
-                                      params["delta"], seed=seed)
-    rep["status"] = _status(rep["pass"])
-    return rep
-
 
 def _run_gauge_metric(ctx, params, seed):
     group = ctx["group"]
@@ -422,94 +373,53 @@ def _run_gauge_metric(ctx, params, seed):
     invariance = float(np.max(np.abs(
         geometry.gauge_distance(group, group.mul(k, g), group.mul(k, h)) - d_gh)))
     symmetry = float(np.max(np.abs(geometry.gauge_distance(group, h, g) - d_gh)))
-    ok = triangle_violations == 0 and invariance <= 1e-12 and symmetry <= 1e-12
     return {
         "samples": params["samples"],
         "triangle_violations": triangle_violations,
         "max_left_invariance_defect": invariance,
         "max_symmetry_defect": symmetry,
-        "status": _status(ok),
-    }
+    }, triangle_violations == 0 and invariance <= 1e-12 and symmetry <= 1e-12
 
 
 def _run_bounded_jumps(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    rep = geometry.bounded_jumps_check(model, params["delta"], params["n_power"], seed)
-    rep["status"] = _status(rep["pass"] == params["expect"])
+    rep = geometry.bounded_jumps_check(params["model"], params["delta"],
+                                       params["n_power"], seed)
     rep["expect"] = params["expect"]
-    return rep
-
-
-def _run_exp_moment(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    rep = geometry.exp_moment_estimate(model, (params["r"], params["u"]),
-                                       params["alpha"], params["delta"],
-                                       params["trials"], seed, cells=params["cells"])
-    out = rep.to_dict()
-    out["status"] = _status(rep.passed)
-    return out
-
-
-def _run_tail_decay(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    rep = geometry.tail_decay_fit(model, (params["r"], params["u"]),
-                                  params["alpha"], params["delta"],
-                                  params["trials"], seed, cells=params["cells"])
-    out = rep.to_dict()
-    if ctx.get("csv_dir"):
-        write_csv(ctx["csv_dir"] / "tail_decay.csv",
-                  ["k", "gamma", "exceedances", "p_hat", "se"],
-                  [(p["k"], p["gamma"], p["exceedances"], p["p_hat"], p["se"])
-                   for p in rep.tail_points])
-    out["status"] = _status(rep.passed)
-    return out
-
-
-def _run_metric_modulus(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    rep = geometry.metric_modulus_curve(model, params["T"], params["alpha"],
-                                        params["window_sizes"], params["trials"],
-                                        seed, cells=params["cells"])
-    out = rep.to_dict()
-    out["status"] = _status(rep.passed)
-    return out
+    return rep, rep["pass"] == params["expect"]
 
 
 def _run_additive_determinism(ctx, params, seed):
-    model = ctx["models"][params["model"]]
-    grid = ctx["grids"][params["grid"]]
-    a = sample_additive(model, grid, seed)
-    b = sample_additive(model, grid, seed)
+    a = sample_additive(params["model"], params["grid"], seed)
+    b = sample_additive(params["model"], params["grid"], seed)
     identical = (np.array_equal(a.increments, b.increments)
                  and np.array_equal(a.jump_times, b.jump_times))
     fine = a.refine(seed)
     coupling = float(np.max(np.abs(fine.increments[0::2] + fine.increments[1::2]
                                    - a.increments)))
-    return {
-        "bit_identical": bool(identical),
-        "refine_coupling_defect": coupling,
-        "status": _status(identical and coupling <= 1e-14),
-    }
+    report = {"bit_identical": bool(identical), "refine_coupling_defect": coupling}
+    return report, identical and coupling <= 1e-14
 
 
 F, I, S, B, LF = float, int, str, bool, list
+_MOMENT_PARAMS = {"r": (F, None), "u": (F, None), "alpha": (F, None), "delta": (F, None),
+                  "trials": (I, 1000), "cells": (I, 64), "model": (S, None)}
 EXPERIMENTS = {
     "group-axioms": ExperimentSpec(
         _run_group_axioms, "group law: associativity, identity, inverses on random triples",
-        "groups", {"samples": (I, 10000), "scale": (F, 2.0), "tol": (F, 1e-12)}, ()),
+        "groups", {"samples": (I, 10000), "scale": (F, 2.0), "tol": (F, 1e-12)}),
     "exp-log-roundtrip": ExperimentSpec(
         _run_exp_log_roundtrip, "log(exp(V)) = V and exp(log(g)) = g inside the chart",
-        "groups", {"samples": (I, 10000), "scale": (F, 2.0), "tol": (F, 1e-10)}, ()),
+        "groups", {"samples": (I, 10000), "scale": (F, 2.0), "tol": (F, 1e-10)}),
     "bch-consistency": ExperimentSpec(
         _run_bch_consistency, "truncated commutator series equals log of the product",
-        "groups", {"samples": (I, 10000), "scale": (F, 1.0), "tol": (F, 1e-12)}, ()),
+        "groups", {"samples": (I, 10000), "scale": (F, 1.0), "tol": (F, 1e-12)}),
     "bracket-properties": ExperimentSpec(
         _run_bracket_properties, "bracket antisymmetry and Jacobi identity residuals",
-        "groups", {"samples": (I, 10000), "scale": (F, 1.0), "tol": (F, 1e-12)}, ()),
+        "groups", {"samples": (I, 10000), "scale": (F, 1.0), "tol": (F, 1e-12)}),
     "chart-certification": ExperimentSpec(
         _run_chart_certification, "bracket-norm bound and ball-power radius containment by sampling",
         "groups", {"samples": (I, 10000), "delta": (F, None), "power": (I, 2),
-                   "products": (I, 100000)}, ()),
+                   "products": (I, 100000)}),
     "cocycle-exactness": ExperimentSpec(
         _run_cocycle, "two-parameter increments compose exactly along index triples",
         "multiplicative", {"paths": (I, 5), "triples": (I, 1000), "tol": (F, 1e-12),
@@ -522,28 +432,34 @@ EXPERIMENTS = {
         _run_convergence, "time-ordered exponential products converge to the exact construction",
         "multiplicative", {"refinements": (I, 6), "trials": (I, 200), "expect": (S, None),
                            "model_x": (S, None), "model_y": (S, None), "model_z": (S, None),
-                           "grid": (S, None)}, ()),
+                           "grid": (S, None)}),
     "right-limit-refinement": ExperimentSpec(
         _run_right_limit, "right-limit evaluation stabilizes under coupled grid refinement",
         "multiplicative", {"trials": (I, 20), "refinements": (I, 3), "probe_points": (I, 5),
                            "model": (S, None), "grid": (S, None)}),
     "oscillation-dp-bruteforce": ExperimentSpec(
         _run_oscillation_dp, "dynamic-program oscillation count equals exhaustive chain search",
-        "regularity", {"instances": (I, 1000), "max_points": (I, 12)}, ()),
+        "regularity", {"instances": (I, 1000), "max_points": (I, 12)}),
     "oscillation-axioms": ExperimentSpec(
         _run_oscillation_axioms, "counter monotonicity, exhaustive limits, concatenation bound",
         "regularity", {"paths": (I, 8), "cases": (I, 1000), "delta": (F, None),
                        "model": (S, None), "grid": (S, None)}),
     "max-oscillation-bound": ExperimentSpec(
-        _run_max_oscillation, "endpoint exit probability dominates scaled suffix-exit probability",
+        _battery(regularity, "mc_maximum_oscillation",
+                 "model", "grid", "delta", "trials", "seed"),
+        "endpoint exit probability dominates scaled suffix-exit probability",
         "regularity", {"delta": (F, None), "trials": (I, 10000),
                        "model": (S, None), "grid": (S, None)}),
     "largest-step-bound": ExperimentSpec(
-        _run_largest_step, "any-pair exit probability is dominated by suffix-exit probability",
+        _battery(regularity, "mc_largest_step", "model", "grid", "delta", "trials", "seed"),
+        "any-pair exit probability is dominated by suffix-exit probability",
         "regularity", {"delta": (F, None), "trials": (I, 10000),
                        "model": (S, None), "grid": (S, None)}),
     "expectation-bound": ExperimentSpec(
-        _run_expectation_bound, "mean oscillation count below a/(1-a) with geometric tail",
+        _battery(regularity, "mc_expectation_bound", "model", "grid", "delta", "trials", "seed",
+                 csv=("oscillation_counts.csv", ["count", "trials"],
+                      lambda rep: sorted(rep.count_distribution.items()))),
+        "mean oscillation count below a/(1-a) with geometric tail",
         "regularity", {"delta": (F, None), "trials": (I, 10000),
                        "model": (S, None), "grid": (S, None)}),
     "uniform-continuity-probe": ExperimentSpec(
@@ -555,7 +471,8 @@ EXPERIMENTS = {
         "jumps", {"epsilon": (F, None), "trials": (I, 500),
                   "model": (S, None), "grid": (S, None)}),
     "poisson-battery": ExperimentSpec(
-        _run_poisson_battery, "detected jump counts behave like a Poisson process",
+        _battery(jumps, "poisson_battery", "model", "grid", "jump_set", "trials", "seed"),
+        "detected jump counts behave like a Poisson process",
         "jumps", {"epsilon": (F, None), "trials": (I, 2000),
                   "model": (S, None), "grid": (S, None)}),
     "restart-probe": ExperimentSpec(
@@ -563,31 +480,79 @@ EXPERIMENTS = {
         "jumps", {"epsilon": (F, None), "h": (F, None), "trials": (I, 2000),
                   "expect": (S, "match"), "model": (S, None), "grid": (S, None)}),
     "step-triangle": ExperimentSpec(
-        _run_step_triangle, "concatenated factor lists certify subadditive step counts",
-        "geometry", {"samples": (I, 1000), "delta": (F, None)}, ()),
+        _battery(geometry, "step_triangle_test", "group", "samples", "delta", "seed"),
+        "concatenated factor lists certify subadditive step counts",
+        "geometry", {"samples": (I, 1000), "delta": (F, None)}),
     "gauge-metric": ExperimentSpec(
         _run_gauge_metric, "gauge distance: left-invariance, symmetry, sampled triangle inequality",
-        "geometry", {"samples": (I, 100000), "scale": (F, 2.0)}, ()),
+        "geometry", {"samples": (I, 100000), "scale": (F, 2.0)}),
     "bounded-jumps-gate": ExperimentSpec(
         _run_bounded_jumps, "jump increments certified inside a ball power",
         "geometry", {"delta": (F, None), "n_power": (I, None), "expect": (B, True),
                      "model": (S, None)}),
     "exp-moment": ExperimentSpec(
-        _run_exp_moment, "windowed exponential moment of the step counter stabilizes",
-        "geometry", {"r": (F, None), "u": (F, None), "alpha": (F, None), "delta": (F, None),
-                     "trials": (I, 1000), "cells": (I, 64), "model": (S, None)}),
+        _battery(geometry, "exp_moment_estimate",
+                 "model", "window", "alpha", "delta", "trials", "seed", "cells"),
+        "windowed exponential moment of the step counter stabilizes",
+        "geometry", _MOMENT_PARAMS),
     "tail-decay": ExperimentSpec(
-        _run_tail_decay, "exceedance tail decays at least geometrically with the exit rate",
-        "geometry", {"r": (F, None), "u": (F, None), "alpha": (F, None), "delta": (F, None),
-                     "trials": (I, 1000), "cells": (I, 64), "model": (S, None)}),
+        _battery(geometry, "tail_decay_fit",
+                 "model", "window", "alpha", "delta", "trials", "seed", "cells",
+                 csv=("tail_decay.csv", ["k", "gamma", "exceedances", "p_hat", "se"],
+                      lambda rep: [(p["k"], p["gamma"], p["exceedances"], p["p_hat"], p["se"])
+                                   for p in rep.tail_points])),
+        "exceedance tail decays at least geometrically with the exit rate",
+        "geometry", _MOMENT_PARAMS),
     "metric-modulus": ExperimentSpec(
-        _run_metric_modulus, "shrinking-window metric moments decrease toward zero",
+        _battery(geometry, "metric_modulus_curve",
+                 "model", "T", "alpha", "window_sizes", "trials", "seed", "cells"),
+        "shrinking-window metric moments decrease toward zero",
         "geometry", {"T": (F, None), "alpha": (F, None), "window_sizes": (LF, None),
                      "trials": (I, 400), "cells": (I, 256), "model": (S, None)}),
     "additive-determinism": ExperimentSpec(
         _run_additive_determinism, "seeded sampling is bit-identical and refinement is coupled",
         "additive", {"model": (S, None), "grid": (S, None)}),
 }
+
+_TYPE_CHECKS = {
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    list: ("a list", lambda v: isinstance(v, list)),
+}
+
+
+def reference_table(key: str) -> str | None:
+    """Context table whose entry a parameter names: ``model*`` -> models, ``grid`` -> grids."""
+    if key.startswith("model"):
+        return "models"
+    return "grids" if key == "grid" else None
+
+
+def merge_params(name: str, params: dict, path: str) -> dict:
+    """``params`` over the catalog defaults of experiment ``name``.
+
+    Reads each parameter's type, default and required flag from the
+    experiment's schema; an unknown, missing or mistyped parameter raises
+    ConfigError under ``path``.
+    """
+    schema = EXPERIMENTS[name].params
+    unknown = set(params) - set(schema)
+    if unknown:
+        raise ConfigError(path, f"unknown parameters {sorted(unknown)}")
+    merged = {}
+    for key, (typ, default) in schema.items():
+        if key not in params:
+            if default is None:
+                raise ConfigError(f"{path}.{key}", "required parameter missing")
+            merged[key] = default
+            continue
+        label, ok = _TYPE_CHECKS[typ]
+        if not ok(params[key]):
+            raise ConfigError(f"{path}.{key}", f"expected {label}, got {params[key]!r}")
+        merged[key] = params[key]
+    return merged
 
 
 def catalog() -> list[dict]:
@@ -609,17 +574,13 @@ def catalog() -> list[dict]:
 
 def run_experiment(name: str, ctx: dict, params: dict, seed: int) -> dict:
     """Execute one catalog experiment and return its JSON-ready report."""
-    spec = EXPERIMENTS[name]
-    merged = {}
-    for key, (typ, default) in spec.params.items():
-        if key in params:
-            merged[key] = params[key]
-        elif default is not None:
-            merged[key] = default
-        else:
-            raise ParameterError(f"experiment {name!r} requires parameter {key!r}")
-    report = spec.runner(ctx, merged, seed)
+    merged = merge_params(name, params, f"{name}.params")
+    resolved = {key: ctx[table][value] if (table := reference_table(key)) else value
+                for key, value in merged.items()}
+    report, verdict = EXPERIMENTS[name].runner(ctx, resolved, seed)
+    report = jsonable(report)
+    report["status"] = _status(verdict)
     report["experiment"] = name
     report["seed"] = seed
     report["params_used"] = jsonable(merged)
-    return jsonable(report)
+    return report

@@ -23,6 +23,7 @@ from .additive import LevyModel, TimeGrid
 from .errors import HypothesisError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup, UnipotentGroup, lp_norm
 from .multiplicative import batch_prefixes
+from .reporting import Report
 from .rng import substream
 from .stats import binom_se, fit_slope, mean_se
 
@@ -345,7 +346,7 @@ def _pairwise_sup_counts(group, prefixes: np.ndarray, idx: np.ndarray, delta: fl
 
 
 @dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Report):
     """Output of the exponential-moment batteries."""
 
     kind: str
@@ -360,22 +361,6 @@ class MomentReport:
     trials: int
     seed: int
     notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "estimate": self.estimate,
-            "se": self.se,
-            "diagnostics": self.diagnostics,
-            "tail_points": self.tail_points,
-            "fitted_slope": self.fitted_slope,
-            "q_hat": self.q_hat,
-            "pass": self.passed,
-            "trials": self.trials,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
 
 
 def _running_mean_diagnostic(values: np.ndarray) -> dict:

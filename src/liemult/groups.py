@@ -52,12 +52,19 @@ def sample_norm_ball(rng: np.random.Generator, space, radius: float, size: int) 
     """
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius}")
-    out = np.empty((size, space.dim))
+    return sample_ball_rejection(rng, space.dim, space.norm, radius, size)
+
+
+def sample_ball_rejection(rng: np.random.Generator, dim: int, norm, radius: float,
+                          size: int) -> np.ndarray:
+    """Rejection sampler behind ``sample_norm_ball``: uniform draws from the
+    box [-radius, radius]^dim, keeping those whose ``norm`` is below radius."""
+    out = np.empty((size, dim))
     have = 0
     while have < size:
         batch = max(64, 4 * (size - have))
-        cand = rng.uniform(-radius, radius, size=(batch, space.dim))
-        good = cand[space.norm(cand) < radius]
+        cand = rng.uniform(-radius, radius, size=(batch, dim))
+        good = cand[norm(cand) < radius]
         take = min(size - have, good.shape[0])
         out[have:have + take] = good[:take]
         have += take
@@ -278,7 +285,7 @@ class HeisenbergGroup(_NilpotentGroup):
     nilpotency_step = 2
 
     def __init__(self, N: int, p: float = 2.0, chart: ChartSpec | None = None):
-        if N < 1:
+        if N < 1 or N != int(N):
             raise ParameterError(f"N must be a positive integer, got {N}")
         if not (1.0 < p < math.inf):
             raise ParameterError(f"p must lie in (1, inf), got {p}")

@@ -17,6 +17,7 @@ import numpy as np
 from .additive import AdditivePath, LevyModel, TimeGrid, sample_additive
 from .errors import ChartDomainError, ParameterError
 from .multiplicative import MultiplicativePath
+from .reporting import Report
 from .stats import SLACK_MULTIPLIER, batched_ks_exponential, batched_ks_two_sample
 
 __all__ = [
@@ -130,7 +131,7 @@ def detector_fidelity(path: MultiplicativePath, jump_set: JumpSetSpec,
 
 
 @dataclass(frozen=True)
-class JumpReport:
+class JumpReport(Report):
     """Poisson battery output for the jump counting process."""
 
     lambda_hat: float
@@ -147,24 +148,6 @@ class JumpReport:
     seed: int
     params: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "lambda_hat": self.lambda_hat,
-            "lambda_se": self.lambda_se,
-            "total_jumps": self.total_jumps,
-            "count_mean": self.count_mean,
-            "dispersion": self.dispersion,
-            "dispersion_pass": self.dispersion_pass,
-            "ks": self.ks,
-            "window_correlation": self.window_correlation,
-            "correlation_pass": self.correlation_pass,
-            "pass": self.passed,
-            "trials": self.trials,
-            "seed": self.seed,
-            "params": self.params,
-            "notes": self.notes,
-        }
 
 
 def _trial_hitting_times(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,

@@ -1,15 +1,16 @@
 """Group-valued (multiplicative) paths built from additive drivers.
 
-Two constructions are provided and cross-checked against each other:
+Two constructions are provided:
 
 * ``product_exponential`` — the time-ordered product of per-cell exponentials,
   accumulated by the group recursion g_k = g_{k-1} * exp(dX_k);
 * ``heisenberg_exact`` — the closed form whose last coordinate carries the
   antisymmetrized double sum (discrete Levy area) over cell pairs.
 
-Both store prefix products, so the two-parameter value x(j, k) is evaluated
-as inv(g_j) g_k and the cocycle identity x(j,k) x(k,l) = x(j,l) holds up to
-round-off by construction.
+On the Heisenberg instance both accumulate through the group's one prefix
+kernel.  Both store prefix products, so the two-parameter value x(j, k) is
+evaluated as inv(g_j) g_k and the cocycle identity x(j,k) x(k,l) = x(j,l)
+holds up to round-off by construction.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .additive import AdditivePath, LevyModel, TimeGrid, sample_additive
 from .errors import GridMismatchError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup
+from .reporting import Report
 from .rng import substream
 
 __all__ = [
@@ -92,11 +94,6 @@ class MultiplicativePath:
         cells[k] = self.group.mul(cells[k], offset)
         return MultiplicativePath(self.group, self.grid, cells, self.prefix)
 
-    def csv_rows(self):
-        """Rows (t, *prefix coordinates)."""
-        for t, g in zip(self.grid.points, self.prefix):
-            yield (t, *g)
-
 
 def product_exponential(path: AdditivePath, group=None) -> MultiplicativePath:
     """Time-ordered product of exponentials of the driver's cell increments."""
@@ -130,26 +127,15 @@ def heisenberg_exact(x_path: AdditivePath, y_path: AdditivePath, z_path: Additiv
     exact because the double sum splits over disjoint index blocks.
     """
     _block_paths_compatible(group, x_path, y_path, z_path)
-    grid = x_path.grid
-    dx, dy = x_path.increments, y_path.increments
-    dz = z_path.increments[:, 0]
-    x_before = np.concatenate([np.zeros((1, group.N)), np.cumsum(dx, axis=0)[:-1]])
-    y_before = np.concatenate([np.zeros((1, group.N)), np.cumsum(dy, axis=0)[:-1]])
-    area_step = group.pairing(x_before, dy) - group.pairing(dx, y_before)
-
-    prefix = np.zeros((grid.n_cells + 1, group.dim))
-    prefix[1:, : group.N] = np.cumsum(dx, axis=0)
-    prefix[1:, group.N : 2 * group.N] = np.cumsum(dy, axis=0)
-    prefix[1:, 2 * group.N] = np.cumsum(dz + 0.5 * area_step)
-
-    cells = group.embed(dx, dy, dz)
-    return MultiplicativePath(group, grid, cells, prefix)
+    cells = group.embed(x_path.increments, y_path.increments, z_path.increments[:, 0])
+    return MultiplicativePath.from_increments(group, x_path.grid, cells)
 
 
 def levy_area(x_path: AdditivePath, y_path: AdditivePath, grid: TimeGrid, j: int, k: int) -> float:
     """Antisymmetrized double sum over cell pairs j < a < b <= k.
 
-    Computed with running prefix sums in O(k - j); the left-point rule (no
+    Twice the last coordinate of the Heisenberg prefix product of the window's
+    (x, y) increments, an O(k - j) recursion; the left-point rule (no
     same-cell term) is what makes the exact construction's cocycle identity
     hold on the grid.
     """
@@ -158,15 +144,13 @@ def levy_area(x_path: AdditivePath, y_path: AdditivePath, grid: TimeGrid, j: int
     n = grid.n_cells
     if not (0 <= j <= k <= n):
         raise InvalidInputError(f"need 0 <= j <= k <= {n}, got ({j}, {k})")
-    dx = x_path.increments[j:k]
-    dy = y_path.increments[j:k]
-    x_before = np.concatenate([np.zeros((1, dx.shape[1])), np.cumsum(dx, axis=0)[:-1]])
-    y_before = np.concatenate([np.zeros((1, dy.shape[1])), np.cumsum(dy, axis=0)[:-1]])
-    return float(np.sum(x_before * dy) - np.sum(dx * y_before))
+    group = HeisenbergGroup(x_path.dim)
+    window = group.embed(x_path.increments[j:k], y_path.increments[j:k])
+    return float(2.0 * group.prefix_products(window)[-1, -1])
 
 
 @dataclass(frozen=True)
-class TripleDefectReport:
+class TripleDefectReport(Report):
     """Cocycle verification: worst defect over sampled index triples."""
 
     max_defect: float
@@ -174,15 +158,6 @@ class TripleDefectReport:
     samples: int
     tol: float
     passed: bool
-
-    def to_dict(self):
-        return {
-            "max_defect": self.max_defect,
-            "argmax_triple": list(self.argmax_triple),
-            "samples": self.samples,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
 
 
 def verify_multiplicative(path: MultiplicativePath, samples: int = 1000,
@@ -213,7 +188,7 @@ def verify_multiplicative(path: MultiplicativePath, samples: int = 1000,
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Report):
     """Product-limit study: per-mesh coupled errors against the finest exact path."""
 
     meshes: list[float]
@@ -223,17 +198,6 @@ class ConvergenceReport:
     trials: int
     refinements: int
     seed: int
-
-    def to_dict(self):
-        return {
-            "meshes": self.meshes,
-            "rms_errors": self.rms_errors,
-            "max_errors": self.max_errors,
-            "fitted_slope": self.fitted_slope,
-            "trials": self.trials,
-            "refinements": self.refinements,
-            "seed": self.seed,
-        }
 
 
 def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,

@@ -30,6 +30,7 @@ import numpy as np
 from .additive import LevyModel, TimeGrid
 from .errors import ParameterError
 from .multiplicative import MultiplicativePath, batch_prefixes
+from .reporting import Report
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, LemmaReport, binom_se, mean_se
 
@@ -266,7 +267,7 @@ def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
 
 
 @dataclass(frozen=True)
-class OscillationReport:
+class OscillationReport(Report):
     """Expectation-bound battery output."""
 
     count_distribution: dict
@@ -280,21 +281,6 @@ class OscillationReport:
     trials: int
     seed: int
     params: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "count_distribution": {str(k): v for k, v in self.count_distribution.items()},
-            "alpha_hat": self.alpha_hat,
-            "alpha_ci": list(self.alpha_ci),
-            "bound": self.bound,
-            "mean_count": self.mean_count,
-            "slack": self.slack,
-            "pass": self.passed,
-            "tail": self.tail,
-            "trials": self.trials,
-            "seed": self.seed,
-            "params": self.params,
-        }
 
 
 def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
@@ -366,7 +352,7 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
 
 
 @dataclass(frozen=True)
-class ContinuityProbeReport:
+class ContinuityProbeReport(Report):
     """Largest window length below the oscillation-probability budget."""
 
     window: float
@@ -377,18 +363,6 @@ class ContinuityProbeReport:
     none_found: bool
     trials: int
     seed: int
-
-    def to_dict(self):
-        return {
-            "window": self.window,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "probability_curve": {str(k): v for k, v in self.probability_curve.items()},
-            "monotone": self.monotone,
-            "none_found": self.none_found,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: float,

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
+from .reporting import Report
+
 __all__ = [
     "binom_se",
     "mean_se",
@@ -103,7 +105,7 @@ def batched_ks_two_sample(a: np.ndarray, b: np.ndarray) -> dict:
 
 
 @dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Report):
     """Outcome of one Monte Carlo inequality check.
 
     ``passed`` is None when the check was inconclusive (vacuous hypothesis or
@@ -120,16 +122,3 @@ class LemmaReport:
     trials: int
     seed: int
     notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "estimates": self.estimates,
-            "bound": self.bound,
-            "slack": self.slack,
-            "pass": self.passed,
-            "trials": self.trials,
-            "seed": self.seed,
-            "notes": self.notes,
-        }

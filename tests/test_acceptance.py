@@ -5,9 +5,11 @@ lines.  Every tolerance below is pinned; nothing is deferred to later
 calibration.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,10 @@ from liemult import (FixedAtomJumps, HeisenbergGroup, JumpSetSpec, LevyModel,
                      step_count_upper, tail_decay_fit, verify_multiplicative)
 from liemult.cli import main as cli_main
 from liemult.rng import substream
+
+# sha256 of every file `liemult run --default` writes; a change that alters a
+# report byte updates this file and declares the change.
+GOLDEN_DIGESTS = Path(__file__).with_name("default_reports.sha256")
 
 
 def block_models(heis, x=None, y=None, z=None):
@@ -248,3 +254,10 @@ def test_criterion_8_determinism(tmp_path):
             assert blob == (tmp_path / "r3" / name).read_bytes(), name
         summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
         assert summary["counts"]["fail"] == 0
+
+        golden = dict(reversed(line.split("  ")) for line in
+                      GOLDEN_DIGESTS.read_text().splitlines())
+        assert names == sorted(golden)
+        changed = [name for name in names if hashlib.sha256(
+            (tmp_path / "r1" / name).read_bytes()).hexdigest() != golden[name]]
+        assert changed == [], f"report bytes differ from {GOLDEN_DIGESTS.name}: {changed}"

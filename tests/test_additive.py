@@ -107,6 +107,16 @@ class TestSampling:
         assert np.all(draws[:, 2:] == 0.0)
         assert np.max(heis2.norm(draws)) < 0.3
 
+    def test_subspace_law_draws_pinned(self, heis2):
+        # the rejection sampler shared with sample_norm_ball must keep this
+        # law's stream: these are the draws of its former private loop
+        law = SubspaceBallJumps(0.3, np.array([0, 2, 4]))
+        draws = law.sample(np.random.default_rng(7), heis2, 2)
+        np.testing.assert_array_equal(draws, [
+            [-0.019239028293767557, 0.0, -0.11818054390841187, 0.0, -0.132944632739536],
+            [-0.14707824740752523, 0.0, -0.03295421647041208, 0.0, 0.0027289553747719686],
+        ])
+
 
 class TestRefinement:
     def test_coarse_sum_recovers_increments(self, jump_model, grid):

@@ -1,5 +1,6 @@
 """Batch driver: catalog, exit codes, schema diagnostics, determinism."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -183,6 +184,24 @@ class TestValidation:
                                "params": {"model": "ghost", "grid": "g8"}}]
         with pytest.raises(ConfigError, match="ghost"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("edit, path, field", [
+        (lambda cfg: cfg["grids"]["g8"].update(T=0), "config.grids.g8", "T"),
+        (lambda cfg: cfg["group"].update(N=2.5), "config.group", "N"),
+        (lambda cfg: cfg["models"]["noisy"].update(diffusion=[0.1, 0.2]),
+         "config.models.noisy", "diffusion"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "uniform_ball", "radius": -1}),
+         "config.models.noisy.jump_law", "radius"),
+    ])
+    def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
+                                                             edit, path, field):
+        cfg = copy.deepcopy(BASE)
+        edit(cfg)
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and field in err
 
     def test_default_config_is_valid(self):
         validate_config(default_config())
