@@ -115,12 +115,15 @@ class PiecewiseConstantRate:
         idx = np.maximum(np.searchsorted(self.breaks, t, side="right") - 1, 0)
         return cum[idx] + self.rates[idx] * (t - self.breaks[idx])
 
-    def sample_times(self, rng: np.random.Generator, a: float, b: float, count: int) -> np.ndarray:
-        """Draw jump times in (a, b) with density proportional to the rate."""
+    def sample_times(self, rng: np.random.Generator, a: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+        """Draw one jump time in each cell (a[i], b[i]), with density proportional to the rate.
+
+        All uniforms of a path come from one draw, in the order of the cells,
+        so the times equal those of a cell-by-cell loop over the same stream.
+        """
         total = self.integral(a, b)
-        if total <= 0:
-            return np.full(count, a)
-        targets = self._antiderivative(np.asarray(a)) + rng.uniform(0.0, total, size=count)
+        targets = self._antiderivative(a) + rng.uniform(0.0, total)
         # invert the antiderivative piece by piece
         cum_at_breaks = self._antiderivative(self.breaks)
         idx = np.maximum(np.searchsorted(cum_at_breaks, targets, side="right") - 1, 0)
@@ -136,6 +139,9 @@ class UniformBallJumps:
         if radius <= 0:
             raise ParameterError(f"radius must be positive, got {radius}")
         self.radius = float(radius)
+
+    def check_space(self, space):
+        """Every space fits a norm-ball law."""
 
     def sample(self, rng, space, count):
         return sample_norm_ball(rng, space, self.radius, count)
@@ -167,9 +173,11 @@ class SubspaceBallJumps:
         out[:, self.indices] = sub
         return out
 
-    def sample(self, rng, space, count):
+    def check_space(self, space):
         if np.any(self.indices >= space.dim):
-            raise InvalidInputError(f"subspace indices exceed dimension {space.dim}")
+            raise ParameterError(f"subspace indices exceed dimension {space.dim}")
+
+    def sample(self, rng, space, count):
         sub = sample_ball_rejection(rng, self.indices.size,
                                     lambda v: space.norm(self._lift(space, v)),
                                     self.radius, count)
@@ -185,6 +193,11 @@ class SubspaceBallJumps:
         return pts * (self.radius / space.norm(pts))[:, None]
 
 
+def _check_atom_dimension(dim: int, space) -> None:
+    if dim != space.dim:
+        raise ParameterError(f"atom vectors have dimension {dim}, space has {space.dim}")
+
+
 class FixedAtomJumps:
     """Jump law: a single deterministic jump vector."""
 
@@ -193,11 +206,10 @@ class FixedAtomJumps:
         if self.vector.ndim != 1:
             raise ParameterError("atom must be a 1-d vector")
 
+    def check_space(self, space):
+        _check_atom_dimension(self.vector.shape[0], space)
+
     def sample(self, rng, space, count):
-        if self.vector.shape != (space.dim,):
-            raise InvalidInputError(
-                f"atom has dimension {self.vector.shape[0]}, space has {space.dim}"
-            )
         return np.tile(self.vector, (count, 1))
 
     def max_norm(self, space):
@@ -218,11 +230,10 @@ class DiscreteJumps:
         if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-12:
             raise ParameterError(f"probabilities must sum to 1, got {self.probs.sum()}")
 
+    def check_space(self, space):
+        _check_atom_dimension(self.vectors.shape[1], space)
+
     def sample(self, rng, space, count):
-        if self.vectors.shape[1] != space.dim:
-            raise InvalidInputError(
-                f"atoms have dimension {self.vectors.shape[1]}, space has {space.dim}"
-            )
         idx = rng.choice(self.probs.size, size=count, p=self.probs)
         return self.vectors[idx]
 
@@ -252,7 +263,7 @@ class LevyModel:
     diffusion : Brownian coefficient per direction (scalar or per-direction).
     jump_intensity : Poisson rate per unit time.
     jump_law : distribution of jump vectors; required when the intensity is
-        positive.
+        positive, and its dimension must fit ``space`` (checked here).
     scale : optional piecewise-constant time rescaling; None means stationary.
     bound_delta : when set, the jump law support must lie in the closed norm
         ball of this radius (checked here, used by the bounded-jump batteries).
@@ -278,6 +289,8 @@ class LevyModel:
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", diffusion)
         object.__setattr__(self, "jump_intensity", float(self.jump_intensity))
+        if self.jump_law is not None:
+            self.jump_law.check_space(self.space)
         if self.bound_delta is not None and self.jump_law is not None:
             mn = self.jump_law.max_norm(self.space)
             if mn > self.bound_delta:
@@ -299,43 +312,37 @@ class LevyModel:
 class AdditivePath:
     """Sampled driver path: per-cell increments plus ground-truth jumps.
 
-    ``increment(j, k)`` is evaluated as a difference of cached prefix sums,
-    which makes increments over adjacent index ranges add exactly.
+    ``increment(j, k)`` is a difference of prefix sums of the increments,
+    computed when called, which makes increments over adjacent index ranges
+    add exactly.
     """
 
     grid: TimeGrid
     model: LevyModel
     drift_part: np.ndarray      # (n, d) deterministic mass per cell
     gauss_part: np.ndarray      # (n, d) Brownian mass per cell
-    gauss_var: np.ndarray       # (n, d) variance of the Brownian mass
     jump_times: np.ndarray      # (m,) sorted
     jump_vectors: np.ndarray    # (m, d)
     increments: np.ndarray = field(init=False)
-    _prefix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         inc = self.drift_part + self.gauss_part
         if self.jump_times.size:
             cells = self.grid.cell_of(self.jump_times)
             np.add.at(inc, cells, self.jump_vectors)
-        prefix = np.concatenate([np.zeros((1, inc.shape[1])), np.cumsum(inc, axis=0)])
         object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def dim(self) -> int:
         return self.drift_part.shape[1]
-
-    @property
-    def true_jumps(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(t), v) for t, v in zip(self.jump_times, self.jump_vectors)]
 
     def increment(self, j: int, k: int) -> np.ndarray:
         """Sum of cell increments over (t_j, t_k]."""
         n = self.grid.n_cells
         if not (0 <= j <= k <= n):
             raise InvalidInputError(f"need 0 <= j <= k <= {n}, got ({j}, {k})")
-        return self._prefix[k] - self._prefix[j]
+        prefix = np.concatenate([np.zeros((1, self.dim)), np.cumsum(self.increments, axis=0)])
+        return prefix[k] - prefix[j]
 
     def total(self) -> np.ndarray:
         return self.increment(0, self.grid.n_cells)
@@ -369,7 +376,6 @@ class AdditivePath:
             model=self.model,
             drift_part=drift_fine,
             gauss_part=gauss_fine,
-            gauss_var=var_fine,
             jump_times=self.jump_times,
             jump_vectors=self.jump_vectors,
         )
@@ -398,16 +404,15 @@ def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
     lefts, rights = grid.points[:-1], grid.points[1:]
     mass = model.rate_integral(lefts, rights)
     drift_part = mass[:, None] * model.drift[None, :]
-    gauss_var = mass[:, None] * (model.diffusion[None, :] ** 2)
-    gauss_part = np.sqrt(gauss_var) * substream(seed, *stream, "gauss").standard_normal(
+    var = mass[:, None] * (model.diffusion[None, :] ** 2)
+    gauss_part = np.sqrt(var) * substream(seed, *stream, "gauss").standard_normal(
         (grid.n_cells, model.space.dim)
     )
 
+    total = 0
     if model.jump_intensity > 0:
         counts = substream(seed, *stream, "jump-counts").poisson(model.jump_intensity * mass)
         total = int(counts.sum())
-    else:
-        counts, total = np.zeros(grid.n_cells, dtype=int), 0
 
     if total:
         rng_times = substream(seed, *stream, "jump-times")
@@ -416,10 +421,7 @@ def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
             u = rng_times.uniform(size=total)
             times = lefts[cells] + u * (rights[cells] - lefts[cells])
         else:
-            times = np.concatenate([
-                model.scale.sample_times(rng_times, lefts[k], rights[k], int(c))
-                for k, c in enumerate(counts) if c
-            ])
+            times = model.scale.sample_times(rng_times, lefts[cells], rights[cells])
         vectors = model.jump_law.sample(
             substream(seed, *stream, "jump-vectors"), model.space, total
         )
@@ -434,7 +436,6 @@ def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
         model=model,
         drift_part=drift_part,
         gauss_part=gauss_part,
-        gauss_var=gauss_var,
         jump_times=times,
         jump_vectors=vectors,
     )

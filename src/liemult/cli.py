@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__
@@ -27,13 +29,22 @@ EXIT_RUNTIME = 3
 
 
 def _execute_entry(cfg: dict, index: int, csv_root: str | None):
-    """Run one experiment entry; safe to call in a worker process."""
+    """Run one experiment entry; safe to call in a worker process.
+
+    Returns ``(report, traceback)``.  A runtime error becomes an error report
+    and its traceback text, which stays out of the report: its file paths
+    would make report bytes depend on the machine.
+    """
     entry = cfg["experiments"][index]
-    ctx = build_context(cfg)
-    if csv_root is not None:
-        ctx["csv_dir"] = Path(csv_root) / f"{index:02d}_{entry['name']}"
-    report = run_experiment(entry["name"], ctx, entry.get("params", {}), entry["seed"])
-    return index, report
+    try:
+        ctx = build_context(cfg)
+        if csv_root is not None:
+            ctx["csv_dir"] = Path(csv_root) / f"{index:02d}_{entry['name']}"
+        return run_experiment(entry["name"], ctx, entry.get("params", {}), entry["seed"]), None
+    except Exception as exc:  # noqa: BLE001 - one failing entry must not lose the others
+        report = {"experiment": entry["name"], "seed": entry["seed"], "status": "error",
+                  "error": f"{type(exc).__name__}: {exc}"}
+        return report, traceback.format_exc()
 
 
 def _run(args) -> int:
@@ -52,44 +63,38 @@ def _run(args) -> int:
     csv_root = str(out_dir) if cfg.get("output", {}).get("csv") else None
     entries = cfg["experiments"]
 
-    results: dict[int, dict] = {}
-    failures: list[str] = []
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_execute_entry, cfg, i, csv_root)
-                           for i in range(len(entries))]
-                for fut in futures:
-                    index, report = fut.result()
-                    results[index] = report
-        else:
-            for i in range(len(entries)):
-                index, report = _execute_entry(cfg, i, csv_root)
-                results[index] = report
-    except Exception as exc:  # noqa: BLE001 - runtime errors map to exit 3
-        done = set(results)
-        pending = [entries[i]["name"] for i in range(len(entries)) if i not in done]
-        print(f"runtime error in experiment {pending[0] if pending else '?'}: {exc}",
-              file=sys.stderr)
-        return EXIT_RUNTIME
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [pool.submit(_execute_entry, cfg, i, csv_root)
+                       for i in range(len(entries))]
+            try:
+                results = [fut.result() for fut in futures]
+            except BrokenProcessPool as exc:   # a worker died outside any experiment's code
+                print(f"runtime error: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
+    else:
+        results = [_execute_entry(cfg, i, csv_root) for i in range(len(entries))]
 
     summary_rows = []
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for index in range(len(entries)):
-        report = results[index]
+    for index, (report, trace) in enumerate(results):
+        name, seed = entries[index]["name"], entries[index]["seed"]
+        if trace is not None:
+            print(f"runtime error in experiment {index:02d} {name} (seed {seed}):\n{trace}",
+                  file=sys.stderr)
         report["schema_version"] = cfg["schema_version"]
-        name = entries[index]["name"]
         filename = f"{index:02d}_{name}.json"
         dump_json(report, out_dir / filename)
-        counts[report["status"]] += 1
+        # "error" enters the counts only when an entry errored
+        counts[report["status"]] = counts.get(report["status"], 0) + 1
         summary_rows.append({
             "index": index,
             "name": name,
-            "seed": entries[index]["seed"],
+            "seed": seed,
             "status": report["status"],
             "file": filename,
         })
-        marker = {"pass": "PASS", "fail": "FAIL", "inconclusive": "INCONCLUSIVE"}[report["status"]]
+        marker = report["status"].upper()
         print(f"[{marker:>12}] {index:02d} {name}")
 
     summary = {
@@ -100,9 +105,10 @@ def _run(args) -> int:
         "experiments": summary_rows,
     }
     dump_json(summary, out_dir / "summary.json")
-    print(f"{counts['pass']} pass, {counts['fail']} fail,"
-          f" {counts['inconclusive']} inconclusive -> {out_dir}")
+    print(", ".join(f"{n} {status}" for status, n in counts.items()) + f" -> {out_dir}")
 
+    if "error" in counts:
+        return EXIT_RUNTIME
     if counts["fail"]:
         return EXIT_FAIL
     if counts["inconclusive"] and args.strict:

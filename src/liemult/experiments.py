@@ -245,21 +245,21 @@ def _run_convergence(ctx, params, seed):
 def _run_right_limit(ctx, params, seed):
     group, grid = ctx["group"], params["grid"]
     probes = np.linspace(0.0, grid.T, params["probe_points"] + 2)[1:-1]
-    medians = []
-    for level in range(params["refinements"]):
-        defects = []
-        for trial in range(params["trials"]):
-            driver = _driver_path(params, seed, trial)
-            for step in range(level):
-                driver = driver.refine(seed, stream=(trial, "rl", step))
-            fine = driver.refine(seed, stream=(trial, "rl", level))
-            coarse_path = product_exponential(driver, group)
-            fine_path = product_exponential(fine, group)
+    levels = params["refinements"]
+    defects = [[] for _ in range(levels)]
+    for trial in range(params["trials"]):
+        # one refinement chain per trial: level L compares chain[L] with chain[L + 1]
+        driver = _driver_path(params, seed, trial)
+        coarse_path = product_exponential(driver, group)
+        for level in range(levels):
+            driver = driver.refine(seed, stream=(trial, "rl", level))
+            fine_path = product_exponential(driver, group)
             for t in probes:
                 a = coarse_path.evaluate_right_limit(float(t))
                 b = fine_path.evaluate_right_limit(float(t))
-                defects.append(float(group.norm(group.log(a) - group.log(b))))
-        medians.append(float(np.median(defects)))
+                defects[level].append(float(group.norm(group.log(a) - group.log(b))))
+            coarse_path = fine_path
+    medians = [float(np.median(d)) for d in defects]
     decreasing = all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
     return {"median_defects_per_level": medians}, decreasing and medians[-1] <= medians[0]
 

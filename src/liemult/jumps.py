@@ -89,7 +89,6 @@ def log_jump_process(path: MultiplicativePath, jump_set: JumpSetSpec) -> Additiv
         model=zero_model,
         drift_part=np.zeros((n, group.dim)),
         gauss_part=np.zeros((n, group.dim)),
-        gauss_var=np.zeros((n, group.dim)),
         jump_times=taus,
         jump_vectors=vectors,
     )
@@ -150,12 +149,10 @@ class JumpReport(Report):
     notes: dict = field(default_factory=dict)
 
 
-def _trial_hitting_times(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
-                         seed: int, trial: int) -> np.ndarray:
-    group = model.space
+def _trial_cells(model: LevyModel, grid: TimeGrid, seed: int, trial: int) -> np.ndarray:
+    """Group increments exp(dX_k) of one trial's driver path, one row per cell."""
     driver = sample_additive(model, grid, seed, stream=(trial,))
-    norms = group.chart_norm(group.exp(driver.increments))
-    return grid.points[np.flatnonzero(norms >= jump_set.epsilon) + 1]
+    return model.space.exp(driver.increments)
 
 
 def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
@@ -170,18 +167,17 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     """
     if not model.stationary:
         raise ParameterError("the Poisson battery requires a stationary model")
-    T = grid.T
+    group, T = model.space, grid.T
     counts = np.zeros(trials)
     first_half = np.zeros(trials)
-    second_half = np.zeros(trials)
     interarrivals = []
     for trial in range(trials):
-        taus = _trial_hitting_times(model, grid, jump_set, seed, trial)
+        cells = _trial_cells(model, grid, seed, trial)
+        taus = grid.points[np.flatnonzero(jump_set.contains(group, cells)) + 1]
         counts[trial] = taus.size
         first_half[trial] = np.count_nonzero(taus <= T / 2)
-        second_half[trial] = taus.size - first_half[trial]
-        if taus.size:
-            interarrivals.append(np.diff(np.concatenate([[0.0], taus])))
+        interarrivals.append(np.diff(np.concatenate([[0.0], taus])))
+    second_half = counts - first_half
 
     total = int(counts.sum())
     params = {"epsilon": jump_set.epsilon, "T": T, "n_cells": grid.n_cells}
@@ -243,6 +239,10 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     trials (second half); for a stationary driver the two laws agree.  The
     probe rejects when the Bonferroni-aggregated two-sample KS p-value falls
     below the 0.01 floor.
+
+    Each trial's path is sampled once, and its prefix products are built
+    only up to the last grid index the trial reads; the prefix recursion runs
+    left to right, so those rows equal the rows of the full path.
     """
     if not (0 < h < grid.T):
         raise ParameterError(f"h must lie in (0, T), got {h}")
@@ -252,25 +252,21 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
         raise ParameterError("h must be a positive multiple of the (uniform) grid mesh")
 
     half = trials // 2
-    post_hit = []
-    for trial in range(half):
-        driver = sample_additive(model, grid, seed, stream=(trial,))
-        norms = group.chart_norm(group.exp(driver.increments))
-        cells = np.flatnonzero(norms >= jump_set.epsilon)
-        if cells.size == 0:
+    post_hit, fixed = [], []
+    for trial in range(trials):
+        cells = _trial_cells(model, grid, seed, trial)
+        if trial >= half:
+            fixed.append(float(group.chart_norm(group.prefix_products(cells[:steps])[steps])))
             continue
-        k = int(cells[0]) + 1                  # grid index of tau_1
+        hits = np.flatnonzero(jump_set.contains(group, cells))
+        if hits.size == 0:
+            continue
+        k = int(hits[0]) + 1                   # grid index of tau_1
         if k + steps > grid.n_cells:
             continue
-        prefix = group.prefix_products(group.exp(driver.increments))
+        prefix = group.prefix_products(cells[:k + steps])
         inc = group.mul(group.inv(prefix[k]), prefix[k + steps])
         post_hit.append(float(group.chart_norm(inc)))
-
-    fixed = []
-    for trial in range(half, trials):
-        driver = sample_additive(model, grid, seed, stream=(trial,))
-        prefix = group.prefix_products(group.exp(driver.increments))
-        fixed.append(float(group.chart_norm(prefix[steps])))
 
     result = {
         "h": h,

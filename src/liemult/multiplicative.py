@@ -258,15 +258,14 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
     )
 
 
-def batch_prefixes(group, model: LevyModel, grid: TimeGrid, trials: int, seed: int,
-                   first_trial: int = 0) -> np.ndarray:
+def batch_prefixes(group, model: LevyModel, grid: TimeGrid, trials: int, seed: int) -> np.ndarray:
     """Prefix products of ``trials`` independent driver paths, shape (trials, n+1, d).
 
-    Trial ``i`` uses the stream (seed, first_trial + i), so batches can be
-    split across workers without changing any draw.
+    Trial ``i`` uses the stream (seed, i), the same path as
+    ``sample_additive(model, grid, seed, stream=(i,))``.
     """
     incs = np.stack([
-        sample_additive(model, grid, seed, stream=(first_trial + t,)).increments
+        sample_additive(model, grid, seed, stream=(t,)).increments
         for t in range(trials)
     ])
     return group.prefix_products(group.exp(incs))

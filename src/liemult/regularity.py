@@ -176,14 +176,6 @@ def _require_group_model(model: LevyModel):
     return group
 
 
-def _superset_radius(group, delta: float) -> float | None:
-    if not (0 < delta < group.chart.rho_double_prime):
-        raise ParameterError(
-            f"delta must lie in (0, rho_double_prime={group.chart.rho_double_prime})"
-        )
-    return group.ball_power_radius(delta, 2)
-
-
 def _pairwise_outside_batch(group, prefixes: np.ndarray, threshold: float,
                             chunk: int = 128) -> np.ndarray:
     trials = prefixes.shape[0]
@@ -198,7 +190,7 @@ def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
                            trials: int, seed: int) -> LemmaReport:
     """Monte Carlo check of the maximum-oscillation inequality."""
     group = _require_group_model(model)
-    radius = _superset_radius(group, delta)
+    radius = group.ball_power_radius(delta, 2)
     params = {"delta": delta, "n_cells": grid.n_cells, "superset_radius": radius}
     if radius is None:
         return LemmaReport("maximum_oscillation", params, {}, None, 0.0, None,
@@ -238,7 +230,7 @@ def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
                     trials: int, seed: int) -> LemmaReport:
     """Monte Carlo check of the largest-step inequality."""
     group = _require_group_model(model)
-    radius = _superset_radius(group, delta)
+    radius = group.ball_power_radius(delta, 2)
     params = {"delta": delta, "n_cells": grid.n_cells, "superset_radius": radius}
     if radius is None:
         return LemmaReport("largest_step", params, {}, None, 0.0, None,

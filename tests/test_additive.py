@@ -1,12 +1,13 @@
 """Driver sampling tests: determinism, increment algebra, refinement coupling."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from liemult import (FixedAtomJumps, InvalidInputError, LevyModel, ParameterError,
+from liemult import (DiscreteJumps, FixedAtomJumps, InvalidInputError, LevyModel, ParameterError,
                      PiecewiseConstantRate, SubspaceBallJumps, TimeGrid,
                      UniformBallJumps, sample_additive)
 from liemult.stats import batched_ks_two_sample
@@ -92,13 +93,21 @@ class TestSampling:
                       jump_law=UniformBallJumps(0.5), bound_delta=0.25)
 
     def test_discrete_law_probabilities(self, heis2, grid):
-        from liemult import DiscreteJumps
         with pytest.raises(ParameterError):
             DiscreteJumps(np.zeros((2, 5)), [0.5, 0.6])
         law = DiscreteJumps([heis2.embed([1.0, 0.0]), heis2.embed(c=2.0)], [0.25, 0.75])
         model = LevyModel(space=heis2, jump_intensity=3.0, jump_law=law)
         path = sample_additive(model, grid, seed=1)
         assert path.jump_vectors.shape[1] == 5
+
+    @pytest.mark.parametrize("law", [
+        FixedAtomJumps([0.1, 0.2]),
+        SubspaceBallJumps(0.3, [0, 7]),
+        DiscreteJumps([[0.1, 0.2]], [1.0]),
+    ])
+    def test_law_dimension_checked_when_model_is_built(self, heis2, law):
+        with pytest.raises(ParameterError, match="dimension"):
+            LevyModel(space=heis2, jump_intensity=1.0, jump_law=law)
 
     def test_subspace_law_stays_in_subspace(self, heis2):
         law = SubspaceBallJumps(0.3, np.arange(2))
@@ -193,6 +202,37 @@ class TestDistributionalProperties:
         ])
         assert times.size > 0
         assert np.min(times) >= 0.5            # no mass on the silent piece
+
+    @pytest.mark.parametrize("breaks, rates, intensity, T, cells, digest", [
+        # cp_nonstat of the default battery on its 4000-cell grid
+        ([0.0, 2.5], [0.1, 6.0], 2.0, 5.0, 4000,
+         "9db49b7855fa8752eeb528ee5e72543b07ab3569096ad07baa4aa968cf37820b"),
+        # a rate with a zero piece inside one cell
+        ([0.0, 0.3, 0.31, 0.7], [2.0, 0.0, 7.5, 0.4], 20.0, 1.0, 37,
+         "f185c1bb70bad7824893c2c5cfb2f67bfcd61bec1417d6b5fdacf36d2e2e81a3"),
+    ])
+    def test_rate_scaled_paths_pinned(self, heis2, breaks, rates, intensity, T, cells, digest):
+        # sha256 of jump times and increments of seeds 0-19, recorded with the
+        # former cell-by-cell jump-time loop
+        model = LevyModel(space=heis2, jump_intensity=intensity,
+                          jump_law=UniformBallJumps(0.4),
+                          scale=PiecewiseConstantRate(np.array(breaks), np.array(rates)))
+        grid = TimeGrid.uniform(T, cells)
+        h = hashlib.sha256()
+        for seed in range(20):
+            path = sample_additive(model, grid, seed)
+            h.update(path.jump_times.tobytes())
+            h.update(path.increments.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_rate_scaled_first_jump_times_pinned(self, heis2):
+        model = LevyModel(space=heis2, jump_intensity=2.0, jump_law=UniformBallJumps(0.4),
+                          scale=PiecewiseConstantRate(np.array([0.0, 2.5]),
+                                                      np.array([0.1, 6.0])))
+        path = sample_additive(model, TimeGrid.uniform(5.0, 4000), 0)
+        np.testing.assert_array_equal(path.jump_times[:3],
+                                      [2.549215313804038, 2.6417838450446003,
+                                       2.6843531110951186])
 
     def test_rate_integral(self):
         scale = PiecewiseConstantRate(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 0.5]))

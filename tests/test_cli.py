@@ -2,6 +2,8 @@
 
 import copy
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -127,6 +129,46 @@ class TestRun:
         assert code == 3
         assert "metric-modulus" in capsys.readouterr().err
 
+    def test_runtime_error_keeps_other_reports(self, tmp_path, capsys):
+        cfg = dict(BASE)
+        cfg["grids"] = {"g64": {"T": 5.0, "cells": 64}}
+        cfg["models"] = {"cp_nonstat": {"jump_intensity": 2.0,
+                                        "jump_law": {"kind": "uniform_ball", "radius": 0.4},
+                                        "scale": {"breaks": [0.0, 2.5], "rates": [0.1, 6.0]}}}
+        cfg["experiments"] = [
+            {"name": "group-axioms", "seed": 1, "params": {"samples": 200}},
+            {"name": "poisson-battery", "seed": 2,
+             "params": {"model": "cp_nonstat", "grid": "g64", "epsilon": 0.05, "trials": 10}},
+        ]
+        cfg_path = write_config(tmp_path, cfg)
+        for out, jobs in (("a", "1"), ("b", "2")):
+            assert main(["run", str(cfg_path), "--out", str(tmp_path / out), "--jobs", jobs]) == 3
+            err = capsys.readouterr().err
+            assert "runtime error in experiment 01 poisson-battery (seed 2)" in err
+            assert "Traceback (most recent call last)" in err
+            assert "requires a stationary model" in err
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == ["00_group-axioms.json", "01_poisson-battery.json", "summary.json"]
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert json.loads((tmp_path / "a" / "01_poisson-battery.json").read_text()) == {
+            "experiment": "poisson-battery", "seed": 2, "status": "error", "schema_version": 1,
+            "error": "ParameterError: the Poisson battery requires a stationary model",
+        }
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert summary["counts"] == {"pass": 1, "fail": 0, "inconclusive": 0, "error": 1}
+        assert [row["status"] for row in summary["experiments"]] == ["pass", "error"]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches the workers only through fork")
+    def test_dead_worker_exits_three(self, tmp_path, capsys, monkeypatch):
+        # forked workers inherit the patch and die without raising
+        monkeypatch.setattr("liemult.cli.run_experiment", lambda *args: os._exit(1))
+        code = main(["run", str(write_config(tmp_path, BASE)), "--out", str(tmp_path / "o"),
+                     "--jobs", "2"])
+        assert code == 3
+        assert "runtime error" in capsys.readouterr().err
+
     def test_csv_outputs_written(self, tmp_path):
         cfg = dict(BASE)
         cfg["models"] = {"tail": {"jump_intensity": 2.0,
@@ -193,6 +235,18 @@ class TestValidation:
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": "uniform_ball", "radius": -1}),
          "config.models.noisy.jump_law", "radius"),
+        # a jump law whose dimension does not fit the 5-dim group
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "fixed_atom", "vector": [0.1, 0.2]}),
+         "config.models.noisy", "vector"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0,
+            jump_law={"kind": "subspace_ball", "radius": 0.3, "indices": [0, 7]}),
+         "config.models.noisy", "indices"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0,
+            jump_law={"kind": "discrete", "vectors": [[0.1, 0.2]], "probs": [1.0]}),
+         "config.models.noisy", "vectors"),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):

@@ -149,8 +149,7 @@ class TestLevyArea:
         x = sample_additive(LevyModel(space=heis2.x_space, diffusion=0.6), grid, 3)
         y = dataclasses.replace(
             sample_additive(LevyModel(space=heis2.y_space), grid, 0),
-            drift_part=2.5 * x.drift_part, gauss_part=2.5 * x.gauss_part,
-            gauss_var=x.gauss_var * 2.5**2)
+            drift_part=2.5 * x.drift_part, gauss_part=2.5 * x.gauss_part)
         assert levy_area(x, y, grid, 0, 16) == pytest.approx(0.0, abs=1e-14)
 
     def test_window_indices_validated(self, heis2):
@@ -275,10 +274,3 @@ class TestBatchPrefixes:
             single = product_exponential(
                 sample_additive(model, grid, 9, stream=(trial,)))
             np.testing.assert_array_equal(batch[trial], single.prefix)
-
-    def test_first_trial_offset_slices_identically(self, heis2):
-        model = LevyModel(space=heis2, diffusion=0.3)
-        grid = TimeGrid.uniform(1.0, 8)
-        full = batch_prefixes(heis2, model, grid, 6, 9)
-        shifted = batch_prefixes(heis2, model, grid, 3, 9, first_trial=3)
-        np.testing.assert_array_equal(full[3:], shifted)
