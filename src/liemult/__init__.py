@@ -19,18 +19,15 @@ from .errors import (ChartDomainError, ConfigError, GridMismatchError,
 from .geometry import (MomentReport, StepCountResult, bounded_jumps_check,
                        exp_moment_estimate, gauge_distance, gauge_norm,
                        metric_modulus_curve, minimal_jump_power, step_count_upper,
-                       step_counts_batch, step_triangle_test, tail_decay_fit,
-                       word_scaled_distance)
+                       step_counts_batch, step_triangle_test, tail_decay_fit)
 from .groups import (ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup,
                      group_from_config, sample_norm_ball)
 from .jumps import (JumpReport, JumpSetSpec, detector_fidelity, hitting_cells,
-                    hitting_times, jump_count, log_jump_process, poisson_battery,
-                    restart_probe)
+                    hitting_times, poisson_battery, restart_probe)
 from .multiplicative import (ConvergenceReport, MultiplicativePath, TripleDefectReport,
                              batch_prefixes, convergence_study, heisenberg_exact,
                              levy_area, product_exponential, verify_multiplicative)
-from .regularity import (ContinuityProbeReport, OscillationQuery, OscillationReport,
-                         count_oscillations, count_oscillations_on_subset,
+from .regularity import (ContinuityProbeReport, OscillationReport,
                          exhaustive_count_reference, mc_expectation_bound,
                          mc_largest_step, mc_maximum_oscillation,
                          oscillation_axioms_test, oscillation_counts_from_outside,

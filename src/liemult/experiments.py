@@ -8,15 +8,15 @@ validation and for ``list-experiments``.
 
 Adding an experiment means adding one ``ExperimentSpec`` to ``EXPERIMENTS``:
 its runner, a one-line description, the catalog module, and the parameter
-schema ``name -> (type, default)``.  A battery whose report carries its own
-``pass`` needs no runner code: ``_battery(module, "function", *args)`` names
-the battery and maps its positional arguments to parameters or to the
-derived values of ``_DERIVED``.  Any other runner takes
-``(ctx, params, seed)`` and returns ``(report, verdict)``, the verdict being
-True, False or None (inconclusive).  ``run_experiment`` merges the
-parameters over their defaults with ``merge_params``, resolves ``model*``
-and ``grid`` names into the context, and derives ``status`` from the
-verdict; no runner sets it.
+schema ``name -> (type, default)``, or ``(int, default, minimum)`` for an
+integer.  A battery whose report carries its own ``pass`` needs no runner
+code: ``_battery(module, "function", *args)`` names the battery and maps its
+positional arguments to parameters or to the derived values of ``_DERIVED``.
+Any other runner takes ``(ctx, params, seed)`` and returns ``(report,
+verdict)``, the verdict being True, False or None (inconclusive).
+``run_experiment`` merges the parameters over their defaults with
+``merge_params``, resolves ``model*`` and ``grid`` names into the context,
+and derives ``status`` from the verdict; no runner sets it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class ExperimentSpec:
     runner: Callable  # (ctx, params, seed) -> (report, verdict)
     verifies: str
     module: str
-    params: dict      # name -> (type, default); default None means required
+    params: dict      # name -> (type, default[, minimum]); default None means required
 
 
 def _status(verdict) -> str:
@@ -402,93 +402,93 @@ def _run_additive_determinism(ctx, params, seed):
 
 F, I, S, B, LF = float, int, str, bool, list
 _MOMENT_PARAMS = {"r": (F, None), "u": (F, None), "alpha": (F, None), "delta": (F, None),
-                  "trials": (I, 1000), "cells": (I, 64), "model": (S, None)}
+                  "trials": (I, 1000, 1), "cells": (I, 64, 1), "model": (S, None)}
 EXPERIMENTS = {
     "group-axioms": ExperimentSpec(
         _run_group_axioms, "group law: associativity, identity, inverses on random triples",
-        "groups", {"samples": (I, 10000), "scale": (F, 2.0), "tol": (F, 1e-12)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0), "tol": (F, 1e-12)}),
     "exp-log-roundtrip": ExperimentSpec(
         _run_exp_log_roundtrip, "log(exp(V)) = V and exp(log(g)) = g inside the chart",
-        "groups", {"samples": (I, 10000), "scale": (F, 2.0), "tol": (F, 1e-10)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0), "tol": (F, 1e-10)}),
     "bch-consistency": ExperimentSpec(
         _run_bch_consistency, "truncated commutator series equals log of the product",
-        "groups", {"samples": (I, 10000), "scale": (F, 1.0), "tol": (F, 1e-12)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0), "tol": (F, 1e-12)}),
     "bracket-properties": ExperimentSpec(
         _run_bracket_properties, "bracket antisymmetry and Jacobi identity residuals",
-        "groups", {"samples": (I, 10000), "scale": (F, 1.0), "tol": (F, 1e-12)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0), "tol": (F, 1e-12)}),
     "chart-certification": ExperimentSpec(
         _run_chart_certification, "bracket-norm bound and ball-power radius containment by sampling",
-        "groups", {"samples": (I, 10000), "delta": (F, None), "power": (I, 2),
-                   "products": (I, 100000)}),
+        "groups", {"samples": (I, 10000, 1), "delta": (F, None), "power": (I, 2, 1),
+                   "products": (I, 100000, 1)}),
     "cocycle-exactness": ExperimentSpec(
         _run_cocycle, "two-parameter increments compose exactly along index triples",
-        "multiplicative", {"paths": (I, 5), "triples": (I, 1000), "tol": (F, 1e-12),
+        "multiplicative", {"paths": (I, 5, 1), "triples": (I, 1000, 1), "tol": (F, 1e-12),
                            "model": (S, None), "grid": (S, None)}),
     "cocycle-fault-injection": ExperimentSpec(
         _run_cocycle_fault, "a corrupted cell increment is detected and named (negative control)",
-        "multiplicative", {"cell": (I, None), "triples": (I, 1000), "tol": (F, 1e-12),
+        "multiplicative", {"cell": (I, None, 0), "triples": (I, 1000, 1), "tol": (F, 1e-12),
                            "model": (S, None), "grid": (S, None)}),
     "product-limit-convergence": ExperimentSpec(
         _run_convergence, "time-ordered exponential products converge to the exact construction",
-        "multiplicative", {"refinements": (I, 6), "trials": (I, 200), "expect": (S, None),
+        "multiplicative", {"refinements": (I, 6, 1), "trials": (I, 200, 1), "expect": (S, None),
                            "model_x": (S, None), "model_y": (S, None), "model_z": (S, None),
                            "grid": (S, None)}),
     "right-limit-refinement": ExperimentSpec(
         _run_right_limit, "right-limit evaluation stabilizes under coupled grid refinement",
-        "multiplicative", {"trials": (I, 20), "refinements": (I, 3), "probe_points": (I, 5),
-                           "model": (S, None), "grid": (S, None)}),
+        "multiplicative", {"trials": (I, 20, 1), "refinements": (I, 3, 1),
+                           "probe_points": (I, 5, 1), "model": (S, None), "grid": (S, None)}),
     "oscillation-dp-bruteforce": ExperimentSpec(
         _run_oscillation_dp, "dynamic-program oscillation count equals exhaustive chain search",
-        "regularity", {"instances": (I, 1000), "max_points": (I, 12)}),
+        "regularity", {"instances": (I, 1000, 1), "max_points": (I, 12, 2)}),
     "oscillation-axioms": ExperimentSpec(
         _run_oscillation_axioms, "counter monotonicity, exhaustive limits, concatenation bound",
-        "regularity", {"paths": (I, 8), "cases": (I, 1000), "delta": (F, None),
+        "regularity", {"paths": (I, 8, 1), "cases": (I, 1000, 1), "delta": (F, None),
                        "model": (S, None), "grid": (S, None)}),
     "max-oscillation-bound": ExperimentSpec(
         _battery(regularity, "mc_maximum_oscillation",
                  "model", "grid", "delta", "trials", "seed"),
         "endpoint exit probability dominates scaled suffix-exit probability",
-        "regularity", {"delta": (F, None), "trials": (I, 10000),
+        "regularity", {"delta": (F, None), "trials": (I, 10000, 1),
                        "model": (S, None), "grid": (S, None)}),
     "largest-step-bound": ExperimentSpec(
         _battery(regularity, "mc_largest_step", "model", "grid", "delta", "trials", "seed"),
         "any-pair exit probability is dominated by suffix-exit probability",
-        "regularity", {"delta": (F, None), "trials": (I, 10000),
+        "regularity", {"delta": (F, None), "trials": (I, 10000, 1),
                        "model": (S, None), "grid": (S, None)}),
     "expectation-bound": ExperimentSpec(
         _battery(regularity, "mc_expectation_bound", "model", "grid", "delta", "trials", "seed",
                  csv=("oscillation_counts.csv", ["count", "trials"],
                       lambda rep: sorted(rep.count_distribution.items()))),
         "mean oscillation count below a/(1-a) with geometric tail",
-        "regularity", {"delta": (F, None), "trials": (I, 10000),
+        "regularity", {"delta": (F, None), "trials": (I, 10000, 2),
                        "model": (S, None), "grid": (S, None)}),
     "uniform-continuity-probe": ExperimentSpec(
         _run_uniform_continuity, "largest window keeping oscillation probability under budget",
         "regularity", {"T": (F, None), "delta": (F, None), "alpha": (F, None),
-                       "trials": (I, 2000), "cells": (I, 64), "model": (S, None)}),
+                       "trials": (I, 2000, 1), "cells": (I, 64, 1), "model": (S, None)}),
     "detector-fidelity": ExperimentSpec(
         _run_detector_fidelity, "threshold detector recovers recorded driver jumps exactly",
-        "jumps", {"epsilon": (F, None), "trials": (I, 500),
+        "jumps", {"epsilon": (F, None), "trials": (I, 500, 1),
                   "model": (S, None), "grid": (S, None)}),
     "poisson-battery": ExperimentSpec(
         _battery(jumps, "poisson_battery", "model", "grid", "jump_set", "trials", "seed"),
         "detected jump counts behave like a Poisson process",
-        "jumps", {"epsilon": (F, None), "trials": (I, 2000),
+        "jumps", {"epsilon": (F, None), "trials": (I, 2000, 2),
                   "model": (S, None), "grid": (S, None)}),
     "restart-probe": ExperimentSpec(
         _run_restart_probe, "increments after the first hitting time match fixed-time increments",
-        "jumps", {"epsilon": (F, None), "h": (F, None), "trials": (I, 2000),
+        "jumps", {"epsilon": (F, None), "h": (F, None), "trials": (I, 2000, 2),
                   "expect": (S, "match"), "model": (S, None), "grid": (S, None)}),
     "step-triangle": ExperimentSpec(
         _battery(geometry, "step_triangle_test", "group", "samples", "delta", "seed"),
         "concatenated factor lists certify subadditive step counts",
-        "geometry", {"samples": (I, 1000), "delta": (F, None)}),
+        "geometry", {"samples": (I, 1000, 1), "delta": (F, None)}),
     "gauge-metric": ExperimentSpec(
         _run_gauge_metric, "gauge distance: left-invariance, symmetry, sampled triangle inequality",
-        "geometry", {"samples": (I, 100000), "scale": (F, 2.0)}),
+        "geometry", {"samples": (I, 100000, 1), "scale": (F, 2.0)}),
     "bounded-jumps-gate": ExperimentSpec(
         _run_bounded_jumps, "jump increments certified inside a ball power",
-        "geometry", {"delta": (F, None), "n_power": (I, None), "expect": (B, True),
+        "geometry", {"delta": (F, None), "n_power": (I, None, 1), "expect": (B, True),
                      "model": (S, None)}),
     "exp-moment": ExperimentSpec(
         _battery(geometry, "exp_moment_estimate",
@@ -508,7 +508,7 @@ EXPERIMENTS = {
                  "model", "T", "alpha", "window_sizes", "trials", "seed", "cells"),
         "shrinking-window metric moments decrease toward zero",
         "geometry", {"T": (F, None), "alpha": (F, None), "window_sizes": (LF, None),
-                     "trials": (I, 400), "cells": (I, 256), "model": (S, None)}),
+                     "trials": (I, 400, 1), "cells": (I, 256, 1), "model": (S, None)}),
     "additive-determinism": ExperimentSpec(
         _run_additive_determinism, "seeded sampling is bit-identical and refinement is coupled",
         "additive", {"model": (S, None), "grid": (S, None)}),
@@ -533,16 +533,16 @@ def reference_table(key: str) -> str | None:
 def merge_params(name: str, params: dict, path: str) -> dict:
     """``params`` over the catalog defaults of experiment ``name``.
 
-    Reads each parameter's type, default and required flag from the
-    experiment's schema; an unknown, missing or mistyped parameter raises
-    ConfigError under ``path``.
+    Reads each parameter's type, default, lower bound and required flag from
+    the experiment's schema; an unknown, missing, mistyped or too small
+    parameter raises ConfigError under ``path``.
     """
     schema = EXPERIMENTS[name].params
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(path, f"unknown parameters {sorted(unknown)}")
     merged = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, *minimum) in schema.items():
         if key not in params:
             if default is None:
                 raise ConfigError(f"{path}.{key}", "required parameter missing")
@@ -551,6 +551,9 @@ def merge_params(name: str, params: dict, path: str) -> dict:
         label, ok = _TYPE_CHECKS[typ]
         if not ok(params[key]):
             raise ConfigError(f"{path}.{key}", f"expected {label}, got {params[key]!r}")
+        if minimum and params[key] < minimum[0]:
+            raise ConfigError(f"{path}.{key}", f"expected at least {minimum[0]},"
+                                               f" got {params[key]!r}")
         merged[key] = params[key]
     return merged
 
@@ -566,7 +569,7 @@ def catalog() -> list[dict]:
             "params": {
                 key: {"type": typ.__name__, "required": default is None,
                       **({} if default is None else {"default": default})}
-                for key, (typ, default) in spec.params.items()
+                for key, (typ, default, *_) in spec.params.items()
             },
         })
     return out

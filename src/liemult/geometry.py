@@ -22,7 +22,7 @@ import numpy as np
 from .additive import LevyModel, TimeGrid
 from .errors import HypothesisError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup, UnipotentGroup, lp_norm
-from .multiplicative import batch_prefixes
+from .multiplicative import batch_prefixes, map_trial_chunks
 from .reporting import Report
 from .rng import substream
 from .stats import binom_se, fit_slope, mean_se
@@ -35,7 +35,6 @@ __all__ = [
     "step_triangle_test",
     "gauge_norm",
     "gauge_distance",
-    "word_scaled_distance",
     "bounded_jumps_check",
     "minimal_jump_power",
     "exp_moment_estimate",
@@ -167,8 +166,7 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
     Every call rebuilds the product of the returned factors and verifies it
     reproduces g to 1e-10 with all factor norms strictly below delta.
     """
-    if not (0 < delta < group.chart.rho_prime):
-        raise ParameterError(f"delta must lie in (0, rho_prime), got {delta}")
+    group.require_chart_radius(delta)
     g = np.asarray(g, dtype=float)
     if g.shape != (group.dim,):
         raise InvalidInputError(f"expected a single element of dimension {group.dim}")
@@ -265,8 +263,7 @@ def gauge_norm(group: HeisenbergGroup, v: np.ndarray) -> np.ndarray:
     """Fourth-root homogeneous gauge on the p = 2 instance."""
     if not (isinstance(group, HeisenbergGroup) and group.p == 2.0):
         raise ParameterError(
-            "the gauge metric is defined for the p=2 Heisenberg instance only;"
-            " use word_scaled_distance for other exponents"
+            "the gauge metric is defined for the p=2 Heisenberg instance only"
         )
     x, y, z = group.split(np.asarray(v, dtype=float))
     horizontal = np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)
@@ -276,11 +273,6 @@ def gauge_norm(group: HeisenbergGroup, v: np.ndarray) -> np.ndarray:
 def gauge_distance(group: HeisenbergGroup, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Left-invariant distance d(g, h) = N(inv(g) h)."""
     return gauge_norm(group, group.mul(group.inv(g), h))
-
-
-def word_scaled_distance(group, g: np.ndarray, h: np.ndarray, delta: float) -> float:
-    """Fallback distance delta * upper(inv(g) h) for instances without a gauge."""
-    return delta * step_count_upper(group, group.mul(group.inv(g), h), delta).upper
 
 
 def minimal_jump_power(model: LevyModel, delta: float, seed: int = 0) -> int:
@@ -324,25 +316,16 @@ def _window_indices(grid: TimeGrid, r: float, u: float) -> np.ndarray:
     return idx
 
 
-def _pairwise_sup_counts(group, prefixes: np.ndarray, idx: np.ndarray, delta: float,
-                         chunk: int = 64):
-    """Per-trial supremum of pair step counts over window indices; also the
-    per-start-index probability of some later pair increment leaving the
+def _pairwise_sup_counts(group, prefixes: np.ndarray, idx: np.ndarray, delta: float):
+    """Per-trial supremum of pair step counts over window indices; also, per
+    trial and start index, whether some later pair increment leaves the
     delta-ball (for the tail-rate estimate)."""
-    trials = prefixes.shape[0]
-    m = idx.size
-    sup_counts = np.zeros(trials, dtype=np.int64)
-    exit_any = np.zeros((trials, m), dtype=bool)
-    upper_mask = np.triu(np.ones((m, m), dtype=bool), k=1)
-    for s in range(0, trials, chunk):
-        sub = prefixes[s:s + chunk][:, idx]
-        pairs = group.pairwise_increments(sub)
-        counts = step_counts_batch(group, pairs, delta)
-        counts = np.where(upper_mask[None, :, :], counts, 0)
-        sup_counts[s:s + chunk] = counts.max(axis=(1, 2))
-        norms = group.chart_norm(pairs)
-        exit_any[s:s + chunk] = np.any((norms >= delta) & upper_mask[None, :, :], axis=2)
-    return sup_counts, exit_any
+    def reduce(chunk):
+        pairs = group.pairwise_increments(chunk[:, idx])
+        counts = np.triu(step_counts_batch(group, pairs, delta), k=1)
+        exits = np.triu(group.chart_norm(pairs) >= delta, k=1)
+        return counts.max(axis=(1, 2)), exits.any(axis=2)
+    return map_trial_chunks(prefixes, reduce)
 
 
 @dataclass(frozen=True)
@@ -536,13 +519,8 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
     values, ses = [], []
     for w in sizes:
         idx = _window_indices(grid, (T - w) / 2.0, (T + w) / 2.0)
-        sup_d = np.zeros(trials)
-        chunk = 64
-        upper_mask = np.triu(np.ones((idx.size, idx.size), dtype=bool), k=1)
-        for s in range(0, trials, chunk):
-            pairs = group.pairwise_increments(prefixes[s:s + chunk][:, idx])
-            dists = gauge_norm(group, pairs)
-            sup_d[s:s + chunk] = np.where(upper_mask[None], dists, 0.0).max(axis=(1, 2))
+        sup_d = map_trial_chunks(prefixes[:, idx], lambda chunk: np.triu(
+            gauge_norm(group, group.pairwise_increments(chunk)), k=1).max(axis=(1, 2)))
         vals = np.exp(alpha * sup_d) - 1.0
         values.append(float(vals.mean()))
         ses.append(mean_se(vals))

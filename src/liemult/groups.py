@@ -197,17 +197,10 @@ class _NilpotentGroup:
         """Norm of log(g); the local size of a group element."""
         return self.norm(self.log(g))
 
-    def in_ball(self, g: np.ndarray, delta: float) -> np.ndarray:
-        """Strict membership ``|log g| < delta``.
-
-        Instances with a partial chart must make ``chart_norm`` return +inf
-        outside the log domain, so log-undefined counts as outside.
-        """
+    def require_chart_radius(self, delta: float) -> None:
+        """Raise ParameterError unless the delta-ball lies inside the chart."""
         if not (0 < delta < self.chart.rho_prime):
-            raise ParameterError(
-                f"delta must lie in (0, rho_prime={self.chart.rho_prime}), got {delta}"
-            )
-        return self.chart_norm(g) < delta
+            raise ParameterError(f"delta must lie in (0, rho_prime), got {delta}")
 
     def ball_power_radius(self, delta: float, n: int) -> float | None:
         """Certified radius r with (U_delta)^n contained in U_r.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .additive import AdditivePath, LevyModel, TimeGrid, sample_additive
-from .errors import ChartDomainError, ParameterError
+from .errors import ParameterError
 from .multiplicative import MultiplicativePath
 from .reporting import Report
 from .stats import SLACK_MULTIPLIER, batched_ks_exponential, batched_ks_two_sample
@@ -25,8 +25,6 @@ __all__ = [
     "JumpReport",
     "hitting_times",
     "hitting_cells",
-    "jump_count",
-    "log_jump_process",
     "detector_fidelity",
     "poisson_battery",
     "restart_probe",
@@ -61,37 +59,6 @@ def hitting_cells(path: MultiplicativePath, jump_set: JumpSetSpec) -> np.ndarray
 def hitting_times(path: MultiplicativePath, jump_set: JumpSetSpec) -> np.ndarray:
     """Right endpoints of the cells whose increment lands in the jump set."""
     return path.grid.points[hitting_cells(path, jump_set) + 1]
-
-
-def jump_count(path: MultiplicativePath, jump_set: JumpSetSpec, t: float) -> int:
-    """Number of hitting times up to and including t (a cadlag step function)."""
-    if not (0.0 <= t <= path.grid.T):
-        raise ParameterError(f"t must lie in [0, {path.grid.T}], got {t}")
-    taus = hitting_times(path, jump_set)
-    return int(np.searchsorted(taus, t, side="right"))
-
-
-def log_jump_process(path: MultiplicativePath, jump_set: JumpSetSpec) -> AdditivePath:
-    """Algebra-valued pure-jump path carrying the logs of the detected jumps."""
-    group = path.group
-    cells = hitting_cells(path, jump_set)
-    taus = path.grid.points[cells + 1]
-    norms = group.chart_norm(path.cell_increments[cells])
-    outside = norms >= group.chart.rho_prime
-    if np.any(outside):
-        t_bad = taus[np.argmax(outside)]
-        raise ChartDomainError(f"jump at t={t_bad} lies outside the log chart")
-    vectors = group.log(path.cell_increments[cells])
-    zero_model = LevyModel(space=group)
-    n = path.grid.n_cells
-    return AdditivePath(
-        grid=path.grid,
-        model=zero_model,
-        drift_part=np.zeros((n, group.dim)),
-        gauss_part=np.zeros((n, group.dim)),
-        jump_times=taus,
-        jump_vectors=vectors,
-    )
 
 
 def detector_fidelity(path: MultiplicativePath, jump_set: JumpSetSpec,

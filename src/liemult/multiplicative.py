@@ -25,6 +25,10 @@ from .groups import HeisenbergGroup
 from .reporting import Report
 from .rng import substream
 
+# trials per slice of a prefix batch in ``map_trial_chunks``; bounds the
+# (chunk, n+1, n+1, d) pairwise arrays the all-pairs batteries build
+TRIAL_CHUNK = 64
+
 __all__ = [
     "MultiplicativePath",
     "product_exponential",
@@ -78,9 +82,6 @@ class MultiplicativePath:
             raise ParameterError(f"t must lie in [0, {self.grid.T}], got {t}")
         idx = int(np.searchsorted(self.grid.points, t, side="left"))
         return self.prefix[idx]
-
-    def pairwise_chart_norms(self) -> np.ndarray:
-        return self.group.pairwise_chart_norms(self.prefix)
 
     def with_corrupted_cell(self, k: int, offset: np.ndarray) -> "MultiplicativePath":
         """Fault-injection helper: translate cell increment k by a group offset.
@@ -269,3 +270,17 @@ def batch_prefixes(group, model: LevyModel, grid: TimeGrid, trials: int, seed: i
         for t in range(trials)
     ])
     return group.prefix_products(group.exp(incs))
+
+
+def map_trial_chunks(prefixes: np.ndarray, reduce):
+    """Apply ``reduce`` to consecutive ``TRIAL_CHUNK``-trial slices of a prefix
+    batch (trials, n+1, d) and stack its per-trial results.
+
+    ``reduce`` returns an array, or a tuple of arrays, with the slice's trials
+    on the first axis; the result has the same form over all trials.
+    """
+    chunks = [reduce(prefixes[s:s + TRIAL_CHUNK])
+              for s in range(0, prefixes.shape[0], TRIAL_CHUNK)]
+    if isinstance(chunks[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*chunks))
+    return np.concatenate(chunks)

@@ -29,17 +29,14 @@ import numpy as np
 
 from .additive import LevyModel, TimeGrid
 from .errors import ParameterError
-from .multiplicative import MultiplicativePath, batch_prefixes
+from .multiplicative import MultiplicativePath, batch_prefixes, map_trial_chunks
 from .reporting import Report
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, LemmaReport, binom_se, mean_se
 
 __all__ = [
-    "OscillationQuery",
     "OscillationReport",
     "ContinuityProbeReport",
-    "count_oscillations",
-    "count_oscillations_on_subset",
     "exhaustive_count_reference",
     "oscillation_counts_from_outside",
     "oscillation_axioms_test",
@@ -48,14 +45,6 @@ __all__ = [
     "mc_expectation_bound",
     "uniform_continuity_probe",
 ]
-
-
-@dataclass(frozen=True)
-class OscillationQuery:
-    """Oscillation threshold and inclusive index window [start, stop]."""
-
-    delta: float
-    window: tuple[int, int] | None = None
 
 
 def oscillation_counts_from_outside(outside: np.ndarray) -> np.ndarray:
@@ -98,33 +87,6 @@ def exhaustive_count_reference(outside: np.ndarray) -> int:
     return best
 
 
-def _outside_on_indices(path: MultiplicativePath, delta: float, indices: np.ndarray) -> np.ndarray:
-    group = path.group
-    if not (0 < delta < group.chart.rho_prime):
-        raise ParameterError(f"delta must lie in (0, rho_prime), got {delta}")
-    sub = path.prefix[np.asarray(indices, dtype=int)]
-    return group.pairwise_chart_norms(sub) >= delta
-
-
-def count_oscillations(path: MultiplicativePath, query: OscillationQuery) -> int:
-    """Maximal number of successive increments leaving the delta-ball."""
-    window = query.window or (0, path.n_cells)
-    start, stop = window
-    if not (0 <= start <= stop <= path.n_cells):
-        raise ParameterError(f"window {window} out of range 0..{path.n_cells}")
-    indices = np.arange(start, stop + 1)
-    return int(oscillation_counts_from_outside(_outside_on_indices(path, query.delta, indices)))
-
-
-def count_oscillations_on_subset(path: MultiplicativePath, delta: float,
-                                 indices) -> int:
-    """Oscillation count over an arbitrary increasing set of grid indices."""
-    indices = np.asarray(sorted(indices), dtype=int)
-    if indices.size == 0:
-        return 0
-    return int(oscillation_counts_from_outside(_outside_on_indices(path, delta, indices)))
-
-
 def oscillation_axioms_test(paths: list[MultiplicativePath], delta: float,
                             cases: int = 1000, seed: int = 0) -> dict:
     """Structural properties of the oscillation counter on random instances.
@@ -134,7 +96,9 @@ def oscillation_axioms_test(paths: list[MultiplicativePath], delta: float,
     concatenation bound for windows in increasing position.
     """
     rng = substream(seed, "oscillation-axioms")
-    matrices = [_outside_on_indices(p, delta, np.arange(p.n_cells + 1)) for p in paths]
+    for p in paths:
+        p.group.require_chart_radius(delta)
+    matrices = [p.group.pairwise_chart_norms(p.prefix) >= delta for p in paths]
 
     def count_on(which, idx):
         idx = np.sort(np.asarray(idx, dtype=int))
@@ -176,14 +140,15 @@ def _require_group_model(model: LevyModel):
     return group
 
 
-def _pairwise_outside_batch(group, prefixes: np.ndarray, threshold: float,
-                            chunk: int = 128) -> np.ndarray:
-    trials = prefixes.shape[0]
-    m = prefixes.shape[1]
-    out = np.empty((trials, m, m), dtype=bool)
-    for s in range(0, trials, chunk):
-        out[s:s + chunk] = group.pairwise_chart_norms(prefixes[s:s + chunk]) >= threshold
-    return out
+def _any_pair_outside(group, prefixes: np.ndarray, threshold: float) -> np.ndarray:
+    """Per trial: does some x(j, k), j < k, have chart norm >= threshold?"""
+    return map_trial_chunks(prefixes, lambda chunk: np.triu(
+        group.pairwise_chart_norms(chunk) >= threshold, k=1).any(axis=(1, 2)))
+
+
+def _suffix_norms(group, prefixes: np.ndarray) -> np.ndarray:
+    """Chart norms of the suffix increments x(j, n), shape (trials, n+1)."""
+    return group.chart_norm(group.mul(group.inv(prefixes), prefixes[:, -1:, :]))
 
 
 def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
@@ -198,7 +163,7 @@ def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
 
     prefixes = batch_prefixes(group, model, grid, trials, seed)
     from_start = group.chart_norm(prefixes)                      # x(0, j)
-    to_end = group.chart_norm(group.mul(group.inv(prefixes), prefixes[:, -1:, :]))  # x(j, n)
+    to_end = _suffix_norms(group, prefixes)
 
     alpha_hat = float(np.max(np.mean(from_start >= delta, axis=0)))
     p_exists = float(np.mean(np.any(to_end >= radius, axis=1)))
@@ -237,11 +202,8 @@ def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
                            trials, seed, notes={"inconclusive": "superset radius left the chart"})
 
     prefixes = batch_prefixes(group, model, grid, trials, seed)
-    outside_w = _pairwise_outside_batch(group, prefixes, radius)
-    upper = np.triu(np.ones(outside_w.shape[-2:], dtype=bool), k=1)
-    p_pairs = float(np.mean(np.any(outside_w & upper, axis=(1, 2))))
-    to_end = group.chart_norm(group.mul(group.inv(prefixes), prefixes[:, -1:, :]))
-    p_anchor = float(np.mean(np.any(to_end >= delta, axis=1)))
+    p_pairs = float(np.mean(_any_pair_outside(group, prefixes, radius)))
+    p_anchor = float(np.mean(np.any(_suffix_norms(group, prefixes) >= delta, axis=1)))
 
     slack = SLACK_MULTIPLIER * float(np.hypot(binom_se(p_pairs, trials),
                                               binom_se(p_anchor, trials)))
@@ -285,18 +247,17 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
     checked for orders up to ``tail_orders``.
     """
     group = _require_group_model(model)
-    if not (0 < delta < group.chart.rho_prime):
-        raise ParameterError(f"delta must lie in (0, rho_prime), got {delta}")
+    group.require_chart_radius(delta)
+    if trials < 2:
+        raise ParameterError(f"the split-half estimate needs trials >= 2, got {trials}")
     half = trials // 2
     prefixes = batch_prefixes(group, model, grid, trials, seed)
-    outside = _pairwise_outside_batch(group, prefixes, delta)
-    upper = np.triu(np.ones(outside.shape[-2:], dtype=bool), k=1)
 
-    any_pair_a = np.any(outside[:half] & upper, axis=(1, 2))
-    alpha_hat = float(np.mean(any_pair_a))
+    alpha_hat = float(np.mean(_any_pair_outside(group, prefixes[:half], delta)))
     se_alpha = binom_se(alpha_hat, half)
 
-    counts = oscillation_counts_from_outside(outside[half:])
+    counts = map_trial_chunks(prefixes[half:], lambda chunk: oscillation_counts_from_outside(
+        group.pairwise_chart_norms(chunk) >= delta))
     mean_count = float(np.mean(counts))
     se_mean = mean_se(counts)
     histogram = {int(k): int(v) for k, v in zip(*np.unique(counts, return_counts=True))}
@@ -369,18 +330,16 @@ def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: fl
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     group = _require_group_model(model)
-    if not (0 < delta < group.chart.rho_prime):
-        raise ParameterError(f"delta must lie in (0, rho_prime), got {delta}")
+    group.require_chart_radius(delta)
     grid = TimeGrid.uniform(T, cells)
     prefixes = batch_prefixes(group, model, grid, trials, seed)
-    outside = _pairwise_outside_batch(group, prefixes, delta)
 
-    j_idx, k_idx = np.triu_indices(cells + 1, k=1)
-    spans = k_idx - j_idx
-    pair_outside = outside[:, j_idx, k_idx]
+    points = np.arange(cells + 1)
+    spans = points[None, :] - points[:, None]            # k - j at [j, k]
     # smallest band in which each trial already oscillates
-    masked = np.where(pair_outside, spans[None, :], cells + 1)
-    min_span = masked.min(axis=1)
+    min_span = map_trial_chunks(prefixes, lambda chunk: np.where(
+        np.triu(group.pairwise_chart_norms(chunk) >= delta, k=1), spans, cells + 1
+    ).min(axis=(1, 2)))
 
     levels = int(np.log2(cells))
     curve = {}

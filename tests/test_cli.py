@@ -12,7 +12,7 @@ import pytest
 from liemult.cli import main
 from liemult.config import default_config, load_config, validate_config
 from liemult.errors import ConfigError
-from liemult.experiments import EXPERIMENTS, catalog
+from liemult.experiments import EXPERIMENTS, catalog, run_experiment
 
 BASE = {
     "schema_version": 1,
@@ -247,6 +247,27 @@ class TestValidation:
             jump_intensity=1.0,
             jump_law={"kind": "discrete", "vectors": [[0.1, 0.2]], "probs": [1.0]}),
          "config.models.noisy", "vectors"),
+        # count parameters below the range a battery's arithmetic needs
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "right-limit-refinement", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "refinements": 0}}),
+         "config.experiments[2].params.refinements", "at least 1"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "poisson-battery", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "trials": 0}}),
+         "config.experiments[2].params.trials", "at least 2"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "expectation-bound", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "delta": 0.5, "trials": 1}}),
+         "config.experiments[2].params.trials", "at least 2"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "cocycle-fault-injection", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "cell": -1}}),
+         "config.experiments[2].params.cell", "at least 0"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "oscillation-dp-bruteforce", "seed": 3,
+             "params": {"max_points": 1}}),
+         "config.experiments[2].params.max_points", "at least 2"),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):
@@ -256,6 +277,13 @@ class TestValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert f"config error: {path}: " in err and field in err
+
+    def test_run_experiment_checks_ranges_before_running(self):
+        # the range check also guards direct calls, before any reference lookup
+        with pytest.raises(ConfigError, match=r"right-limit-refinement\.params\.refinements"
+                                              r": expected at least 1, got 0"):
+            run_experiment("right-limit-refinement", {},
+                           {"model": "noisy", "grid": "g8", "refinements": 0}, 3)
 
     def test_default_config_is_valid(self):
         validate_config(default_config())

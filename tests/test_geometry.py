@@ -8,7 +8,7 @@ from liemult import (FixedAtomJumps, HeisenbergGroup, HypothesisError, LevyModel
                      bounded_jumps_check, exp_moment_estimate, gauge_distance,
                      gauge_norm, metric_modulus_curve, minimal_jump_power,
                      step_count_upper, step_counts_batch, step_triangle_test,
-                     tail_decay_fit, word_scaled_distance)
+                     tail_decay_fit)
 from liemult.rng import substream
 
 ALPHA, DELTA = 0.5, 0.5
@@ -130,12 +130,6 @@ class TestGaugeMetric:
     def test_unsupported_exponent_raises(self, heis3p):
         with pytest.raises(ParameterError):
             gauge_norm(heis3p, np.zeros(heis3p.dim))
-
-    def test_word_scaled_fallback(self, heis3p):
-        g = heis3p.embed([1.0, 0.0, 0.0])
-        h = heis3p.embed([0.0, 1.0, 0.0])
-        d = word_scaled_distance(heis3p, g, h, 0.5)
-        assert d > 0
 
 
 class TestBoundedJumps:

@@ -182,16 +182,15 @@ class TestNorm:
 
 
 class TestChartMachinery:
-    def test_in_ball_identity_and_strict_boundary(self, heis2):
-        assert heis2.in_ball(heis2.identity(), 0.5)
-        on_boundary = heis2.embed([0.5, 0.0])
-        assert heis2.norm(on_boundary) == 0.5
-        assert not heis2.in_ball(on_boundary, 0.5)
-        assert heis2.in_ball(heis2.exp(heis2.embed([0.25, 0.0])), 0.5)
+    def test_chart_radius_check_rejects_rho_prime(self, uni4):
+        uni4.require_chart_radius(0.5 * uni4.chart.rho_prime)
+        with pytest.raises(ParameterError, match=r"delta must lie in \(0, rho_prime\)"):
+            uni4.require_chart_radius(uni4.chart.rho_prime)
 
-    def test_in_ball_parameter_error(self, uni4):
-        with pytest.raises(ParameterError):
-            uni4.in_ball(uni4.identity(), uni4.chart.rho_prime)
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_chart_radius_check_rejects_nonpositive(self, heis2, delta):
+        with pytest.raises(ParameterError, match=r"delta must lie in \(0, rho_prime\)"):
+            heis2.require_chart_radius(delta)
 
     def test_ball_power_radius_base_and_worked_value(self, heis2):
         assert heis2.ball_power_radius(0.1, 1) == 0.1

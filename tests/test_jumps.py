@@ -1,15 +1,14 @@
-"""Hitting times, jump counts, Poisson battery, and the restart probe."""
+"""Hitting times, the detector, the Poisson battery, and the restart probe."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from liemult import (ChartDomainError, ChartSpec, FixedAtomJumps, HeisenbergGroup,
-                     JumpSetSpec, LevyModel, ParameterError, PiecewiseConstantRate,
-                     TimeGrid, UniformBallJumps, detector_fidelity, hitting_times,
-                     jump_count, log_jump_process, poisson_battery, product_exponential,
-                     restart_probe, sample_additive)
+from liemult import (FixedAtomJumps, JumpSetSpec, LevyModel, ParameterError,
+                     PiecewiseConstantRate, TimeGrid, UniformBallJumps, detector_fidelity,
+                     hitting_times, poisson_battery, product_exponential, restart_probe,
+                     sample_additive)
 
 
 def planted_path(heis, grid, times, vectors):
@@ -42,68 +41,6 @@ class TestHittingTimes:
         path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 64), 3))
         taus = hitting_times(path, JumpSetSpec(0.5))
         assert np.all(np.diff(taus) > 0)
-
-
-class TestJumpCount:
-    def test_count_zero_at_origin(self, heis2):
-        grid = TimeGrid.uniform(1.0, 10)
-        vec = heis2.embed([1.0, 0.0])
-        _, path = planted_path(heis2, grid, [0.2, 0.5], [vec, vec])
-        spec = JumpSetSpec(0.5)
-        assert jump_count(path, spec, 0.0) == 0
-        assert jump_count(path, spec, 0.35) == 1
-        assert jump_count(path, spec, 1.0) == 2
-        with pytest.raises(ParameterError):
-            jump_count(path, spec, 2.0)
-
-    def test_monotone_in_threshold(self, heis2):
-        model = LevyModel(space=heis2, diffusion=0.2, jump_intensity=4.0,
-                          jump_law=UniformBallJumps(0.8))
-        path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 128), 5))
-        small = jump_count(path, JumpSetSpec(0.2), 1.0)
-        large = jump_count(path, JumpSetSpec(0.4), 1.0)
-        assert large <= small
-
-    def test_counts_step_by_one(self, heis2):
-        model = LevyModel(space=heis2, jump_intensity=6.0,
-                          jump_law=FixedAtomJumps(heis2.embed([1.0, 0.0])))
-        path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 256), 2))
-        spec = JumpSetSpec(0.5)
-        counts = [jump_count(path, spec, t) for t in path.grid.points]
-        steps = np.diff(counts)
-        assert np.all((steps == 0) | (steps == 1))
-
-
-class TestLogJumpProcess:
-    def test_no_jumps_gives_zero_path(self, heis2):
-        _, path = planted_path(heis2, TimeGrid.uniform(1.0, 10), [], np.empty((0, 5)))
-        lj = log_jump_process(path, JumpSetSpec(0.5))
-        np.testing.assert_array_equal(lj.total(), np.zeros(5))
-
-    def test_single_jump_recovers_vector(self, heis2):
-        grid = TimeGrid.uniform(1.0, 10)
-        vec = heis2.embed([0.9, 0.1], [0.0, 0.2], -0.3)
-        _, path = planted_path(heis2, grid, [0.45], [vec])
-        lj = log_jump_process(path, JumpSetSpec(0.5))
-        assert lj.jump_times.size == 1
-        np.testing.assert_allclose(lj.jump_vectors[0], vec, atol=1e-14)
-
-    def test_two_jump_additivity(self, heis2):
-        grid = TimeGrid.uniform(1.0, 10)
-        v1 = heis2.embed([0.8, 0.0])
-        v2 = heis2.embed(b=[0.7, 0.0])
-        _, path = planted_path(heis2, grid, [0.2, 0.6], [v1, v2])
-        lj = log_jump_process(path, JumpSetSpec(0.5))
-        lhs = lj.increment(0, 5) + lj.increment(5, 10)
-        np.testing.assert_array_equal(lhs, lj.increment(0, 10))
-        np.testing.assert_allclose(lj.total(), v1 + v2, atol=1e-14)
-
-    def test_jump_outside_chart_raises(self):
-        tight = HeisenbergGroup(2, 2.0, chart=ChartSpec(1.0, 0.25, 2.0))
-        grid = TimeGrid.uniform(1.0, 10)
-        driver, path = planted_path(tight, grid, [0.35], [tight.embed([2.0, 0.0])])
-        with pytest.raises(ChartDomainError, match="0.4"):
-            log_jump_process(path, JumpSetSpec(0.5))
 
 
 class TestDetectorFidelity:

@@ -10,7 +10,8 @@ from liemult import (GridMismatchError, LevyModel, ParameterError, TimeGrid,
                      levy_area, product_exponential, sample_additive,
                      verify_multiplicative)
 from liemult.groups import _NilpotentGroup
-from liemult.multiplicative import MultiplicativePath, batch_prefixes
+from liemult.multiplicative import (TRIAL_CHUNK, MultiplicativePath, batch_prefixes,
+                                   map_trial_chunks)
 
 
 def block_models(heis, x=None, y=None, z=None):
@@ -274,3 +275,31 @@ class TestBatchPrefixes:
             single = product_exponential(
                 sample_additive(model, grid, 9, stream=(trial,)))
             np.testing.assert_array_equal(batch[trial], single.prefix)
+
+
+class TestMapTrialChunks:
+    TRIALS = 150
+
+    @pytest.fixture
+    def prefixes(self, heis2):
+        assert self.TRIALS % TRIAL_CHUNK != 0
+        model = LevyModel(space=heis2, diffusion=0.3)
+        return batch_prefixes(heis2, model, TimeGrid.uniform(1.0, 6), self.TRIALS, 4)
+
+    def test_array_result_equals_unchunked_reduction(self, heis2, prefixes):
+        sizes = []
+
+        def reduce(chunk):
+            sizes.append(chunk.shape[0])
+            return heis2.pairwise_chart_norms(chunk).max(axis=(1, 2))
+
+        out = map_trial_chunks(prefixes, reduce)
+        assert sizes == [TRIAL_CHUNK, TRIAL_CHUNK, self.TRIALS - 2 * TRIAL_CHUNK]
+        np.testing.assert_array_equal(
+            out, heis2.pairwise_chart_norms(prefixes).max(axis=(1, 2)))
+
+    def test_tuple_result_stacks_each_part(self, heis2, prefixes):
+        first, last = map_trial_chunks(
+            prefixes, lambda chunk: (chunk[:, 0, :], heis2.chart_norm(chunk[:, -1, :])))
+        np.testing.assert_array_equal(first, prefixes[:, 0, :])
+        np.testing.assert_array_equal(last, heis2.chart_norm(prefixes[:, -1, :]))

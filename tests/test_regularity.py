@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from liemult import (LevyModel, OscillationQuery, TimeGrid, UniformBallJumps,
-                     count_oscillations, count_oscillations_on_subset,
+from liemult import (LevyModel, TimeGrid, UniformBallJumps, batch_prefixes,
                      exhaustive_count_reference, mc_expectation_bound,
                      mc_largest_step, mc_maximum_oscillation,
                      oscillation_axioms_test, oscillation_counts_from_outside,
                      product_exponential, sample_additive,
                      uniform_continuity_probe)
-from liemult.multiplicative import MultiplicativePath
+from liemult.multiplicative import TRIAL_CHUNK, MultiplicativePath
+from liemult.regularity import _suffix_norms
 from liemult.rng import substream
 
 
@@ -21,18 +21,23 @@ def brownian_paths(heis, sigma, cells, count, seed):
             for t in range(count)]
 
 
+def count(group, prefix, delta):
+    """Oscillation count of the prefix rows given, by the DP."""
+    return int(oscillation_counts_from_outside(group.pairwise_chart_norms(prefix) >= delta))
+
+
 class TestCountOscillations:
     def test_constant_path_counts_zero(self, heis2):
         grid = TimeGrid.uniform(1.0, 8)
         path = MultiplicativePath.from_increments(heis2, grid, np.zeros((8, 5)))
-        assert count_oscillations(path, OscillationQuery(0.5)) == 0
+        assert count(heis2, path.prefix, 0.5) == 0
 
     def test_single_large_cell_counts_one(self, heis2):
         grid = TimeGrid.uniform(1.0, 8)
         cells = np.zeros((8, 5))
         cells[3] = heis2.embed([0.9, 0.0])
         path = MultiplicativePath.from_increments(heis2, grid, cells)
-        assert count_oscillations(path, OscillationQuery(0.5)) == 1
+        assert count(heis2, path.prefix, 0.5) == 1
 
     def test_window_restriction(self, heis2):
         grid = TimeGrid.uniform(1.0, 8)
@@ -40,9 +45,9 @@ class TestCountOscillations:
         cells[1] = heis2.embed([0.9, 0.0])
         cells[6] = heis2.embed([-0.9, 0.0])
         path = MultiplicativePath.from_increments(heis2, grid, cells)
-        assert count_oscillations(path, OscillationQuery(0.5)) == 2
-        assert count_oscillations(path, OscillationQuery(0.5, window=(3, 5))) == 0
-        assert count_oscillations(path, OscillationQuery(0.5, window=(0, 4))) == 1
+        assert count(heis2, path.prefix, 0.5) == 2
+        assert count(heis2, path.prefix[3:6], 0.5) == 0       # window [3, 5]
+        assert count(heis2, path.prefix[0:5], 0.5) == 1       # window [0, 4]
 
     def test_dp_matches_exhaustive_reference(self):
         rng = substream(0, "dp-vs-brute")
@@ -66,14 +71,14 @@ class TestAxioms:
         report = oscillation_axioms_test(paths, delta=0.25, cases=300, seed=9)
         assert report["pass"], report
 
-    def test_empty_subset_counts_zero(self, heis2):
+    def test_single_point_subset_counts_zero(self, heis2):
         path = brownian_paths(heis2, 0.3, 8, 1, seed=1)[0]
-        assert count_oscillations_on_subset(path, 0.5, []) == 0
+        assert count(heis2, path.prefix[[4]], 0.5) == 0
 
     def test_subset_monotonicity_explicit(self, heis2):
         path = brownian_paths(heis2, 0.4, 16, 1, seed=2)[0]
-        full = count_oscillations_on_subset(path, 0.3, range(17))
-        half = count_oscillations_on_subset(path, 0.3, range(0, 17, 2))
+        full = count(heis2, path.prefix, 0.3)
+        half = count(heis2, path.prefix[0:17:2], 0.3)
         assert half <= full
 
     def test_counts_monotone_under_coupled_refinement(self, heis2):
@@ -83,11 +88,9 @@ class TestAxioms:
         grid = TimeGrid.uniform(1.0, 16)
         for trial in range(10):
             driver = sample_additive(model, grid, 19, stream=(trial,))
-            coarse = count_oscillations(product_exponential(driver),
-                                        OscillationQuery(0.4))
+            coarse = count(heis2, product_exponential(driver).prefix, 0.4)
             fine_driver = driver.refine(23, stream=(trial,))
-            fine = count_oscillations(product_exponential(fine_driver),
-                                      OscillationQuery(0.4))
+            fine = count(heis2, product_exponential(fine_driver).prefix, 0.4)
             assert fine >= coarse
 
 
@@ -118,6 +121,14 @@ class TestMaximumOscillation:
         model = LevyModel(space=heis2, diffusion=0.2)
         out = mc_maximum_oscillation(model, TimeGrid.uniform(1.0, 8), 0.5, 100, 0).to_dict()
         assert {"lemma", "params", "estimates", "bound", "slack", "pass"} <= set(out)
+
+
+    def test_suffix_norms_are_last_pairwise_column(self, heis2):
+        model = LevyModel(space=heis2, diffusion=0.4)
+        prefixes = batch_prefixes(heis2, model, TimeGrid.uniform(1.0, 10), 7, 2)
+        np.testing.assert_allclose(_suffix_norms(heis2, prefixes),
+                                   heis2.pairwise_chart_norms(prefixes)[:, :, -1],
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestLargestStep:
@@ -231,3 +242,52 @@ class TestUniformContinuityProbe:
         model = LevyModel(space=heis2)
         with pytest.raises(Exception):
             uniform_continuity_probe(model, 1.0, 0.5, 1.5, 10, 0)
+
+
+class TestChunkSeam:
+    """The all-pairs batteries reduce trial chunks; at a trial count that is
+    not a multiple of the chunk size their estimates must equal an oracle
+    built from one unchunked pairwise call over all trials."""
+
+    TRIALS, SEED, DELTA = 150, 5, 1.0
+
+    @pytest.fixture
+    def setup(self, heis2):
+        assert self.TRIALS % TRIAL_CHUNK != 0
+        model = LevyModel(space=heis2, diffusion=0.3)
+        grid = TimeGrid.uniform(1.0, 16)
+        prefixes = batch_prefixes(heis2, model, grid, self.TRIALS, self.SEED)
+        norms = heis2.pairwise_chart_norms(prefixes)           # (trials, 17, 17)
+        upper = np.triu(np.ones((17, 17), dtype=bool), k=1)
+        return heis2, model, grid, norms, upper
+
+    def test_largest_step(self, setup):
+        group, model, grid, norms, upper = setup
+        radius = group.ball_power_radius(0.5, 2)
+        rep = mc_largest_step(model, grid, 0.5, self.TRIALS, self.SEED)
+        oracle = np.mean(np.any((norms >= radius) & upper, axis=(1, 2)))
+        assert 0.0 < oracle < 1.0
+        assert rep.estimates["p_any_pair_outside_superset"] == oracle
+
+    def test_expectation_bound(self, setup):
+        _, model, grid, norms, upper = setup
+        half = self.TRIALS // 2
+        rep = mc_expectation_bound(model, grid, self.DELTA, self.TRIALS, self.SEED)
+        outside = norms >= self.DELTA
+        alpha = np.mean(np.any(outside[:half] & upper, axis=(1, 2)))
+        counts = oscillation_counts_from_outside(outside[half:] & upper)
+        assert 0.0 < alpha < 1.0 and counts.max() > 0
+        assert rep.alpha_hat == alpha
+        assert rep.mean_count == np.mean(counts)
+        assert rep.count_distribution == {
+            int(k): int(v) for k, v in zip(*np.unique(counts, return_counts=True))}
+
+    def test_uniform_continuity_probe(self, setup):
+        _, model, grid, norms, upper = setup
+        rep = uniform_continuity_probe(model, 1.0, self.DELTA, 0.5, self.TRIALS,
+                                       self.SEED, cells=16)
+        j, k = np.nonzero(upper)
+        spans = np.where(norms[:, j, k] >= self.DELTA, k - j, 17).min(axis=1)
+        oracle = {band * grid.mesh: np.mean(spans <= band) for band in (16, 8, 4, 2, 1)}
+        assert len(set(oracle.values())) >= 3          # a curve, not a constant
+        assert rep.probability_curve == oracle
