@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 from .additive import (AdditivePath, DiscreteJumps, FixedAtomJumps, LevyModel,
                        PiecewiseConstantRate, SubspaceBallJumps, TimeGrid,
                        UniformBallJumps, sample_additive)
-from .errors import (ChartDomainError, ConfigError, GridMismatchError,
-                     HypothesisError, InvalidInputError, ParameterError)
+from .errors import (ConfigError, GridMismatchError, HypothesisError,
+                     InvalidInputError, ParameterError)
 from .geometry import (MomentReport, StepCountResult, bounded_jumps_check,
                        exp_moment_estimate, gauge_distance, gauge_norm,
                        metric_modulus_curve, minimal_jump_power, step_count_upper,
@@ -26,7 +26,7 @@ from .jumps import (JumpReport, JumpSetSpec, detector_fidelity, hitting_cells,
                     hitting_times, poisson_battery, restart_probe)
 from .multiplicative import (ConvergenceReport, MultiplicativePath, TripleDefectReport,
                              batch_prefixes, convergence_study, heisenberg_exact,
-                             levy_area, product_exponential, verify_multiplicative)
+                             product_exponential, verify_multiplicative)
 from .regularity import (ContinuityProbeReport, OscillationReport,
                          exhaustive_count_reference, mc_expectation_bound,
                          mc_largest_step, mc_maximum_oscillation,

@@ -30,6 +30,8 @@ __all__ = [
     "sample_additive",
 ]
 
+EXTREME_DIRECTIONS = 32    # random directions beside the axes in a ball law's extreme points
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -149,10 +151,10 @@ class UniformBallJumps:
     def max_norm(self, space):
         return self.radius
 
-    def extreme_points(self, space, rng, count=32):
+    def extreme_points(self, space, rng):
         """Support points of maximal norm: scaled coordinate axes plus random directions."""
         axes = np.concatenate([np.eye(space.dim), -np.eye(space.dim)])
-        raw = rng.standard_normal((count, space.dim))
+        raw = rng.standard_normal((EXTREME_DIRECTIONS, space.dim))
         raw = raw / space.norm(raw)[:, None]
         return np.concatenate([axes, raw]) * self.radius
 
@@ -186,9 +188,9 @@ class SubspaceBallJumps:
     def max_norm(self, space):
         return self.radius
 
-    def extreme_points(self, space, rng, count=32):
+    def extreme_points(self, space, rng):
         axes = np.concatenate([np.eye(self.indices.size), -np.eye(self.indices.size)])
-        raw = rng.standard_normal((count, self.indices.size))
+        raw = rng.standard_normal((EXTREME_DIRECTIONS, self.indices.size))
         pts = self._lift(space, np.concatenate([axes, raw]))
         return pts * (self.radius / space.norm(pts))[:, None]
 
@@ -215,7 +217,7 @@ class FixedAtomJumps:
     def max_norm(self, space):
         return float(space.norm(self.vector))
 
-    def extreme_points(self, space, rng, count=32):
+    def extreme_points(self, space, rng):
         return self.vector[None, :]
 
 
@@ -240,7 +242,7 @@ class DiscreteJumps:
     def max_norm(self, space):
         return float(np.max(space.norm(self.vectors)))
 
-    def extreme_points(self, space, rng, count=32):
+    def extreme_points(self, space, rng):
         return self.vectors
 
 
@@ -379,19 +381,6 @@ class AdditivePath:
             jump_times=self.jump_times,
             jump_vectors=self.jump_vectors,
         )
-
-    def csv_rows(self):
-        """Rows (t_left, t_right, *increment coordinates, jump_flag)."""
-        flags = np.zeros(self.grid.n_cells, dtype=int)
-        if self.jump_times.size:
-            flags[self.grid.cell_of(self.jump_times)] = 1
-        for k in range(self.grid.n_cells):
-            yield (
-                self.grid.points[k],
-                self.grid.points[k + 1],
-                *self.increments[k],
-                flags[k],
-            )
 
 
 def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,

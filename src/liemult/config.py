@@ -17,7 +17,7 @@ import numpy as np
 from .additive import (DiscreteJumps, FixedAtomJumps, LevyModel, PiecewiseConstantRate,
                        SubspaceBallJumps, TimeGrid, UniformBallJumps)
 from .errors import ConfigError
-from .experiments import EXPERIMENTS, merge_params, reference_table
+from .experiments import EXPERIMENTS, resolve_params
 from .groups import group_from_config
 
 __all__ = ["load_config", "validate_config", "build_context", "default_config",
@@ -31,11 +31,16 @@ _CHART_KEYS = {"rho_prime", "rho_double_prime", "bracket_bound"}
 _GRID_KEYS = {"T", "cells"}
 _MODEL_KEYS = {"space", "drift", "diffusion", "jump_intensity", "jump_law",
                "scale", "bound_delta"}
-_LAW_KEYS = {
-    "uniform_ball": {"kind", "radius"},
-    "subspace_ball": {"kind", "radius", "indices"},
-    "fixed_atom": {"kind", "vector"},
-    "discrete": {"kind", "vectors", "probs"},
+# jump-law kind -> (allowed keys, constructor)
+_LAWS = {
+    "uniform_ball": ({"kind", "radius"}, lambda law: UniformBallJumps(law["radius"])),
+    "subspace_ball": ({"kind", "radius", "indices"},
+                      lambda law: SubspaceBallJumps(law["radius"], law["indices"])),
+    "fixed_atom": ({"kind", "vector"},
+                   lambda law: FixedAtomJumps(np.asarray(law["vector"], dtype=float))),
+    "discrete": ({"kind", "vectors", "probs"},
+                 lambda law: DiscreteJumps(np.asarray(law["vectors"], dtype=float),
+                                           np.asarray(law["probs"], dtype=float))),
 }
 _SCALE_KEYS = {"breaks", "rates"}
 _EXPERIMENT_KEYS = {"name", "seed", "params"}
@@ -112,13 +117,13 @@ def validate_config(cfg: dict) -> None:
             lpath = f"{path}.jump_law"
             if not isinstance(law, dict) or "kind" not in law:
                 raise ConfigError(lpath, "expected an object with a 'kind'")
-            if law["kind"] not in _LAW_KEYS:
+            if law["kind"] not in _LAWS:
                 raise ConfigError(f"{lpath}.kind", f"unknown jump law {law['kind']!r}")
-            _check_keys(law, _LAW_KEYS[law["kind"]], lpath)
+            _check_keys(law, _LAWS[law["kind"]][0], lpath)
         scale = block.get("scale")
         if scale is not None:
             _check_keys(scale, _SCALE_KEYS, f"{path}.scale")
-    build_context(cfg)
+    ctx = build_context(cfg)
 
     experiments = _require(cfg, "experiments", "config")
     if not isinstance(experiments, list) or not experiments:
@@ -136,22 +141,10 @@ def validate_config(cfg: dict) -> None:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{path}.params", "expected an object")
-        for key, value in merge_params(name, params, f"{path}.params").items():
-            table = reference_table(key)
-            if table and value not in cfg.get(table, {}):
-                raise ConfigError(f"{path}.params.{key}", f"unknown {table} reference {value!r}")
+        resolve_params(name, params, f"{path}.params", ctx)
 
     if "output" in cfg:
         _check_keys(cfg["output"], _OUTPUT_KEYS, "config.output")
-
-
-_LAWS = {
-    "uniform_ball": lambda law: UniformBallJumps(law["radius"]),
-    "subspace_ball": lambda law: SubspaceBallJumps(law["radius"], law["indices"]),
-    "fixed_atom": lambda law: FixedAtomJumps(np.asarray(law["vector"], dtype=float)),
-    "discrete": lambda law: DiscreteJumps(np.asarray(law["vectors"], dtype=float),
-                                          np.asarray(law["probs"], dtype=float)),
-}
 
 
 def build_context(cfg: dict) -> dict:
@@ -171,7 +164,7 @@ def build_context(cfg: dict) -> dict:
         law = scale = None
         if block.get("jump_law"):
             with _at(f"{path}.jump_law"):
-                law = _LAWS[block["jump_law"]["kind"]](block["jump_law"])
+                law = _LAWS[block["jump_law"]["kind"]][1](block["jump_law"])
         if block.get("scale"):
             with _at(f"{path}.scale"):
                 scale = PiecewiseConstantRate(np.asarray(block["scale"]["breaks"], dtype=float),

@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """Operands are malformed or belong to incompatible instances."""
 
 
-class ChartDomainError(ValueError):
-    """A group element lies outside the domain of the logarithm chart."""
-
-
 class ParameterError(ValueError):
     """A parameter is outside its admissible range."""
 

@@ -8,15 +8,17 @@ validation and for ``list-experiments``.
 
 Adding an experiment means adding one ``ExperimentSpec`` to ``EXPERIMENTS``:
 its runner, a one-line description, the catalog module, and the parameter
-schema ``name -> (type, default)``, or ``(int, default, minimum)`` for an
-integer.  A battery whose report carries its own ``pass`` needs no runner
-code: ``_battery(module, "function", *args)`` names the battery and maps its
+schema ``name -> (type, default)``, or ``(int, default, minimum)`` for a
+bounded integer and ``(str, default, allowed)`` for a string from a tuple.
+A battery whose report carries its own ``pass`` needs no runner code:
+``_battery(module, "function", *args)`` names the battery and maps its
 positional arguments to parameters or to the derived values of ``_DERIVED``.
 Any other runner takes ``(ctx, params, seed)`` and returns ``(report,
 verdict)``, the verdict being True, False or None (inconclusive).
-``run_experiment`` merges the parameters over their defaults with
-``merge_params``, resolves ``model*`` and ``grid`` names into the context,
-and derives ``status`` from the verdict; no runner sets it.
+``resolve_params`` merges the parameters over their defaults, resolves
+``model*`` and ``grid`` names into the context and applies the bounds that
+need the resolved grid, for ``validate_config`` and ``run_experiment`` alike;
+``run_experiment`` derives ``status`` from the verdict, and no runner sets it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from . import geometry, jumps, regularity
 from .additive import sample_additive
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
+from .groups import sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
                              verify_multiplicative)
 from .regularity import exhaustive_count_reference, oscillation_counts_from_outside
@@ -36,7 +39,7 @@ from .reporting import jsonable, write_csv
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, binom_se
 
-__all__ = ["EXPERIMENTS", "run_experiment", "catalog", "merge_params", "reference_table"]
+__all__ = ["EXPERIMENTS", "run_experiment", "catalog", "resolve_params"]
 
 
 @dataclass(frozen=True)
@@ -46,20 +49,13 @@ class ExperimentSpec:
     runner: Callable  # (ctx, params, seed) -> (report, verdict)
     verifies: str
     module: str
-    params: dict      # name -> (type, default[, minimum]); default None means required
+    params: dict      # name -> (type, default[, minimum | allowed]); default None: required
 
 
 def _status(verdict) -> str:
     if verdict is None:
         return "inconclusive"
     return "pass" if verdict else "fail"
-
-
-def _sample_scales(rng, group, scale, size):
-    vecs = rng.standard_normal((size, group.dim))
-    mags = rng.uniform(0.0, scale, size=size)
-    norms = group.norm(vecs)
-    return vecs * (mags / np.where(norms > 0, norms, 1.0))[:, None]
 
 
 def _side_csv(ctx, filename, header, rows):
@@ -105,7 +101,7 @@ def _run_group_axioms(ctx, params, seed):
     group = ctx["group"]
     samples, tol = params["samples"], params["tol"]
     rng = substream(seed, "group-axioms")
-    g, h, k = (group.exp(_sample_scales(rng, group, params["scale"], samples))
+    g, h, k = (group.exp(sample_scaled_vectors(rng, group, params["scale"], samples))
                for _ in range(3))
     assoc = np.max(group.norm(group.log(group.mul(group.mul(g, h), k))
                               - group.log(group.mul(g, group.mul(h, k)))))
@@ -124,7 +120,7 @@ def _run_group_axioms(ctx, params, seed):
 def _run_exp_log_roundtrip(ctx, params, seed):
     group = ctx["group"]
     rng = substream(seed, "exp-log")
-    vecs = _sample_scales(rng, group, params["scale"], params["samples"])
+    vecs = sample_scaled_vectors(rng, group, params["scale"], params["samples"])
     back = group.log(group.exp(vecs))
     worst_alg = float(np.max(group.norm(back - vecs)))
     g = group.exp(vecs)
@@ -137,8 +133,8 @@ def _run_exp_log_roundtrip(ctx, params, seed):
 def _run_bch_consistency(ctx, params, seed):
     group = ctx["group"]
     rng = substream(seed, "bch")
-    u = _sample_scales(rng, group, params["scale"], params["samples"])
-    v = _sample_scales(rng, group, params["scale"], params["samples"])
+    u = sample_scaled_vectors(rng, group, params["scale"], params["samples"])
+    v = sample_scaled_vectors(rng, group, params["scale"], params["samples"])
     direct = group.bch(u, v)
     via_product = group.log(group.mul(group.exp(u), group.exp(v)))
     worst = float(np.max(group.norm(direct - via_product)))
@@ -149,7 +145,7 @@ def _run_bch_consistency(ctx, params, seed):
 def _run_bracket_properties(ctx, params, seed):
     group = ctx["group"]
     rng = substream(seed, "bracket")
-    f, g, h = (_sample_scales(rng, group, params["scale"], params["samples"])
+    f, g, h = (sample_scaled_vectors(rng, group, params["scale"], params["samples"])
                for _ in range(3))
     anti = np.max(group.norm(group.bracket(f, g) + group.bracket(g, f)))
     jacobi = np.max(group.norm(group.bracket(f, group.bracket(g, h))
@@ -181,9 +177,7 @@ def _run_chart_certification(ctx, params, seed):
     while remaining > 0:
         batch = min(remaining, 4096)
         factors = group.sample_ball(rng, delta, batch * power).reshape(batch, power, group.dim)
-        prod = np.broadcast_to(group.identity(), (batch, group.dim))
-        for i in range(power):
-            prod = group.mul(prod, group.exp(factors[:, i]))
+        prod = group.prefix_products(group.exp(factors))[:, -1]
         worst = max(worst, float(np.max(group.chart_norm(prod))))
         remaining -= batch
     report["worst_product_norm"] = worst
@@ -217,9 +211,20 @@ def _run_cocycle_fault(ctx, params, seed):
     rep = verify_multiplicative(bad, samples=params["triples"], tol=params["tol"], seed=seed)
     out = rep.to_dict()
     out["corrupted_cell"] = params["cell"]
-    # the corrupted path must fail verification; this experiment is the
-    # pipeline's negative control and reports that failure
-    return out, rep.passed
+    out["negative_control"] = True
+    # a negative control passes when the verification fails and its worst
+    # triple (j, k, l) spans the corrupted cell: j <= cell < l
+    j, _, l = rep.argmax_triple
+    return out, not rep.passed and j <= params["cell"] < l
+
+
+# product-limit expectation -> verdict on the convergence report
+_CONVERGENCE_EXPECTATIONS = {
+    "exact": lambda rep: all(e <= 1e-12 for e in rep.max_errors),
+    "jump-separation": lambda rep: any(e <= 1e-12 for e in rep.rms_errors),
+    "order-half": lambda rep: (rep.fitted_slope is not None
+                               and 0.35 <= rep.fitted_slope <= 0.65),
+}
 
 
 def _run_convergence(ctx, params, seed):
@@ -227,14 +232,7 @@ def _run_convergence(ctx, params, seed):
     rep = convergence_study(ctx["group"], models, params["grid"], params["refinements"],
                             params["trials"], seed)
     expect = params["expect"]
-    if expect == "exact":
-        passed = all(e <= 1e-12 for e in rep.max_errors)
-    elif expect == "jump-separation":
-        passed = any(e <= 1e-12 for e in rep.rms_errors)
-    elif expect == "order-half":
-        passed = rep.fitted_slope is not None and 0.35 <= rep.fitted_slope <= 0.65
-    else:
-        raise ParameterError(f"unknown expectation {expect!r}")
+    passed = _CONVERGENCE_EXPECTATIONS[expect](rep)
     _side_csv(ctx, "convergence.csv", ["mesh", "rms_error", "max_error"],
               zip(rep.meshes, rep.rms_errors, rep.max_errors))
     out = rep.to_dict()
@@ -348,8 +346,6 @@ def _run_restart_probe(ctx, params, seed):
                               jumps.JumpSetSpec(params["epsilon"]),
                               params["h"], params["trials"], seed)
     expect, verdict = params["expect"], rep.get("pass")
-    if expect not in ("match", "reject"):
-        raise ParameterError(f"unknown expectation {expect!r}")
     rep["expect"] = expect
     if expect == "reject" and verdict is not None:
         rep["negative_control"] = True
@@ -430,7 +426,8 @@ EXPERIMENTS = {
                            "model": (S, None), "grid": (S, None)}),
     "product-limit-convergence": ExperimentSpec(
         _run_convergence, "time-ordered exponential products converge to the exact construction",
-        "multiplicative", {"refinements": (I, 6, 1), "trials": (I, 200, 1), "expect": (S, None),
+        "multiplicative", {"refinements": (I, 6, 1), "trials": (I, 200, 1),
+                           "expect": (S, None, tuple(_CONVERGENCE_EXPECTATIONS)),
                            "model_x": (S, None), "model_y": (S, None), "model_z": (S, None),
                            "grid": (S, None)}),
     "right-limit-refinement": ExperimentSpec(
@@ -478,7 +475,8 @@ EXPERIMENTS = {
     "restart-probe": ExperimentSpec(
         _run_restart_probe, "increments after the first hitting time match fixed-time increments",
         "jumps", {"epsilon": (F, None), "h": (F, None), "trials": (I, 2000, 2),
-                  "expect": (S, "match"), "model": (S, None), "grid": (S, None)}),
+                  "expect": (S, "match", ("match", "reject")),
+                  "model": (S, None), "grid": (S, None)}),
     "step-triangle": ExperimentSpec(
         _battery(geometry, "step_triangle_test", "group", "samples", "delta", "seed"),
         "concatenated factor lists certify subadditive step counts",
@@ -523,39 +521,57 @@ _TYPE_CHECKS = {
 }
 
 
-def reference_table(key: str) -> str | None:
-    """Context table whose entry a parameter names: ``model*`` -> models, ``grid`` -> grids."""
-    if key.startswith("model"):
-        return "models"
-    return "grids" if key == "grid" else None
+# bounds that need the resolved grid: experiment -> (key, holds(params, n_cells), expected)
+_GRID_BOUNDS = {
+    "cocycle-fault-injection": ("cell", lambda p, n: p["cell"] < n, "a cell below n_cells"),
+    # the concatenation check splits the grid in two
+    "oscillation-axioms": ("grid", lambda p, n: n >= 2, "a grid of at least 2 cells"),
+}
 
 
-def merge_params(name: str, params: dict, path: str) -> dict:
-    """``params`` over the catalog defaults of experiment ``name``.
+def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict, dict]:
+    """``params`` over the catalog defaults of experiment ``name``, checked.
 
-    Reads each parameter's type, default, lower bound and required flag from
-    the experiment's schema; an unknown, missing, mistyped or too small
-    parameter raises ConfigError under ``path``.
+    Reads each parameter's type, default, bound and required flag from the
+    experiment's schema, then replaces every ``model*`` / ``grid`` name by the
+    context's object and applies the experiment's grid bound.  Returns the
+    merged parameters and the resolved ones; an unknown, missing, mistyped or
+    out-of-range parameter or an unknown reference raises ConfigError under
+    ``path``.
     """
     schema = EXPERIMENTS[name].params
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(path, f"unknown parameters {sorted(unknown)}")
     merged = {}
-    for key, (typ, default, *minimum) in schema.items():
+    for key, (typ, default, *bound) in schema.items():
         if key not in params:
             if default is None:
                 raise ConfigError(f"{path}.{key}", "required parameter missing")
             merged[key] = default
             continue
+        value = params[key]
         label, ok = _TYPE_CHECKS[typ]
-        if not ok(params[key]):
-            raise ConfigError(f"{path}.{key}", f"expected {label}, got {params[key]!r}")
-        if minimum and params[key] < minimum[0]:
-            raise ConfigError(f"{path}.{key}", f"expected at least {minimum[0]},"
-                                               f" got {params[key]!r}")
-        merged[key] = params[key]
-    return merged
+        if not ok(value):
+            raise ConfigError(f"{path}.{key}", f"expected {label}, got {value!r}")
+        if bound and (value not in bound[0] if typ is str else value < bound[0]):
+            expected = f"one of {list(bound[0])}" if typ is str else f"at least {bound[0]}"
+            raise ConfigError(f"{path}.{key}", f"expected {expected}, got {value!r}")
+        merged[key] = value
+
+    resolved = {}
+    for key, value in merged.items():
+        table = "models" if key.startswith("model") else "grids" if key == "grid" else None
+        if table and value not in ctx.get(table, {}):
+            raise ConfigError(f"{path}.{key}", f"unknown {table} reference {value!r}")
+        resolved[key] = ctx[table][value] if table else value
+    if name in _GRID_BOUNDS:
+        key, holds, expected = _GRID_BOUNDS[name]
+        n = resolved["grid"].n_cells
+        if not holds(resolved, n):
+            raise ConfigError(f"{path}.{key}", f"expected {expected},"
+                                               f" got {merged[key]!r} with n_cells = {n}")
+    return merged, resolved
 
 
 def catalog() -> list[dict]:
@@ -577,9 +593,7 @@ def catalog() -> list[dict]:
 
 def run_experiment(name: str, ctx: dict, params: dict, seed: int) -> dict:
     """Execute one catalog experiment and return its JSON-ready report."""
-    merged = merge_params(name, params, f"{name}.params")
-    resolved = {key: ctx[table][value] if (table := reference_table(key)) else value
-                for key, value in merged.items()}
+    merged, resolved = resolve_params(name, params, f"{name}.params", ctx)
     report, verdict = EXPERIMENTS[name].runner(ctx, resolved, seed)
     report = jsonable(report)
     report["status"] = _status(verdict)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .additive import LevyModel, TimeGrid
 from .errors import HypothesisError, InvalidInputError, ParameterError
-from .groups import HeisenbergGroup, UnipotentGroup, lp_norm
+from .groups import HeisenbergGroup, UnipotentGroup, lp_norm, sample_scaled_vectors
 from .multiplicative import batch_prefixes, map_trial_chunks
 from .reporting import Report
 from .rng import substream
@@ -45,6 +45,9 @@ __all__ = [
 CERTIFICATION_TOL = 1e-10
 LEG_FRACTION = 0.9          # factor norms stay at 0.9 * delta
 GADGET_FRACTION = 0.45      # commutator legs use 0.45 * delta per side
+MAX_NORM_FACTOR = 3.0       # step-triangle samples norms uniformly in [0, 3 * delta)
+CERTIFY_SAMPLES = 16        # exp-moment pairs recounted by the certified constructor
+TAIL_LEVELS = 5             # exceedance thresholds of the tail-decay fit
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,7 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
     stack = np.asarray(factors, dtype=float).reshape(len(factors), group.dim)
     if len(factors) and float(np.max(group.norm(stack))) >= delta:
         raise RuntimeError("step-count certification failed: a factor left the ball")
-    product = group.identity()
-    for vec in factors:
-        product = group.mul(product, group.exp(vec))
+    product = group.prefix_products(group.exp(stack))[-1]
     defect = float(group.norm(group.log(product) - group.log(g)))
     if defect > CERTIFICATION_TOL:
         raise RuntimeError(f"step-count certification failed: defect {defect:.3e}")
@@ -216,8 +217,7 @@ def step_counts_batch(group, elements: np.ndarray, delta: float) -> np.ndarray:
     return counts.reshape(elements.shape[:-1])
 
 
-def step_triangle_test(group, samples: int, delta: float, seed: int = 0,
-                       max_norm_factor: float = 3.0) -> dict:
+def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict:
     """Subadditivity of the certified counter via factor concatenation.
 
     For random pairs (g, h) the concatenation of their factor lists is
@@ -231,18 +231,13 @@ def step_triangle_test(group, samples: int, delta: float, seed: int = 0,
     direct_le_sum = 0
     worst_defect = 0.0
     for _ in range(samples):
-        vecs = rng.standard_normal((2, group.dim))
-        scales = rng.uniform(0.0, max_norm_factor * delta, size=2)
-        norms = group.norm(vecs)
-        vecs = vecs * (scales / np.where(norms > 0, norms, 1.0))[:, None]
-        g, h = group.exp(vecs[0]), group.exp(vecs[1])
+        g, h = group.exp(sample_scaled_vectors(rng, group, MAX_NORM_FACTOR * delta, 2))
         rg = step_count_upper(group, g, delta)
         rh = step_count_upper(group, h, delta)
         gh = group.mul(g, h)
 
-        product = group.identity()
-        for vec in list(rg.factors) + list(rh.factors):
-            product = group.mul(product, group.exp(vec))
+        word = np.concatenate([rg.factors, rh.factors])
+        product = group.prefix_products(group.exp(word))[-1]
         defect = float(group.norm(group.log(product) - group.log(gh)))
         worst_defect = max(worst_defect, defect)
         if defect > 10 * CERTIFICATION_TOL:
@@ -378,7 +373,7 @@ def _partial_max_diagnostic(values: np.ndarray) -> dict:
 
 def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: float,
                         delta: float, trials: int, seed: int,
-                        cells: int = 64, certify_samples: int = 16) -> MomentReport:
+                        cells: int = 64) -> MomentReport:
     """Monte Carlo estimate of E[sup over window pairs of e^(alpha * upper)].
 
     The certified counter dominates the word-length infimum, so the estimate
@@ -398,10 +393,10 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
     values = np.exp(alpha * sup_counts.astype(float))
 
     rng = substream(seed, "certify-pairs")
-    for _ in range(certify_samples):
+    for _ in range(CERTIFY_SAMPLES):
         t = int(rng.integers(0, trials))
         a, b = np.sort(rng.choice(idx, size=2, replace=False))
-        pair = group.mul(group.inv(prefixes[t, a]), prefixes[t, b])
+        pair = group.pair_increment(prefixes[t], a, b)
         direct = step_count_upper(group, pair, delta)
         vector = int(step_counts_batch(group, pair[None, :], delta)[0])
         if direct.upper != vector:
@@ -417,7 +412,7 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
         estimate=float(values.mean()),
         se=mean_se(values),
         diagnostics={"running_mean": diag_mean, "partial_max": diag_max,
-                     "certified_pairs": certify_samples},
+                     "certified_pairs": CERTIFY_SAMPLES},
         tail_points=[],
         fitted_slope=None,
         q_hat=None,
@@ -430,7 +425,7 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
 
 def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
                    delta: float, trials: int, seed: int, cells: int = 64,
-                   orders: int = 5, min_exceedances: int = 10) -> MomentReport:
+                   min_exceedances: int = 10) -> MomentReport:
     """Geometric tail of the windowed exponential moment.
 
     Exceedance probabilities are measured at thresholds
@@ -449,7 +444,7 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
 
     q_hat = float(np.max(exit_any.mean(axis=0)))
     tail_points = []
-    for k in range(orders):
+    for k in range(TAIL_LEVELS):
         threshold = 2.0 + k * (j_power + 1)     # sup_upper must exceed this
         exceed = int(np.count_nonzero(sup_counts > threshold))
         p_hat = exceed / trials
@@ -498,7 +493,7 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
 
 def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
                          window_sizes: list[float], trials: int, seed: int,
-                         cells: int = 128) -> MomentReport:
+                         cells: int) -> MomentReport:
     """Shrinking-window decay of E[sup e^(alpha d(x_s, x_t)) - 1].
 
     Windows are nested around T/2, so the per-trial suprema are pathwise

@@ -71,6 +71,18 @@ def sample_ball_rejection(rng: np.random.Generator, dim: int, norm, radius: floa
     return out
 
 
+def sample_scaled_vectors(rng: np.random.Generator, space, radius: float,
+                          size: int) -> np.ndarray:
+    """Gaussian directions rescaled to norms drawn uniformly from [0, radius).
+
+    The directions are drawn first, then the norms; a zero direction stays zero.
+    """
+    vecs = rng.standard_normal((size, space.dim))
+    mags = rng.uniform(0.0, radius, size=size)
+    norms = space.norm(vecs)
+    return vecs * (mags / np.where(norms > 0, norms, 1.0))[:, None]
+
+
 @dataclass(frozen=True)
 class LpSpace:
     """Finite-dimensional real vector space carrying an l^p norm."""
@@ -117,15 +129,15 @@ class ChartSpec:
         if self.bracket_bound < 0:
             raise ParameterError(f"bracket_bound must be nonnegative, got {self.bracket_bound}")
 
-    def certify_bracket_bound(self, group, samples: int = 10**4, seed: int = 0,
-                              scale: float = 1.0) -> float:
-        """Check ``|[U,V]| <= C |U| |V|`` on random pairs; return the worst ratio.
+    def certify_bracket_bound(self, group, samples: int = 10**4, seed: int = 0) -> float:
+        """Check ``|[U,V]| <= C |U| |V|`` on random standard-normal pairs; return
+        the worst ratio.
 
         Raises ParameterError if any sampled pair violates the bound.
         """
         rng = substream(seed, "chart-certify")
-        u = rng.standard_normal((samples, group.dim)) * scale
-        v = rng.standard_normal((samples, group.dim)) * scale
+        u = rng.standard_normal((samples, group.dim))
+        v = rng.standard_normal((samples, group.dim))
         lhs = group.norm(group.bracket(u, v))
         rhs = self.bracket_bound * group.norm(u) * group.norm(v)
         ratio = np.max(np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0))

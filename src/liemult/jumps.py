@@ -232,8 +232,7 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
         if k + steps > grid.n_cells:
             continue
         prefix = group.prefix_products(cells[:k + steps])
-        inc = group.mul(group.inv(prefix[k]), prefix[k + steps])
-        post_hit.append(float(group.chart_norm(inc)))
+        post_hit.append(float(group.chart_norm(group.pair_increment(prefix, k, k + steps))))
 
     result = {
         "h": h,

@@ -33,7 +33,6 @@ __all__ = [
     "MultiplicativePath",
     "product_exponential",
     "heisenberg_exact",
-    "levy_area",
     "verify_multiplicative",
     "convergence_study",
     "batch_prefixes",
@@ -132,24 +131,6 @@ def heisenberg_exact(x_path: AdditivePath, y_path: AdditivePath, z_path: Additiv
     return MultiplicativePath.from_increments(group, x_path.grid, cells)
 
 
-def levy_area(x_path: AdditivePath, y_path: AdditivePath, grid: TimeGrid, j: int, k: int) -> float:
-    """Antisymmetrized double sum over cell pairs j < a < b <= k.
-
-    Twice the last coordinate of the Heisenberg prefix product of the window's
-    (x, y) increments, an O(k - j) recursion; the left-point rule (no
-    same-cell term) is what makes the exact construction's cocycle identity
-    hold on the grid.
-    """
-    if not (x_path.grid == y_path.grid == grid):
-        raise GridMismatchError("paths must live on the query grid")
-    n = grid.n_cells
-    if not (0 <= j <= k <= n):
-        raise InvalidInputError(f"need 0 <= j <= k <= {n}, got ({j}, {k})")
-    group = HeisenbergGroup(x_path.dim)
-    window = group.embed(x_path.increments[j:k], y_path.increments[j:k])
-    return float(2.0 * group.prefix_products(window)[-1, -1])
-
-
 @dataclass(frozen=True)
 class TripleDefectReport(Report):
     """Cocycle verification: worst defect over sampled index triples."""
@@ -209,6 +190,8 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
     the base grid points, with the exact construction on the finest mesh of
     the same coupled driver.  Pure compound-Poisson drivers hit zero error
     once the grid separates all jumps; Brownian drivers decay at order ~1/2.
+    Every level is built by ``heisenberg_exact``, and the finest level is the
+    reference.
     """
     if refinements < 1 or trials < 1:
         raise ParameterError("need refinements >= 1 and trials >= 1")
@@ -216,7 +199,6 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
         if key not in models:
             raise InvalidInputError(f"models must provide block {key!r}")
 
-    n_base = base_grid.n_cells
     errors = np.zeros((refinements + 1, trials))
     meshes = [base_grid.mesh / 2**r for r in range(refinements + 1)]
 
@@ -227,21 +209,14 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
         }
         level_values = []
         for level in range(refinements + 1):
-            inc = group.embed(
-                blocks["x"].increments, blocks["y"].increments, blocks["z"].increments[:, 0]
-            )
-            prefix = group.prefix_products(inc)
-            stride = 2**level
-            level_values.append(prefix[::stride])
+            path = heisenberg_exact(blocks["x"], blocks["y"], blocks["z"], group)
+            level_values.append(path.prefix[:: 2**level])
             if level < refinements:
                 blocks = {
                     key: p.refine(seed, stream=(trial, key, level)) for key, p in blocks.items()
                 }
-        reference = heisenberg_exact(blocks["x"], blocks["y"], blocks["z"], group)
-        ref_values = reference.prefix[:: 2**refinements]
-        assert ref_values.shape[0] == n_base + 1
         for level, values in enumerate(level_values):
-            errors[level, trial] = np.max(group.norm(values - ref_values))
+            errors[level, trial] = np.max(group.norm(values - level_values[-1]))
 
     rms = np.sqrt(np.mean(errors**2, axis=1))
     usable = rms > 1e-13

@@ -46,6 +46,8 @@ __all__ = [
     "uniform_continuity_probe",
 ]
 
+TAIL_ORDERS = 4    # geometric-tail orders m = 1..4 checked by mc_expectation_bound
+
 
 def oscillation_counts_from_outside(outside: np.ndarray) -> np.ndarray:
     """Longest-chain DP on a batch of pairwise outside matrices.
@@ -238,13 +240,13 @@ class OscillationReport(Report):
 
 
 def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
-                         trials: int, seed: int, tail_orders: int = 4) -> OscillationReport:
+                         trials: int, seed: int) -> OscillationReport:
     """Expectation bound for oscillation counts with split-half estimation.
 
     alpha is estimated on the first half of the trials and the mean count on
     the second half, so the bound and the estimate it must dominate come from
     independent samples.  The geometric tail from the proof recursion is
-    checked for orders up to ``tail_orders``.
+    checked for orders up to ``TAIL_ORDERS``.
     """
     group = _require_group_model(model)
     group.require_chart_radius(delta)
@@ -277,7 +279,7 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
 
     tail = {}
     n_b = trials - half
-    for m in range(1, tail_orders + 1):
+    for m in range(1, TAIL_ORDERS + 1):
         p_m = float(np.mean(counts >= m))
         geo = alpha_hat ** m
         se_geo = m * alpha_hat ** (m - 1) * se_alpha if m >= 1 else 0.0

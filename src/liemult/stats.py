@@ -50,58 +50,39 @@ def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _bonferroni(pvalues: list[float]) -> float:
-    if not pvalues:
-        return 1.0
-    return float(min(1.0, len(pvalues) * min(pvalues)))
-
-
 MIN_KS_BATCH = 50
 
 
-def _batch_count(*sizes: int) -> int:
-    # cap at 20 repetitions but never shrink a batch below ~50 samples,
-    # otherwise the per-batch test has no power left to reject
-    smallest = min(sizes)
-    return int(np.clip(smallest // MIN_KS_BATCH, 1, KS_BATCHES))
+def _batched_ks(samples: tuple, test) -> dict:
+    """Run ``test`` on paired batches of ``samples``, Bonferroni over the batches.
 
-
-def batched_ks_exponential(samples: np.ndarray, rate: float) -> dict:
-    """KS test of samples against Exponential(rate), Bonferroni over batches.
-
-    Returns the batch p-values, the Bonferroni-aggregated p-value, and the
-    pass verdict at the 0.01 floor.
+    Each sample is split into the same number of consecutive batches, capped
+    at ``KS_BATCHES`` but never below ~``MIN_KS_BATCH`` values per batch (a
+    smaller batch has no power left to reject); batch tuples holding fewer
+    than 5 values are skipped.  Returns the batch p-values, the aggregated
+    p-value, and the pass verdict at the 0.01 floor.
     """
-    samples = np.asarray(samples, dtype=float)
-    pvalues = []
-    for part in np.array_split(samples, _batch_count(samples.size)):
-        if part.size < 5:
-            continue
-        pvalues.append(float(sps.kstest(part, "expon", args=(0.0, 1.0 / rate)).pvalue))
-    agg = _bonferroni(pvalues)
+    samples = [np.asarray(s, dtype=float) for s in samples]
+    batches = int(np.clip(min(s.size for s in samples) // MIN_KS_BATCH, 1, KS_BATCHES))
+    pvalues = [float(test(*parts).pvalue)
+               for parts in zip(*(np.array_split(s, batches) for s in samples))
+               if min(part.size for part in parts) >= 5]
+    agg = float(min(1.0, len(pvalues) * min(pvalues))) if pvalues else 1.0
     return {
         "batch_pvalues": pvalues,
         "aggregated_pvalue": agg,
         "pass": agg > SIGNIFICANCE_FLOOR,
     }
+
+
+def batched_ks_exponential(samples: np.ndarray, rate: float) -> dict:
+    """KS test of samples against Exponential(rate), Bonferroni over batches."""
+    return _batched_ks((samples,), lambda part: sps.kstest(part, "expon", args=(0.0, 1.0 / rate)))
 
 
 def batched_ks_two_sample(a: np.ndarray, b: np.ndarray) -> dict:
     """Two-sample KS with Bonferroni aggregation over paired batches."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pvalues = []
-    batches = _batch_count(a.size, b.size)
-    for pa, pb in zip(np.array_split(a, batches), np.array_split(b, batches)):
-        if pa.size < 5 or pb.size < 5:
-            continue
-        pvalues.append(float(sps.ks_2samp(pa, pb).pvalue))
-    agg = _bonferroni(pvalues)
-    return {
-        "batch_pvalues": pvalues,
-        "aggregated_pvalue": agg,
-        "pass": agg > SIGNIFICANCE_FLOOR,
-    }
+    return _batched_ks((a, b), sps.ks_2samp)
 
 
 @dataclass(frozen=True)

@@ -239,15 +239,3 @@ class TestDistributionalProperties:
         assert scale.integral(0.0, 2.5) == pytest.approx(1.0 + 3.0 + 0.25)
         assert scale.integral(0.5, 1.5) == pytest.approx(0.5 + 1.5)
 
-
-class TestCsvRows:
-    def test_rows_cover_cells_and_flag_jumps(self, heis2):
-        model = LevyModel(space=heis2, jump_intensity=5.0,
-                          jump_law=UniformBallJumps(0.3))
-        grid = TimeGrid.uniform(1.0, 4)
-        path = sample_additive(model, grid, seed=2)
-        rows = list(path.csv_rows())
-        assert len(rows) == 4
-        flagged = [row[-1] for row in rows]
-        cells_with_jumps = set(int(c) for c in grid.cell_of(path.jump_times))
-        assert all((k in cells_with_jumps) == bool(f) for k, f in enumerate(flagged))

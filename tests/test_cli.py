@@ -64,7 +64,9 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["counts"] == {"pass": 2, "fail": 0, "inconclusive": 0}
 
-    def test_fault_injection_exits_one_and_names_triple(self, tmp_path):
+    def test_fault_injection_passes_and_names_triple(self, tmp_path):
+        # the negative control passes when it detects the corruption and its
+        # worst triple spans the corrupted cell
         cfg = dict(BASE)
         cfg["experiments"] = [
             {"name": "cocycle-fault-injection", "seed": 3,
@@ -72,11 +74,27 @@ class TestRun:
         ]
         out = tmp_path / "out"
         code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "00_cocycle-fault-injection.json").read_text())
+        assert report["status"] == "pass"
+        assert report["max_defect"] > report["tol"]
+        j, _, l = report["argmax_triple"]
+        assert j <= report["corrupted_cell"] < l
+
+    def test_fault_injection_below_tolerance_fails(self, tmp_path):
+        # a tolerance above the injected defect hides it: the control fails
+        cfg = dict(BASE)
+        cfg["experiments"] = [
+            {"name": "cocycle-fault-injection", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "cell": 4, "triples": 200,
+                        "tol": 1e6}},
+        ]
+        out = tmp_path / "out"
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert code == 1
         report = json.loads((out / "00_cocycle-fault-injection.json").read_text())
         assert report["status"] == "fail"
-        j, _, l = report["argmax_triple"]
-        assert j <= report["corrupted_cell"] < l
+        assert report["max_defect"] <= report["tol"]
 
     def test_reports_byte_identical_and_jobs_invariant(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
@@ -268,6 +286,28 @@ class TestValidation:
             {"name": "oscillation-dp-bruteforce", "seed": 3,
              "params": {"max_points": 1}}),
          "config.experiments[2].params.max_points", "at least 2"),
+        # bounds that depend on the referenced grid
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "cocycle-fault-injection", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "cell": 8}}),
+         "config.experiments[2].params.cell", "below n_cells, got 8 with n_cells = 8"),
+        (lambda cfg: (cfg["grids"].update(g1={"T": 1.0, "cells": 1}),
+                      cfg["experiments"].append(
+                          {"name": "oscillation-axioms", "seed": 3,
+                           "params": {"model": "noisy", "grid": "g1", "delta": 0.25}})),
+         "config.experiments[2].params.grid", "at least 2 cells, got 'g1' with n_cells = 1"),
+        # enumerated strings
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "restart-probe", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.25,
+                        "expect": "maybe"}}),
+         "config.experiments[2].params.expect", "one of ['match', 'reject']"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "product-limit-convergence", "seed": 3,
+             "params": {"model_x": "noisy", "model_y": "noisy", "model_z": "noisy",
+                        "grid": "g8", "expect": "maybe"}}),
+         "config.experiments[2].params.expect",
+         "one of ['exact', 'jump-separation', 'order-half']"),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):

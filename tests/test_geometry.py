@@ -99,6 +99,14 @@ class TestStepTriangle:
             assert rep["pass"]
             assert rep["concatenation_violations"] == 0
 
+    def test_unipotent_report_pinned(self, uni4):
+        # recorded before the certification products moved onto prefix_products
+        assert step_triangle_test(uni4, 10, 0.1, 206) == {
+            "samples": 10, "delta": 0.1, "concatenation_violations": 0,
+            "worst_concatenation_defect": 9.170103921056512e-16,
+            "direct_le_sum_fraction": 0.9, "pass": True,
+        }
+
 
 class TestGaugeMetric:
     def test_self_distance_zero(self, heis2, rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from liemult import (ChartSpec, HeisenbergGroup, InvalidInputError, ParameterError,
                      UnipotentGroup, group_from_config, sample_norm_ball, substream)
+from liemult.experiments import run_experiment
 
 
 def random_algebra(group, rng, size, scale=1.0):
@@ -239,6 +240,17 @@ class TestChartMachinery:
         for group in (heis2, uni4):
             ratio = group.chart.certify_bracket_bound(group, samples=10**4, seed=11)
             assert ratio <= 1.0
+
+    def test_unipotent_chart_certification_report_pinned(self, uni4):
+        # recorded before the ball-power products moved onto prefix_products
+        params = {"samples": 2000, "delta": 0.1, "power": 3, "products": 5000}
+        report = run_experiment("chart-certification", {"group": uni4}, params, 105)
+        assert report == {
+            "bracket_bound_worst_ratio": 0.7202923303275315, "delta": 0.1, "power": 3,
+            "certified_radius": 0.33391490370370375, "worst_product_norm": 0.27644053007566427,
+            "status": "pass", "experiment": "chart-certification", "seed": 105,
+            "params_used": params,
+        }
 
     def test_bracket_bound_violation_detected(self, heis2):
         bad = ChartSpec(rho_prime=1e6, rho_double_prime=10.0, bracket_bound=0.01)

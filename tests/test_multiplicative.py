@@ -7,8 +7,7 @@ import pytest
 
 from liemult import (GridMismatchError, LevyModel, ParameterError, TimeGrid,
                      UniformBallJumps, convergence_study, heisenberg_exact,
-                     levy_area, product_exponential, sample_additive,
-                     verify_multiplicative)
+                     product_exponential, sample_additive, verify_multiplicative)
 from liemult.groups import _NilpotentGroup
 from liemult.multiplicative import (TRIAL_CHUNK, MultiplicativePath, batch_prefixes,
                                    map_trial_chunks)
@@ -23,6 +22,16 @@ def block_models(heis, x=None, y=None, z=None):
         "y": LevyModel(space=heis.y_space, **y),
         "z": LevyModel(space=heis.z_space, **z),
     }
+
+
+def double_sum_area(x, y, j, k):
+    """Antisymmetrized double sum over cell pairs a < b of the window (t_j, t_k].
+
+    Oracle for twice the last exact-construction coordinate, with no same-cell
+    term (left-point rule): sum over a < b of <dx_a, dy_b> - <dx_b, dy_a>.
+    """
+    pairs = x.increments[j:k] @ y.increments[j:k].T       # [a, b] = <dx_a, dy_b>
+    return float(np.sum(np.triu(pairs, k=1)) - np.sum(np.tril(pairs, k=-1)))
 
 
 def planted_block_path(space, grid, times, vectors):
@@ -100,7 +109,7 @@ class TestHeisenbergExact:
         x = planted_block_path(heis2.x_space, grid, [0.3], [[1.0, 0.0]])
         y = planted_block_path(heis2.y_space, grid, [0.7], [[1.0, 0.0]])
         z = sample_additive(LevyModel(space=heis2.z_space), grid, 0)
-        assert levy_area(x, y, grid, 0, 10) == pytest.approx(1.0)
+        assert double_sum_area(x, y, 0, 10) == pytest.approx(1.0)
         path = heisenberg_exact(x, y, z, heis2)
         assert path.endpoint()[-1] == pytest.approx(0.5)
 
@@ -123,7 +132,7 @@ class TestHeisenbergExact:
         def direct(j, k):
             return heis2.embed(x.increment(j, k), y.increment(j, k),
                                z.increment(j, k)[0]
-                               + 0.5 * levy_area(x, y, grid, j, k))
+                               + 0.5 * double_sum_area(x, y, j, k))
 
         for j, k, l in [(0, 32, 64), (5, 20, 59), (10, 10, 48)]:
             composed = heis2.mul(direct(j, k), direct(k, l))
@@ -151,15 +160,9 @@ class TestLevyArea:
         y = dataclasses.replace(
             sample_additive(LevyModel(space=heis2.y_space), grid, 0),
             drift_part=2.5 * x.drift_part, gauss_part=2.5 * x.gauss_part)
-        assert levy_area(x, y, grid, 0, 16) == pytest.approx(0.0, abs=1e-14)
-
-    def test_window_indices_validated(self, heis2):
-        grid = TimeGrid.uniform(1.0, 8)
-        x = sample_additive(LevyModel(space=heis2.x_space), grid, 0)
-        y = sample_additive(LevyModel(space=heis2.y_space), grid, 0)
-        from liemult import InvalidInputError
-        with pytest.raises(InvalidInputError):
-            levy_area(x, y, grid, 5, 3)
+        z = sample_additive(LevyModel(space=heis2.z_space), grid, 0)
+        assert double_sum_area(x, y, 0, 16) == pytest.approx(0.0, abs=1e-14)
+        assert heisenberg_exact(x, y, z, heis2).endpoint()[-1] == pytest.approx(0.0, abs=1e-14)
 
     def test_refinement_cascade_order(self, heis2):
         # coupled-refinement oracle: area differences decay at order ~1/2
@@ -171,11 +174,11 @@ class TestLevyArea:
         for trial in range(60):
             x = sample_additive(mx, grid0, 11, stream=(trial, "x"))
             y = sample_additive(my, grid0, 11, stream=(trial, "y"))
-            prev = levy_area(x, y, x.grid, 0, x.grid.n_cells)
+            prev = double_sum_area(x, y, 0, x.grid.n_cells)
             for level in range(4):
                 x = x.refine(3, stream=(trial, "x", level))
                 y = y.refine(3, stream=(trial, "y", level))
-                cur = levy_area(x, y, x.grid, 0, x.grid.n_cells)
+                cur = double_sum_area(x, y, 0, x.grid.n_cells)
                 diffs[level, trial] = cur - prev
                 prev = cur
                 if trial == 0:
