@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ParameterError
+from .errors import ParameterError
 from .groups import sample_ball_rejection, sample_norm_ball
 from .rng import substream
 
@@ -312,12 +312,7 @@ class LevyModel:
 
 @dataclass(frozen=True)
 class AdditivePath:
-    """Sampled driver path: per-cell increments plus ground-truth jumps.
-
-    ``increment(j, k)`` is a difference of prefix sums of the increments,
-    computed when called, which makes increments over adjacent index ranges
-    add exactly.
-    """
+    """Sampled driver path: per-cell increments plus ground-truth jumps."""
 
     grid: TimeGrid
     model: LevyModel
@@ -337,17 +332,6 @@ class AdditivePath:
     @property
     def dim(self) -> int:
         return self.drift_part.shape[1]
-
-    def increment(self, j: int, k: int) -> np.ndarray:
-        """Sum of cell increments over (t_j, t_k]."""
-        n = self.grid.n_cells
-        if not (0 <= j <= k <= n):
-            raise InvalidInputError(f"need 0 <= j <= k <= {n}, got ({j}, {k})")
-        prefix = np.concatenate([np.zeros((1, self.dim)), np.cumsum(self.increments, axis=0)])
-        return prefix[k] - prefix[j]
-
-    def total(self) -> np.ndarray:
-        return self.increment(0, self.grid.n_cells)
 
     def refine(self, seed: int, stream: tuple = ()) -> "AdditivePath":
         """Halve every cell, splitting the Brownian mass by bridge bisection.

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .config import build_context, default_config, load_config, validate_config
 from .errors import ConfigError
-from .experiments import catalog, run_experiment
+from .experiments import EXPERIMENTS, catalog, run_experiment
 from .reporting import dump_json
 
 EXIT_OK = 0
@@ -45,6 +45,12 @@ def _execute_entry(cfg: dict, index: int, csv_root: str | None):
         report = {"experiment": entry["name"], "seed": entry["seed"], "status": "error",
                   "error": f"{type(exc).__name__}: {exc}"}
         return report, traceback.format_exc()
+
+
+def _positive_int(text: str) -> int:
+    if not text.lstrip("-").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _run(args) -> int:
@@ -148,11 +154,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment battery from a config file")
-    run_p.add_argument("config", nargs="?", help="path to a JSON config")
-    run_p.add_argument("--default", action="store_true",
-                       help="run the built-in default battery")
+    source = run_p.add_mutually_exclusive_group(required=True)
+    source.add_argument("config", nargs="?", help="path to a JSON config")
+    source.add_argument("--default", action="store_true",
+                        help="run the built-in default battery")
     run_p.add_argument("--out", default="reports", help="output directory")
-    run_p.add_argument("--jobs", type=int, default=1,
+    run_p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes (results are independent of this)")
     run_p.add_argument("--strict", action="store_true",
                        help="treat inconclusive results as failures")
@@ -160,12 +167,11 @@ def main(argv=None) -> int:
 
     list_p = sub.add_parser("list-experiments", help="print the experiment catalog")
     list_p.add_argument("--json", action="store_true", help="machine-readable catalog")
-    list_p.add_argument("--module", help="filter by module")
+    list_p.add_argument("--module", choices=sorted({spec.module for spec in EXPERIMENTS.values()}),
+                        help="filter by module")
     list_p.set_defaults(func=_list)
 
     args = parser.parse_args(argv)
-    if args.command == "run" and not args.default and not args.config:
-        parser.error("run needs a config path or --default")
     return args.func(args)
 
 

@@ -8,21 +8,24 @@ validation and for ``list-experiments``.
 
 Adding an experiment means adding one ``ExperimentSpec`` to ``EXPERIMENTS``:
 its runner, a one-line description, the catalog module, and the parameter
-schema ``name -> (type, default)``, or ``(int, default, minimum)`` for a
-bounded integer and ``(str, default, allowed)`` for a string from a tuple.
-A battery whose report carries its own ``pass`` needs no runner code:
-``_battery(module, "function", *args)`` names the battery and maps its
-positional arguments to parameters or to the derived values of ``_DERIVED``.
-Any other runner takes ``(ctx, params, seed)`` and returns ``(report,
-verdict)``, the verdict being True, False or None (inconclusive).
-``resolve_params`` merges the parameters over their defaults, resolves
-``model*`` and ``grid`` names into the context and applies the bounds that
-need the resolved grid, for ``validate_config`` and ``run_experiment`` alike;
-``run_experiment`` derives ``status`` from the verdict, and no runner sets it.
+schema ``name -> (type, default[, bound])``, a bound being a minimum, an open
+interval ``(low, high)`` or a tuple of allowed strings.  Most runners come
+from one of two factories.  ``_residuals(label, draws, residuals)`` is a row
+of the residual-check table: it draws ``draws`` batches of scaled vectors
+from the substream ``label`` and reports the largest norm of each named
+residual against ``tol``.  ``_battery(module, "function", *args)`` forwards
+parameters and ``_DERIVED`` values to a battery whose report carries its own
+``pass``.  Any other runner takes ``(ctx, params, seed)`` and returns
+``(report, verdict)``, the verdict being True, False or None (inconclusive).
+``resolve_params`` merges the parameters over their defaults, checks their
+bounds, resolves ``model*`` and ``grid`` names and applies ``_JOINT_BOUNDS``,
+for ``validate_config`` and ``run_experiment`` alike; ``run_experiment``
+derives ``status`` from the verdict, and no runner sets it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,13 +52,7 @@ class ExperimentSpec:
     runner: Callable  # (ctx, params, seed) -> (report, verdict)
     verifies: str
     module: str
-    params: dict      # name -> (type, default[, minimum | allowed]); default None: required
-
-
-def _status(verdict) -> str:
-    if verdict is None:
-        return "inconclusive"
-    return "pass" if verdict else "fail"
+    params: dict      # name -> (type, default[, bound]); default None: required
 
 
 def _side_csv(ctx, filename, header, rows):
@@ -97,68 +94,42 @@ def _battery(module, name: str, *args: str, csv=None):
 # kernel experiments
 # --------------------------------------------------------------------------
 
-def _run_group_axioms(ctx, params, seed):
-    group = ctx["group"]
-    samples, tol = params["samples"], params["tol"]
-    rng = substream(seed, "group-axioms")
-    g, h, k = (group.exp(sample_scaled_vectors(rng, group, params["scale"], samples))
-               for _ in range(3))
-    assoc = np.max(group.norm(group.log(group.mul(group.mul(g, h), k))
-                              - group.log(group.mul(g, group.mul(h, k)))))
-    ident = np.max(group.norm(group.log(group.mul(g, np.broadcast_to(group.identity(), g.shape)))
-                              - group.log(g)))
-    inverse = np.max(group.norm(group.log(group.mul(g, group.inv(g)))))
-    worst = float(max(assoc, ident, inverse))
-    return {
-        "estimates": {"max_associativity_defect": float(assoc),
-                      "max_identity_defect": float(ident),
-                      "max_inverse_defect": float(inverse)},
-        "tol": tol,
-    }, worst <= tol
+def _residuals(label: str, draws: int, residuals):
+    """Runner of one residual-check row: the largest norm of each named residual
+    of ``residuals(group, *vectors)``, the verdict being the largest against ``tol``."""
+    def runner(ctx, params, seed):
+        group = ctx["group"]
+        rng = substream(seed, label)
+        vectors = [sample_scaled_vectors(rng, group, params["scale"], params["samples"])
+                   for _ in range(draws)]
+        estimates = {name: float(np.max(group.norm(r)))
+                     for name, r in residuals(group, *vectors).items()}
+        tol = params["tol"]
+        return {"estimates": estimates, "tol": tol}, max(estimates.values()) <= tol
+    return runner
 
 
-def _run_exp_log_roundtrip(ctx, params, seed):
-    group = ctx["group"]
-    rng = substream(seed, "exp-log")
-    vecs = sample_scaled_vectors(rng, group, params["scale"], params["samples"])
-    back = group.log(group.exp(vecs))
-    worst_alg = float(np.max(group.norm(back - vecs)))
-    g = group.exp(vecs)
-    worst_grp = float(np.max(group.norm(group.log(group.exp(group.log(g))) - group.log(g))))
-    worst = max(worst_alg, worst_grp)
-    report = {"estimates": {"max_roundtrip_defect": worst}, "tol": params["tol"]}
-    return report, worst <= params["tol"]
+def _axiom_residuals(G, *vectors):
+    g, h, k = (G.exp(v) for v in vectors)
+    return {"max_associativity_defect": G.log(G.mul(G.mul(g, h), k))
+                                        - G.log(G.mul(g, G.mul(h, k))),
+            "max_identity_defect": G.log(G.mul(g, np.broadcast_to(G.identity(), g.shape)))
+                                   - G.log(g),
+            "max_inverse_defect": G.log(G.mul(g, G.inv(g)))}
 
 
-def _run_bch_consistency(ctx, params, seed):
-    group = ctx["group"]
-    rng = substream(seed, "bch")
-    u = sample_scaled_vectors(rng, group, params["scale"], params["samples"])
-    v = sample_scaled_vectors(rng, group, params["scale"], params["samples"])
-    direct = group.bch(u, v)
-    via_product = group.log(group.mul(group.exp(u), group.exp(v)))
-    worst = float(np.max(group.norm(direct - via_product)))
-    report = {"estimates": {"max_bch_defect": worst}, "tol": params["tol"]}
-    return report, worst <= params["tol"]
+def _roundtrip_residuals(G, v):
+    back = G.log(G.exp(v))
+    # one estimate for both directions: log(exp(V)) = V and exp(log(g)) = g
+    return {"max_roundtrip_defect": np.concatenate([back - v, G.log(G.exp(back)) - back])}
 
 
-def _run_bracket_properties(ctx, params, seed):
-    group = ctx["group"]
-    rng = substream(seed, "bracket")
-    f, g, h = (sample_scaled_vectors(rng, group, params["scale"], params["samples"])
-               for _ in range(3))
-    anti = np.max(group.norm(group.bracket(f, g) + group.bracket(g, f)))
-    jacobi = np.max(group.norm(group.bracket(f, group.bracket(g, h))
-                               + group.bracket(g, group.bracket(h, f))
-                               + group.bracket(h, group.bracket(f, g))))
-    self_bracket = np.max(group.norm(group.bracket(f, f)))
-    worst = float(max(anti, jacobi, self_bracket))
-    return {
-        "estimates": {"max_antisymmetry_defect": float(anti),
-                      "max_jacobi_residual": float(jacobi),
-                      "max_self_bracket": float(self_bracket)},
-        "tol": params["tol"],
-    }, worst <= params["tol"]
+def _bracket_residuals(G, f, g, h):
+    return {"max_antisymmetry_defect": G.bracket(f, g) + G.bracket(g, f),
+            "max_jacobi_residual": G.bracket(f, G.bracket(g, h))
+                                   + G.bracket(g, G.bracket(h, f))
+                                   + G.bracket(h, G.bracket(f, g)),
+            "max_self_bracket": G.bracket(f, f)}
 
 
 def _run_chart_certification(ctx, params, seed):
@@ -193,13 +164,11 @@ def _driver_path(params, seed, trial=0):
 
 
 def _run_cocycle(ctx, params, seed):
-    worst = None
-    for trial in range(params["paths"]):
-        path = product_exponential(_driver_path(params, seed, trial), ctx["group"])
-        rep = verify_multiplicative(path, samples=params["triples"],
-                                    tol=params["tol"], seed=seed)
-        if worst is None or rep.max_defect > worst.max_defect:
-            worst = rep
+    paths = (product_exponential(_driver_path(params, seed, trial), ctx["group"])
+             for trial in range(params["paths"]))
+    worst = max((verify_multiplicative(path, samples=params["triples"], tol=params["tol"],
+                                       seed=seed) for path in paths),
+                key=lambda rep: rep.max_defect)
     return worst, worst.passed
 
 
@@ -282,14 +251,6 @@ def _run_oscillation_dp(ctx, params, seed):
     }, mismatches == 0
 
 
-def _run_oscillation_axioms(ctx, params, seed):
-    paths = [product_exponential(_driver_path(params, seed, trial), ctx["group"])
-             for trial in range(params["paths"])]
-    rep = regularity.oscillation_axioms_test(paths, params["delta"],
-                                             cases=params["cases"], seed=seed)
-    return rep, rep["pass"]
-
-
 def _run_uniform_continuity(ctx, params, seed):
     def probe(probe_seed):
         return regularity.uniform_continuity_probe(
@@ -299,11 +260,8 @@ def _run_uniform_continuity(ctx, params, seed):
     rep = probe(seed)
     # out-of-sample revalidation on a decorrelated stream
     check = probe(seed + 1_000_003)
-    fresh_p = None
-    for h_val, p in check.probability_curve.items():
-        if float(h_val) <= rep.window:
-            fresh_p = p
-            break
+    fresh_p = next((p for h_val, p in check.probability_curve.items()
+                    if float(h_val) <= rep.window), None)
     slack = SLACK_MULTIPLIER * binom_se(params["alpha"], params["trials"])
     revalidated = fresh_p is not None and fresh_p <= params["alpha"] + slack
     out = rep.to_dict()
@@ -316,29 +274,12 @@ def _run_uniform_continuity(ctx, params, seed):
 # --------------------------------------------------------------------------
 
 def _run_detector_fidelity(ctx, params, seed):
-    jump_set = jumps.JumpSetSpec(params["epsilon"])
-    agg_precision, agg_recall, scored = [], [], 0
-    rows = []
-    for trial in range(params["trials"]):
-        driver = _driver_path(params, seed, trial)
-        path = product_exponential(driver, ctx["group"])
-        rep = jumps.detector_fidelity(path, jump_set, driver)
-        if rep["precision"] is not None:
-            agg_precision.append(rep["precision"])
-        if rep["recall"] is not None:
-            agg_recall.append(rep["recall"])
-        scored += rep["scored_true_jumps"]
-        for n, tau in enumerate(jumps.hitting_times(path, jump_set)):
-            rows.append((trial, n, float(tau)))
-    _side_csv(ctx, "hitting_times.csv", ["trial", "n", "tau"], rows)
-    precision = float(np.mean(agg_precision)) if agg_precision else None
-    recall = float(np.mean(agg_recall)) if agg_recall else None
-    out = {"precision": precision, "recall": recall, "scored_true_jumps": scored,
-           "trials": params["trials"]}
-    if precision is None or recall is None:
-        out["notes"] = {"inconclusive": "no scored jumps or no detections"}
-        return out, None
-    return out, precision == 1.0 and recall == 1.0
+    rep = jumps.detector_fidelity(params["model"], params["grid"],
+                                  jumps.JumpSetSpec(params["epsilon"]), params["trials"], seed)
+    _side_csv(ctx, "hitting_times.csv", ["trial", "n", "tau"], rep.pop("hitting_times"))
+    if "notes" in rep:
+        return rep, None
+    return rep, rep["precision"] == 1.0 and rep["recall"] == 1.0
 
 
 def _run_restart_probe(ctx, params, seed):
@@ -397,33 +338,40 @@ def _run_additive_determinism(ctx, params, seed):
 
 
 F, I, S, B, LF = float, int, str, bool, list
-_MOMENT_PARAMS = {"r": (F, None), "u": (F, None), "alpha": (F, None), "delta": (F, None),
+POS = (F, None, (0, math.inf))     # a required positive number
+_DRIVER = {"model": (S, None), "grid": (S, None)}     # the driver of a path experiment
+_MOMENT_PARAMS = {"r": (F, None, 0), "u": POS, "alpha": (F, None), "delta": POS,
                   "trials": (I, 1000, 1), "cells": (I, 64, 1), "model": (S, None)}
 EXPERIMENTS = {
     "group-axioms": ExperimentSpec(
-        _run_group_axioms, "group law: associativity, identity, inverses on random triples",
+        _residuals("group-axioms", 3, _axiom_residuals),
+        "group law: associativity, identity, inverses on random triples",
         "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0), "tol": (F, 1e-12)}),
     "exp-log-roundtrip": ExperimentSpec(
-        _run_exp_log_roundtrip, "log(exp(V)) = V and exp(log(g)) = g inside the chart",
+        _residuals("exp-log", 1, _roundtrip_residuals),
+        "log(exp(V)) = V and exp(log(g)) = g inside the chart",
         "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0), "tol": (F, 1e-10)}),
     "bch-consistency": ExperimentSpec(
-        _run_bch_consistency, "truncated commutator series equals log of the product",
+        _residuals("bch", 2, lambda G, u, v: {
+            "max_bch_defect": G.bch(u, v) - G.log(G.mul(G.exp(u), G.exp(v)))}),
+        "truncated commutator series equals log of the product",
         "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0), "tol": (F, 1e-12)}),
     "bracket-properties": ExperimentSpec(
-        _run_bracket_properties, "bracket antisymmetry and Jacobi identity residuals",
+        _residuals("bracket", 3, _bracket_residuals),
+        "bracket antisymmetry and Jacobi identity residuals",
         "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0), "tol": (F, 1e-12)}),
     "chart-certification": ExperimentSpec(
         _run_chart_certification, "bracket-norm bound and ball-power radius containment by sampling",
-        "groups", {"samples": (I, 10000, 1), "delta": (F, None), "power": (I, 2, 1),
+        "groups", {"samples": (I, 10000, 1), "delta": POS, "power": (I, 2, 1),
                    "products": (I, 100000, 1)}),
     "cocycle-exactness": ExperimentSpec(
         _run_cocycle, "two-parameter increments compose exactly along index triples",
         "multiplicative", {"paths": (I, 5, 1), "triples": (I, 1000, 1), "tol": (F, 1e-12),
-                           "model": (S, None), "grid": (S, None)}),
+                           **_DRIVER}),
     "cocycle-fault-injection": ExperimentSpec(
         _run_cocycle_fault, "a corrupted cell increment is detected and named (negative control)",
         "multiplicative", {"cell": (I, None, 0), "triples": (I, 1000, 1), "tol": (F, 1e-12),
-                           "model": (S, None), "grid": (S, None)}),
+                           **_DRIVER}),
     "product-limit-convergence": ExperimentSpec(
         _run_convergence, "time-ordered exponential products converge to the exact construction",
         "multiplicative", {"refinements": (I, 6, 1), "trials": (I, 200, 1),
@@ -433,60 +381,55 @@ EXPERIMENTS = {
     "right-limit-refinement": ExperimentSpec(
         _run_right_limit, "right-limit evaluation stabilizes under coupled grid refinement",
         "multiplicative", {"trials": (I, 20, 1), "refinements": (I, 3, 1),
-                           "probe_points": (I, 5, 1), "model": (S, None), "grid": (S, None)}),
+                           "probe_points": (I, 5, 1), **_DRIVER}),
     "oscillation-dp-bruteforce": ExperimentSpec(
         _run_oscillation_dp, "dynamic-program oscillation count equals exhaustive chain search",
         "regularity", {"instances": (I, 1000, 1), "max_points": (I, 12, 2)}),
     "oscillation-axioms": ExperimentSpec(
-        _run_oscillation_axioms, "counter monotonicity, exhaustive limits, concatenation bound",
-        "regularity", {"paths": (I, 8, 1), "cases": (I, 1000, 1), "delta": (F, None),
-                       "model": (S, None), "grid": (S, None)}),
+        _battery(regularity, "oscillation_axioms_test",
+                 "model", "grid", "delta", "paths", "cases", "seed"),
+        "counter monotonicity, exhaustive limits, concatenation bound",
+        "regularity", {"paths": (I, 8, 1), "cases": (I, 1000, 1), "delta": POS, **_DRIVER}),
     "max-oscillation-bound": ExperimentSpec(
         _battery(regularity, "mc_maximum_oscillation",
                  "model", "grid", "delta", "trials", "seed"),
         "endpoint exit probability dominates scaled suffix-exit probability",
-        "regularity", {"delta": (F, None), "trials": (I, 10000, 1),
-                       "model": (S, None), "grid": (S, None)}),
+        "regularity", {"delta": POS, "trials": (I, 10000, 1), **_DRIVER}),
     "largest-step-bound": ExperimentSpec(
         _battery(regularity, "mc_largest_step", "model", "grid", "delta", "trials", "seed"),
         "any-pair exit probability is dominated by suffix-exit probability",
-        "regularity", {"delta": (F, None), "trials": (I, 10000, 1),
-                       "model": (S, None), "grid": (S, None)}),
+        "regularity", {"delta": POS, "trials": (I, 10000, 1), **_DRIVER}),
     "expectation-bound": ExperimentSpec(
         _battery(regularity, "mc_expectation_bound", "model", "grid", "delta", "trials", "seed",
                  csv=("oscillation_counts.csv", ["count", "trials"],
                       lambda rep: sorted(rep.count_distribution.items()))),
         "mean oscillation count below a/(1-a) with geometric tail",
-        "regularity", {"delta": (F, None), "trials": (I, 10000, 2),
-                       "model": (S, None), "grid": (S, None)}),
+        "regularity", {"delta": POS, "trials": (I, 10000, 2), **_DRIVER}),
     "uniform-continuity-probe": ExperimentSpec(
         _run_uniform_continuity, "largest window keeping oscillation probability under budget",
-        "regularity", {"T": (F, None), "delta": (F, None), "alpha": (F, None),
+        "regularity", {"T": POS, "delta": POS, "alpha": (F, None, (0, 1)),
                        "trials": (I, 2000, 1), "cells": (I, 64, 1), "model": (S, None)}),
     "detector-fidelity": ExperimentSpec(
         _run_detector_fidelity, "threshold detector recovers recorded driver jumps exactly",
-        "jumps", {"epsilon": (F, None), "trials": (I, 500, 1),
-                  "model": (S, None), "grid": (S, None)}),
+        "jumps", {"epsilon": POS, "trials": (I, 500, 1), **_DRIVER}),
     "poisson-battery": ExperimentSpec(
         _battery(jumps, "poisson_battery", "model", "grid", "jump_set", "trials", "seed"),
         "detected jump counts behave like a Poisson process",
-        "jumps", {"epsilon": (F, None), "trials": (I, 2000, 2),
-                  "model": (S, None), "grid": (S, None)}),
+        "jumps", {"epsilon": POS, "trials": (I, 2000, 2), **_DRIVER}),
     "restart-probe": ExperimentSpec(
         _run_restart_probe, "increments after the first hitting time match fixed-time increments",
-        "jumps", {"epsilon": (F, None), "h": (F, None), "trials": (I, 2000, 2),
-                  "expect": (S, "match", ("match", "reject")),
-                  "model": (S, None), "grid": (S, None)}),
+        "jumps", {"epsilon": POS, "h": POS, "trials": (I, 2000, 2),
+                  "expect": (S, "match", ("match", "reject")), **_DRIVER}),
     "step-triangle": ExperimentSpec(
         _battery(geometry, "step_triangle_test", "group", "samples", "delta", "seed"),
         "concatenated factor lists certify subadditive step counts",
-        "geometry", {"samples": (I, 1000, 1), "delta": (F, None)}),
+        "geometry", {"samples": (I, 1000, 1), "delta": POS}),
     "gauge-metric": ExperimentSpec(
         _run_gauge_metric, "gauge distance: left-invariance, symmetry, sampled triangle inequality",
         "geometry", {"samples": (I, 100000, 1), "scale": (F, 2.0)}),
     "bounded-jumps-gate": ExperimentSpec(
         _run_bounded_jumps, "jump increments certified inside a ball power",
-        "geometry", {"delta": (F, None), "n_power": (I, None, 1), "expect": (B, True),
+        "geometry", {"delta": POS, "n_power": (I, None, 1), "expect": (B, True),
                      "model": (S, None)}),
     "exp-moment": ExperimentSpec(
         _battery(geometry, "exp_moment_estimate",
@@ -505,11 +448,11 @@ EXPERIMENTS = {
         _battery(geometry, "metric_modulus_curve",
                  "model", "T", "alpha", "window_sizes", "trials", "seed", "cells"),
         "shrinking-window metric moments decrease toward zero",
-        "geometry", {"T": (F, None), "alpha": (F, None), "window_sizes": (LF, None),
+        "geometry", {"T": POS, "alpha": (F, None), "window_sizes": (LF, None),
                      "trials": (I, 400, 1), "cells": (I, 256, 1), "model": (S, None)}),
     "additive-determinism": ExperimentSpec(
         _run_additive_determinism, "seeded sampling is bit-identical and refinement is coupled",
-        "additive", {"model": (S, None), "grid": (S, None)}),
+        "additive", _DRIVER),
 }
 
 _TYPE_CHECKS = {
@@ -521,12 +464,34 @@ _TYPE_CHECKS = {
 }
 
 
-# bounds that need the resolved grid: experiment -> (key, holds(params, n_cells), expected)
-_GRID_BOUNDS = {
-    "cocycle-fault-injection": ("cell", lambda p, n: p["cell"] < n, "a cell below n_cells"),
+# bounds that relate a parameter to another one or to the resolved grid:
+# experiment -> (key, holds(resolved params), expected)
+_WINDOW_BOUND = ("r", lambda p: p["r"] < p["u"], "a window start below u")
+_JOINT_BOUNDS = {
+    "cocycle-fault-injection": ("cell", lambda p: p["cell"] < p["grid"].n_cells,
+                                "a cell below n_cells"),
     # the concatenation check splits the grid in two
-    "oscillation-axioms": ("grid", lambda p, n: n >= 2, "a grid of at least 2 cells"),
+    "oscillation-axioms": ("grid", lambda p: p["grid"].n_cells >= 2, "a grid of at least 2 cells"),
+    "restart-probe": ("h", lambda p: p["h"] < p["grid"].T, "a lag below T"),
+    "exp-moment": _WINDOW_BOUND,
+    "tail-decay": _WINDOW_BOUND,
+    "metric-modulus": ("window_sizes", lambda p: len(p["window_sizes"]) > 0 and all(
+        isinstance(w, (int, float)) and 0 < w <= p["T"] for w in p["window_sizes"]),
+        "a nonempty list of sizes in (0, T]"),
 }
+
+
+def _violated(typ, bound, value) -> str | None:
+    """What ``value`` must be to keep the schema ``bound``, or None if it does.
+
+    A bound is a tuple of allowed strings, an open interval (low, high) or an
+    inclusive minimum.
+    """
+    if typ is str:
+        return None if value in bound else f"one of {list(bound)}"
+    if isinstance(bound, tuple):
+        return None if bound[0] < value < bound[1] else f"a value in ({bound[0]}, {bound[1]})"
+    return None if value >= bound else f"at least {bound}"
 
 
 def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict, dict]:
@@ -534,7 +499,7 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
 
     Reads each parameter's type, default, bound and required flag from the
     experiment's schema, then replaces every ``model*`` / ``grid`` name by the
-    context's object and applies the experiment's grid bound.  Returns the
+    context's object and applies the experiment's joint bound.  Returns the
     merged parameters and the resolved ones; an unknown, missing, mistyped or
     out-of-range parameter or an unknown reference raises ConfigError under
     ``path``.
@@ -554,8 +519,8 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
         label, ok = _TYPE_CHECKS[typ]
         if not ok(value):
             raise ConfigError(f"{path}.{key}", f"expected {label}, got {value!r}")
-        if bound and (value not in bound[0] if typ is str else value < bound[0]):
-            expected = f"one of {list(bound[0])}" if typ is str else f"at least {bound[0]}"
+        expected = bound and _violated(typ, bound[0], value)
+        if expected:
             raise ConfigError(f"{path}.{key}", f"expected {expected}, got {value!r}")
         merged[key] = value
 
@@ -565,12 +530,13 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
         if table and value not in ctx.get(table, {}):
             raise ConfigError(f"{path}.{key}", f"unknown {table} reference {value!r}")
         resolved[key] = ctx[table][value] if table else value
-    if name in _GRID_BOUNDS:
-        key, holds, expected = _GRID_BOUNDS[name]
-        n = resolved["grid"].n_cells
-        if not holds(resolved, n):
-            raise ConfigError(f"{path}.{key}", f"expected {expected},"
-                                               f" got {merged[key]!r} with n_cells = {n}")
+    if name in _JOINT_BOUNDS:
+        key, holds, expected = _JOINT_BOUNDS[name]
+        if not holds(resolved):
+            grid = resolved.get("grid")
+            on_grid = f" with n_cells = {grid.n_cells}, T = {grid.T}" if grid else ""
+            raise ConfigError(f"{path}.{key}",
+                              f"expected {expected}, got {merged[key]!r}{on_grid}")
     return merged, resolved
 
 
@@ -596,7 +562,7 @@ def run_experiment(name: str, ctx: dict, params: dict, seed: int) -> dict:
     merged, resolved = resolve_params(name, params, f"{name}.params", ctx)
     report, verdict = EXPERIMENTS[name].runner(ctx, resolved, seed)
     report = jsonable(report)
-    report["status"] = _status(verdict)
+    report["status"] = "inconclusive" if verdict is None else "pass" if verdict else "fail"
     report["experiment"] = name
     report["seed"] = seed
     report["params_used"] = jsonable(merged)

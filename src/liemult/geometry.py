@@ -311,16 +311,29 @@ def _window_indices(grid: TimeGrid, r: float, u: float) -> np.ndarray:
     return idx
 
 
-def _pairwise_sup_counts(group, prefixes: np.ndarray, idx: np.ndarray, delta: float):
-    """Per-trial supremum of pair step counts over window indices; also, per
-    trial and start index, whether some later pair increment leaves the
-    delta-ball (for the tail-rate estimate)."""
+def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: float,
+                       trials: int, seed: int, cells: int):
+    """Shared start of the two windowed moment batteries.
+
+    Samples ``trials`` prefix paths on the uniform grid of ``cells`` cells
+    over (0, u] and returns the group, the indices of the grid points inside
+    the window (r, u), the prefixes, the per-trial supremum of pair step
+    counts over those indices and, per trial and start index, whether some
+    later pair increment leaves the delta-ball (for the tail-rate estimate).
+    """
+    _require_bounded(model)
+    group = model.space
+    r, u = window
+    grid = TimeGrid.uniform(u, cells)
+    idx = _window_indices(grid, r, u)
+    prefixes = batch_prefixes(group, model, grid, trials, seed)
+
     def reduce(chunk):
         pairs = group.pairwise_increments(chunk[:, idx])
         counts = np.triu(step_counts_batch(group, pairs, delta), k=1)
         exits = np.triu(group.chart_norm(pairs) >= delta, k=1)
         return counts.max(axis=(1, 2)), exits.any(axis=2)
-    return map_trial_chunks(prefixes, reduce)
+    return (group, idx, prefixes) + map_trial_chunks(prefixes, reduce)
 
 
 @dataclass(frozen=True)
@@ -329,15 +342,15 @@ class MomentReport(Report):
 
     kind: str
     params: dict
-    estimate: float | None
-    se: float | None
-    diagnostics: dict
-    tail_points: list
-    fitted_slope: float | None
-    q_hat: float | None
     passed: bool | None
     trials: int
     seed: int
+    estimate: float | None = None
+    se: float | None = None
+    diagnostics: dict = field(default_factory=dict)
+    tail_points: list = field(default_factory=list)
+    fitted_slope: float | None = None
+    q_hat: float | None = None
     notes: dict = field(default_factory=dict)
 
 
@@ -383,13 +396,8 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
     percent over its last decile, and the running maximum must grow
     sublinearly in log(trials).
     """
-    _require_bounded(model)
-    group = model.space
-    r, u = window
-    grid = TimeGrid.uniform(u, cells)
-    idx = _window_indices(grid, r, u)
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
-    sup_counts, _ = _pairwise_sup_counts(group, prefixes, idx, delta)
+    group, idx, prefixes, sup_counts, _ = _window_sup_counts(model, window, delta,
+                                                            trials, seed, cells)
     values = np.exp(alpha * sup_counts.astype(float))
 
     rng = substream(seed, "certify-pairs")
@@ -407,18 +415,12 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
     diag_mean = _running_mean_diagnostic(values)
     diag_max = _partial_max_diagnostic(values)
     return MomentReport(
-        kind="exp_moment",
-        params={"window": [r, u], "alpha": alpha, "delta": delta, "n_cells": cells},
+        "exp_moment", {"window": list(window), "alpha": alpha, "delta": delta, "n_cells": cells},
+        bool(diag_mean["pass"] and diag_max["pass"]), trials, seed,
         estimate=float(values.mean()),
         se=mean_se(values),
         diagnostics={"running_mean": diag_mean, "partial_max": diag_max,
                      "certified_pairs": CERTIFY_SAMPLES},
-        tail_points=[],
-        fitted_slope=None,
-        q_hat=None,
-        passed=bool(diag_mean["pass"] and diag_max["pass"]),
-        trials=trials,
-        seed=seed,
         notes={"diagnostic_thresholds": "engineering conventions"},
     )
 
@@ -433,14 +435,9 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
     their log-slope in k must not exceed log(q) + 0.1 where q is the largest
     per-start probability of leaving the delta-ball before the window ends.
     """
-    _require_bounded(model)
-    group = model.space
-    r, u = window
-    grid = TimeGrid.uniform(u, cells)
-    idx = _window_indices(grid, r, u)
+    _, _, _, sup_counts, exit_any = _window_sup_counts(model, window, delta,
+                                                       trials, seed, cells)
     j_power = minimal_jump_power(model, delta, seed)
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
-    sup_counts, exit_any = _pairwise_sup_counts(group, prefixes, idx, delta)
 
     q_hat = float(np.max(exit_any.mean(axis=0)))
     tail_points = []
@@ -458,23 +455,16 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
         })
 
     usable = [pt for pt in tail_points if pt["exceedances"] >= min_exceedances]
-    params = {"window": [r, u], "alpha": alpha, "delta": delta,
+    params = {"window": list(window), "alpha": alpha, "delta": delta,
               "jump_power": j_power, "n_cells": cells}
     if q_hat == 0.0 and all(pt["exceedances"] == 0 for pt in tail_points):
         # nothing ever leaves the ball: the geometric bound holds as 0 <= 0
-        return MomentReport(
-            kind="tail_decay", params=params, estimate=None, se=None,
-            diagnostics={}, tail_points=tail_points, fitted_slope=None,
-            q_hat=q_hat, passed=True, trials=trials, seed=seed,
-            notes={"degenerate": "no exceedances at any level"},
-        )
+        return MomentReport("tail_decay", params, True, trials, seed, tail_points=tail_points,
+                            q_hat=q_hat, notes={"degenerate": "no exceedances at any level"})
     if len(usable) < 2 or q_hat <= 0.0:
-        return MomentReport(
-            kind="tail_decay", params=params, estimate=None, se=None,
-            diagnostics={}, tail_points=tail_points, fitted_slope=None,
-            q_hat=q_hat, passed=None, trials=trials, seed=seed,
-            notes={"inconclusive": "fewer than two usable exceedance levels"},
-        )
+        return MomentReport("tail_decay", params, None, trials, seed, tail_points=tail_points,
+                            q_hat=q_hat,
+                            notes={"inconclusive": "fewer than two usable exceedance levels"})
     xs = np.array([pt["k"] for pt in usable], dtype=float)
     ys = np.array([np.log(pt["p_hat"]) for pt in usable])
     slope = fit_slope(xs, ys)
@@ -484,10 +474,9 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
     slope_se = float(np.sqrt(np.sum(x_ctr**2 * y_var)) / np.sum(x_ctr**2))
     passed = bool(slope <= np.log(q_hat) + 0.1)
     return MomentReport(
-        kind="tail_decay", params=params, estimate=None, se=slope_se,
+        "tail_decay", params, passed, trials, seed, se=slope_se,
         diagnostics={"usable_levels": len(usable), "slope_se": slope_se},
-        tail_points=tail_points,
-        fitted_slope=slope, q_hat=q_hat, passed=passed, trials=trials, seed=seed,
+        tail_points=tail_points, fitted_slope=slope, q_hat=q_hat,
     )
 
 
@@ -530,16 +519,10 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
         decayed = values[-1] < values[0] / 4.0
     passed = bool(not inversions and decayed)
     return MomentReport(
-        kind="metric_modulus",
-        params={"T": T, "alpha": alpha, "window_sizes": sizes, "n_cells": cells},
+        "metric_modulus", {"T": T, "alpha": alpha, "window_sizes": sizes, "n_cells": cells},
+        passed, trials, seed,
         estimate=values[-1],
         se=ses[-1],
         diagnostics={"values": values, "ses": ses, "inversions": inversions,
                      "decay_target": "final < first / 4"},
-        tail_points=[],
-        fitted_slope=None,
-        q_hat=None,
-        passed=passed,
-        trials=trials,
-        seed=seed,
     )

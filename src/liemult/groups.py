@@ -100,9 +100,6 @@ class LpSpace:
         arr = np.asarray(arr, dtype=float)
         return lp_norm(arr, self.p)
 
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
 
 @dataclass(frozen=True)
 class ChartSpec:
@@ -158,9 +155,6 @@ class _NilpotentGroup:
     # -- element algebra ---------------------------------------------------
 
     def identity(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def zero(self) -> np.ndarray:
         return np.zeros(self.dim)
 
     def _check(self, *arrs: np.ndarray) -> list[np.ndarray]:
@@ -392,12 +386,6 @@ class HeisenbergGroup(_NilpotentGroup):
         return out
 
 
-# strict upper-triangular index pairs, row-major
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n, k=1)
-    return rows, cols
-
-
 class UnipotentGroup(_NilpotentGroup):
     """Upper unitriangular n x n matrices, n in {3, 4}.
 
@@ -411,7 +399,7 @@ class UnipotentGroup(_NilpotentGroup):
         self.n = int(n)
         self.dim = n * (n - 1) // 2
         self.nilpotency_step = n - 1
-        self._rows, self._cols = _upper_indices(n)
+        self._rows, self._cols = np.triu_indices(n, k=1)   # row-major coordinates
         self.chart = chart or ChartSpec(
             rho_prime=0.5, rho_double_prime=0.125, bracket_bound=2.0
         )

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .additive import AdditivePath, LevyModel, TimeGrid, sample_additive
+from .additive import LevyModel, TimeGrid, sample_additive
 from .errors import ParameterError
-from .multiplicative import MultiplicativePath
+from .multiplicative import MultiplicativePath, product_exponential
 from .reporting import Report
 from .stats import SLACK_MULTIPLIER, batched_ks_exponential, batched_ks_two_sample
 
@@ -61,39 +61,37 @@ def hitting_times(path: MultiplicativePath, jump_set: JumpSetSpec) -> np.ndarray
     return path.grid.points[hitting_cells(path, jump_set) + 1]
 
 
-def detector_fidelity(path: MultiplicativePath, jump_set: JumpSetSpec,
-                      truth: AdditivePath) -> dict:
+def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
+                      trials: int, seed: int) -> dict:
     """Precision/recall of the detector against recorded driver jumps.
 
-    Only true jumps with chart norm at least twice the detection threshold
-    are scored; smaller ones straddle the threshold and are excluded from
-    both counts.
+    Each trial's driver is the stream (seed, trial); its product path is
+    scored, and precision and recall are averaged over the trials that have
+    detections and scored jumps respectively.  Only true jumps with chart
+    norm at least twice the detection threshold are scored; smaller ones
+    straddle the threshold and are excluded from both counts.  The report
+    also lists every detection as a ``(trial, n, tau)`` row under
+    ``hitting_times``.
     """
-    group = path.group
-    detected = set(int(c) for c in hitting_cells(path, jump_set))
-    scored = truth.jump_times[group.norm(truth.jump_vectors) >= 2.0 * jump_set.epsilon]
-    scored_cells = [int(c) for c in truth.grid.cell_of(scored)]
-
-    flags = {}
-    if not scored_cells:
-        flags["no_scored_jumps"] = True
-        recall = None
-    else:
-        hits = sum(1 for c in scored_cells if c in detected)
-        recall = hits / len(scored_cells)
-    if not detected:
-        flags["no_detections"] = True
-        precision = None
-    else:
-        true_cells = set(scored_cells)
-        precision = sum(1 for c in detected if c in true_cells) / len(detected)
-    return {
-        "precision": precision,
-        "recall": recall,
-        "detected": len(detected),
-        "scored_true_jumps": len(scored_cells),
-        "flags": flags,
-    }
+    group = model.space
+    precisions, recalls, scored, rows = [], [], 0, []
+    for trial in range(trials):
+        driver = sample_additive(model, grid, seed, stream=(trial,))
+        detected = hitting_cells(product_exponential(driver, group), jump_set)
+        big = driver.jump_times[group.norm(driver.jump_vectors) >= 2.0 * jump_set.epsilon]
+        true_cells = [int(c) for c in grid.cell_of(big)]
+        if true_cells:
+            recalls.append(np.isin(true_cells, detected).sum() / len(true_cells))
+        if detected.size:
+            precisions.append(np.isin(detected, true_cells).sum() / detected.size)
+        scored += len(true_cells)
+        rows.extend((trial, n, float(tau)) for n, tau in enumerate(grid.points[detected + 1]))
+    report = {"precision": float(np.mean(precisions)) if precisions else None,
+              "recall": float(np.mean(recalls)) if recalls else None,
+              "scored_true_jumps": scored, "trials": trials, "hitting_times": rows}
+    if not (precisions and recalls):
+        report["notes"] = {"inconclusive": "no scored jumps or no detections"}
+    return report
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .errors import GridMismatchError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup
 from .reporting import Report
 from .rng import substream
+from .stats import fit_slope
 
 # trials per slice of a prefix batch in ``map_trial_chunks``; bounds the
 # (chunk, n+1, n+1, d) pairwise arrays the all-pairs batteries build
@@ -67,9 +68,6 @@ class MultiplicativePath:
     def value(self, j, k) -> np.ndarray:
         """Two-parameter value x^{t_j}_{t_k} = inv(g_j) g_k; j, k may be arrays."""
         return self.group.pair_increment(self.prefix, j, k)
-
-    def endpoint(self) -> np.ndarray:
-        return self.prefix[-1]
 
     def evaluate_right_limit(self, t: float) -> np.ndarray:
         """Path value at the smallest grid point >= t.
@@ -222,7 +220,7 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
     usable = rms > 1e-13
     slope = None
     if np.count_nonzero(usable) >= 2:
-        slope = float(np.polyfit(np.log(np.asarray(meshes)[usable]), np.log(rms[usable]), 1)[0])
+        slope = fit_slope(np.log(np.asarray(meshes)[usable]), np.log(rms[usable]))
     return ConvergenceReport(
         meshes=[float(m) for m in meshes],
         rms_errors=[float(v) for v in rms],

@@ -29,7 +29,7 @@ import numpy as np
 
 from .additive import LevyModel, TimeGrid
 from .errors import ParameterError
-from .multiplicative import MultiplicativePath, batch_prefixes, map_trial_chunks
+from .multiplicative import batch_prefixes, map_trial_chunks
 from .reporting import Report
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, LemmaReport, binom_se, mean_se
@@ -89,18 +89,21 @@ def exhaustive_count_reference(outside: np.ndarray) -> int:
     return best
 
 
-def oscillation_axioms_test(paths: list[MultiplicativePath], delta: float,
-                            cases: int = 1000, seed: int = 0) -> dict:
+def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, paths: int,
+                            cases: int, seed: int) -> dict:
     """Structural properties of the oscillation counter on random instances.
 
-    Checks, with zero violations allowed: monotonicity under index subsets,
-    convergence of counts along exhaustive enumerations, and the +1
-    concatenation bound for windows in increasing position.
+    Samples ``paths`` product paths of ``model`` on ``grid`` (trial i on the
+    stream (seed, i)) and checks on their outside matrices, with zero
+    violations allowed: monotonicity under index subsets, convergence of
+    counts along exhaustive enumerations, and the +1 concatenation bound for
+    windows in increasing position.
     """
+    group = _require_group_model(model)
+    group.require_chart_radius(delta)
     rng = substream(seed, "oscillation-axioms")
-    for p in paths:
-        p.group.require_chart_radius(delta)
-    matrices = [p.group.pairwise_chart_norms(p.prefix) >= delta for p in paths]
+    matrices = group.pairwise_chart_norms(batch_prefixes(group, model, grid, paths, seed)) >= delta
+    n = grid.n_cells
 
     def count_on(which, idx):
         idx = np.sort(np.asarray(idx, dtype=int))
@@ -110,8 +113,7 @@ def oscillation_axioms_test(paths: list[MultiplicativePath], delta: float,
 
     violations = {"monotone": 0, "exhaustive_limit": 0, "concatenation": 0}
     for case in range(cases):
-        which = case % len(paths)
-        n = paths[which].n_cells
+        which = case % paths
         full = np.arange(n + 1)
         keep = rng.random(n + 1) < rng.uniform(0.3, 0.9)
         if count_on(which, full[keep]) > count_on(which, full):
@@ -153,15 +155,29 @@ def _suffix_norms(group, prefixes: np.ndarray) -> np.ndarray:
     return group.chart_norm(group.mul(group.inv(prefixes), prefixes[:, -1:, :]))
 
 
-def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
-                           trials: int, seed: int) -> LemmaReport:
-    """Monte Carlo check of the maximum-oscillation inequality."""
+def _superset_check(lemma: str, model: LevyModel, grid: TimeGrid, delta: float,
+                    trials: int, seed: int):
+    """Shared start of the two superset-ball batteries.
+
+    Returns the group, the certified superset radius of the squared
+    delta-ball and the report params, plus the inconclusive report when that
+    radius left the chart (None otherwise).
+    """
     group = _require_group_model(model)
     radius = group.ball_power_radius(delta, 2)
     params = {"delta": delta, "n_cells": grid.n_cells, "superset_radius": radius}
-    if radius is None:
-        return LemmaReport("maximum_oscillation", params, {}, None, 0.0, None,
-                           trials, seed, notes={"inconclusive": "superset radius left the chart"})
+    early = None if radius is not None else LemmaReport(
+        lemma, params, trials, seed, notes={"inconclusive": "superset radius left the chart"})
+    return group, radius, params, early
+
+
+def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
+                           trials: int, seed: int) -> LemmaReport:
+    """Monte Carlo check of the maximum-oscillation inequality."""
+    group, radius, params, early = _superset_check("maximum_oscillation", model, grid,
+                                                   delta, trials, seed)
+    if early:
+        return early
 
     prefixes = batch_prefixes(group, model, grid, trials, seed)
     from_start = group.chart_norm(prefixes)                      # x(0, j)
@@ -180,15 +196,12 @@ def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
     lhs = (1.0 - alpha_hat) * p_exists
     passed = None if alpha_hat >= 1.0 else bool(lhs <= p_end + slack)
     return LemmaReport(
-        lemma="maximum_oscillation",
-        params=params,
+        "maximum_oscillation", params, trials, seed,
         estimates={"alpha_hat": alpha_hat, "p_exists_outside_superset": p_exists,
                    "p_endpoint_outside": p_end, "lhs": lhs},
         bound=p_end,
         slack=slack,
         passed=passed,
-        trials=trials,
-        seed=seed,
         notes={} if passed is not None else {"inconclusive": "alpha_hat >= 1"},
     )
 
@@ -196,12 +209,10 @@ def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
 def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
                     trials: int, seed: int) -> LemmaReport:
     """Monte Carlo check of the largest-step inequality."""
-    group = _require_group_model(model)
-    radius = group.ball_power_radius(delta, 2)
-    params = {"delta": delta, "n_cells": grid.n_cells, "superset_radius": radius}
-    if radius is None:
-        return LemmaReport("largest_step", params, {}, None, 0.0, None,
-                           trials, seed, notes={"inconclusive": "superset radius left the chart"})
+    group, radius, params, early = _superset_check("largest_step", model, grid,
+                                                   delta, trials, seed)
+    if early:
+        return early
 
     prefixes = batch_prefixes(group, model, grid, trials, seed)
     p_pairs = float(np.mean(_any_pair_outside(group, prefixes, radius)))
@@ -210,15 +221,12 @@ def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
     slack = SLACK_MULTIPLIER * float(np.hypot(binom_se(p_pairs, trials),
                                               binom_se(p_anchor, trials)))
     return LemmaReport(
-        lemma="largest_step",
-        params=params,
+        "largest_step", params, trials, seed,
         estimates={"p_any_pair_outside_superset": p_pairs,
                    "p_any_suffix_outside": p_anchor},
         bound=p_anchor,
         slack=slack,
         passed=bool(p_pairs <= p_anchor + slack),
-        trials=trials,
-        seed=seed,
     )
 
 

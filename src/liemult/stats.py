@@ -96,10 +96,10 @@ class LemmaReport(Report):
 
     lemma: str
     params: dict
-    estimates: dict
-    bound: float | None
-    slack: float
-    passed: bool | None
     trials: int
     seed: int
+    estimates: dict = field(default_factory=dict)
+    bound: float | None = None
+    slack: float = 0.0
+    passed: bool | None = None
     notes: dict = field(default_factory=dict)

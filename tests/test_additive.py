@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from liemult import (DiscreteJumps, FixedAtomJumps, InvalidInputError, LevyModel, ParameterError,
+from liemult import (DiscreteJumps, FixedAtomJumps, LevyModel, ParameterError,
                      PiecewiseConstantRate, SubspaceBallJumps, TimeGrid,
                      UniformBallJumps, sample_additive)
 from liemult.stats import batched_ks_two_sample
@@ -55,7 +55,8 @@ class TestSampling:
     def test_drift_only_total(self, heis2):
         model = LevyModel(space=heis2, drift=heis2.embed([1.0, 0.0]))
         path = sample_additive(model, TimeGrid.uniform(1.0, 7), seed=0)
-        np.testing.assert_allclose(path.total(), heis2.embed([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(path.increments.sum(axis=0), heis2.embed([1.0, 0.0]),
+                                   atol=1e-15)
 
     def test_same_seed_bit_identical(self, jump_model, grid):
         a = sample_additive(jump_model, grid, seed=42)
@@ -73,14 +74,6 @@ class TestSampling:
         counts = [sample_additive(model, grid, 5, stream=(t,)).jump_times.size
                   for t in range(10**4)]
         assert np.mean(counts) == pytest.approx(2.0, abs=3 * np.sqrt(2.0 / 10**4))
-
-    def test_increment_prefix_exactness(self, jump_model, grid):
-        path = sample_additive(jump_model, grid, seed=3)
-        np.testing.assert_array_equal(path.increment(4, 4), np.zeros(5))
-        lhs = path.increment(0, 7) + path.increment(7, 12)
-        np.testing.assert_array_equal(lhs, path.increment(0, 12))
-        with pytest.raises(InvalidInputError):
-            path.increment(5, 3)
 
     def test_jump_law_validation(self, heis2):
         with pytest.raises(ParameterError):
@@ -174,8 +167,8 @@ class TestDistributionalProperties:
         second = np.empty((n, heis2.dim))
         for trial in range(n):
             path = sample_additive(model, grid, 13, stream=(trial,))
-            first[trial] = path.increment(0, 4)
-            second[trial] = path.increment(4, 8)
+            first[trial] = path.increments[:4].sum(axis=0)
+            second[trial] = path.increments[4:].sum(axis=0)
         for k in range(heis2.dim):
             corr = np.corrcoef(first[:, k], second[:, k])[0, 1]
             assert abs(corr) <= 3.0 / np.sqrt(n)
@@ -187,8 +180,8 @@ class TestDistributionalProperties:
         early, late = [], []
         for trial in range(2000):
             path = sample_additive(model, grid, 17, stream=(trial,))
-            early.append(path.increment(0, 2)[0])
-            late.append(path.increment(5, 7)[0])
+            early.append(path.increments[0:2, 0].sum())
+            late.append(path.increments[5:7, 0].sum())
         result = batched_ks_two_sample(np.asarray(early), np.asarray(late))
         assert result["aggregated_pvalue"] > 0.01
 

@@ -1,6 +1,7 @@
 """Batch driver: catalog, exit codes, schema diagnostics, determinism."""
 
 import copy
+import hashlib
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from liemult import cli
 from liemult.cli import main
 from liemult.config import default_config, load_config, validate_config
 from liemult.errors import ConfigError
@@ -24,6 +26,57 @@ BASE = {
         {"name": "cocycle-exactness", "seed": 2,
          "params": {"model": "noisy", "grid": "g8", "paths": 2, "triples": 50}},
     ],
+}
+
+
+# one experiment per CSV side output
+CSV_CONFIG = {
+    "schema_version": 1,
+    "group": {"kind": "heisenberg", "N": 2, "p": 2.0},
+    "grids": {"g16": {"T": 1.0, "cells": 16}, "g128": {"T": 1.0, "cells": 128}},
+    "models": {
+        "brownian_mild": {"diffusion": 0.11},
+        "cp_detector": {"diffusion": 0.15, "jump_intensity": 3.0,
+                        "jump_law": {"kind": "fixed_atom", "vector": [0.6, 0.0, 0.0, 0.0, 0.0]}},
+        "tail_model": {"jump_intensity": 2.0, "bound_delta": 0.4,
+                       "jump_law": {"kind": "fixed_atom", "vector": [0.4, 0.0, 0.0, 0.0, 0.0]}},
+        "block_brownian_x": {"space": "x", "diffusion": 0.5},
+        "block_brownian_y": {"space": "y", "diffusion": 0.5},
+        "block_brownian_z": {"space": "z", "diffusion": 0.2},
+    },
+    "experiments": [
+        {"name": "detector-fidelity", "seed": 7,
+         "params": {"model": "cp_detector", "grid": "g128", "epsilon": 0.25, "trials": 20}},
+        {"name": "product-limit-convergence", "seed": 8,
+         "params": {"model_x": "block_brownian_x", "model_y": "block_brownian_y",
+                    "model_z": "block_brownian_z", "grid": "g16", "refinements": 5,
+                    "trials": 20, "expect": "order-half"}},
+        {"name": "expectation-bound", "seed": 9,
+         "params": {"model": "brownian_mild", "grid": "g16", "delta": 0.5, "trials": 200}},
+        {"name": "tail-decay", "seed": 10,
+         "params": {"model": "tail_model", "r": 0.25, "u": 1.0, "alpha": 0.5, "delta": 0.5,
+                    "trials": 800}},
+    ],
+    "output": {"csv": True},
+}
+CSV_DIGESTS = {
+    "00_detector-fidelity.json":
+        "d0b8f80bd90941c4e6bb0cce7f8f8330d4cf62bb210bd2ebad5a617f5ed33f7e",
+    "00_detector-fidelity/hitting_times.csv":
+        "4f575dcbeeba469f13ffa11255fe3152eb50e71b4f9f727af4f02801dc045272",
+    "01_product-limit-convergence.json":
+        "7b4869de9bea6288f939bd37aa11152df6f37326c8085fa1599a41e88a822cae",
+    "01_product-limit-convergence/convergence.csv":
+        "3671b3f8d42f09cb5f96fe3710e56e86f07eb6d0b573668777b70d8c486d4049",
+    "02_expectation-bound.json":
+        "c5e181e71e248f3d630abe1f8b68a9f66cabe276dde6b78c989017cb9ebb379b",
+    "02_expectation-bound/oscillation_counts.csv":
+        "54dd6fd55a27f1c8f3057e1aec926688549d0cdbc9ddc20798a67226bc155f33",
+    "03_tail-decay.json":
+        "56acdd2cc5674ef26e1757ea86703bc07dadb94baac14f825e5d04ef8d673b68",
+    "03_tail-decay/tail_decay.csv":
+        "4b5157a1ce11634f1be7a71f423fc82ef12b6f213d0a93b94b8a93af5bc7f98b",
+    "summary.json": "b1efb2544372eafba702e53b07f15ad9a4127f6f633201f8c9c52314a71315be",
 }
 
 
@@ -48,6 +101,18 @@ class TestCatalog:
         entries = json.loads(capsys.readouterr().out)
         assert {e["name"] for e in entries} == set(EXPERIMENTS)
         assert all("verifies" in e and "params" in e for e in entries)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["list-experiments"],
+         "eefbb7b589d9246547f09e0d0294f9369e503da044625774a1f3e7103fff931a"),
+        (["list-experiments", "--json"],
+         "8c69b60f9e2b8544086943deaf2abda178a561cdedbcf23c329e4d4da1ad5f2d"),
+    ])
+    def test_catalog_output_pinned(self, capsys, argv, digest):
+        # a change to a name, description, module or parameter default of the
+        # catalog updates this digest and declares the change
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestRun:
@@ -95,6 +160,16 @@ class TestRun:
         report = json.loads((out / "00_cocycle-fault-injection.json").read_text())
         assert report["status"] == "fail"
         assert report["max_defect"] <= report["tol"]
+
+    def test_csv_side_outputs_pinned(self, tmp_path):
+        # every file of a small run with CSV side outputs, one per CSV writer;
+        # the default battery writes none of them
+        out = tmp_path / "out"
+        code = main(["run", str(write_config(tmp_path, CSV_CONFIG)), "--out", str(out)])
+        assert code == 0
+        digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.rglob("*") if p.is_file()}
+        assert digests == CSV_DIGESTS
 
     def test_reports_byte_identical_and_jobs_invariant(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
@@ -308,6 +383,40 @@ class TestValidation:
                         "grid": "g8", "expect": "maybe"}}),
          "config.experiments[2].params.expect",
          "one of ['exact', 'jump-separation', 'order-half']"),
+        # float ranges, from the schema bound
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "uniform-continuity-probe", "seed": 3,
+             "params": {"model": "noisy", "T": 1.0, "delta": 0.5, "alpha": 1.5}}),
+         "config.experiments[2].params.alpha", "a value in (0, 1), got 1.5"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "max-oscillation-bound", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "delta": -0.5}}),
+         "config.experiments[2].params.delta", "a value in (0, inf), got -0.5"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "chart-certification", "seed": 3, "params": {"delta": -0.1}}),
+         "config.experiments[2].params.delta", "a value in (0, inf), got -0.1"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "restart-probe", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.0}}),
+         "config.experiments[2].params.h", "a value in (0, inf), got 0.0"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "detector-fidelity", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "epsilon": -1.0}}),
+         "config.experiments[2].params.epsilon", "a value in (0, inf), got -1.0"),
+        # bounds between parameters or on the grid
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "restart-probe", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 1.0}}),
+         "config.experiments[2].params.h", "a lag below T, got 1.0 with n_cells = 8, T = 1.0"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "metric-modulus", "seed": 3,
+             "params": {"model": "noisy", "T": 1.0, "alpha": 0.5, "window_sizes": []}}),
+         "config.experiments[2].params.window_sizes",
+         "a nonempty list of sizes in (0, T], got []"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "exp-moment", "seed": 3,
+             "params": {"model": "noisy", "r": 0.9, "u": 0.2, "alpha": 0.5, "delta": 0.5}}),
+         "config.experiments[2].params.r", "a window start below u, got 0.9"),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):
@@ -332,6 +441,33 @@ class TestValidation:
         path = write_config(tmp_path, BASE)
         cfg = load_config(path)
         assert cfg["group"]["kind"] == "heisenberg"
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv, argument", [
+        (["run", "--default", "--jobs", "0"], "argument --jobs: expected a positive integer"),
+        (["run", "--default", "--jobs", "-2"], "argument --jobs: expected a positive integer"),
+        (["run", "CONFIG", "--default"], "argument --default: not allowed with argument config"),
+        (["run"], "one of the arguments config --default is required"),
+        (["list-experiments", "--module", "nosuch"], "argument --module: invalid choice"),
+    ])
+    def test_bad_arguments_exit_two_and_name_the_argument(self, tmp_path, capsys, monkeypatch,
+                                                          argv, argument):
+        started = []
+        monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *args, **kw: started.append(kw))
+        argv = [str(write_config(tmp_path, BASE)) if a == "CONFIG" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argument in capsys.readouterr().err
+        assert started == []
+
+    def test_module_choices_come_from_the_catalog(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["list-experiments", "--module", "nosuch"])
+        err = capsys.readouterr().err
+        assert all(e["module"] in err for e in catalog())
 
 
 class TestEntryPoint:

@@ -74,7 +74,7 @@ class TestUnipotentLaw:
 class TestExpLog:
     def test_exp_zero_is_identity(self, heis2, uni4):
         for group in (heis2, uni4):
-            np.testing.assert_array_equal(group.exp(group.zero()), group.identity())
+            np.testing.assert_array_equal(group.exp(np.zeros(group.dim)), group.identity())
 
     def test_heisenberg_exp_is_coordinate_identity_via_subgroup_oracle(self, heis2, rng):
         # one-parameter subgroup oracle: gamma(s) gamma(t) = gamma(s + t)
@@ -122,9 +122,9 @@ class TestBracketAndBch:
         y1 = heis2.embed(b=[1.0, 0.0])
         z = heis2.embed(c=1.0)
         np.testing.assert_array_equal(heis2.bracket(x1, y1), z)
-        np.testing.assert_array_equal(heis2.bracket(x1, z), heis2.zero())
+        np.testing.assert_array_equal(heis2.bracket(x1, z), np.zeros(heis2.dim))
         x2 = heis2.embed([0.0, 1.0])
-        np.testing.assert_array_equal(heis2.bracket(x1, x2), heis2.zero())
+        np.testing.assert_array_equal(heis2.bracket(x1, x2), np.zeros(heis2.dim))
 
     def test_unipotent_bracket_is_commutator(self, uni4, rng):
         u, v = random_algebra(uni4, rng, 2)
@@ -159,7 +159,7 @@ class TestBracketAndBch:
 class TestNorm:
     def test_zero_norm(self, heis2, uni4):
         for group in (heis2, uni4):
-            assert group.norm(group.zero()) == 0.0
+            assert group.norm(np.zeros(group.dim)) == 0.0
 
     @given(scale=st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
@@ -250,6 +250,26 @@ class TestChartMachinery:
             "certified_radius": 0.33391490370370375, "worst_product_norm": 0.27644053007566427,
             "status": "pass", "experiment": "chart-certification", "seed": 105,
             "params_used": params,
+        }
+
+    @pytest.mark.parametrize("name, seed, estimates", [
+        ("group-axioms", 301, {"max_associativity_defect": 1.421332939321237e-16,
+                               "max_identity_defect": 0.0,
+                               "max_inverse_defect": 3.278882634773718e-17}),
+        ("exp-log-roundtrip", 302, {"max_roundtrip_defect": 3.118683241753693e-17}),
+        ("bch-consistency", 303, {"max_bch_defect": 1.1102230246251565e-16}),
+        ("bracket-properties", 304, {"max_antisymmetry_defect": 0.0,
+                                     "max_jacobi_residual": 3.469446951953614e-18,
+                                     "max_self_bracket": 0.0}),
+    ])
+    def test_unipotent_residual_reports_pinned(self, uni4, name, seed, estimates):
+        # the default battery covers these checks on the Heisenberg group only
+        params = {"samples": 2000, "scale": 0.3}
+        report = run_experiment(name, {"group": uni4}, params, seed)
+        tol = 1e-10 if name == "exp-log-roundtrip" else 1e-12
+        assert report == {
+            "estimates": estimates, "tol": tol, "status": "pass", "experiment": name,
+            "seed": seed, "params_used": {**params, "tol": tol},
         }
 
     def test_bracket_bound_violation_detected(self, heis2):

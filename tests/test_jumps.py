@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liemult import (FixedAtomJumps, JumpSetSpec, LevyModel, ParameterError,
+from liemult import (DiscreteJumps, FixedAtomJumps, JumpSetSpec, LevyModel, ParameterError,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps, detector_fidelity,
                      hitting_times, poisson_battery, product_exponential, restart_probe,
                      sample_additive)
@@ -47,31 +47,42 @@ class TestDetectorFidelity:
     def test_pure_jump_driver_perfect_scores(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=3.0,
                           jump_law=FixedAtomJumps(heis2.embed([0.6, 0.0])))
-        spec = JumpSetSpec(0.25)
-        for trial in range(20):
-            driver = sample_additive(model, TimeGrid.uniform(1.0, 512), 7,
-                                     stream=(trial,))
-            path = product_exponential(driver)
-            rep = detector_fidelity(path, spec, driver)
-            if rep["scored_true_jumps"]:
-                assert rep["precision"] == 1.0 and rep["recall"] == 1.0
+        rep = detector_fidelity(model, TimeGrid.uniform(1.0, 512), JumpSetSpec(0.25), 20, 7)
+        assert rep["scored_true_jumps"] > 0
+        assert rep["precision"] == 1.0 and rep["recall"] == 1.0
+        assert "notes" not in rep
 
-    def test_threshold_above_jumps_flagged(self, heis2):
-        grid = TimeGrid.uniform(1.0, 32)
-        driver, path = planted_path(heis2, grid, [0.4], [heis2.embed([0.2, 0.0])])
-        rep = detector_fidelity(path, JumpSetSpec(0.5), driver)
+    def test_threshold_above_jumps_inconclusive(self, heis2):
+        model = LevyModel(space=heis2, jump_intensity=3.0,
+                          jump_law=FixedAtomJumps(heis2.embed([0.2, 0.0])))
+        rep = detector_fidelity(model, TimeGrid.uniform(1.0, 32), JumpSetSpec(0.5), 10, 0)
         assert rep["recall"] is None and rep["precision"] is None
-        assert rep["flags"]["no_scored_jumps"] and rep["flags"]["no_detections"]
+        assert rep["scored_true_jumps"] == 0 and rep["hitting_times"] == []
+        assert rep["notes"] == {"inconclusive": "no scored jumps or no detections"}
 
     def test_straddling_jumps_score_only_large_subset(self, heis2):
-        grid = TimeGrid.uniform(1.0, 64)
         small = heis2.embed([0.3, 0.0])       # above epsilon, below 2 epsilon
         big = heis2.embed([0.8, 0.0])
-        driver, path = planted_path(heis2, grid, [0.2, 0.6], [small, big])
-        rep = detector_fidelity(path, JumpSetSpec(0.25), driver)
-        assert rep["scored_true_jumps"] == 1
+        model = LevyModel(space=heis2, jump_intensity=4.0,
+                          jump_law=DiscreteJumps(np.stack([small, big]), np.array([0.5, 0.5])))
+        grid = TimeGrid.uniform(1.0, 64)
+        rep = detector_fidelity(model, grid, JumpSetSpec(0.25), 30, 4)
+        # oracle from the recorded drivers: without diffusion the detector
+        # flags exactly the cells holding a jump, and only big jumps are scored
+        precisions, scored, flagged = [], 0, 0
+        for trial in range(30):
+            driver = sample_additive(model, grid, 4, stream=(trial,))
+            cells = grid.cell_of(driver.jump_times)
+            big_cells = cells[driver.jump_vectors[:, 0] > 0.5]
+            scored += big_cells.size
+            flagged += np.unique(cells).size
+            if cells.size:
+                precisions.append(np.unique(big_cells).size / np.unique(cells).size)
+        assert rep["scored_true_jumps"] == scored > 0
+        assert len(rep["hitting_times"]) == flagged
         assert rep["recall"] == 1.0
-        assert rep["detected"] == 2 and rep["precision"] == 0.5
+        assert rep["precision"] == pytest.approx(np.mean(precisions))
+        assert rep["precision"] < 1.0
 
 
 class TestPoissonBattery:

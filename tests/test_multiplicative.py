@@ -50,7 +50,7 @@ class TestProductExponential:
         grid = TimeGrid.uniform(1.0, 1)
         vec = heis2.embed([0.3, -0.2], [0.1, 0.0], 0.5)
         path = MultiplicativePath.from_increments(heis2, grid, heis2.exp(vec[None, :]))
-        np.testing.assert_array_equal(path.endpoint(), vec)
+        np.testing.assert_array_equal(path.prefix[-1], vec)
 
     def test_two_cell_commutator_pickup(self, heis2):
         # bch oracle: exp(x1) exp(y1) = exp(x1 + y1 + [x1, y1]/2)
@@ -58,8 +58,8 @@ class TestProductExponential:
         inc = np.stack([heis2.embed([1.0, 0.0]), heis2.embed(b=[1.0, 0.0])])
         path = MultiplicativePath.from_increments(heis2, grid, heis2.exp(inc))
         oracle = heis2.bch(inc[0], inc[1])
-        np.testing.assert_allclose(path.endpoint(), oracle, atol=1e-15)
-        np.testing.assert_allclose(path.endpoint(), [1.0, 0.0, 1.0, 0.0, 0.5])
+        np.testing.assert_allclose(path.prefix[-1], oracle, atol=1e-15)
+        np.testing.assert_allclose(path.prefix[-1], [1.0, 0.0, 1.0, 0.0, 0.5])
 
     def test_grid_product_equals_global_bch_sum(self, heis2, rng):
         # independent oracle: exp(sum dX + half the pairwise bracket double sum)
@@ -72,7 +72,7 @@ class TestProductExponential:
             for b in range(a + 1, 12):
                 cross += heis2.bracket(inc[a], inc[b])
         oracle = heis2.exp(total + 0.5 * cross)
-        assert np.max(heis2.norm(path.endpoint() - oracle)) <= 1e-12
+        assert np.max(heis2.norm(path.prefix[-1] - oracle)) <= 1e-12
 
     def test_unipotent_product_path(self, uni4, rng):
         grid = TimeGrid.uniform(1.0, 6)
@@ -101,7 +101,7 @@ class TestHeisenbergExact:
         z = dataclasses.replace(sample_additive(LevyModel(space=heis2.z_space), grid, 0),
                                 jump_times=np.array([0.5]), jump_vectors=np.array([[2.0]]))
         path = heisenberg_exact(x, y, z, heis2)
-        assert path.endpoint()[-1] == pytest.approx(2.0)
+        assert path.prefix[-1][-1] == pytest.approx(2.0)
 
     def test_two_jump_area(self, heis2):
         # enumeration oracle: one (x, y) jump pair contributes area 1 over [0, 1]
@@ -111,7 +111,7 @@ class TestHeisenbergExact:
         z = sample_additive(LevyModel(space=heis2.z_space), grid, 0)
         assert double_sum_area(x, y, 0, 10) == pytest.approx(1.0)
         path = heisenberg_exact(x, y, z, heis2)
-        assert path.endpoint()[-1] == pytest.approx(0.5)
+        assert path.prefix[-1][-1] == pytest.approx(0.5)
 
     def test_grid_mismatch_rejected(self, heis2):
         x = sample_additive(LevyModel(space=heis2.x_space), TimeGrid.uniform(1.0, 4), 0)
@@ -130,9 +130,8 @@ class TestHeisenbergExact:
         path = heisenberg_exact(x, y, z, heis2)
 
         def direct(j, k):
-            return heis2.embed(x.increment(j, k), y.increment(j, k),
-                               z.increment(j, k)[0]
-                               + 0.5 * double_sum_area(x, y, j, k))
+            return heis2.embed(x.increments[j:k].sum(axis=0), y.increments[j:k].sum(axis=0),
+                               z.increments[j:k, 0].sum() + 0.5 * double_sum_area(x, y, j, k))
 
         for j, k, l in [(0, 32, 64), (5, 20, 59), (10, 10, 48)]:
             composed = heis2.mul(direct(j, k), direct(k, l))
@@ -162,7 +161,7 @@ class TestLevyArea:
             drift_part=2.5 * x.drift_part, gauss_part=2.5 * x.gauss_part)
         z = sample_additive(LevyModel(space=heis2.z_space), grid, 0)
         assert double_sum_area(x, y, 0, 16) == pytest.approx(0.0, abs=1e-14)
-        assert heisenberg_exact(x, y, z, heis2).endpoint()[-1] == pytest.approx(0.0, abs=1e-14)
+        assert heisenberg_exact(x, y, z, heis2).prefix[-1][-1] == pytest.approx(0.0, abs=1e-14)
 
     def test_refinement_cascade_order(self, heis2):
         # coupled-refinement oracle: area differences decay at order ~1/2

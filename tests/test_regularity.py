@@ -67,9 +67,10 @@ class TestCountOscillations:
 
 class TestAxioms:
     def test_properties_on_random_paths(self, heis2):
-        paths = brownian_paths(heis2, 0.25, 16, 6, seed=5)
-        report = oscillation_axioms_test(paths, delta=0.25, cases=300, seed=9)
+        model = LevyModel(space=heis2, diffusion=0.25)
+        report = oscillation_axioms_test(model, TimeGrid.uniform(1.0, 16), 0.25, 6, 300, 5)
         assert report["pass"], report
+        assert report["cases"] == 300 and not any(report["violations"].values())
 
     def test_single_point_subset_counts_zero(self, heis2):
         path = brownian_paths(heis2, 0.3, 8, 1, seed=1)[0]
