@@ -23,7 +23,7 @@ from .geometry import (MomentReport, StepCountResult, bounded_jumps_check,
 from .groups import (ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup,
                      group_from_config, sample_norm_ball)
 from .jumps import (JumpReport, JumpSetSpec, detector_fidelity, hitting_cells,
-                    hitting_times, poisson_battery, restart_probe)
+                    poisson_battery, restart_probe)
 from .multiplicative import (ConvergenceReport, MultiplicativePath, TripleDefectReport,
                              batch_prefixes, convergence_study, heisenberg_exact,
                              product_exponential, verify_multiplicative)

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, jumps, regularity
-from .additive import sample_additive
+from .additive import TimeGrid, sample_additive
 from .errors import ConfigError
 from .groups import sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
@@ -464,20 +464,30 @@ _TYPE_CHECKS = {
 }
 
 
+def _two_points(T: float, cells: int, window: tuple[float, float]) -> bool:
+    # the count of geometry._window_indices on the battery's grid
+    return geometry.window_points(TimeGrid.uniform(T, cells), *window).size >= 2
+
+
 # bounds that relate a parameter to another one or to the resolved grid:
-# experiment -> (key, holds(resolved params), expected)
-_WINDOW_BOUND = ("r", lambda p: p["r"] < p["u"], "a window start below u")
+# experiment -> ((key, holds(resolved params), expected), ...), checked in order
+_WINDOW_BOUNDS = (("r", lambda p: p["r"] < p["u"], "a window start below u"),
+                  ("r", lambda p: _two_points(p["u"], p["cells"], (p["r"], p["u"])), "two grid points in (r, u)"))
 _JOINT_BOUNDS = {
-    "cocycle-fault-injection": ("cell", lambda p: p["cell"] < p["grid"].n_cells,
-                                "a cell below n_cells"),
+    "cocycle-fault-injection": (("cell", lambda p: p["cell"] < p["grid"].n_cells,
+                                 "a cell below n_cells"),),
     # the concatenation check splits the grid in two
-    "oscillation-axioms": ("grid", lambda p: p["grid"].n_cells >= 2, "a grid of at least 2 cells"),
-    "restart-probe": ("h", lambda p: p["h"] < p["grid"].T, "a lag below T"),
-    "exp-moment": _WINDOW_BOUND,
-    "tail-decay": _WINDOW_BOUND,
-    "metric-modulus": ("window_sizes", lambda p: len(p["window_sizes"]) > 0 and all(
-        isinstance(w, (int, float)) and 0 < w <= p["T"] for w in p["window_sizes"]),
-        "a nonempty list of sizes in (0, T]"),
+    "oscillation-axioms": (("grid", lambda p: p["grid"].n_cells >= 2, "a grid of at least 2 cells"),),
+    "restart-probe": (("h", lambda p: p["h"] < p["grid"].T, "a lag below T"),
+                      ("h", lambda p: jumps.lag_steps(p["grid"], p["h"]) > 0, "a multiple of the mesh")),
+    "exp-moment": _WINDOW_BOUNDS,
+    "tail-decay": _WINDOW_BOUNDS,
+    "metric-modulus": (
+        ("window_sizes", lambda p: len(p["window_sizes"]) > 0 and all(
+            isinstance(w, (int, float)) and 0 < w <= p["T"] for w in p["window_sizes"]),
+         "a nonempty list of sizes in (0, T]"),
+        ("window_sizes", lambda p: all(_two_points(p["T"], p["cells"], geometry.modulus_window(p["T"], w))
+                                       for w in p["window_sizes"]), "sizes whose windows hold two grid points")),
 }
 
 
@@ -530,8 +540,7 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
         if table and value not in ctx.get(table, {}):
             raise ConfigError(f"{path}.{key}", f"unknown {table} reference {value!r}")
         resolved[key] = ctx[table][value] if table else value
-    if name in _JOINT_BOUNDS:
-        key, holds, expected = _JOINT_BOUNDS[name]
+    for key, holds, expected in _JOINT_BOUNDS.get(name, ()):
         if not holds(resolved):
             grid = resolved.get("grid")
             on_grid = f" with n_cells = {grid.n_cells}, T = {grid.T}" if grid else ""

@@ -60,7 +60,7 @@ class StepCountResult:
 
 
 def _heisenberg_count_parts(group: HeisenbergGroup, x, y, z, delta: float):
-    """Leg and gadget counts shared by the constructive and vectorized counters."""
+    """Leg and gadget counts, z residual and norm, for both step counters."""
     leg = LEG_FRACTION * delta
     cap = (GADGET_FRACTION * delta) ** 2
     nx = lp_norm(np.asarray(x, float), group.p)
@@ -69,12 +69,12 @@ def _heisenberg_count_parts(group: HeisenbergGroup, x, y, z, delta: float):
     m_y = np.where(ny > 0, np.ceil(ny / leg), 0.0)
     z_res = np.asarray(z, float) - 0.5 * group.pairing(x, y)
     gadgets = np.where(z_res != 0, np.ceil(np.abs(z_res) / cap), 0.0)
-    return m_x, m_y, gadgets, z_res
+    return m_x, m_y, gadgets, z_res, nx + ny + np.abs(z)
 
 
 def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float) -> list:
     x, y, z = group.split(g)
-    m_x, m_y, gadgets, z_res = _heisenberg_count_parts(group, x, y, z, delta)
+    m_x, m_y, gadgets, z_res, _ = _heisenberg_count_parts(group, x, y, z, delta)
     m_x, m_y, gadgets = int(m_x), int(m_y), int(gadgets)
     side = GADGET_FRACTION * delta
     cap = side * side
@@ -201,9 +201,8 @@ def heisenberg_step_counts(group: HeisenbergGroup, elements: np.ndarray,
     """Vectorized step counts, branch-identical to ``step_count_upper``."""
     elements = np.asarray(elements, dtype=float)
     x, y, z = group.split(elements)
-    m_x, m_y, gadgets, _ = _heisenberg_count_parts(group, x, y, z, delta)
+    m_x, m_y, gadgets, _, norms = _heisenberg_count_parts(group, x, y, z, delta)
     full = m_x + m_y + 4.0 * gadgets
-    norms = group.norm(elements)
     return np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
 
 
@@ -302,10 +301,20 @@ def _require_bounded(model: LevyModel):
         )
 
 
+def window_points(grid: TimeGrid, r: float, u: float) -> np.ndarray:
+    """Indices of the grid points strictly inside the window (r, u)."""
+    return np.flatnonzero((grid.points > r) & (grid.points < u))
+
+
+def modulus_window(T: float, w: float) -> tuple[float, float]:
+    """The window of size ``w`` centred on T/2 that ``metric_modulus_curve`` reads."""
+    return (T - w) / 2.0, (T + w) / 2.0
+
+
 def _window_indices(grid: TimeGrid, r: float, u: float) -> np.ndarray:
     if not (0.0 <= r < u <= grid.T):
         raise ParameterError(f"window must satisfy 0 <= r < u <= T, got ({r}, {u})")
-    idx = np.flatnonzero((grid.points > r) & (grid.points < u))
+    idx = window_points(grid, r, u)
     if idx.size < 2:
         raise ParameterError("window contains fewer than two grid points")
     return idx
@@ -502,7 +511,7 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
     prefixes = batch_prefixes(group, model, grid, trials, seed)
     values, ses = [], []
     for w in sizes:
-        idx = _window_indices(grid, (T - w) / 2.0, (T + w) / 2.0)
+        idx = _window_indices(grid, *modulus_window(T, w))
         sup_d = map_trial_chunks(prefixes[:, idx], lambda chunk: np.triu(
             gauge_norm(group, group.pairwise_increments(chunk)), k=1).max(axis=(1, 2)))
         vals = np.exp(alpha * sup_d) - 1.0

@@ -261,6 +261,11 @@ class _NilpotentGroup:
 
     def pairwise_chart_norms(self, prefix: np.ndarray) -> np.ndarray:
         """Chart norms of all two-parameter values, shape (..., n+1, n+1)."""
+        # the one entry point: a group with a closed form overrides the hook below
+        return self._pairwise_chart_norms(prefix)
+
+    def _pairwise_chart_norms(self, prefix: np.ndarray) -> np.ndarray:
+        # the generic route, and the oracle of every override
         return self.chart_norm(self.pairwise_increments(prefix))
 
     def sample_ball(self, rng: np.random.Generator, radius: float, size: int) -> np.ndarray:
@@ -367,6 +372,25 @@ class HeisenbergGroup(_NilpotentGroup):
         (vec,) = self._check(vec)
         a, b, c = self.split(vec)
         return lp_norm(a, self.p) + lp_norm(b, self.q) + np.abs(c)
+
+    def chart_norm(self, g):
+        return self.norm(g)   # log is the coordinate identity
+
+    def _pairwise_blocks(self, prefix):
+        # blocks (dx, dy, dz) of inv(g_j) g_k for all pairs (j, k), bit-identical to
+        # the generic mul(inv(P)[..., :, None, :], P[..., None, :, :]): (-a) + b rounds
+        # as b - a, and the z pairings are its products and last-axis sums, negated
+        x, y, z = self.split(prefix)
+        cross = self.pairing(x[..., :, None, :], y[..., None, :, :])   # <x_j|y_k>
+        dz = (z[..., None, :] - z[..., :, None]) + 0.5 * (np.swapaxes(cross, -1, -2) - cross)
+        return x[..., None, :, :] - x[..., :, None, :], y[..., None, :, :] - y[..., :, None, :], dz
+
+    def pairwise_increments(self, prefix):
+        return self.embed(*self._pairwise_blocks(prefix))
+
+    def _pairwise_chart_norms(self, prefix):
+        dx, dy, dz = self._pairwise_blocks(prefix)
+        return lp_norm(dx, self.p) + lp_norm(dy, self.q) + np.abs(dz)
 
     def prefix_products(self, increments):
         # same left-to-right recursion as the generic loop, vectorized:

@@ -23,7 +23,6 @@ from .stats import SLACK_MULTIPLIER, batched_ks_exponential, batched_ks_two_samp
 __all__ = [
     "JumpSetSpec",
     "JumpReport",
-    "hitting_times",
     "hitting_cells",
     "detector_fidelity",
     "poisson_battery",
@@ -54,11 +53,6 @@ class JumpSetSpec:
 def hitting_cells(path: MultiplicativePath, jump_set: JumpSetSpec) -> np.ndarray:
     """Indices of grid cells whose increment lands in the jump set."""
     return np.flatnonzero(jump_set.contains(path.group, path.cell_increments))
-
-
-def hitting_times(path: MultiplicativePath, jump_set: JumpSetSpec) -> np.ndarray:
-    """Right endpoints of the cells whose increment lands in the jump set."""
-    return path.grid.points[hitting_cells(path, jump_set) + 1]
 
 
 def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
@@ -195,6 +189,12 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     )
 
 
+def lag_steps(grid: TimeGrid, h: float) -> int:
+    """Grid cells spanned by the lag ``h``; 0 unless h is a positive multiple of the mesh."""
+    steps = int(round(h / grid.mesh))
+    return steps if steps >= 1 and abs(steps * grid.mesh - h) <= 1e-9 * grid.T else 0
+
+
 def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
                   h: float, trials: int, seed: int) -> dict:
     """Two-sample comparison of increments after the first hitting time.
@@ -212,8 +212,8 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     if not (0 < h < grid.T):
         raise ParameterError(f"h must lie in (0, T), got {h}")
     group = model.space
-    steps = int(round(h / grid.mesh))
-    if steps < 1 or abs(steps * grid.mesh - h) > 1e-9 * grid.T:
+    steps = lag_steps(grid, h)
+    if not steps:
         raise ParameterError("h must be a positive multiple of the (uniform) grid mesh")
 
     half = trials // 2

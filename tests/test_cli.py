@@ -417,6 +417,28 @@ class TestValidation:
             {"name": "exp-moment", "seed": 3,
              "params": {"model": "noisy", "r": 0.9, "u": 0.2, "alpha": 0.5, "delta": 0.5}}),
          "config.experiments[2].params.r", "a window start below u, got 0.9"),
+        # windows and lags counted on the battery's grid
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "exp-moment", "seed": 3,
+             "params": {"model": "noisy", "r": 0.9, "u": 1.0, "alpha": 0.5, "delta": 0.5,
+                        "cells": 4}}),
+         "config.experiments[2].params.r", "two grid points in (r, u), got 0.9"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "tail-decay", "seed": 3,
+             "params": {"model": "noisy", "r": 0.9, "u": 1.0, "alpha": 0.5, "delta": 0.5,
+                        "cells": 4}}),
+         "config.experiments[2].params.r", "two grid points in (r, u), got 0.9"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "metric-modulus", "seed": 3,
+             "params": {"model": "noisy", "T": 1.0, "alpha": 0.5, "window_sizes": [0.01],
+                        "cells": 8}}),
+         "config.experiments[2].params.window_sizes",
+         "sizes whose windows hold two grid points, got [0.01]"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "restart-probe", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.3}}),
+         "config.experiments[2].params.h",
+         "a multiple of the mesh, got 0.3 with n_cells = 8, T = 1.0"),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):

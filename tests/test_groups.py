@@ -1,5 +1,7 @@
 """Group and algebra kernel tests: laws, charts, and the ball-power radius."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from liemult import (ChartSpec, HeisenbergGroup, InvalidInputError, ParameterError,
                      UnipotentGroup, group_from_config, sample_norm_ball, substream)
 from liemult.experiments import run_experiment
+from liemult.geometry import heisenberg_step_counts
+from liemult.groups import _NilpotentGroup
 
 
 def random_algebra(group, rng, size, scale=1.0):
@@ -276,6 +280,43 @@ class TestChartMachinery:
         bad = ChartSpec(rho_prime=1e6, rho_double_prime=10.0, bracket_bound=0.01)
         with pytest.raises(ParameterError):
             bad.certify_bracket_bound(heis2, samples=2000, seed=0)
+
+
+class TestHeisenbergBlockKernel:
+    """The block pairwise kernel against the generic mul(inv(P), P) route, bit for bit."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 9, 32])
+    def test_equals_generic_route(self, N, p):
+        group = HeisenbergGroup(N, p)
+        rng = substream(N, "block-kernel")
+        for lead in [(), (3,), (2, 3)]:
+            for m in [1, 2, 33]:
+                # magnitudes over four decades, so the sums round in many places
+                scale = 10.0 ** rng.uniform(-2, 2, size=lead + (m, 1))
+                prefix = rng.standard_normal(lead + (m, group.dim)) * scale
+                pairs = _NilpotentGroup.pairwise_increments(group, prefix)
+                norms = _NilpotentGroup.chart_norm(group, pairs)
+                assert pairs.shape == lead + (m, m, group.dim)
+                assert np.array_equal(group.pairwise_increments(prefix), pairs)
+                assert np.array_equal(group.chart_norm(pairs), norms)
+                assert np.array_equal(group.pairwise_chart_norms(prefix), norms)
+                assert np.array_equal(
+                    _NilpotentGroup._pairwise_chart_norms(group, prefix), norms)
+
+    def test_step_counts_pinned(self):
+        # recorded while the vectorized counter still called group.norm
+        digest = hashlib.sha256()
+        for N, p in [(2, 2.0), (9, 3.0)]:
+            group = HeisenbergGroup(N, p)
+            rng = substream(7, "step-counts")
+            elements = rng.standard_normal((4, 17, group.dim))
+            elements *= np.array([0.05, 0.5, 2.0, 8.0])[:, None, None]
+            elements[0, :3] = 0.0
+            for delta in (0.1, 0.5, 2.0):
+                digest.update(heisenberg_step_counts(group, elements, delta).tobytes())
+        assert digest.hexdigest() == (
+            "1689fdff84c658ee5cd76f35a3edf1a307640096596ecc29831696af78964953")
 
 
 class TestConfigConstruction:

@@ -7,7 +7,7 @@ import pytest
 
 from liemult import (DiscreteJumps, FixedAtomJumps, JumpSetSpec, LevyModel, ParameterError,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps, detector_fidelity,
-                     hitting_times, poisson_battery, product_exponential, restart_probe,
+                     hitting_cells, poisson_battery, product_exponential, restart_probe,
                      sample_additive)
 
 
@@ -16,6 +16,11 @@ def planted_path(heis, grid, times, vectors):
     driver = dataclasses.replace(base, jump_times=np.asarray(times, dtype=float),
                                  jump_vectors=np.asarray(vectors, dtype=float))
     return driver, product_exponential(driver)
+
+
+def hitting_times(path, spec):
+    """Right endpoints of the detected cells, the cadlag hitting times."""
+    return path.grid.points[hitting_cells(path, spec) + 1]
 
 
 class TestHittingTimes:
