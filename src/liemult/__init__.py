@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .additive import (AdditivePath, DiscreteJumps, FixedAtomJumps, LevyModel,
                        PiecewiseConstantRate, SubspaceBallJumps, TimeGrid,
-                       UniformBallJumps, sample_additive)
+                       UniformBallJumps, driver_increments, sample_additive)
 from .errors import (ConfigError, GridMismatchError, HypothesisError,
                      InvalidInputError, ParameterError)
 from .geometry import (MomentReport, StepCountResult, bounded_jumps_check,

@@ -28,6 +28,7 @@ __all__ = [
     "LevyModel",
     "AdditivePath",
     "sample_additive",
+    "driver_increments",
 ]
 
 EXTREME_DIRECTIONS = 32    # random directions beside the axes in a ball law's extreme points
@@ -323,11 +324,8 @@ class AdditivePath:
     increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        inc = self.drift_part + self.gauss_part
-        if self.jump_times.size:
-            cells = self.grid.cell_of(self.jump_times)
-            np.add.at(inc, cells, self.jump_vectors)
-        object.__setattr__(self, "increments", inc)
+        object.__setattr__(self, "increments", _assemble(
+            self.grid, self.drift_part, self.gauss_part, self.jump_times, self.jump_vectors))
 
     @property
     def dim(self) -> int:
@@ -348,11 +346,13 @@ class AdditivePath:
 
         v1, v2 = var_fine[0::2], var_fine[1::2]
         vsum = v1 + v2
-        noise = substream(seed, *stream, "bridge").standard_normal(self.gauss_part.shape)
         safe = np.where(vsum > 0, vsum, 1.0)
         frac = np.where(vsum > 0, v1 / safe, 0.5)
-        spread = np.sqrt(np.where(vsum > 0, v1 * v2 / safe, 0.0))
-        first = frac * self.gauss_part + spread * noise
+        first = frac * self.gauss_part
+        if self.model.diffusion.any():   # the bridge spread is 0 otherwise
+            spread = np.sqrt(np.where(vsum > 0, v1 * v2 / safe, 0.0))
+            noise = substream(seed, *stream, "bridge").standard_normal(self.gauss_part.shape)
+            first = first + spread * noise
         gauss_fine = np.empty_like(drift_fine)
         gauss_fine[0::2] = first
         gauss_fine[1::2] = self.gauss_part - first
@@ -367,6 +367,50 @@ class AdditivePath:
         )
 
 
+def _assemble(grid: TimeGrid, drift_part, gauss_part, jump_times, jump_vectors) -> np.ndarray:
+    """Per-cell increments: drift + Gaussian part, plus each jump in its cell."""
+    inc = drift_part + gauss_part
+    if jump_times.size:
+        np.add.at(inc, grid.cell_of(jump_times), jump_vectors)
+    return inc
+
+
+class _DriverLaw:
+    """The constants of one (model, grid) and the draw of one trial's randomness."""
+
+    def __init__(self, model: LevyModel, grid: TimeGrid):
+        self.model, self.grid = model, grid
+        self.lefts, self.rights = grid.points[:-1], grid.points[1:]
+        mass = model.rate_integral(self.lefts, self.rights)
+        self.drift_part = mass[:, None] * model.drift[None, :]
+        # no Brownian stream for a diffusion-free model: sqrt(0) * N would only add +-0
+        self.brownian_scale = (np.sqrt(mass[:, None] * (model.diffusion[None, :] ** 2))
+                               if model.diffusion.any() else None)
+        self.jump_rate = model.jump_intensity * mass if model.jump_intensity > 0 else None
+
+    def draw(self, seed: int, stream: tuple):
+        """Gaussian part, time-sorted jump times and jump vectors of the trial ``stream``."""
+        model, shape = self.model, (self.grid.n_cells, self.model.space.dim)
+        gauss_part = (np.zeros(shape) if self.brownian_scale is None else
+                      self.brownian_scale * substream(seed, *stream, "gauss").standard_normal(shape))
+        counts = (None if self.jump_rate is None
+                  else substream(seed, *stream, "jump-counts").poisson(self.jump_rate))
+        total = 0 if counts is None else int(counts.sum())
+        if not total:
+            return gauss_part, np.empty(0), np.empty((0, model.space.dim))
+        rng_times = substream(seed, *stream, "jump-times")
+        cells = np.repeat(np.arange(self.grid.n_cells), counts)
+        lefts, rights = self.lefts[cells], self.rights[cells]
+        if model.scale is None:
+            times = lefts + rng_times.uniform(size=total) * (rights - lefts)
+        else:
+            times = model.scale.sample_times(rng_times, lefts, rights)
+        vectors = model.jump_law.sample(substream(seed, *stream, "jump-vectors"),
+                                        model.space, total)
+        order = np.argsort(times, kind="stable")
+        return gauss_part, times[order], vectors[order]
+
+
 def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
                     stream: tuple = ()) -> AdditivePath:
     """Sample one driver path; bit-identical for identical (model, grid, seed, stream).
@@ -374,41 +418,16 @@ def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
     ``stream`` extends the derivation key, letting callers run independent
     trials as ``sample_additive(model, grid, seed, stream=(trial,))``.
     """
-    lefts, rights = grid.points[:-1], grid.points[1:]
-    mass = model.rate_integral(lefts, rights)
-    drift_part = mass[:, None] * model.drift[None, :]
-    var = mass[:, None] * (model.diffusion[None, :] ** 2)
-    gauss_part = np.sqrt(var) * substream(seed, *stream, "gauss").standard_normal(
-        (grid.n_cells, model.space.dim)
-    )
+    law = _DriverLaw(model, grid)
+    gauss_part, times, vectors = law.draw(seed, stream)
+    return AdditivePath(grid=grid, model=model, drift_part=law.drift_part,
+                        gauss_part=gauss_part, jump_times=times, jump_vectors=vectors)
 
-    total = 0
-    if model.jump_intensity > 0:
-        counts = substream(seed, *stream, "jump-counts").poisson(model.jump_intensity * mass)
-        total = int(counts.sum())
 
-    if total:
-        rng_times = substream(seed, *stream, "jump-times")
-        cells = np.repeat(np.arange(grid.n_cells), counts)
-        if model.scale is None:
-            u = rng_times.uniform(size=total)
-            times = lefts[cells] + u * (rights[cells] - lefts[cells])
-        else:
-            times = model.scale.sample_times(rng_times, lefts[cells], rights[cells])
-        vectors = model.jump_law.sample(
-            substream(seed, *stream, "jump-vectors"), model.space, total
-        )
-        order = np.argsort(times, kind="stable")
-        times, vectors = times[order], vectors[order]
-    else:
-        times = np.empty(0)
-        vectors = np.empty((0, model.space.dim))
-
-    return AdditivePath(
-        grid=grid,
-        model=model,
-        drift_part=drift_part,
-        gauss_part=gauss_part,
-        jump_times=times,
-        jump_vectors=vectors,
-    )
+def driver_increments(model: LevyModel, grid: TimeGrid, seed: int, trials: int):
+    """Yield the (n_cells, d) increments of trials t = 0, ..., trials - 1, each equal to
+    ``sample_additive(model, grid, seed, stream=(t,)).increments``; the constants of
+    (model, grid) are computed once for all trials."""
+    law = _DriverLaw(model, grid)
+    for trial in range(trials):
+        yield _assemble(grid, law.drift_part, *law.draw(seed, (trial,)))

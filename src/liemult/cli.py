@@ -1,10 +1,10 @@
 """Batch experiment driver.
 
-``liemult run <config.json>`` executes the configured experiments in order,
-writes one JSON report per experiment plus a summary, and exits 0 only if
-every non-inconclusive assertion passed.  ``liemult list-experiments``
-prints the catalog.  Reports are byte-deterministic functions of
-(config, seeds, version); the parallelism degree never changes a byte.
+``liemult run <config.json>`` executes the configured experiments, prints a
+status line as each finishes, writes one JSON report per experiment plus a
+summary, and exits 0 only if every non-inconclusive assertion passed;
+``liemult list-experiments`` prints the catalog.  Reports are byte-deterministic
+functions of (config, seeds, version); the parallelism degree never changes a byte.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -69,25 +69,37 @@ def _run(args) -> int:
     csv_root = str(out_dir) if cfg.get("output", {}).get("csv") else None
     entries = cfg["experiments"]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_execute_entry, cfg, i, csv_root)
-                       for i in range(len(entries))]
-            try:
-                results = [fut.result() for fut in futures]
-            except BrokenProcessPool as exc:   # a worker died outside any experiment's code
-                print(f"runtime error: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME
-    else:
-        results = [_execute_entry(cfg, i, csv_root) for i in range(len(entries))]
+    results = [None] * len(entries)
 
-    summary_rows = []
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for index, (report, trace) in enumerate(results):
+    def finished(index: int, result: tuple) -> None:
+        """Keep an entry's result and print its progress line as it returns."""
+        results[index] = result
+        report, trace = result
         name, seed = entries[index]["name"], entries[index]["seed"]
         if trace is not None:
             print(f"runtime error in experiment {index:02d} {name} (seed {seed}):\n{trace}",
                   file=sys.stderr)
+        print(f"[{report['status'].upper():>12}] {index:02d} {name}", flush=True)
+
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            futures = {pool.submit(_execute_entry, cfg, i, csv_root): i
+                       for i in range(len(entries))}
+            try:
+                for fut in as_completed(futures):
+                    finished(futures[fut], fut.result())
+            except BrokenProcessPool as exc:   # a worker died outside any experiment's code
+                print(f"runtime error: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
+    else:
+        for i in range(len(entries)):
+            finished(i, _execute_entry(cfg, i, csv_root))
+
+    # reports and the summary are written in index order, whatever the finishing order
+    summary_rows = []
+    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
+    for index, (report, _) in enumerate(results):
+        name, seed = entries[index]["name"], entries[index]["seed"]
         report["schema_version"] = cfg["schema_version"]
         filename = f"{index:02d}_{name}.json"
         dump_json(report, out_dir / filename)
@@ -100,8 +112,6 @@ def _run(args) -> int:
             "status": report["status"],
             "file": filename,
         })
-        marker = report["status"].upper()
-        print(f"[{marker:>12}] {index:02d} {name}")
 
     summary = {
         "schema_version": cfg["schema_version"],

@@ -197,23 +197,27 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
 
 
 def heisenberg_step_counts(group: HeisenbergGroup, elements: np.ndarray,
-                           delta: float) -> np.ndarray:
-    """Vectorized step counts, branch-identical to ``step_count_upper``."""
+                           delta: float, with_norms: bool = False):
+    """Vectorized step counts, branch-identical to ``step_count_upper``; with ``with_norms``
+    also the norms |x|_p + |y|_q + |z| it forms, the same sum as ``group.norm``."""
     elements = np.asarray(elements, dtype=float)
     x, y, z = group.split(elements)
     m_x, m_y, gadgets, _, norms = _heisenberg_count_parts(group, x, y, z, delta)
     full = m_x + m_y + 4.0 * gadgets
-    return np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
+    counts = np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
+    return (counts, norms) if with_norms else counts
 
 
-def step_counts_batch(group, elements: np.ndarray, delta: float) -> np.ndarray:
-    """Step counts over an array of group elements (..., d)."""
+def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: bool = False):
+    """Step counts over an array of group elements (..., d), and with
+    ``with_norms`` their chart norms."""
     if isinstance(group, HeisenbergGroup):
-        return heisenberg_step_counts(group, elements, delta)
+        return heisenberg_step_counts(group, elements, delta, with_norms)
     elements = np.asarray(elements, dtype=float)
     flat = elements.reshape(-1, group.dim)
     counts = np.array([step_count_upper(group, v, delta).upper for v in flat])
-    return counts.reshape(elements.shape[:-1])
+    counts = counts.reshape(elements.shape[:-1])
+    return (counts, group.chart_norm(elements)) if with_norms else counts
 
 
 def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict:
@@ -339,9 +343,8 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
 
     def reduce(chunk):
         pairs = group.pairwise_increments(chunk[:, idx])
-        counts = np.triu(step_counts_batch(group, pairs, delta), k=1)
-        exits = np.triu(group.chart_norm(pairs) >= delta, k=1)
-        return counts.max(axis=(1, 2)), exits.any(axis=2)
+        counts, norms = step_counts_batch(group, pairs, delta, with_norms=True)
+        return np.triu(counts, k=1).max(axis=(1, 2)), np.triu(norms >= delta, k=1).any(axis=2)
     return (group, idx, prefixes) + map_trial_chunks(prefixes, reduce)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .additive import LevyModel, TimeGrid, sample_additive
+from .additive import LevyModel, TimeGrid, driver_increments, sample_additive
 from .errors import ParameterError
 from .multiplicative import MultiplicativePath, product_exponential
 from .reporting import Report
@@ -108,12 +108,6 @@ class JumpReport(Report):
     notes: dict = field(default_factory=dict)
 
 
-def _trial_cells(model: LevyModel, grid: TimeGrid, seed: int, trial: int) -> np.ndarray:
-    """Group increments exp(dX_k) of one trial's driver path, one row per cell."""
-    driver = sample_additive(model, grid, seed, stream=(trial,))
-    return model.space.exp(driver.increments)
-
-
 def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
                     trials: int, seed: int) -> JumpReport:
     """Poisson-law checks for the detected jump count process.
@@ -130,8 +124,8 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     counts = np.zeros(trials)
     first_half = np.zeros(trials)
     interarrivals = []
-    for trial in range(trials):
-        cells = _trial_cells(model, grid, seed, trial)
+    for trial, increments in enumerate(driver_increments(model, grid, seed, trials)):
+        cells = group.exp(increments)
         taus = grid.points[np.flatnonzero(jump_set.contains(group, cells)) + 1]
         counts[trial] = taus.size
         first_half[trial] = np.count_nonzero(taus <= T / 2)
@@ -218,8 +212,8 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
 
     half = trials // 2
     post_hit, fixed = [], []
-    for trial in range(trials):
-        cells = _trial_cells(model, grid, seed, trial)
+    for trial, increments in enumerate(driver_increments(model, grid, seed, trials)):
+        cells = group.exp(increments)
         if trial >= half:
             fixed.append(float(group.chart_norm(group.prefix_products(cells[:steps])[steps])))
             continue

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import AdditivePath, LevyModel, TimeGrid, sample_additive
+from .additive import (AdditivePath, LevyModel, TimeGrid, driver_increments,
+                       sample_additive)
 from .errors import GridMismatchError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup
 from .reporting import Report
@@ -238,10 +239,9 @@ def batch_prefixes(group, model: LevyModel, grid: TimeGrid, trials: int, seed: i
     Trial ``i`` uses the stream (seed, i), the same path as
     ``sample_additive(model, grid, seed, stream=(i,))``.
     """
-    incs = np.stack([
-        sample_additive(model, grid, seed, stream=(t,)).increments
-        for t in range(trials)
-    ])
+    incs = np.empty((trials, grid.n_cells, model.space.dim))
+    for t, increments in enumerate(driver_increments(model, grid, seed, trials)):
+        incs[t] = increments
     return group.prefix_products(group.exp(incs))
 
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from liemult import (DiscreteJumps, FixedAtomJumps, LevyModel, ParameterError,
-                     PiecewiseConstantRate, SubspaceBallJumps, TimeGrid,
-                     UniformBallJumps, sample_additive)
+from liemult import additive
+from liemult import (DiscreteJumps, FixedAtomJumps, LevyModel, LpSpace, ParameterError,
+                     PiecewiseConstantRate, SubspaceBallJumps, TimeGrid, UniformBallJumps,
+                     UnipotentGroup, driver_increments, sample_additive, substream)
+from liemult.config import build_context, default_config
 from liemult.stats import batched_ks_two_sample
 
 
@@ -120,12 +122,131 @@ class TestSampling:
         ])
 
 
+def reference_increments(model, grid, seed, stream):
+    """Slow oracle: every stream drawn, the Brownian one too, and jumps added one by one."""
+    lefts, rights = grid.points[:-1], grid.points[1:]
+    mass = model.rate_integral(lefts, rights)
+    gauss = substream(seed, *stream, "gauss").standard_normal((grid.n_cells, model.space.dim))
+    inc = mass[:, None] * model.drift + np.sqrt(mass[:, None] * model.diffusion**2) * gauss
+    if model.jump_intensity == 0:
+        return inc
+    counts = substream(seed, *stream, "jump-counts").poisson(model.jump_intensity * mass)
+    cells = np.repeat(np.arange(grid.n_cells), counts)
+    rng = substream(seed, *stream, "jump-times")
+    if model.scale is None:
+        times = lefts[cells] + rng.uniform(size=cells.size) * (rights - lefts)[cells]
+    else:
+        times = model.scale.sample_times(rng, lefts[cells], rights[cells])
+    vectors = model.jump_law.sample(substream(seed, *stream, "jump-vectors"), model.space,
+                                    cells.size)
+    order = np.argsort(times, kind="stable")
+    for cell, vector in zip(grid.cell_of(times[order]), vectors[order]):
+        inc[cell] += vector
+    return inc
+
+
+def _oracle_models(heis2):
+    uni4 = UnipotentGroup(4)
+    return {
+        "cp_uniform_ball": LevyModel(space=heis2, jump_intensity=2.0,
+                                     jump_law=UniformBallJumps(0.4)),
+        "cp_rate_scaled": LevyModel(space=heis2, jump_intensity=2.0,
+                                    jump_law=UniformBallJumps(0.4),
+                                    scale=PiecewiseConstantRate(np.array([0.0, 2.5]),
+                                                                np.array([0.1, 6.0]))),
+        "brownian": LevyModel(space=heis2, diffusion=0.3),
+        "partial_diffusion_atom": LevyModel(space=heis2, diffusion=[0.1, 0.1, 0.0, 0.0, 0.0],
+                                            jump_intensity=3.0,
+                                            jump_law=FixedAtomJumps(heis2.embed([0.2, 0.0]))),
+        "drift": LevyModel(space=heis2, drift=heis2.embed([0.4, 0.3], c=0.1), diffusion=0.2,
+                           jump_intensity=1.0, jump_law=UniformBallJumps(0.5)),
+        "subspace": LevyModel(space=heis2, jump_intensity=4.0,
+                              jump_law=SubspaceBallJumps(0.3, [0, 2, 4])),
+        "discrete": LevyModel(space=heis2, diffusion=0.1, jump_intensity=4.0,
+                              jump_law=DiscreteJumps([heis2.embed([1.0, 0.0]),
+                                                      heis2.embed(c=2.0)], [0.25, 0.75])),
+        "unipotent": LevyModel(space=uni4, diffusion=0.05, jump_intensity=2.0,
+                               jump_law=UniformBallJumps(0.1)),
+        "lp_space": LevyModel(space=LpSpace(3, 3.0), drift=0.2, diffusion=[0.0, 0.2, 0.0],
+                              jump_intensity=3.0, jump_law=UniformBallJumps(0.4)),
+    }
+
+
+class TestDriverIncrements:
+    @pytest.mark.parametrize("trials", [1, 3, 65])
+    def test_equals_one_path_sampler(self, heis2, trials):
+        # oracle: the batched generator, the one-path sampler and a slow sampler that
+        # draws every stream agree bit for bit, trial by trial
+        grid = TimeGrid.uniform(5.0, 24)
+        for name, model in _oracle_models(heis2).items():
+            batched = np.stack(list(driver_increments(model, grid, 3, trials)))
+            single = np.stack([sample_additive(model, grid, 3, stream=(t,)).increments
+                               for t in range(trials)])
+            assert batched.shape == (trials, grid.n_cells, model.space.dim), name
+            assert np.array_equal(batched, single), name
+            for t in (0, trials - 1):
+                assert np.array_equal(single[t], reference_increments(model, grid, 3, (t,))), name
+
+    def test_no_gauss_stream_without_diffusion(self, heis2, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(additive, "substream",
+                            lambda seed, *path: drawn.append(path[-1]) or substream(seed, *path))
+        model = _oracle_models(heis2)["cp_uniform_ball"]
+        path = sample_additive(model, TimeGrid.uniform(1.0, 16), 5)
+        assert "gauss" not in drawn and "jump-counts" in drawn
+        assert np.array_equal(path.gauss_part, np.zeros((16, heis2.dim)))
+        assert not np.signbit(path.gauss_part).any()
+
+    @pytest.mark.parametrize("name, grid, digest", [
+        ("cp_poisson", ("poisson",),
+         "020a32c1735f259257f98706542c2a5cfca09ee6aba660284c4f87e2e3a44ab3"),
+        ("cp_nonstat", ("poisson",),
+         "01b77a04870973ef853a40037f383b14ae0fe6803ae7eef0433b993d513f7ea4"),
+        ("tail_model", (1.0, 64),
+         "e237c248808ac7f255fa9a6913d1b2053cfa51f799e8f34ac2e20e03ced569d3"),
+        ("block_zero_z", ("g16",),
+         "a1a4f5721c1c4610af7f71078f3a68c330536d679803b0e0507ee8dc10c5dfca"),
+        ("moment_model", (1.0, 64),
+         "5b34a515f09865eda8c332adef173b9f9029e20773ab8649b9e7e3d07cf6a750"),
+    ])
+    def test_default_models_pinned(self, name, grid, digest):
+        # sha256 of increments and jump times of streams (0,), (1,), (2,) at seed 7,
+        # recorded when every model still drew the Brownian stream
+        ctx = build_context(default_config())
+        grid = ctx["grids"][grid[0]] if len(grid) == 1 else TimeGrid.uniform(*grid)
+        h = hashlib.sha256()
+        for t in range(3):
+            path = sample_additive(ctx["models"][name], grid, 7, stream=(t,))
+            h.update(path.increments.tobytes())
+            h.update(path.jump_times.tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestRefinement:
     def test_coarse_sum_recovers_increments(self, jump_model, grid):
         path = sample_additive(jump_model, grid, seed=9)
         fine = path.refine(seed=1)
         coarse = fine.increments[0::2] + fine.increments[1::2]
         np.testing.assert_allclose(coarse, path.increments, atol=1e-14)
+
+    def test_diffusion_free_refinement_pinned(self, heis2):
+        # recorded when refine still drew the bridge noise, whose spread is 0 here
+        model = LevyModel(space=heis2, drift=heis2.embed([0.4, -0.2], c=0.1),
+                          jump_intensity=6.0, jump_law=UniformBallJumps(0.5))
+        fine = sample_additive(model, TimeGrid.uniform(1.0, 16), seed=9).refine(seed=1)
+        h = hashlib.sha256(fine.increments.tobytes())
+        h.update(fine.jump_times.tobytes())
+        assert h.hexdigest() == "9263ec83422a90778be6239ce360a672e34136400eaf7f65008dfbeddb69b362"
+        assert not fine.gauss_part.any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diffusion_free_coarse_sums_exact(self, heis2, seed):
+        model = LevyModel(space=heis2, jump_intensity=6.0, jump_law=UniformBallJumps(0.5))
+        path = sample_additive(model, TimeGrid.uniform(1.0, 16), seed)
+        fine = path.refine(seed=1)
+        assert path.jump_times.size
+        assert np.array_equal(fine.increments[0::2] + fine.increments[1::2], path.increments)
+        assert np.array_equal(fine.jump_times, path.jump_times)
 
     def test_drift_splits_evenly(self, heis2):
         model = LevyModel(space=heis2, drift=heis2.embed([1.0, 0.0]))

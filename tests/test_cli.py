@@ -184,6 +184,26 @@ class TestRun:
             assert blob == (tmp_path / "b" / name).read_bytes()
             assert blob == (tmp_path / "c" / name).read_bytes()
 
+    def test_progress_line_per_entry_under_jobs(self, tmp_path, capsys):
+        cfg = copy.deepcopy(BASE)
+        cfg["experiments"] += [{"name": "group-axioms", "seed": 3, "params": {"samples": 100}},
+                               {"name": "exp-log-roundtrip", "seed": 4,
+                                "params": {"samples": 100}}]
+        cfg_path = write_config(tmp_path, cfg)
+        printed = {}
+        for jobs in ("1", "2"):
+            assert main(["run", str(cfg_path), "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+            printed[jobs] = capsys.readouterr().out.splitlines()
+        names = [f"{i:02d} {e['name']}" for i, e in enumerate(cfg["experiments"])]
+        for lines in printed.values():
+            assert sorted(line[15:] for line in lines[:-1]) == sorted(names)
+            assert all(line.startswith("[        PASS] ") for line in lines[:-1])
+        assert printed["1"][:-1] == [f"[        PASS] {name}" for name in names]
+        files = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in files:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_schema_violation_exits_two_with_field_path(self, tmp_path, capsys):
         cfg = dict(BASE)
         cfg["experiments"] = [{"name": "group-axioms", "seed": 1,
