@@ -214,9 +214,8 @@ def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: boo
     if isinstance(group, HeisenbergGroup):
         return heisenberg_step_counts(group, elements, delta, with_norms)
     elements = np.asarray(elements, dtype=float)
-    flat = elements.reshape(-1, group.dim)
-    counts = np.array([step_count_upper(group, v, delta).upper for v in flat])
-    counts = counts.reshape(elements.shape[:-1])
+    counts = np.array([step_count_upper(group, v, delta).upper
+                       for v in elements.reshape(-1, group.dim)]).reshape(elements.shape[:-1])
     return (counts, group.chart_norm(elements)) if with_norms else counts
 
 
@@ -340,11 +339,15 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
     grid = TimeGrid.uniform(u, cells)
     idx = _window_indices(grid, r, u)
     prefixes = batch_prefixes(group, model, grid, trials, seed)
+    j, k = np.triu_indices(idx.size, 1)
 
     def reduce(chunk):
-        pairs = group.pairwise_increments(chunk[:, idx])
+        # only the j < k pairs; a start j exits when some (j, k) leaves the ball
+        pairs = group.pair_increment(chunk[:, idx], j, k)
         counts, norms = step_counts_batch(group, pairs, delta, with_norms=True)
-        return np.triu(counts, k=1).max(axis=(1, 2)), np.triu(norms >= delta, k=1).any(axis=2)
+        exits = np.zeros((chunk.shape[0], idx.size, idx.size), dtype=bool)
+        exits[:, j, k] = norms >= delta
+        return counts.max(axis=1), exits.any(axis=2)
     return (group, idx, prefixes) + map_trial_chunks(prefixes, reduce)
 
 
@@ -515,8 +518,9 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
     values, ses = [], []
     for w in sizes:
         idx = _window_indices(grid, *modulus_window(T, w))
-        sup_d = map_trial_chunks(prefixes[:, idx], lambda chunk: np.triu(
-            gauge_norm(group, group.pairwise_increments(chunk)), k=1).max(axis=(1, 2)))
+        j, k = np.triu_indices(idx.size, 1)
+        sup_d = map_trial_chunks(prefixes[:, idx], lambda chunk: gauge_norm(
+            group, group.pair_increment(chunk, j, k)).max(axis=1))
         vals = np.exp(alpha * sup_d) - 1.0
         values.append(float(vals.mean()))
         ses.append(mean_se(vals))

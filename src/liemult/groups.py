@@ -254,19 +254,19 @@ class _NilpotentGroup:
         (prefix,) = self._check(prefix)
         return self.mul(self.inv(prefix[..., j, :]), prefix[..., k, :])
 
-    def pairwise_increments(self, prefix: np.ndarray) -> np.ndarray:
-        """All two-parameter values as a (..., n+1, n+1, d) array."""
-        (prefix,) = self._check(prefix)
-        return self.mul(self.inv(prefix)[..., :, None, :], prefix[..., None, :, :])
-
     def pairwise_chart_norms(self, prefix: np.ndarray) -> np.ndarray:
-        """Chart norms of all two-parameter values, shape (..., n+1, n+1)."""
+        """Chart norms of all two-parameter values, shape (..., n+1, n+1), symmetric
+        with a zero diagonal as log(inv(g)) = -log(g); callers read the j < k pairs."""
         # the one entry point: a group with a closed form overrides the hook below
         return self._pairwise_chart_norms(prefix)
 
     def _pairwise_chart_norms(self, prefix: np.ndarray) -> np.ndarray:
-        # the generic route, and the oracle of every override
-        return self.chart_norm(self.pairwise_increments(prefix))
+        # the generic route: only the j < k pairs are evaluated, then mirrored
+        (prefix,) = self._check(prefix)
+        j, k = np.triu_indices(prefix.shape[-2], 1)
+        out = np.zeros(prefix.shape[:-1] + prefix.shape[-2:-1])   # (..., m, m)
+        out[..., j, k] = out[..., k, j] = self.chart_norm(self.pair_increment(prefix, j, k))
+        return out
 
     def sample_ball(self, rng: np.random.Generator, radius: float, size: int) -> np.ndarray:
         """Draw ``size`` algebra vectors uniformly from the open norm ball."""
@@ -376,21 +376,15 @@ class HeisenbergGroup(_NilpotentGroup):
     def chart_norm(self, g):
         return self.norm(g)   # log is the coordinate identity
 
-    def _pairwise_blocks(self, prefix):
+    def _pairwise_chart_norms(self, prefix):
         # blocks (dx, dy, dz) of inv(g_j) g_k for all pairs (j, k), bit-identical to
-        # the generic mul(inv(P)[..., :, None, :], P[..., None, :, :]): (-a) + b rounds
-        # as b - a, and the z pairings are its products and last-axis sums, negated
+        # mul(inv(g_j), g_k): (-a) + b rounds as b - a, and the z pairings are its
+        # products and last-axis sums, negated
         x, y, z = self.split(prefix)
         cross = self.pairing(x[..., :, None, :], y[..., None, :, :])   # <x_j|y_k>
         dz = (z[..., None, :] - z[..., :, None]) + 0.5 * (np.swapaxes(cross, -1, -2) - cross)
-        return x[..., None, :, :] - x[..., :, None, :], y[..., None, :, :] - y[..., :, None, :], dz
-
-    def pairwise_increments(self, prefix):
-        return self.embed(*self._pairwise_blocks(prefix))
-
-    def _pairwise_chart_norms(self, prefix):
-        dx, dy, dz = self._pairwise_blocks(prefix)
-        return lp_norm(dx, self.p) + lp_norm(dy, self.q) + np.abs(dz)
+        return (lp_norm(x[..., None, :, :] - x[..., :, None, :], self.p)
+                + lp_norm(y[..., None, :, :] - y[..., :, None, :], self.q) + np.abs(dz))
 
     def prefix_products(self, increments):
         # same left-to-right recursion as the generic loop, vectorized:
@@ -490,7 +484,8 @@ class UnipotentGroup(_NilpotentGroup):
 
     def norm(self, vec):
         (vec,) = self._check(vec)
-        return np.linalg.norm(self.to_matrix(vec), ord=2, axis=(-2, -1))
+        # the largest singular value: gesdd returns them sorted descending
+        return np.linalg.svd(self.to_matrix(vec), compute_uv=False)[..., 0]
 
 
 def group_from_config(cfg: dict):

@@ -290,7 +290,7 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
     for m in range(1, TAIL_ORDERS + 1):
         p_m = float(np.mean(counts >= m))
         geo = alpha_hat ** m
-        se_geo = m * alpha_hat ** (m - 1) * se_alpha if m >= 1 else 0.0
+        se_geo = m * alpha_hat ** (m - 1) * se_alpha
         tslack = SLACK_MULTIPLIER * float(np.hypot(binom_se(p_m, n_b), se_geo))
         tail[f"m={m}"] = {
             "p_count_ge_m": p_m,

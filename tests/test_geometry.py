@@ -1,14 +1,19 @@
 """Step counter, gauge metric, and the exponential-moment batteries."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from liemult import (FixedAtomJumps, HeisenbergGroup, HypothesisError, LevyModel,
-                     ParameterError, UniformBallJumps,
+                     ParameterError, TimeGrid, UniformBallJumps, UnipotentGroup,
                      bounded_jumps_check, exp_moment_estimate, gauge_distance,
-                     gauge_norm, metric_modulus_curve, minimal_jump_power,
-                     step_count_upper, step_counts_batch, step_triangle_test,
-                     tail_decay_fit)
+                     gauge_norm, mc_expectation_bound, mc_largest_step,
+                     metric_modulus_curve, minimal_jump_power, step_count_upper,
+                     step_counts_batch, step_triangle_test, tail_decay_fit)
+from liemult.multiplicative import TRIAL_CHUNK
+from liemult.reporting import jsonable
 from liemult.rng import substream
 
 ALPHA, DELTA = 0.5, 0.5
@@ -252,3 +257,40 @@ class TestMetricModulus:
         model = LevyModel(space=heis3p)
         with pytest.raises(ParameterError):
             metric_modulus_curve(model, 1.0, ALPHA, [0.25], 10, 0, cells=32)
+
+
+class TestUnipotentBatteriesPinned:
+    """The all-pairs batteries on the generic (unipotent) route, pinned to the
+    sha256 of their canonical report JSON; the default-battery digests cover
+    the Heisenberg group only.  150 trials leave a partial last trial chunk."""
+
+    TRIALS, SEED, DELTA = 150, 5, 0.1
+    # recorded while the generic pairwise route still built all m^2 pairs
+    DIGESTS = {
+        "expectation_bound": "17a71fb6713f8d2ae38d221a32a2cdeafc763e62effb5a332ae6e2a66cd07149",
+        "largest_step": "0eda34cd1107e0a2244f21e789e269c9a5eff93bbdc4fe26c239fc756d1ec4d8",
+        "exp_moment": "ba6a442008f3a779647e870e83c55fd72ff78fff75fde2c028e76124649b93cb",
+        "tail_decay": "61c36381d3c6d76660bf0fe2b1d4e88b82bb984039bb9140e467fcb689ec1af7",
+    }
+
+    @pytest.mark.parametrize("battery", sorted(DIGESTS))
+    def test_report_digest(self, battery):
+        assert self.TRIALS % TRIAL_CHUNK != 0
+        group = UnipotentGroup(4)
+        model = LevyModel(space=group, diffusion=0.03, jump_intensity=2.0,
+                          jump_law=UniformBallJumps(0.05), bound_delta=0.05)
+        grid = TimeGrid.uniform(1.0, 16)
+        window = (0.25, 1.0)
+        rep = {
+            "expectation_bound": lambda: mc_expectation_bound(
+                model, grid, self.DELTA, self.TRIALS, self.SEED),
+            "largest_step": lambda: mc_largest_step(
+                model, grid, self.DELTA, self.TRIALS, self.SEED),
+            "exp_moment": lambda: exp_moment_estimate(
+                model, window, ALPHA, self.DELTA, self.TRIALS, self.SEED, cells=8),
+            "tail_decay": lambda: tail_decay_fit(
+                model, window, ALPHA, self.DELTA, self.TRIALS, self.SEED, cells=8,
+                min_exceedances=5),
+        }[battery]()
+        data = json.dumps(jsonable(rep), sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[battery]

@@ -18,6 +18,12 @@ def random_algebra(group, rng, size, scale=1.0):
     return rng.standard_normal((size, group.dim)) * scale
 
 
+def full_pair_route(group, prefix):
+    """All two-parameter values inv(g_j) g_k as a (..., m, m, d) array, every
+    pair and both orders: the slow oracle of the pairwise chart norms."""
+    return group.mul(group.inv(prefix)[..., :, None, :], prefix[..., None, :, :])
+
+
 class TestHeisenbergLaw:
     def test_worked_product(self, heis2):
         g = heis2.embed([1.0, 0.0], [0.0, 0.0], 0.0)
@@ -185,6 +191,17 @@ class TestNorm:
         expected = np.linalg.norm(uni4.to_matrix(vec), ord=2)
         assert uni4.norm(vec) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.0, 1e-300, 1e150])
+    def test_unipotent_norm_equals_lapack_route(self, uni3, uni4, rng, scale):
+        # the first singular value is the value np.linalg.norm(ord=2) takes the max of
+        for group in (uni3, uni4):
+            for lead in [(), (0,), (64,), (2, 3)]:
+                vec = rng.standard_normal(lead + (group.dim,)) * scale
+                expected = np.linalg.norm(group.to_matrix(vec), ord=2, axis=(-2, -1))
+                got = group.norm(vec)
+                assert got.shape == lead
+                assert np.array_equal(got, expected)
+
 
 class TestChartMachinery:
     def test_chart_radius_check_rejects_rho_prime(self, uni4):
@@ -283,7 +300,7 @@ class TestChartMachinery:
 
 
 class TestHeisenbergBlockKernel:
-    """The block pairwise kernel against the generic mul(inv(P), P) route, bit for bit."""
+    """The block pairwise kernel against the full mul(inv(P), P) route, bit for bit."""
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 9, 32])
@@ -295,10 +312,11 @@ class TestHeisenbergBlockKernel:
                 # magnitudes over four decades, so the sums round in many places
                 scale = 10.0 ** rng.uniform(-2, 2, size=lead + (m, 1))
                 prefix = rng.standard_normal(lead + (m, group.dim)) * scale
-                pairs = _NilpotentGroup.pairwise_increments(group, prefix)
+                pairs = full_pair_route(group, prefix)
                 norms = _NilpotentGroup.chart_norm(group, pairs)
                 assert pairs.shape == lead + (m, m, group.dim)
-                assert np.array_equal(group.pairwise_increments(prefix), pairs)
+                j, k = np.indices((m, m))
+                assert np.array_equal(group.pair_increment(prefix, j, k), pairs)
                 assert np.array_equal(group.chart_norm(pairs), norms)
                 assert np.array_equal(group.pairwise_chart_norms(prefix), norms)
                 assert np.array_equal(
@@ -317,6 +335,28 @@ class TestHeisenbergBlockKernel:
                 digest.update(heisenberg_step_counts(group, elements, delta).tobytes())
         assert digest.hexdigest() == (
             "1689fdff84c658ee5cd76f35a3edf1a307640096596ecc29831696af78964953")
+
+
+class TestGenericUpperPairs:
+    """The generic pairwise hook evaluates only the j < k pairs and mirrors them:
+    its upper triangle is the full route's, bit for bit, and the matrix is exactly
+    symmetric with a zero diagonal."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_full_route(self, n):
+        group = UnipotentGroup(n)
+        rng = substream(n, "upper-pairs")
+        for lead in [(), (3,), (2, 3)]:
+            for m in [1, 2, 33]:
+                scale = 10.0 ** rng.uniform(-2, 1, size=lead + (m, 1))
+                prefix = rng.standard_normal(lead + (m, group.dim)) * scale
+                norms = group.pairwise_chart_norms(prefix)
+                full = group.chart_norm(full_pair_route(group, prefix))
+                j, k = np.triu_indices(m, 1)
+                assert norms.shape == lead + (m, m)
+                assert np.array_equal(norms[..., j, k], full[..., j, k])
+                assert np.array_equal(norms, np.swapaxes(norms, -1, -2))
+                assert not np.diagonal(norms, axis1=-2, axis2=-1).any()
 
 
 class TestConfigConstruction:
