@@ -263,7 +263,7 @@ def gauge_norm(group: HeisenbergGroup, v: np.ndarray) -> np.ndarray:
             "the gauge metric is defined for the p=2 Heisenberg instance only"
         )
     x, y, z = group.split(np.asarray(v, dtype=float))
-    horizontal = np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)
+    horizontal = group.pairing(x, x) + group.pairing(y, y)
     return (horizontal**2 + 16.0 * z * z) ** 0.25
 
 

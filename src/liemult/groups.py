@@ -16,6 +16,9 @@ Two instances are provided:
 All operations broadcast over leading axes, so a single element is a shape
 ``(d,)`` array and a batch of paths is ``(..., d)``.  Values are never
 mutated in place; everything here is pure and safe to share across workers.
+Block sums (norms, pairings, all-pairs chart norms) run coordinate by
+coordinate over the whole batch in numpy's reduce order (``coordinate_sum``),
+so they give the same bits as a trailing-axis ``np.sum``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,52 @@ __all__ = [
 ]
 
 
-def lp_norm(arr: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
+def coordinate_sum(terms, n: int):
+    """Sum ``n`` per-coordinate arrays with the bits of ``np.sum(..., axis=-1)``
+    over them stacked on a trailing axis, each addition over the whole batch.
+
+    The order is numpy's pairwise ``add.reduce``: a left fold below 8 terms,
+    8 interleaved lanes up to 128, recursive halves at ``n//2 - (n//2) % 8``
+    beyond.  ``terms`` is a generator of fresh arrays, never views of an input:
+    the first ones are added into in place, and at most 8 are live at a time.
+    """
+    terms = iter(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        acc = coordinate_sum(terms, half)
+        acc += coordinate_sum(terms, n - half)
+        return acc
+    if n < 8:
+        acc = next(terms)
+        for _ in range(n - 1):
+            acc += next(terms)
+    else:
+        lanes = [next(terms) for _ in range(8)]
+        for _ in range(n // 8 - 1):
+            for i in range(8):
+                lanes[i] += next(terms)   # by index: a 0-d lane is a numpy scalar
+        for step in (1, 2, 4):   # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+            for i in range(0, 8, 2 * step):
+                lanes[i] += lanes[i + step]
+        acc = lanes[0]
+        for _ in range(n % 8):
+            acc += next(terms)
+    acc += 0.0   # add.reduce starts from +0.0, so a sum of -0.0 terms reads +0.0
+    return acc
+
+
+def lp_norm(arr: np.ndarray, p: float) -> np.ndarray:
+    """l^p norm over the trailing axis."""
+    return column_lp_norm((arr[..., i] for i in range(arr.shape[-1])), arr.shape[-1], p)
+
+
+def column_lp_norm(columns, n: int, p: float) -> np.ndarray:
+    """l^p norm of ``n`` coordinate columns, as ``lp_norm`` of them stacked."""
     if p == 2.0:
-        return np.sqrt(np.sum(arr * arr, axis=axis))
-    return np.sum(np.abs(arr) ** p, axis=axis) ** (1.0 / p)
+        return np.sqrt(coordinate_sum((c * c for c in columns), n))
+    # np.power, not **: a 0-d column is a numpy scalar, whose ** is libm's pow
+    # rather than the ufunc loop the stacked array would use
+    return coordinate_sum((np.power(np.abs(c), p) for c in columns), n) ** (1.0 / p)
 
 
 def sample_norm_ball(rng: np.random.Generator, space, radius: float, size: int) -> np.ndarray:
@@ -261,11 +306,13 @@ class _NilpotentGroup:
         return self._pairwise_chart_norms(prefix)
 
     def _pairwise_chart_norms(self, prefix: np.ndarray) -> np.ndarray:
-        # the generic route: only the j < k pairs are evaluated, then mirrored
+        # the generic route: only the j < k pairs are evaluated, then mirrored; the
+        # m rows are inverted once and then gathered, the bits of pair_increment
         (prefix,) = self._check(prefix)
         j, k = np.triu_indices(prefix.shape[-2], 1)
+        pairs = self.mul(self.inv(prefix)[..., j, :], prefix[..., k, :])
         out = np.zeros(prefix.shape[:-1] + prefix.shape[-2:-1])   # (..., m, m)
-        out[..., j, k] = out[..., k, j] = self.chart_norm(self.pair_increment(prefix, j, k))
+        out[..., j, k] = out[..., k, j] = self.chart_norm(pairs)
         return out
 
     def sample_ball(self, rng: np.random.Generator, radius: float, size: int) -> np.ndarray:
@@ -338,7 +385,8 @@ class HeisenbergGroup(_NilpotentGroup):
 
     def pairing(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Dual pairing of the first and second blocks."""
-        return np.sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float), axis=-1)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return coordinate_sum((a[..., i] * b[..., i] for i in range(a.shape[-1])), a.shape[-1])
 
     def mul(self, g, h):
         g, h = self._check(g, h)
@@ -379,12 +427,15 @@ class HeisenbergGroup(_NilpotentGroup):
     def _pairwise_chart_norms(self, prefix):
         # blocks (dx, dy, dz) of inv(g_j) g_k for all pairs (j, k), bit-identical to
         # mul(inv(g_j), g_k): (-a) + b rounds as b - a, and the z pairings are its
-        # products and last-axis sums, negated
+        # products and coordinate sums, negated; dx and dy stream one coordinate
+        # at a time, so no (..., m, m, N) array is built
         x, y, z = self.split(prefix)
         cross = self.pairing(x[..., :, None, :], y[..., None, :, :])   # <x_j|y_k>
         dz = (z[..., None, :] - z[..., :, None]) + 0.5 * (np.swapaxes(cross, -1, -2) - cross)
-        return (lp_norm(x[..., None, :, :] - x[..., :, None, :], self.p)
-                + lp_norm(y[..., None, :, :] - y[..., :, None, :], self.q) + np.abs(dz))
+        dx = (x[..., None, :, i] - x[..., :, None, i] for i in range(self.N))
+        dy = (y[..., None, :, i] - y[..., :, None, i] for i in range(self.N))
+        return (column_lp_norm(dx, self.N, self.p) + column_lp_norm(dy, self.N, self.q)
+                + np.abs(dz))
 
     def prefix_products(self, increments):
         # same left-to-right recursion as the generic loop, vectorized:

@@ -11,11 +11,34 @@ from liemult import (ChartSpec, HeisenbergGroup, InvalidInputError, ParameterErr
                      UnipotentGroup, group_from_config, sample_norm_ball, substream)
 from liemult.experiments import run_experiment
 from liemult.geometry import heisenberg_step_counts
-from liemult.groups import _NilpotentGroup
+from liemult.groups import _NilpotentGroup, coordinate_sum, lp_norm
 
 
 def random_algebra(group, rng, size, scale=1.0):
     return rng.standard_normal((size, group.dim)) * scale
+
+
+# The trailing-axis formulas the coordinate sums replaced: the oracles that
+# coordinate_sum, lp_norm, pairing and HeisenbergGroup.norm must match bit for bit.
+def oracle_lp_norm(a, p):
+    if p == 2.0:
+        return np.sqrt(np.sum(a * a, axis=-1))
+    return np.sum(np.abs(a) ** p, axis=-1) ** (1.0 / p)
+
+
+def oracle_pairing(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def oracle_heisenberg_norm(group, vec):
+    a, b, c = vec[..., :group.N], vec[..., group.N:2 * group.N], vec[..., 2 * group.N]
+    return oracle_lp_norm(a, group.p) + oracle_lp_norm(b, group.q) + np.abs(c)
+
+
+def assert_same_bits(got, want):
+    # bytes, so that a -0.0 against a +0.0 counts as a difference
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def full_pair_route(group, prefix):
@@ -203,6 +226,51 @@ class TestNorm:
                 assert np.array_equal(got, expected)
 
 
+class TestCoordinateSum:
+    """Coordinate-wise block sums against the trailing-axis numpy formulas, bit for
+    bit: a different summation order (a plain left fold, another lane
+    combination, or a numpy whose reduce order changed) fails here."""
+
+    @staticmethod
+    def wide_values(rng, shape):
+        # magnitudes over 16 decades, so that the order of the additions shows,
+        # with signed zeros and, where there is a batch, one row of -0.0 only
+        vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        vals[rng.random(shape) < 0.1] = 0.0
+        vals[rng.random(shape) < 0.1] = -0.0
+        if len(shape) > 1:
+            vals[(0,) * (len(shape) - 1)] = -0.0
+        return vals
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 129, 257, 300])
+    def test_equals_trailing_axis_sums(self, n):
+        rng = substream(n, "coordinate-sum")
+        for lead in [(), (5,), (3, 4)]:
+            a = self.wide_values(rng, lead + (n,))
+            b = self.wide_values(rng, lead + (n,))
+            a_in, b_in = a.copy(), b.copy()
+            assert_same_bits(coordinate_sum((a[..., i].copy() for i in range(n)), n),
+                             np.sum(a, axis=-1))
+            assert_same_bits(HeisenbergGroup(n).pairing(a, b), oracle_pairing(a, b))
+            for p in (1.5, 2.0, 3.0):
+                assert_same_bits(lp_norm(a, p), oracle_lp_norm(a, p))
+                group = HeisenbergGroup(n, p)
+                vec = self.wide_values(rng, lead + (group.dim,))
+                vec_in = vec.copy()
+                assert_same_bits(group.norm(vec), oracle_heisenberg_norm(group, vec))
+                assert_same_bits(vec, vec_in)
+            assert_same_bits(a, a_in)
+            assert_same_bits(b, b_in)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_single_elements(self, p):
+        # the columns of one (d,) element are numpy scalars, whose ** is not the
+        # power loop that the stacked (N,) array goes through
+        group = HeisenbergGroup(2, p)
+        for vec in self.wide_values(substream(0, "single-element"), (64, group.dim)):
+            assert_same_bits(group.norm(vec), oracle_heisenberg_norm(group, vec))
+
+
 class TestChartMachinery:
     def test_chart_radius_check_rejects_rho_prime(self, uni4):
         uni4.require_chart_radius(0.5 * uni4.chart.rho_prime)
@@ -313,7 +381,7 @@ class TestHeisenbergBlockKernel:
                 scale = 10.0 ** rng.uniform(-2, 2, size=lead + (m, 1))
                 prefix = rng.standard_normal(lead + (m, group.dim)) * scale
                 pairs = full_pair_route(group, prefix)
-                norms = _NilpotentGroup.chart_norm(group, pairs)
+                norms = oracle_heisenberg_norm(group, pairs)   # log is the identity
                 assert pairs.shape == lead + (m, m, group.dim)
                 j, k = np.indices((m, m))
                 assert np.array_equal(group.pair_increment(prefix, j, k), pairs)
