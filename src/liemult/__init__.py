@@ -11,9 +11,8 @@ distances.
 
 __version__ = "0.1.0"
 
-from .additive import (AdditivePath, DiscreteJumps, FixedAtomJumps, LevyModel,
-                       PiecewiseConstantRate, SubspaceBallJumps, TimeGrid,
-                       UniformBallJumps, driver_increments, sample_additive)
+from .additive import (AdditivePath, DiscreteJumps, LevyModel, PiecewiseConstantRate,
+                       TimeGrid, UniformBallJumps, driver_increments, sample_additive)
 from .errors import (ConfigError, GridMismatchError, HypothesisError,
                      InvalidInputError, ParameterError)
 from .geometry import (MomentReport, StepCountResult, bounded_jumps_check,

@@ -3,7 +3,8 @@
 A driver is drift + scaled Brownian increments + compound Poisson jumps over
 a time grid.  Jumps are sampled exactly (Poisson count and placement time per
 cell) and recorded as ground truth, so downstream jump detectors can be
-scored against them.  Sampling is a pure function of (model, grid, seed) and
+scored against them; their vectors come from ``UniformBallJumps`` or
+``DiscreteJumps``.  Sampling is a pure function of (model, grid, seed) and
 per-trial streams are derived with counter-based keys, so results do not
 depend on execution order or worker count.
 """
@@ -11,19 +12,18 @@ depend on execution order or worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ParameterError
-from .groups import sample_ball_rejection, sample_norm_ball
+from .groups import sample_norm_ball
 from .rng import substream
 
 __all__ = [
     "TimeGrid",
     "PiecewiseConstantRate",
     "UniformBallJumps",
-    "SubspaceBallJumps",
-    "FixedAtomJumps",
     "DiscreteJumps",
     "LevyModel",
     "AdditivePath",
@@ -136,90 +136,47 @@ class PiecewiseConstantRate:
 
 
 class UniformBallJumps:
-    """Jump law: uniform on the open norm ball of the model's space."""
+    """Jump law: uniform on the open norm ball of the model's space, or with
+    ``indices`` on its intersection with the subspace of those coordinates."""
 
-    def __init__(self, radius: float):
-        if radius <= 0:
+    def __init__(self, radius: float, indices=None):
+        if not radius > 0:   # NaN too
             raise ParameterError(f"radius must be positive, got {radius}")
         self.radius = float(radius)
+        self.indices = idx = None if indices is None else np.asarray(indices, dtype=int)
+        if idx is not None and (idx.ndim != 1 or idx.size == 0 or idx.min() < 0
+                                or np.unique(idx).size < idx.size
+                                or np.any(idx != np.asarray(indices))):   # no truncation
+            raise ParameterError(f"indices must be distinct nonnegative coordinates, got {indices}")
+
+    def _lift(self, space, sub: np.ndarray) -> np.ndarray:
+        if self.indices is None:
+            return sub
+        out = np.zeros((sub.shape[0], space.dim))
+        out[:, self.indices] = sub
+        return out
 
     def check_space(self, space):
-        """Every space fits a norm-ball law."""
+        if self.indices is not None and np.any(self.indices >= space.dim):
+            raise ParameterError(f"subspace indices exceed dimension {space.dim}")
 
     def sample(self, rng, space, count):
-        return sample_norm_ball(rng, space, self.radius, count)
+        if self.indices is None:   # no lift inside the rejection loop
+            return sample_norm_ball(rng, space, self.radius, count)
+        # the ball of the subspace coordinates, under the norm of their lift
+        sub = SimpleNamespace(dim=self.indices.size,
+                              norm=lambda v: space.norm(self._lift(space, v)))
+        return self._lift(space, sample_norm_ball(rng, sub, self.radius, count))
 
     def max_norm(self, space):
         return self.radius
 
     def extreme_points(self, space, rng):
         """Support points of maximal norm: scaled coordinate axes plus random directions."""
-        axes = np.concatenate([np.eye(space.dim), -np.eye(space.dim)])
-        raw = rng.standard_normal((EXTREME_DIRECTIONS, space.dim))
-        raw = raw / space.norm(raw)[:, None]
-        return np.concatenate([axes, raw]) * self.radius
-
-
-class SubspaceBallJumps:
-    """Jump law: uniform on the norm ball intersected with a coordinate subspace."""
-
-    def __init__(self, radius: float, indices):
-        if radius <= 0:
-            raise ParameterError(f"radius must be positive, got {radius}")
-        self.radius = float(radius)
-        self.indices = np.asarray(indices, dtype=int)
-        if self.indices.ndim != 1 or self.indices.size == 0:
-            raise ParameterError("indices must be a nonempty 1-d index list")
-
-    def _lift(self, space, sub: np.ndarray) -> np.ndarray:
-        out = np.zeros((sub.shape[0], space.dim))
-        out[:, self.indices] = sub
-        return out
-
-    def check_space(self, space):
-        if np.any(self.indices >= space.dim):
-            raise ParameterError(f"subspace indices exceed dimension {space.dim}")
-
-    def sample(self, rng, space, count):
-        sub = sample_ball_rejection(rng, self.indices.size,
-                                    lambda v: space.norm(self._lift(space, v)),
-                                    self.radius, count)
-        return self._lift(space, sub)
-
-    def max_norm(self, space):
-        return self.radius
-
-    def extreme_points(self, space, rng):
-        axes = np.concatenate([np.eye(self.indices.size), -np.eye(self.indices.size)])
-        raw = rng.standard_normal((EXTREME_DIRECTIONS, self.indices.size))
-        pts = self._lift(space, np.concatenate([axes, raw]))
-        return pts * (self.radius / space.norm(pts))[:, None]
-
-
-def _check_atom_dimension(dim: int, space) -> None:
-    if dim != space.dim:
-        raise ParameterError(f"atom vectors have dimension {dim}, space has {space.dim}")
-
-
-class FixedAtomJumps:
-    """Jump law: a single deterministic jump vector."""
-
-    def __init__(self, vector):
-        self.vector = np.asarray(vector, dtype=float)
-        if self.vector.ndim != 1:
-            raise ParameterError("atom must be a 1-d vector")
-
-    def check_space(self, space):
-        _check_atom_dimension(self.vector.shape[0], space)
-
-    def sample(self, rng, space, count):
-        return np.tile(self.vector, (count, 1))
-
-    def max_norm(self, space):
-        return float(space.norm(self.vector))
-
-    def extreme_points(self, space, rng):
-        return self.vector[None, :]
+        k = space.dim if self.indices is None else self.indices.size
+        raw = rng.standard_normal((EXTREME_DIRECTIONS, k))
+        pts = self._lift(space, np.concatenate([np.eye(k), -np.eye(k), raw]))
+        return pts / space.norm(pts)[:, None] * self.radius
 
 
 class DiscreteJumps:
@@ -228,13 +185,15 @@ class DiscreteJumps:
     def __init__(self, vectors, probs):
         self.vectors = np.asarray(vectors, dtype=float)
         self.probs = np.asarray(probs, dtype=float)
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != self.probs.size:
-            raise ParameterError("need one probability per atom")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-12:
+        if self.vectors.ndim != 2 or self.probs.shape != self.vectors.shape[:1]:
+            raise ParameterError("need a 2-d array of atoms and one probability per atom")
+        if np.any(self.probs < 0) or not abs(self.probs.sum() - 1.0) <= 1e-12:   # NaN too
             raise ParameterError(f"probabilities must sum to 1, got {self.probs.sum()}")
 
     def check_space(self, space):
-        _check_atom_dimension(self.vectors.shape[1], space)
+        if self.vectors.shape[1] != space.dim:
+            raise ParameterError(f"atom vectors have dimension {self.vectors.shape[1]},"
+                                 f" space has {space.dim}")
 
     def sample(self, rng, space, count):
         idx = rng.choice(self.probs.size, size=count, p=self.probs)
@@ -300,10 +259,6 @@ class LevyModel:
                 raise ParameterError(
                     f"jump law support (norm {mn}) exceeds bound_delta={self.bound_delta}"
                 )
-
-    @property
-    def stationary(self) -> bool:
-        return self.scale is None
 
     def rate_integral(self, a, b) -> np.ndarray:
         if self.scale is None:

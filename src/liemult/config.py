@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .additive import (DiscreteJumps, FixedAtomJumps, LevyModel, PiecewiseConstantRate,
-                       SubspaceBallJumps, TimeGrid, UniformBallJumps)
+from .additive import (DiscreteJumps, LevyModel, PiecewiseConstantRate, TimeGrid,
+                       UniformBallJumps)
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, resolve_params
 from .groups import group_from_config
@@ -31,16 +31,15 @@ _CHART_KEYS = {"rho_prime", "rho_double_prime", "bracket_bound"}
 _GRID_KEYS = {"T", "cells"}
 _MODEL_KEYS = {"space", "drift", "diffusion", "jump_intensity", "jump_law",
                "scale", "bound_delta"}
-# jump-law kind -> (allowed keys, constructor)
+# jump-law kind -> (allowed keys, constructor): a subspace ball is the ball law on the
+# given coordinates, a fixed atom a discrete law with one atom
 _LAWS = {
     "uniform_ball": ({"kind", "radius"}, lambda law: UniformBallJumps(law["radius"])),
     "subspace_ball": ({"kind", "radius", "indices"},
-                      lambda law: SubspaceBallJumps(law["radius"], law["indices"])),
-    "fixed_atom": ({"kind", "vector"},
-                   lambda law: FixedAtomJumps(np.asarray(law["vector"], dtype=float))),
+                      lambda law: UniformBallJumps(law["radius"], law["indices"])),
+    "fixed_atom": ({"kind", "vector"}, lambda law: DiscreteJumps([law["vector"]], [1.0])),
     "discrete": ({"kind", "vectors", "probs"},
-                 lambda law: DiscreteJumps(np.asarray(law["vectors"], dtype=float),
-                                           np.asarray(law["probs"], dtype=float))),
+                 lambda law: DiscreteJumps(law["vectors"], law["probs"])),
 }
 _SCALE_KEYS = {"breaks", "rates"}
 _EXPERIMENT_KEYS = {"name", "seed", "params"}

@@ -34,7 +34,7 @@ import numpy as np
 from . import geometry, jumps, regularity
 from .additive import TimeGrid, sample_additive
 from .errors import ConfigError
-from .groups import sample_scaled_vectors
+from .groups import sample_norm_ball, sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
                              verify_multiplicative)
 from .regularity import exhaustive_count_reference, oscillation_counts_from_outside
@@ -147,7 +147,7 @@ def _run_chart_certification(ctx, params, seed):
     remaining = params["products"]
     while remaining > 0:
         batch = min(remaining, 4096)
-        factors = group.sample_ball(rng, delta, batch * power).reshape(batch, power, group.dim)
+        factors = sample_norm_ball(rng, group, delta, batch * power).reshape(batch, power, -1)
         prod = group.prefix_products(group.exp(factors))[:, -1]
         worst = max(worst, float(np.max(group.chart_norm(prod))))
         remaining -= batch

@@ -196,24 +196,18 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
     return StepCountResult(upper=len(factors), factors=stack, certified_defect=defect)
 
 
-def heisenberg_step_counts(group: HeisenbergGroup, elements: np.ndarray,
-                           delta: float, with_norms: bool = False):
-    """Vectorized step counts, branch-identical to ``step_count_upper``; with ``with_norms``
-    also the norms |x|_p + |y|_q + |z| it forms, the same sum as ``group.norm``."""
-    elements = np.asarray(elements, dtype=float)
-    x, y, z = group.split(elements)
-    m_x, m_y, gadgets, _, norms = _heisenberg_count_parts(group, x, y, z, delta)
-    full = m_x + m_y + 4.0 * gadgets
-    counts = np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
-    return (counts, norms) if with_norms else counts
-
-
 def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: bool = False):
-    """Step counts over an array of group elements (..., d), and with
-    ``with_norms`` their chart norms."""
-    if isinstance(group, HeisenbergGroup):
-        return heisenberg_step_counts(group, elements, delta, with_norms)
+    """Step counts over an array of group elements (..., d), and with ``with_norms``
+    their chart norms.  On the Heisenberg group the counts are vectorized,
+    branch-identical to ``step_count_upper``, and the norms are the sum
+    |x|_p + |y|_q + |z| they form, the same sum as ``group.norm``."""
     elements = np.asarray(elements, dtype=float)
+    if isinstance(group, HeisenbergGroup):
+        x, y, z = group.split(elements)
+        m_x, m_y, gadgets, _, norms = _heisenberg_count_parts(group, x, y, z, delta)
+        full = m_x + m_y + 4.0 * gadgets
+        counts = np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
+        return (counts, norms) if with_norms else counts
     counts = np.array([step_count_upper(group, v, delta).upper
                        for v in elements.reshape(-1, group.dim)]).reshape(elements.shape[:-1])
     return (counts, group.chart_norm(elements)) if with_norms else counts

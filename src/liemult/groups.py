@@ -90,26 +90,21 @@ def column_lp_norm(columns, n: int, p: float) -> np.ndarray:
 
 
 def sample_norm_ball(rng: np.random.Generator, space, radius: float, size: int) -> np.ndarray:
-    """Draw vectors uniformly from the open norm ball of ``space``.
+    """Draw vectors uniformly from the open norm ball of ``space``, any object
+    with ``dim`` and ``norm``.
 
-    Rejection sampling from the bounding box; exact for any norm whose unit
-    ball is contained in the unit sup-norm box (true for all norms used here).
+    Rejection sampling: uniform draws from the box [-radius, radius]^dim, keeping
+    those whose norm is below radius; exact for any norm whose unit ball is
+    contained in the unit sup-norm box (true for all norms used here).
     """
-    if radius <= 0:
+    if not radius > 0:   # NaN too
         raise ParameterError(f"radius must be positive, got {radius}")
-    return sample_ball_rejection(rng, space.dim, space.norm, radius, size)
-
-
-def sample_ball_rejection(rng: np.random.Generator, dim: int, norm, radius: float,
-                          size: int) -> np.ndarray:
-    """Rejection sampler behind ``sample_norm_ball``: uniform draws from the
-    box [-radius, radius]^dim, keeping those whose ``norm`` is below radius."""
-    out = np.empty((size, dim))
+    out = np.empty((size, space.dim))
     have = 0
     while have < size:
         batch = max(64, 4 * (size - have))
-        cand = rng.uniform(-radius, radius, size=(batch, dim))
-        good = cand[norm(cand) < radius]
+        cand = rng.uniform(-radius, radius, size=(batch, space.dim))
+        good = cand[space.norm(cand) < radius]
         take = min(size - have, good.shape[0])
         out[have:have + take] = good[:take]
         have += take
@@ -191,7 +186,11 @@ class ChartSpec:
 
 
 class _NilpotentGroup:
-    """Shared machinery for the two built-in instances."""
+    """Shared machinery for the two built-in instances.
+
+    An instance supplies ``mul``, ``inv``, ``exp``, ``log``, ``bracket`` and
+    ``norm``, each broadcasting over leading axes of ``(..., d)`` arrays.
+    """
 
     dim: int
     nilpotency_step: int
@@ -212,24 +211,6 @@ class _NilpotentGroup:
                 )
             out.append(arr)
         return out
-
-    def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def inv(self, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def exp(self, vec: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def log(self, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def norm(self, vec: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def bch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Truncated Baker-Campbell-Hausdorff product, exact on nilpotent steps 2 and 3."""
@@ -314,10 +295,6 @@ class _NilpotentGroup:
         out = np.zeros(prefix.shape[:-1] + prefix.shape[-2:-1])   # (..., m, m)
         out[..., j, k] = out[..., k, j] = self.chart_norm(pairs)
         return out
-
-    def sample_ball(self, rng: np.random.Generator, radius: float, size: int) -> np.ndarray:
-        """Draw ``size`` algebra vectors uniformly from the open norm ball."""
-        return sample_norm_ball(rng, self, radius, size)
 
 
 class HeisenbergGroup(_NilpotentGroup):

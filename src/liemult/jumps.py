@@ -118,7 +118,7 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     sample correlation of counts over the two half-time windows within
     3/sqrt(trials) of zero.
     """
-    if not model.stationary:
+    if model.scale is not None:
         raise ParameterError("the Poisson battery requires a stationary model")
     group, T = model.space, grid.T
     counts = np.zeros(trials)

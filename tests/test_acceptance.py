@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from liemult import (FixedAtomJumps, HeisenbergGroup, JumpSetSpec, LevyModel,
+from liemult import (DiscreteJumps, HeisenbergGroup, JumpSetSpec, LevyModel,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps,
                      UnipotentGroup, convergence_study, detector_fidelity,
                      exhaustive_count_reference,
@@ -158,7 +158,7 @@ def test_criterion_6_jump_battery():
     group = HeisenbergGroup(2, 2.0)
     with criterion(6, "jump detection and Poisson statistics", 600):
         detector_model = LevyModel(space=group, diffusion=0.15, jump_intensity=3.0,
-                                   jump_law=FixedAtomJumps(group.embed([0.6, 0.0])))
+                                   jump_law=DiscreteJumps([group.embed([0.6, 0.0])], [1.0]))
         rep = detector_fidelity(detector_model, TimeGrid.uniform(1.0, 512), JumpSetSpec(0.25),
                                 500, 51)
         assert rep["scored_true_jumps"] > 0 and rep["hitting_times"]
@@ -205,7 +205,7 @@ def test_criterion_7_moment_battery():
         moment_model = LevyModel(space=group,
                                  diffusion=np.array([0.10, 0.10, 0.0, 0.0, 0.0]),
                                  jump_intensity=1.0,
-                                 jump_law=FixedAtomJumps(group.embed([0.2, 0.0])),
+                                 jump_law=DiscreteJumps([group.embed([0.2, 0.0])], [1.0]),
                                  bound_delta=0.2)
         rep = exp_moment_estimate(moment_model, (0.25, 1.0), alpha, delta, 10**3, 61)
         assert rep.passed, rep.to_dict()
@@ -213,7 +213,7 @@ def test_criterion_7_moment_battery():
         assert rep.diagnostics["partial_max"]["pass"]
 
         tail_model = LevyModel(space=group, jump_intensity=2.0,
-                               jump_law=FixedAtomJumps(group.embed([0.4, 0.0])),
+                               jump_law=DiscreteJumps([group.embed([0.4, 0.0])], [1.0]),
                                bound_delta=0.4)
         rep = tail_decay_fit(tail_model, (0.25, 1.0), alpha, delta, 1500, 62)
         assert rep.passed, rep.to_dict()

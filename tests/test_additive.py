@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from liemult import additive
-from liemult import (DiscreteJumps, FixedAtomJumps, LevyModel, LpSpace, ParameterError,
-                     PiecewiseConstantRate, SubspaceBallJumps, TimeGrid, UniformBallJumps,
+from liemult import additive, config
+from liemult import (DiscreteJumps, HeisenbergGroup, LevyModel, LpSpace, ParameterError,
+                     PiecewiseConstantRate, TimeGrid, UniformBallJumps,
                      UnipotentGroup, driver_increments, sample_additive, substream)
 from liemult.config import build_context, default_config
 from liemult.stats import batched_ks_two_sample
@@ -72,7 +72,7 @@ class TestSampling:
     def test_poisson_jump_count_mean(self, heis2, grid):
         # oracle: the count over [0, 1] at intensity 2 is Poisson(2)
         model = LevyModel(space=heis2, jump_intensity=2.0,
-                          jump_law=FixedAtomJumps(heis2.embed(c=1.0)))
+                          jump_law=DiscreteJumps([heis2.embed(c=1.0)], [1.0]))
         counts = [sample_additive(model, grid, 5, stream=(t,)).jump_times.size
                   for t in range(10**4)]
         assert np.mean(counts) == pytest.approx(2.0, abs=3 * np.sqrt(2.0 / 10**4))
@@ -86,40 +86,185 @@ class TestSampling:
             # support sticks out of the declared bound
             LevyModel(space=heis2, jump_intensity=1.0,
                       jump_law=UniformBallJumps(0.5), bound_delta=0.25)
+        with pytest.raises(ParameterError, match="radius must be positive, got nan"):
+            UniformBallJumps(np.nan)   # its box would have no bounds
 
     def test_discrete_law_probabilities(self, heis2, grid):
         with pytest.raises(ParameterError):
             DiscreteJumps(np.zeros((2, 5)), [0.5, 0.6])
+        with pytest.raises(ParameterError, match="sum to 1, got nan"):
+            DiscreteJumps(np.zeros((2, 5)), [np.nan, 1.0])
         law = DiscreteJumps([heis2.embed([1.0, 0.0]), heis2.embed(c=2.0)], [0.25, 0.75])
         model = LevyModel(space=heis2, jump_intensity=3.0, jump_law=law)
         path = sample_additive(model, grid, seed=1)
         assert path.jump_vectors.shape[1] == 5
 
     @pytest.mark.parametrize("law", [
-        FixedAtomJumps([0.1, 0.2]),
-        SubspaceBallJumps(0.3, [0, 7]),
+        config._LAWS["fixed_atom"][1]({"kind": "fixed_atom", "vector": [0.1, 0.2]}),
+        UniformBallJumps(0.3, [0, 7]),
         DiscreteJumps([[0.1, 0.2]], [1.0]),
     ])
     def test_law_dimension_checked_when_model_is_built(self, heis2, law):
         with pytest.raises(ParameterError, match="dimension"):
             LevyModel(space=heis2, jump_intensity=1.0, jump_law=law)
 
+    @pytest.mark.parametrize("indices", [[-1, -1], [0, -2], [0, 0], [3, 1, 3], [], [[0, 1]],
+                                         [0.5, 1.7], ["1"]])
+    def test_subspace_indices_rejected(self, indices):
+        # a negative index would wrap around, a repeated one would merge two
+        # sampled coordinates into one, and a fractional one would be truncated
+        with pytest.raises(ParameterError, match="indices"):
+            UniformBallJumps(0.3, indices)
+
+    @pytest.mark.parametrize("vector", [0.1, [[0.1, 0.2]]])
+    def test_fixed_atom_must_be_one_vector(self, vector):
+        with pytest.raises(ParameterError, match="2-d array of atoms"):
+            config._LAWS["fixed_atom"][1]({"kind": "fixed_atom", "vector": vector})
+
     def test_subspace_law_stays_in_subspace(self, heis2):
-        law = SubspaceBallJumps(0.3, np.arange(2))
+        law = UniformBallJumps(0.3, np.arange(2))
         rng = np.random.default_rng(0)
         draws = law.sample(rng, heis2, 200)
         assert np.all(draws[:, 2:] == 0.0)
         assert np.max(heis2.norm(draws)) < 0.3
 
     def test_subspace_law_draws_pinned(self, heis2):
-        # the rejection sampler shared with sample_norm_ball must keep this
-        # law's stream: these are the draws of its former private loop
-        law = SubspaceBallJumps(0.3, np.array([0, 2, 4]))
+        # the rejection loop of sample_norm_ball must keep this law's stream:
+        # these are the draws of the subspace law's former private loop
+        law = UniformBallJumps(0.3, np.array([0, 2, 4]))
         draws = law.sample(np.random.default_rng(7), heis2, 2)
         np.testing.assert_array_equal(draws, [
             [-0.019239028293767557, 0.0, -0.11818054390841187, 0.0, -0.132944632739536],
             [-0.14707824740752523, 0.0, -0.03295421647041208, 0.0, 0.0027289553747719686],
         ])
+
+
+
+def _law_configs(dim):
+    """One config block of each jump-law kind that fits a ``dim``-dimensional space."""
+    atom = [0.02 * (i + 1) for i in range(dim)]
+    return {
+        "uniform_ball": {"kind": "uniform_ball", "radius": 0.3},
+        "subspace_ball": {"kind": "subspace_ball", "radius": 0.3, "indices": [1, 4]},
+        "fixed_atom": {"kind": "fixed_atom", "vector": atom},
+        "discrete": {"kind": "discrete", "vectors": [atom, [-0.5 * a for a in atom]],
+                     "probs": [0.3, 0.7]},
+    }
+
+
+# the subspace_ball extreme points (coordinates 1 and 4) of TestJumpLawsPinned
+SUBSPACE_EXTREMES = {
+    "heisenberg": [
+        (0.3, 0.0), (0.0, 0.3), (-0.3, -0.0), (-0.0, -0.3),
+        (0.04358274772305345, 0.2564172522769465), (0.2945413601185044, -0.005458639881495541),
+        (0.20661179431397866, -0.09338820568602134), (0.08218589155417082, 0.21781410844582916),
+        (0.11019645759079992, -0.18980354240920008), (0.05119164909029041, -0.2488083509097096),
+        (0.12759713576467926, -0.17240286423532072),
+        (-0.11795373804135557, -0.18204626195864443),
+        (0.0938444583116945, -0.2061555416883055), (0.019713104161330642, 0.28028689583866934),
+        (-0.09857769937434202, -0.201422300625658), (0.1446311096734666, 0.1553688903265334),
+        (-0.14442719999453216, -0.1555728000054678),
+        (-0.23288871698689567, -0.06711128301310433),
+        (-0.18201057308725574, 0.11798942691274425),
+        (-0.19945245770351072, 0.10054754229648928),
+        (0.1372225265270531, -0.16277747347294685), (-0.2930091795936467, 0.006990820406353314),
+        (0.010932944567655208, 0.28906705543234473),
+        (-0.21319860555812342, -0.08680139444187651),
+        (0.13492211748386074, -0.16507788251613925),
+        (0.21057947896693424, -0.08942052103306575), (0.1485624569208094, -0.1514375430791906),
+        (0.1839768849372177, -0.11602311506278228), (0.021501783857980652, 0.2784982161420193),
+        (-0.021725875722044773, -0.2782741242779552),
+        (-0.21178258791031251, -0.08821741208968742),
+        (-0.23292588450393611, -0.06707411549606387),
+        (0.1285435753112066, 0.17145642468879335), (-0.04853949109546554, -0.2514605089045344),
+        (0.02885190833624731, -0.2711480916637527), (-0.18075940541781793, -0.11924059458218206),
+    ],
+    "unipotent": [
+        (0.3, 0.0), (0.0, 0.3), (-0.3, -0.0), (-0.0, -0.3), (0.050990423619368695, 0.3),
+        (0.3, -0.005559803091116986), (0.3, -0.13559952760117383), (0.11319637484540258, 0.3),
+        (0.1741745009477629, -0.30000000000000004), (0.06172419322316165, -0.3),
+        (0.22203309033865468, -0.3), (-0.19437982978439491, -0.3), (0.13656357361508362, -0.3),
+        (0.021099563826213263, 0.29999999999999993), (-0.1468224209555843, -0.3),
+        (0.27926654306953036, 0.3), (-0.2785072968850392, -0.3), (-0.3, -0.08645066692975159),
+        (-0.3, 0.1944767684284696), (-0.3, 0.15123535220501744), (0.25290205751324507, -0.3),
+        (-0.3, 0.007157612347894743), (0.011346444738889344, 0.3), (-0.3, -0.12214159780451128),
+        (0.24519720406033757, -0.3), (0.3, -0.12739207277710116), (0.2943044120369589, -0.3),
+        (0.3, -0.18919188968066603), (0.023161854487803127, 0.3),
+        (-0.023422094071898464, -0.3), (-0.3, -0.12496411479358228),
+        (-0.30000000000000004, -0.08638900177055732), (0.22491471324773593, 0.30000000000000004),
+        (-0.05790908239260736, -0.3), (0.03192193774171149, -0.3), (-0.3, -0.19789940275566129),
+    ],
+}
+
+
+class TestJumpLawsPinned:
+    """Every config jump-law kind, built by its config constructor, keeps its draws
+    and extreme points; recorded when the subspace and one-atom laws were classes
+    of their own."""
+
+    GROUPS = {"heisenberg": lambda: HeisenbergGroup(2), "unipotent": lambda: UnipotentGroup(4)}
+
+    @pytest.mark.parametrize("group_name, kind, digest", [
+        ("heisenberg", "uniform_ball",
+         "d7944880663d4834eb5f4276aaa6ee6645ad6ab83f90c4c002164da39b42a1eb"),
+        ("heisenberg", "subspace_ball",
+         "09246fb8b593c2a2299f397353256215a25c722e86d1e65d0aec16be419efece"),
+        ("heisenberg", "fixed_atom",
+         "0d0f4949718a98e5b2ad34879f95d0387d7d862600c6d438792df23647e2bc8b"),
+        ("heisenberg", "discrete",
+         "b802b84bb523837d65bfe90a630c943b2f6fae1a1bf101b3d65032575832d783"),
+        ("unipotent", "uniform_ball",
+         "b8d09827ffc2f6d1a75ec3c966c9a1ce6ade6f9e0656454b0a23425d882ebec8"),
+        ("unipotent", "subspace_ball",
+         "aad30123b25ba08e7b0c20b74841dd724796b1ceb1aae8182c4b62e8d9b8524f"),
+        ("unipotent", "fixed_atom",
+         "a72aff79db0b080c3151f6a51baf4d3c89a31d7b4e0f5a739c03b7707a3feeea"),
+        ("unipotent", "discrete",
+         "6df12ff90981bd40851cdb80b2b0c46b822abe0264c8e6ea495de0729b0a67c3"),
+    ])
+    def test_draws_pinned(self, group_name, kind, digest):
+        # sha256 of the increments and jump vectors of trials 0-4 at seed 11
+        group = self.GROUPS[group_name]()
+        law = config._LAWS[kind][1](_law_configs(group.dim)[kind])
+        model = LevyModel(space=group, jump_intensity=4.0, jump_law=law)
+        h = hashlib.sha256()
+        for t in range(5):
+            path = sample_additive(model, TimeGrid.uniform(1.0, 16), 11, stream=(t,))
+            assert path.jump_vectors.shape[0]
+            h.update(path.increments.tobytes())
+            h.update(path.jump_vectors.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("group_name, kind, digest", [
+        ("heisenberg", "uniform_ball",
+         "d0f0d2ddd4cfa722f754526335411647768d496d84cdb65ace5df60405edd082"),
+        ("heisenberg", "fixed_atom",
+         "56f93a2ee34ab1729ca17bcb4a8b559c141b37857ab8519de8f25d273aa0b2d2"),
+        ("heisenberg", "discrete",
+         "bac39033b63841835b6c3c390f1b73c006cf509d6a86aa8f52ff855706341f09"),
+        ("unipotent", "uniform_ball",
+         "c01dcd18082797ca7fa4ee9a4bad28929c89f11eff7ea8d86b62ac122d3ee3d5"),
+        ("unipotent", "fixed_atom",
+         "80e416010d6647c09bb25ea408ad9d440847620390dce91826495422d2bd9466"),
+        ("unipotent", "discrete",
+         "f1ef9c12e9933e10b843afbe0cdcb12d8d7fc297de0384bdf20b6489f567a729"),
+    ])
+    def test_extreme_points_pinned(self, group_name, kind, digest):
+        group = self.GROUPS[group_name]()
+        law = config._LAWS[kind][1](_law_configs(group.dim)[kind])
+        points = law.extreme_points(group, substream(3, "jump-extremes"))
+        assert hashlib.sha256(points.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("group_name", ["heisenberg", "unipotent"])
+    def test_subspace_extreme_points_pinned(self, group_name):
+        # pts / norm(pts) * radius, as the full-space ball scales them, moves these
+        # by at most one ulp from the recorded pts * (radius / norm(pts))
+        group = self.GROUPS[group_name]()
+        law = config._LAWS["subspace_ball"][1](_law_configs(group.dim)["subspace_ball"])
+        points = law.extreme_points(group, substream(3, "jump-extremes"))
+        expected = np.zeros((len(SUBSPACE_EXTREMES[group_name]), group.dim))
+        expected[:, [1, 4]] = SUBSPACE_EXTREMES[group_name]
+        np.testing.assert_allclose(points, expected, rtol=0, atol=1e-16)
 
 
 def reference_increments(model, grid, seed, stream):
@@ -157,11 +302,11 @@ def _oracle_models(heis2):
         "brownian": LevyModel(space=heis2, diffusion=0.3),
         "partial_diffusion_atom": LevyModel(space=heis2, diffusion=[0.1, 0.1, 0.0, 0.0, 0.0],
                                             jump_intensity=3.0,
-                                            jump_law=FixedAtomJumps(heis2.embed([0.2, 0.0]))),
+                                            jump_law=DiscreteJumps([heis2.embed([0.2, 0.0])], [1.0])),
         "drift": LevyModel(space=heis2, drift=heis2.embed([0.4, 0.3], c=0.1), diffusion=0.2,
                            jump_intensity=1.0, jump_law=UniformBallJumps(0.5)),
         "subspace": LevyModel(space=heis2, jump_intensity=4.0,
-                              jump_law=SubspaceBallJumps(0.3, [0, 2, 4])),
+                              jump_law=UniformBallJumps(0.3, [0, 2, 4])),
         "discrete": LevyModel(space=heis2, diffusion=0.1, jump_intensity=4.0,
                               jump_law=DiscreteJumps([heis2.embed([1.0, 0.0]),
                                                       heis2.embed(c=2.0)], [0.25, 0.75])),

@@ -348,6 +348,9 @@ class TestValidation:
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": "uniform_ball", "radius": -1}),
          "config.models.noisy.jump_law", "radius"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "uniform_ball", "radius": float("nan")}),
+         "config.models.noisy.jump_law", "radius"),
         # a jump law whose dimension does not fit the 5-dim group
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": "fixed_atom", "vector": [0.1, 0.2]}),
@@ -360,6 +363,15 @@ class TestValidation:
             jump_intensity=1.0,
             jump_law={"kind": "discrete", "vectors": [[0.1, 0.2]], "probs": [1.0]}),
          "config.models.noisy", "vectors"),
+        # subspace indices that are negative or repeated
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0,
+            jump_law={"kind": "subspace_ball", "radius": 0.3, "indices": [-1, -1]}),
+         "config.models.noisy.jump_law", "indices"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0,
+            jump_law={"kind": "subspace_ball", "radius": 0.3, "indices": [0, 0]}),
+         "config.models.noisy.jump_law", "indices"),
         # count parameters below the range a battery's arithmetic needs
         (lambda cfg: cfg["experiments"].append(
             {"name": "right-limit-refinement", "seed": 3,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from liemult import (FixedAtomJumps, HeisenbergGroup, HypothesisError, LevyModel,
+from liemult import (DiscreteJumps, HeisenbergGroup, HypothesisError, LevyModel,
                      ParameterError, TimeGrid, UniformBallJumps, UnipotentGroup,
                      bounded_jumps_check, exp_moment_estimate, gauge_distance,
                      gauge_norm, mc_expectation_bound, mc_largest_step,
@@ -24,7 +24,7 @@ def moment_model():
     h = HeisenbergGroup(2, 2.0)
     return h, LevyModel(space=h, diffusion=np.array([0.10, 0.10, 0.0, 0.0, 0.0]),
                         jump_intensity=1.0,
-                        jump_law=FixedAtomJumps(h.embed([0.2, 0.0])),
+                        jump_law=DiscreteJumps([h.embed([0.2, 0.0])], [1.0]),
                         bound_delta=0.2)
 
 
@@ -160,7 +160,7 @@ class TestBoundedJumps:
 
     def test_large_atom_needs_four_factors(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=1.0,
-                          jump_law=FixedAtomJumps(heis2.embed([3 * DELTA, 0.0])))
+                          jump_law=DiscreteJumps([heis2.embed([3 * DELTA, 0.0])], [1.0]))
         assert bounded_jumps_check(model, DELTA, 4)["pass"]
         assert not bounded_jumps_check(model, DELTA, 3)["pass"]
 
@@ -205,7 +205,7 @@ class TestTailDecay:
 
     def test_calibrated_atom_model(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=2.0,
-                          jump_law=FixedAtomJumps(heis2.embed([0.4, 0.0])),
+                          jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]),
                           bound_delta=0.4)
         rep = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 1500, 3)
         assert rep.passed
@@ -216,7 +216,7 @@ class TestTailDecay:
         # the exceedance floor scales with the trial count so both runs keep
         # the same usable-level policy and the binomial slope SE is comparable
         model = LevyModel(space=heis2, jump_intensity=2.0,
-                          jump_law=FixedAtomJumps(heis2.embed([0.4, 0.0])),
+                          jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]),
                           bound_delta=0.4)
         small = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 800, 3,
                                min_exceedances=10)
@@ -246,7 +246,7 @@ class TestMetricModulus:
         # Poisson small-window oracle: jump mass inside a window of size w
         # scales like lambda * w, so the curve collapses with the window
         model = LevyModel(space=heis2, jump_intensity=1.0,
-                          jump_law=FixedAtomJumps(heis2.embed([0.3, 0.0])),
+                          jump_law=DiscreteJumps([heis2.embed([0.3, 0.0])], [1.0]),
                           bound_delta=0.3)
         rep = metric_modulus_curve(model, 1.0, ALPHA, [0.5, 0.125, 0.03125],
                                    600, 5, cells=128)

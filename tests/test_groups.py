@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liemult import (ChartSpec, HeisenbergGroup, InvalidInputError, ParameterError,
-                     UnipotentGroup, group_from_config, sample_norm_ball, substream)
+                     UnipotentGroup, group_from_config, sample_norm_ball, step_counts_batch,
+                     substream)
 from liemult.experiments import run_experiment
-from liemult.geometry import heisenberg_step_counts
 from liemult.groups import _NilpotentGroup, coordinate_sum, lp_norm
 
 
@@ -300,7 +300,7 @@ class TestChartMachinery:
         rng = substream(7, "ball-products")
         for group, delta, power in ((heis2, 0.1, 3), (uni4, 0.05, 2)):
             radius = group.ball_power_radius(delta, power)
-            factors = group.sample_ball(rng, delta, 2000 * power)
+            factors = sample_norm_ball(rng, group, delta, 2000 * power)
             factors = factors.reshape(2000, power, group.dim)
             prod = np.broadcast_to(group.identity(), (2000, group.dim))
             for i in range(power):
@@ -400,7 +400,7 @@ class TestHeisenbergBlockKernel:
             elements *= np.array([0.05, 0.5, 2.0, 8.0])[:, None, None]
             elements[0, :3] = 0.0
             for delta in (0.1, 0.5, 2.0):
-                digest.update(heisenberg_step_counts(group, elements, delta).tobytes())
+                digest.update(step_counts_batch(group, elements, delta).tobytes())
         assert digest.hexdigest() == (
             "1689fdff84c658ee5cd76f35a3edf1a307640096596ecc29831696af78964953")
 

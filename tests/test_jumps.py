@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liemult import (DiscreteJumps, FixedAtomJumps, JumpSetSpec, LevyModel, ParameterError,
+from liemult import (DiscreteJumps, JumpSetSpec, LevyModel, ParameterError,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps, detector_fidelity,
                      hitting_cells, poisson_battery, product_exponential, restart_probe,
                      sample_additive)
@@ -42,7 +42,7 @@ class TestHittingTimes:
 
     def test_taus_strictly_increasing(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=5.0,
-                          jump_law=FixedAtomJumps(heis2.embed([1.0, 0.0])))
+                          jump_law=DiscreteJumps([heis2.embed([1.0, 0.0])], [1.0]))
         path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 64), 3))
         taus = hitting_times(path, JumpSetSpec(0.5))
         assert np.all(np.diff(taus) > 0)
@@ -51,7 +51,7 @@ class TestHittingTimes:
 class TestDetectorFidelity:
     def test_pure_jump_driver_perfect_scores(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=3.0,
-                          jump_law=FixedAtomJumps(heis2.embed([0.6, 0.0])))
+                          jump_law=DiscreteJumps([heis2.embed([0.6, 0.0])], [1.0]))
         rep = detector_fidelity(model, TimeGrid.uniform(1.0, 512), JumpSetSpec(0.25), 20, 7)
         assert rep["scored_true_jumps"] > 0
         assert rep["precision"] == 1.0 and rep["recall"] == 1.0
@@ -59,7 +59,7 @@ class TestDetectorFidelity:
 
     def test_threshold_above_jumps_inconclusive(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=3.0,
-                          jump_law=FixedAtomJumps(heis2.embed([0.2, 0.0])))
+                          jump_law=DiscreteJumps([heis2.embed([0.2, 0.0])], [1.0]))
         rep = detector_fidelity(model, TimeGrid.uniform(1.0, 32), JumpSetSpec(0.5), 10, 0)
         assert rep["recall"] is None and rep["precision"] is None
         assert rep["scored_true_jumps"] == 0 and rep["hitting_times"] == []
@@ -105,7 +105,7 @@ class TestPoissonBattery:
 
     def test_underpowered_marker(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=0.05,
-                          jump_law=FixedAtomJumps(heis2.embed([1.0, 0.0])))
+                          jump_law=DiscreteJumps([heis2.embed([1.0, 0.0])], [1.0]))
         rep = poisson_battery(model, TimeGrid.uniform(1.0, 64), JumpSetSpec(0.5), 50, 0)
         assert rep.passed is None
         assert "underpowered" in rep.notes
@@ -113,9 +113,9 @@ class TestPoissonBattery:
     def test_small_diffusion_does_not_change_detection(self, heis2):
         # coupled comparison: adding sub-threshold noise keeps the same counts
         jumpy = LevyModel(space=heis2, jump_intensity=2.0,
-                          jump_law=FixedAtomJumps(heis2.embed([0.8, 0.0])))
+                          jump_law=DiscreteJumps([heis2.embed([0.8, 0.0])], [1.0]))
         noisy = LevyModel(space=heis2, diffusion=0.02, jump_intensity=2.0,
-                          jump_law=FixedAtomJumps(heis2.embed([0.8, 0.0])))
+                          jump_law=DiscreteJumps([heis2.embed([0.8, 0.0])], [1.0]))
         grid = TimeGrid.uniform(5.0, 2000)
         spec = JumpSetSpec(0.4)
         for trial in range(40):

@@ -149,7 +149,6 @@ class TestLargestStep:
         rep = mc_largest_step(model, grid, 0.5, 500, 1)
         assert rep.passed       # small jumps: both probabilities zero
 
-        from liemult import FixedAtomJumps
         import dataclasses
         base = sample_additive(LevyModel(space=heis2), grid, 0)
         planted = dataclasses.replace(base, jump_times=np.array([0.47]),
