@@ -15,20 +15,17 @@ from .additive import (AdditivePath, DiscreteJumps, LevyModel, PiecewiseConstant
                        TimeGrid, UniformBallJumps, driver_increments, sample_additive)
 from .errors import (ConfigError, GridMismatchError, HypothesisError,
                      InvalidInputError, ParameterError)
-from .geometry import (MomentReport, StepCountResult, bounded_jumps_check,
-                       exp_moment_estimate, gauge_distance, gauge_norm,
-                       metric_modulus_curve, minimal_jump_power, step_count_upper,
-                       step_counts_batch, step_triangle_test, tail_decay_fit)
+from .geometry import (StepCountResult, bounded_jumps_check, exp_moment_estimate,
+                       gauge_distance, gauge_norm, metric_modulus_curve, minimal_jump_power,
+                       step_count_upper, step_counts_batch, step_triangle_test,
+                       tail_decay_fit)
 from .groups import (ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup,
                      group_from_config, sample_norm_ball)
-from .jumps import (JumpReport, JumpSetSpec, detector_fidelity, hitting_cells,
-                    poisson_battery, restart_probe)
-from .multiplicative import (ConvergenceReport, MultiplicativePath, TripleDefectReport,
-                             batch_prefixes, convergence_study, heisenberg_exact,
-                             product_exponential, verify_multiplicative)
-from .regularity import (ContinuityProbeReport, OscillationReport,
-                         exhaustive_count_reference, mc_expectation_bound,
-                         mc_largest_step, mc_maximum_oscillation,
-                         oscillation_axioms_test, oscillation_counts_from_outside,
-                         uniform_continuity_probe)
+from .jumps import (JumpSetSpec, detector_fidelity, hitting_cells, poisson_battery,
+                    restart_probe)
+from .multiplicative import (MultiplicativePath, batch_prefixes, convergence_study,
+                             heisenberg_exact, product_exponential, verify_multiplicative)
+from .regularity import (exhaustive_count_reference, mc_expectation_bound, mc_largest_step,
+                         mc_maximum_oscillation, oscillation_axioms_test,
+                         oscillation_counts_from_outside, uniform_continuity_probe)
 from .rng import substream

@@ -46,14 +46,15 @@ class TimeGrid:
             raise ParameterError("grid needs at least two points")
         if pts[0] != 0.0:
             raise ParameterError(f"grid must start at 0, got {pts[0]}")
-        if np.any(np.diff(pts) <= 0):
-            raise ParameterError("grid points must be strictly increasing")
+        if not (np.all(np.diff(pts) > 0) and np.isfinite(pts[-1])):   # NaN too
+            raise ParameterError("grid points must be finite and strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def uniform(cls, T: float, cells: int) -> "TimeGrid":
-        if T <= 0 or cells < 1 or cells != int(cells):
-            raise ParameterError(f"need T > 0 and an integer cells >= 1, got T={T}, cells={cells}")
+        if not (0 < T < np.inf and cells >= 1 and float(cells).is_integer()):   # NaN too
+            raise ParameterError(
+                f"need a finite T > 0 and an integer cells >= 1, got T={T}, cells={cells}")
         return cls(np.linspace(0.0, T, int(cells) + 1))
 
     @property
@@ -102,10 +103,11 @@ class PiecewiseConstantRate:
         rates = np.asarray(self.rates, dtype=float)
         if breaks.ndim != 1 or breaks.size == 0 or breaks[0] != 0.0:
             raise ParameterError("breaks must be a 1-d array starting at 0")
-        if np.any(np.diff(breaks) <= 0):
-            raise ParameterError("breaks must be strictly increasing")
-        if rates.shape != breaks.shape or np.any(rates < 0):
-            raise ParameterError("rates must be nonnegative, one per piece")
+        if not (np.all(np.diff(breaks) > 0) and np.isfinite(breaks[-1])):   # NaN too
+            raise ParameterError(f"breaks must be finite and strictly increasing, got {breaks}")
+        if rates.shape != breaks.shape or not np.all((rates >= 0) & (rates < np.inf)):
+            raise ParameterError(f"rates must be finite and nonnegative, one per piece,"
+                                 f" got {rates}")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "rates", rates)
 
@@ -142,6 +144,8 @@ class UniformBallJumps:
     def __init__(self, radius: float, indices=None):
         if not radius > 0:   # NaN too
             raise ParameterError(f"radius must be positive, got {radius}")
+        if radius == np.inf:
+            raise ParameterError(f"radius must be finite, got {radius}")
         self.radius = float(radius)
         self.indices = idx = None if indices is None else np.asarray(indices, dtype=int)
         if idx is not None and (idx.ndim != 1 or idx.size == 0 or idx.min() < 0
@@ -187,6 +191,8 @@ class DiscreteJumps:
         self.probs = np.asarray(probs, dtype=float)
         if self.vectors.ndim != 2 or self.probs.shape != self.vectors.shape[:1]:
             raise ParameterError("need a 2-d array of atoms and one probability per atom")
+        if not np.all(np.isfinite(self.vectors)):
+            raise ParameterError(f"atom vectors must be finite, got {vectors}")
         if np.any(self.probs < 0) or not abs(self.probs.sum() - 1.0) <= 1e-12:   # NaN too
             raise ParameterError(f"probabilities must sum to 1, got {self.probs.sum()}")
 
@@ -207,10 +213,12 @@ class DiscreteJumps:
 
 
 def _per_direction(dim: int, name: str, value) -> np.ndarray:
-    """A scalar or a length-``dim`` coefficient as a length-``dim`` array."""
+    """A finite scalar or length-``dim`` coefficient as a length-``dim`` array."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim > 1 or arr.size not in (1, dim):
         raise ParameterError(f"{name} must be a scalar or have {dim} entries, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be finite, got {value}")
     return np.broadcast_to(arr, (dim,)).copy()
 
 
@@ -244,8 +252,12 @@ class LevyModel:
         diffusion = _per_direction(self.space.dim, "diffusion", self.diffusion)
         if np.any(diffusion < 0):
             raise ParameterError("diffusion coefficients must be nonnegative")
-        if self.jump_intensity < 0:
-            raise ParameterError(f"jump_intensity must be nonnegative, got {self.jump_intensity}")
+        if not 0 <= self.jump_intensity < np.inf:   # NaN too
+            raise ParameterError(
+                f"jump_intensity must be finite and nonnegative, got {self.jump_intensity}")
+        if self.bound_delta is not None and not 0 <= self.bound_delta < np.inf:
+            raise ParameterError(
+                f"bound_delta must be finite and nonnegative, got {self.bound_delta}")
         if self.jump_intensity > 0 and self.jump_law is None:
             raise ParameterError("a jump law is required when jump_intensity > 0")
         object.__setattr__(self, "drift", drift)

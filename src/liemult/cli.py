@@ -28,12 +28,18 @@ EXIT_SCHEMA = 2
 EXIT_RUNTIME = 3
 
 
+def _error_result(entry: dict, exc: BaseException, trace: str):
+    """``(report, trace)`` of an entry that raised ``exc``; the trace text stays
+    out of the report, since its file paths would tie report bytes to the machine."""
+    return {"experiment": entry["name"], "seed": entry["seed"], "status": "error",
+            "error": f"{type(exc).__name__}: {exc}"}, trace
+
+
 def _execute_entry(cfg: dict, index: int, csv_root: str | None):
     """Run one experiment entry; safe to call in a worker process.
 
-    Returns ``(report, traceback)``.  A runtime error becomes an error report
-    and its traceback text, which stays out of the report: its file paths
-    would make report bytes depend on the machine.
+    Returns ``(report, traceback)``, the traceback being None unless the
+    entry raised, in which case the report is an error report.
     """
     entry = cfg["experiments"][index]
     try:
@@ -42,9 +48,7 @@ def _execute_entry(cfg: dict, index: int, csv_root: str | None):
             ctx["csv_dir"] = Path(csv_root) / f"{index:02d}_{entry['name']}"
         return run_experiment(entry["name"], ctx, entry.get("params", {}), entry["seed"]), None
     except Exception as exc:  # noqa: BLE001 - one failing entry must not lose the others
-        report = {"experiment": entry["name"], "seed": entry["seed"], "status": "error",
-                  "error": f"{type(exc).__name__}: {exc}"}
-        return report, traceback.format_exc()
+        return _error_result(entry, exc, traceback.format_exc())
 
 
 def _positive_int(text: str) -> int:
@@ -85,12 +89,15 @@ def _run(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = {pool.submit(_execute_entry, cfg, i, csv_root): i
                        for i in range(len(entries))}
-            try:
-                for fut in as_completed(futures):
-                    finished(futures[fut], fut.result())
-            except BrokenProcessPool as exc:   # a worker died outside any experiment's code
-                print(f"runtime error: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME
+            for fut in as_completed(futures):
+                try:
+                    result = fut.result()
+                except BrokenProcessPool as exc:
+                    # a worker died outside any experiment's code and broke the pool: the
+                    # entries not yet returned are lost, the returned ones are kept
+                    result = _error_result(entries[futures[fut]], exc,
+                                           f"lost when a worker process died: {exc}")
+                finished(futures[fut], result)
     else:
         for i in range(len(entries)):
             finished(i, _execute_entry(cfg, i, csv_root))

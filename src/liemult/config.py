@@ -67,7 +67,8 @@ def _at(path: str):
         yield
     except KeyError as exc:
         raise ConfigError(path, f"missing required key {exc}") from exc
-    except (ValueError, TypeError) as exc:   # ParameterError, InvalidInputError, bad casts
+    # ParameterError, InvalidInputError, bad casts, and integers too large for a float
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 

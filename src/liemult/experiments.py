@@ -85,8 +85,7 @@ def _battery(module, name: str, *args: str, csv=None):
         report = getattr(module, name)(*values)
         if csv:
             _side_csv(ctx, csv[0], csv[1], csv[2](report))
-        out = jsonable(report)
-        return out, out["pass"]
+        return report, report["pass"]
     return runner
 
 
@@ -168,8 +167,8 @@ def _run_cocycle(ctx, params, seed):
              for trial in range(params["paths"]))
     worst = max((verify_multiplicative(path, samples=params["triples"], tol=params["tol"],
                                        seed=seed) for path in paths),
-                key=lambda rep: rep.max_defect)
-    return worst, worst.passed
+                key=lambda rep: rep["max_defect"])
+    return worst, worst["pass"]
 
 
 def _run_cocycle_fault(ctx, params, seed):
@@ -178,21 +177,20 @@ def _run_cocycle_fault(ctx, params, seed):
     offset = group.exp(substream(seed, "fault").standard_normal(group.dim))
     bad = path.with_corrupted_cell(params["cell"], offset)
     rep = verify_multiplicative(bad, samples=params["triples"], tol=params["tol"], seed=seed)
-    out = rep.to_dict()
-    out["corrupted_cell"] = params["cell"]
-    out["negative_control"] = True
     # a negative control passes when the verification fails and its worst
     # triple (j, k, l) spans the corrupted cell: j <= cell < l
-    j, _, l = rep.argmax_triple
-    return out, not rep.passed and j <= params["cell"] < l
+    j, _, l = rep["argmax_triple"]
+    verdict = not rep["pass"] and j <= params["cell"] < l
+    rep.update(corrupted_cell=params["cell"], negative_control=True)
+    return rep, verdict
 
 
 # product-limit expectation -> verdict on the convergence report
 _CONVERGENCE_EXPECTATIONS = {
-    "exact": lambda rep: all(e <= 1e-12 for e in rep.max_errors),
-    "jump-separation": lambda rep: any(e <= 1e-12 for e in rep.rms_errors),
-    "order-half": lambda rep: (rep.fitted_slope is not None
-                               and 0.35 <= rep.fitted_slope <= 0.65),
+    "exact": lambda rep: all(e <= 1e-12 for e in rep["max_errors"]),
+    "jump-separation": lambda rep: any(e <= 1e-12 for e in rep["rms_errors"]),
+    "order-half": lambda rep: (rep["fitted_slope"] is not None
+                               and 0.35 <= rep["fitted_slope"] <= 0.65),
 }
 
 
@@ -203,10 +201,9 @@ def _run_convergence(ctx, params, seed):
     expect = params["expect"]
     passed = _CONVERGENCE_EXPECTATIONS[expect](rep)
     _side_csv(ctx, "convergence.csv", ["mesh", "rms_error", "max_error"],
-              zip(rep.meshes, rep.rms_errors, rep.max_errors))
-    out = rep.to_dict()
-    out["expect"] = expect
-    return out, passed
+              zip(rep["meshes"], rep["rms_errors"], rep["max_errors"]))
+    rep["expect"] = expect
+    return rep, passed
 
 
 def _run_right_limit(ctx, params, seed):
@@ -260,13 +257,12 @@ def _run_uniform_continuity(ctx, params, seed):
     rep = probe(seed)
     # out-of-sample revalidation on a decorrelated stream
     check = probe(seed + 1_000_003)
-    fresh_p = next((p for h_val, p in check.probability_curve.items()
-                    if float(h_val) <= rep.window), None)
+    fresh_p = next((p for h_val, p in check["probability_curve"].items()
+                    if float(h_val) <= rep["window"]), None)
     slack = SLACK_MULTIPLIER * binom_se(params["alpha"], params["trials"])
     revalidated = fresh_p is not None and fresh_p <= params["alpha"] + slack
-    out = rep.to_dict()
-    out["fresh_seed_probability"] = fresh_p
-    return out, bool(rep.monotone and not rep.none_found and revalidated)
+    rep["fresh_seed_probability"] = fresh_p
+    return rep, bool(rep["monotone"] and not rep["none_found"] and revalidated)
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +398,7 @@ EXPERIMENTS = {
     "expectation-bound": ExperimentSpec(
         _battery(regularity, "mc_expectation_bound", "model", "grid", "delta", "trials", "seed",
                  csv=("oscillation_counts.csv", ["count", "trials"],
-                      lambda rep: sorted(rep.count_distribution.items()))),
+                      lambda rep: sorted(rep["count_distribution"].items()))),
         "mean oscillation count below a/(1-a) with geometric tail",
         "regularity", {"delta": POS, "trials": (I, 10000, 2), **_DRIVER}),
     "uniform-continuity-probe": ExperimentSpec(
@@ -441,7 +437,7 @@ EXPERIMENTS = {
                  "model", "window", "alpha", "delta", "trials", "seed", "cells",
                  csv=("tail_decay.csv", ["k", "gamma", "exceedances", "p_hat", "se"],
                       lambda rep: [(p["k"], p["gamma"], p["exceedances"], p["p_hat"], p["se"])
-                                   for p in rep.tail_points])),
+                                   for p in rep["tail_points"]])),
         "exceedance tail decays at least geometrically with the exit rate",
         "geometry", _MOMENT_PARAMS),
     "metric-modulus": ExperimentSpec(
@@ -456,7 +452,8 @@ EXPERIMENTS = {
 }
 
 _TYPE_CHECKS = {
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and math.isfinite(v))),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("a boolean", lambda v: isinstance(v, bool)),

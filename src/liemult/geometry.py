@@ -15,7 +15,7 @@ its triangle inequality is certified by large-scale sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +23,11 @@ from .additive import LevyModel, TimeGrid
 from .errors import HypothesisError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup, UnipotentGroup, lp_norm, sample_scaled_vectors
 from .multiplicative import batch_prefixes, map_trial_chunks
-from .reporting import Report
 from .rng import substream
 from .stats import binom_se, fit_slope, mean_se
 
 __all__ = [
     "StepCountResult",
-    "MomentReport",
     "step_count_upper",
     "step_counts_batch",
     "step_triangle_test",
@@ -345,22 +343,13 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
     return (group, idx, prefixes) + map_trial_chunks(prefixes, reduce)
 
 
-@dataclass(frozen=True)
-class MomentReport(Report):
-    """Output of the exponential-moment batteries."""
-
-    kind: str
-    params: dict
-    passed: bool | None
-    trials: int
-    seed: int
-    estimate: float | None = None
-    se: float | None = None
-    diagnostics: dict = field(default_factory=dict)
-    tail_points: list = field(default_factory=list)
-    fitted_slope: float | None = None
-    q_hat: float | None = None
-    notes: dict = field(default_factory=dict)
+def _moment_report(kind: str, params: dict, passed: bool | None, trials: int, seed: int,
+                   **fields) -> dict:
+    """Report of the exponential-moment batteries: ``fields`` over the empty
+    values that an early or inconclusive return leaves."""
+    return {"kind": kind, "params": params, "pass": passed, "trials": trials, "seed": seed,
+            "estimate": None, "se": None, "diagnostics": {}, "tail_points": [],
+            "fitted_slope": None, "q_hat": None, "notes": {}, **fields}
 
 
 def _running_mean_diagnostic(values: np.ndarray) -> dict:
@@ -395,7 +384,7 @@ def _partial_max_diagnostic(values: np.ndarray) -> dict:
 
 def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: float,
                         delta: float, trials: int, seed: int,
-                        cells: int = 64) -> MomentReport:
+                        cells: int = 64) -> dict:
     """Monte Carlo estimate of E[sup over window pairs of e^(alpha * upper)].
 
     The certified counter dominates the word-length infimum, so the estimate
@@ -423,7 +412,7 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
 
     diag_mean = _running_mean_diagnostic(values)
     diag_max = _partial_max_diagnostic(values)
-    return MomentReport(
+    return _moment_report(
         "exp_moment", {"window": list(window), "alpha": alpha, "delta": delta, "n_cells": cells},
         bool(diag_mean["pass"] and diag_max["pass"]), trials, seed,
         estimate=float(values.mean()),
@@ -436,7 +425,7 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
 
 def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
                    delta: float, trials: int, seed: int, cells: int = 64,
-                   min_exceedances: int = 10) -> MomentReport:
+                   min_exceedances: int = 10) -> dict:
     """Geometric tail of the windowed exponential moment.
 
     Exceedance probabilities are measured at thresholds
@@ -468,12 +457,12 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
               "jump_power": j_power, "n_cells": cells}
     if q_hat == 0.0 and all(pt["exceedances"] == 0 for pt in tail_points):
         # nothing ever leaves the ball: the geometric bound holds as 0 <= 0
-        return MomentReport("tail_decay", params, True, trials, seed, tail_points=tail_points,
-                            q_hat=q_hat, notes={"degenerate": "no exceedances at any level"})
+        return _moment_report("tail_decay", params, True, trials, seed, tail_points=tail_points,
+                              q_hat=q_hat, notes={"degenerate": "no exceedances at any level"})
     if len(usable) < 2 or q_hat <= 0.0:
-        return MomentReport("tail_decay", params, None, trials, seed, tail_points=tail_points,
-                            q_hat=q_hat,
-                            notes={"inconclusive": "fewer than two usable exceedance levels"})
+        return _moment_report("tail_decay", params, None, trials, seed, tail_points=tail_points,
+                              q_hat=q_hat,
+                              notes={"inconclusive": "fewer than two usable exceedance levels"})
     xs = np.array([pt["k"] for pt in usable], dtype=float)
     ys = np.array([np.log(pt["p_hat"]) for pt in usable])
     slope = fit_slope(xs, ys)
@@ -482,7 +471,7 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
     y_var = np.array([(1.0 - pt["p_hat"]) / (trials * pt["p_hat"]) for pt in usable])
     slope_se = float(np.sqrt(np.sum(x_ctr**2 * y_var)) / np.sum(x_ctr**2))
     passed = bool(slope <= np.log(q_hat) + 0.1)
-    return MomentReport(
+    return _moment_report(
         "tail_decay", params, passed, trials, seed, se=slope_se,
         diagnostics={"usable_levels": len(usable), "slope_se": slope_se},
         tail_points=tail_points, fitted_slope=slope, q_hat=q_hat,
@@ -491,7 +480,7 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
 
 def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
                          window_sizes: list[float], trials: int, seed: int,
-                         cells: int) -> MomentReport:
+                         cells: int) -> dict:
     """Shrinking-window decay of E[sup e^(alpha d(x_s, x_t)) - 1].
 
     Windows are nested around T/2, so the per-trial suprema are pathwise
@@ -528,7 +517,7 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
     else:
         decayed = values[-1] < values[0] / 4.0
     passed = bool(not inversions and decayed)
-    return MomentReport(
+    return _moment_report(
         "metric_modulus", {"T": T, "alpha": alpha, "window_sizes": sizes, "n_cells": cells},
         passed, trials, seed,
         estimate=values[-1],

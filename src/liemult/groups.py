@@ -157,14 +157,15 @@ class ChartSpec:
     bracket_bound: float
 
     def __post_init__(self):
-        if self.rho_prime <= 0:
-            raise ParameterError(f"rho_prime must be positive, got {self.rho_prime}")
+        if not 0 < self.rho_prime < math.inf:   # NaN too
+            raise ParameterError(f"rho_prime must be positive and finite, got {self.rho_prime}")
         if not (0 < self.rho_double_prime < self.rho_prime):
             raise ParameterError(
                 f"rho_double_prime must lie in (0, rho_prime), got {self.rho_double_prime}"
             )
-        if self.bracket_bound < 0:
-            raise ParameterError(f"bracket_bound must be nonnegative, got {self.bracket_bound}")
+        if not 0 <= self.bracket_bound < math.inf:
+            raise ParameterError(
+                f"bracket_bound must be finite and nonnegative, got {self.bracket_bound}")
 
     def certify_bracket_bound(self, group, samples: int = 10**4, seed: int = 0) -> float:
         """Check ``|[U,V]| <= C |U| |V|`` on random standard-normal pairs; return
@@ -313,7 +314,7 @@ class HeisenbergGroup(_NilpotentGroup):
     nilpotency_step = 2
 
     def __init__(self, N: int, p: float = 2.0, chart: ChartSpec | None = None):
-        if N < 1 or N != int(N):
+        if not (N >= 1 and float(N).is_integer()):   # NaN and inf too
             raise ParameterError(f"N must be a positive integer, got {N}")
         if not (1.0 < p < math.inf):
             raise ParameterError(f"p must lie in (1, inf), got {p}")

@@ -10,19 +10,17 @@ truth, and probe the restart property after the first hitting time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .additive import LevyModel, TimeGrid, driver_increments, sample_additive
 from .errors import ParameterError
 from .multiplicative import MultiplicativePath, product_exponential
-from .reporting import Report
 from .stats import SLACK_MULTIPLIER, batched_ks_exponential, batched_ks_two_sample
 
 __all__ = [
     "JumpSetSpec",
-    "JumpReport",
     "hitting_cells",
     "detector_fidelity",
     "poisson_battery",
@@ -88,28 +86,8 @@ def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     return report
 
 
-@dataclass(frozen=True)
-class JumpReport(Report):
-    """Poisson battery output for the jump counting process."""
-
-    lambda_hat: float
-    lambda_se: float
-    total_jumps: int
-    count_mean: float
-    dispersion: float | None
-    dispersion_pass: bool | None
-    ks: dict
-    window_correlation: float | None
-    correlation_pass: bool | None
-    passed: bool | None
-    trials: int
-    seed: int
-    params: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
-
-
 def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
-                    trials: int, seed: int) -> JumpReport:
+                    trials: int, seed: int) -> dict:
     """Poisson-law checks for the detected jump count process.
 
     Stationary models only.  Checks: interarrival KS against the fitted
@@ -133,13 +111,26 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     second_half = counts - first_half
 
     total = int(counts.sum())
-    params = {"epsilon": jump_set.epsilon, "T": T, "n_cells": grid.n_cells}
     lambda_hat = total / (T * trials)
-    lambda_se = float(np.sqrt(lambda_hat / (T * trials))) if total else 0.0
+    report = {
+        "lambda_hat": lambda_hat,
+        "lambda_se": float(np.sqrt(lambda_hat / (T * trials))) if total else 0.0,
+        "total_jumps": total,
+        "count_mean": float(counts.mean()),
+        "dispersion": None,
+        "dispersion_pass": None,
+        "ks": {},
+        "window_correlation": None,
+        "correlation_pass": None,
+        "pass": None,
+        "trials": trials,
+        "seed": seed,
+        "params": {"epsilon": jump_set.epsilon, "T": T, "n_cells": grid.n_cells},
+        "notes": {},
+    }
     if total < MIN_JUMPS_FOR_VERDICT:
-        return JumpReport(lambda_hat, lambda_se, total, float(counts.mean()),
-                          None, None, {}, None, None, None, trials, seed, params,
-                          notes={"underpowered": f"only {total} jumps detected"})
+        report["notes"] = {"underpowered": f"only {total} jumps detected"}
+        return report
 
     # rate for the KS reference: arrivals per unit of *observed arrival span*
     # (time covered by completed interarrivals).  Fitting against the raw
@@ -147,40 +138,23 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     # are length-biased, with mean ~ (1/rate) * rate*T / (rate*T + 1).
     inter = np.concatenate(interarrivals)
     ks_rate = 1.0 / float(inter.mean())
-    ks = batched_ks_exponential(inter, ks_rate)
+    report["ks"] = ks = batched_ks_exponential(inter, ks_rate)
     ks["fitted_rate"] = ks_rate
 
-    mean_count = float(counts.mean())
+    mean_count = report["count_mean"]
     # the +-0.1 dispersion band applies from mean count 5 up; allow the
     # boundary within estimation error of the mean
     if mean_count >= 5.0 - SLACK_MULTIPLIER * np.sqrt(mean_count / trials):
-        dispersion = float(counts.var(ddof=1) / mean_count)
-        dispersion_pass = bool(abs(dispersion - 1.0) <= 0.1)
-    else:
-        dispersion, dispersion_pass = None, None
+        report["dispersion"] = dispersion = float(counts.var(ddof=1) / mean_count)
+        report["dispersion_pass"] = bool(abs(dispersion - 1.0) <= 0.1)
 
     if first_half.std() > 0 and second_half.std() > 0:
-        corr = float(np.corrcoef(first_half, second_half)[0, 1])
-        corr_pass = bool(abs(corr) <= SLACK_MULTIPLIER / np.sqrt(trials))
-    else:
-        corr, corr_pass = None, None
+        report["window_correlation"] = corr = float(np.corrcoef(first_half, second_half)[0, 1])
+        report["correlation_pass"] = bool(abs(corr) <= SLACK_MULTIPLIER / np.sqrt(trials))
 
-    parts = [ks["pass"]] + [v for v in (dispersion_pass, corr_pass) if v is not None]
-    return JumpReport(
-        lambda_hat=lambda_hat,
-        lambda_se=lambda_se,
-        total_jumps=total,
-        count_mean=mean_count,
-        dispersion=dispersion,
-        dispersion_pass=dispersion_pass,
-        ks=ks,
-        window_correlation=corr,
-        correlation_pass=corr_pass,
-        passed=bool(all(parts)),
-        trials=trials,
-        seed=seed,
-        params=params,
-    )
+    checks = (ks["pass"], report["dispersion_pass"], report["correlation_pass"])
+    report["pass"] = bool(all(v for v in checks if v is not None))
+    return report
 
 
 def lag_steps(grid: TimeGrid, h: float) -> int:

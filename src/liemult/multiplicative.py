@@ -23,7 +23,6 @@ from .additive import (AdditivePath, LevyModel, TimeGrid, driver_increments,
                        sample_additive)
 from .errors import GridMismatchError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup
-from .reporting import Report
 from .rng import substream
 from .stats import fit_slope
 
@@ -38,8 +37,6 @@ __all__ = [
     "verify_multiplicative",
     "convergence_study",
     "batch_prefixes",
-    "TripleDefectReport",
-    "ConvergenceReport",
 ]
 
 
@@ -130,20 +127,10 @@ def heisenberg_exact(x_path: AdditivePath, y_path: AdditivePath, z_path: Additiv
     return MultiplicativePath.from_increments(group, x_path.grid, cells)
 
 
-@dataclass(frozen=True)
-class TripleDefectReport(Report):
-    """Cocycle verification: worst defect over sampled index triples."""
-
-    max_defect: float
-    argmax_triple: tuple[int, int, int]
-    samples: int
-    tol: float
-    passed: bool
-
-
 def verify_multiplicative(path: MultiplicativePath, samples: int = 1000,
-                          tol: float = 1e-12, seed: int = 0) -> TripleDefectReport:
-    """Check x(j,k) x(k,l) = x(j,l) on random triples j <= k <= l.
+                          tol: float = 1e-12, seed: int = 0) -> dict:
+    """Check x(j,k) x(k,l) = x(j,l) on random triples j <= k <= l; report the
+    worst defect and its triple.
 
     The product side is evaluated through a prefix rebuilt from the stored
     cell increments while the right-hand side uses the cached prefix, so the
@@ -159,30 +146,17 @@ def verify_multiplicative(path: MultiplicativePath, samples: int = 1000,
     rhs = path.value(j, l)
     defect = group.norm(group.log(lhs) - group.log(rhs))
     worst = int(np.argmax(defect))
-    return TripleDefectReport(
-        max_defect=float(defect[worst]),
-        argmax_triple=tuple(int(v) for v in triples[worst]),
-        samples=samples,
-        tol=tol,
-        passed=bool(defect[worst] <= tol),
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport(Report):
-    """Product-limit study: per-mesh coupled errors against the finest exact path."""
-
-    meshes: list[float]
-    rms_errors: list[float]
-    max_errors: list[float]
-    fitted_slope: float | None
-    trials: int
-    refinements: int
-    seed: int
+    return {
+        "max_defect": float(defect[worst]),
+        "argmax_triple": tuple(int(v) for v in triples[worst]),
+        "samples": samples,
+        "tol": tol,
+        "pass": bool(defect[worst] <= tol),
+    }
 
 
 def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
-                      refinements: int, trials: int, seed: int) -> ConvergenceReport:
+                      refinements: int, trials: int, seed: int) -> dict:
     """Couple paths across dyadic refinements and measure the product-limit error.
 
     For each mesh level the time-ordered exponential product is compared, at
@@ -222,15 +196,15 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
     slope = None
     if np.count_nonzero(usable) >= 2:
         slope = fit_slope(np.log(np.asarray(meshes)[usable]), np.log(rms[usable]))
-    return ConvergenceReport(
-        meshes=[float(m) for m in meshes],
-        rms_errors=[float(v) for v in rms],
-        max_errors=[float(v) for v in errors.max(axis=1)],
-        fitted_slope=slope,
-        trials=trials,
-        refinements=refinements,
-        seed=seed,
-    )
+    return {
+        "meshes": [float(m) for m in meshes],
+        "rms_errors": [float(v) for v in rms],
+        "max_errors": [float(v) for v in errors.max(axis=1)],
+        "fitted_slope": slope,
+        "trials": trials,
+        "refinements": refinements,
+        "seed": seed,
+    }
 
 
 def batch_prefixes(group, model: LevyModel, grid: TimeGrid, trials: int, seed: int) -> np.ndarray:

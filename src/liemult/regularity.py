@@ -23,20 +23,15 @@ inequality's direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .additive import LevyModel, TimeGrid
 from .errors import ParameterError
 from .multiplicative import batch_prefixes, map_trial_chunks
-from .reporting import Report
 from .rng import substream
-from .stats import SLACK_MULTIPLIER, LemmaReport, binom_se, mean_se
+from .stats import SLACK_MULTIPLIER, binom_se, mean_se
 
 __all__ = [
-    "OscillationReport",
-    "ContinuityProbeReport",
     "exhaustive_count_reference",
     "oscillation_counts_from_outside",
     "oscillation_axioms_test",
@@ -160,24 +155,28 @@ def _superset_check(lemma: str, model: LevyModel, grid: TimeGrid, delta: float,
     """Shared start of the two superset-ball batteries.
 
     Returns the group, the certified superset radius of the squared
-    delta-ball and the report params, plus the inconclusive report when that
-    radius left the chart (None otherwise).
+    delta-ball, and the report of an inequality check: ``pass`` is None while
+    inconclusive, and ``slack`` is the allowed margin of three combined
+    standard errors.  When the radius left the chart (None) the report is
+    already the inconclusive one.
     """
     group = _require_group_model(model)
     radius = group.ball_power_radius(delta, 2)
-    params = {"delta": delta, "n_cells": grid.n_cells, "superset_radius": radius}
-    early = None if radius is not None else LemmaReport(
-        lemma, params, trials, seed, notes={"inconclusive": "superset radius left the chart"})
-    return group, radius, params, early
+    report = {"lemma": lemma, "trials": trials, "seed": seed, "estimates": {}, "bound": None,
+              "slack": 0.0, "pass": None, "notes": {},
+              "params": {"delta": delta, "n_cells": grid.n_cells, "superset_radius": radius}}
+    if radius is None:
+        report["notes"] = {"inconclusive": "superset radius left the chart"}
+    return group, radius, report
 
 
 def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
-                           trials: int, seed: int) -> LemmaReport:
+                           trials: int, seed: int) -> dict:
     """Monte Carlo check of the maximum-oscillation inequality."""
-    group, radius, params, early = _superset_check("maximum_oscillation", model, grid,
-                                                   delta, trials, seed)
-    if early:
-        return early
+    group, radius, report = _superset_check("maximum_oscillation", model, grid,
+                                            delta, trials, seed)
+    if radius is None:
+        return report
 
     prefixes = batch_prefixes(group, model, grid, trials, seed)
     from_start = group.chart_norm(prefixes)                      # x(0, j)
@@ -195,24 +194,24 @@ def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
     slack = SLACK_MULTIPLIER * combined
     lhs = (1.0 - alpha_hat) * p_exists
     passed = None if alpha_hat >= 1.0 else bool(lhs <= p_end + slack)
-    return LemmaReport(
-        "maximum_oscillation", params, trials, seed,
-        estimates={"alpha_hat": alpha_hat, "p_exists_outside_superset": p_exists,
-                   "p_endpoint_outside": p_end, "lhs": lhs},
-        bound=p_end,
-        slack=slack,
-        passed=passed,
-        notes={} if passed is not None else {"inconclusive": "alpha_hat >= 1"},
-    )
+    report.update({
+        "estimates": {"alpha_hat": alpha_hat, "p_exists_outside_superset": p_exists,
+                      "p_endpoint_outside": p_end, "lhs": lhs},
+        "bound": p_end,
+        "slack": slack,
+        "pass": passed,
+        "notes": {} if passed is not None else {"inconclusive": "alpha_hat >= 1"},
+    })
+    return report
 
 
 def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
-                    trials: int, seed: int) -> LemmaReport:
+                    trials: int, seed: int) -> dict:
     """Monte Carlo check of the largest-step inequality."""
-    group, radius, params, early = _superset_check("largest_step", model, grid,
-                                                   delta, trials, seed)
-    if early:
-        return early
+    group, radius, report = _superset_check("largest_step", model, grid,
+                                            delta, trials, seed)
+    if radius is None:
+        return report
 
     prefixes = batch_prefixes(group, model, grid, trials, seed)
     p_pairs = float(np.mean(_any_pair_outside(group, prefixes, radius)))
@@ -220,35 +219,18 @@ def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
 
     slack = SLACK_MULTIPLIER * float(np.hypot(binom_se(p_pairs, trials),
                                               binom_se(p_anchor, trials)))
-    return LemmaReport(
-        "largest_step", params, trials, seed,
-        estimates={"p_any_pair_outside_superset": p_pairs,
-                   "p_any_suffix_outside": p_anchor},
-        bound=p_anchor,
-        slack=slack,
-        passed=bool(p_pairs <= p_anchor + slack),
-    )
-
-
-@dataclass(frozen=True)
-class OscillationReport(Report):
-    """Expectation-bound battery output."""
-
-    count_distribution: dict
-    alpha_hat: float
-    alpha_ci: tuple[float, float]
-    bound: float | None
-    mean_count: float
-    slack: float
-    passed: bool | None
-    tail: dict
-    trials: int
-    seed: int
-    params: dict = field(default_factory=dict)
+    report.update({
+        "estimates": {"p_any_pair_outside_superset": p_pairs,
+                      "p_any_suffix_outside": p_anchor},
+        "bound": p_anchor,
+        "slack": slack,
+        "pass": bool(p_pairs <= p_anchor + slack),
+    })
+    return report
 
 
 def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
-                         trials: int, seed: int) -> OscillationReport:
+                         trials: int, seed: int) -> dict:
     """Expectation bound for oscillation counts with split-half estimation.
 
     alpha is estimated on the first half of the trials and the mean count on
@@ -272,13 +254,21 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
     se_mean = mean_se(counts)
     histogram = {int(k): int(v) for k, v in zip(*np.unique(counts, return_counts=True))}
 
-    params = {"delta": delta, "n_cells": grid.n_cells}
+    report = {
+        "count_distribution": histogram,
+        "alpha_hat": alpha_hat,
+        "alpha_ci": (alpha_hat - 1.96 * se_alpha, alpha_hat + 1.96 * se_alpha),
+        "bound": None,
+        "mean_count": mean_count,
+        "slack": 0.0,
+        "pass": None,
+        "tail": {"inconclusive": "alpha_hat too close to 1"},
+        "trials": trials,
+        "seed": seed,
+        "params": {"delta": delta, "n_cells": grid.n_cells},
+    }
     if alpha_hat >= 1.0 - 10.0 * se_alpha:
-        return OscillationReport(histogram, alpha_hat,
-                                 (alpha_hat - 1.96 * se_alpha, alpha_hat + 1.96 * se_alpha),
-                                 None, mean_count, 0.0, None,
-                                 {"inconclusive": "alpha_hat too close to 1"},
-                                 trials, seed, params)
+        return report
 
     bound = alpha_hat / (1.0 - alpha_hat)
     se_bound = se_alpha / (1.0 - alpha_hat) ** 2
@@ -299,37 +289,17 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
             "pass": bool(p_m <= geo + tslack),
         }
 
-    return OscillationReport(
-        count_distribution=histogram,
-        alpha_hat=alpha_hat,
-        alpha_ci=(alpha_hat - 1.96 * se_alpha, alpha_hat + 1.96 * se_alpha),
-        bound=bound,
-        mean_count=mean_count,
-        slack=slack,
-        passed=passed and all(entry["pass"] for entry in tail.values()),
-        tail=tail,
-        trials=trials,
-        seed=seed,
-        params=params,
-    )
-
-
-@dataclass(frozen=True)
-class ContinuityProbeReport(Report):
-    """Largest window length below the oscillation-probability budget."""
-
-    window: float
-    alpha: float
-    delta: float
-    probability_curve: dict
-    monotone: bool
-    none_found: bool
-    trials: int
-    seed: int
+    report.update({
+        "bound": bound,
+        "slack": slack,
+        "pass": passed and all(entry["pass"] for entry in tail.values()),
+        "tail": tail,
+    })
+    return report
 
 
 def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: float,
-                             trials: int, seed: int, cells: int = 64) -> ContinuityProbeReport:
+                             trials: int, seed: int, cells: int = 64) -> dict:
     """Largest dyadic window H with P(any pair within H leaves the ball) <= alpha.
 
     A pair (t_j, t_k) fits inside a window of length H exactly when
@@ -367,13 +337,13 @@ def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: fl
     none_found = chosen is None
     if none_found:
         chosen = grid.mesh
-    return ContinuityProbeReport(
-        window=float(chosen),
-        alpha=alpha,
-        delta=delta,
-        probability_curve=curve,
-        monotone=monotone,
-        none_found=none_found,
-        trials=trials,
-        seed=seed,
-    )
+    return {
+        "window": float(chosen),
+        "alpha": alpha,
+        "delta": delta,
+        "probability_curve": curve,
+        "monotone": monotone,
+        "none_found": none_found,
+        "trials": trials,
+        "seed": seed,
+    }

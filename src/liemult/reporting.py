@@ -9,30 +9,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Report", "jsonable", "dump_json", "write_csv"]
-
-
-class Report:
-    """Base of the report dataclasses: one ``to_dict`` for all of them.
-
-    The dict lists the fields in declaration order, with ``passed`` under the
-    key ``pass``; ``jsonable`` does the rest of the conversion.
-    """
-
-    def to_dict(self) -> dict:
-        return {"pass" if f.name == "passed" else f.name: getattr(self, f.name)
-                for f in fields(self)}
+__all__ = ["jsonable", "dump_json", "write_csv"]
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and report objects for json."""
-    if hasattr(obj, "to_dict"):
-        return jsonable(obj.to_dict())
+    """Recursively convert numpy scalars/arrays (NaN to None) for json."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -8,12 +8,8 @@ a 0.01 significance floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy import stats as sps
-
-from .reporting import Report
 
 __all__ = [
     "binom_se",
@@ -21,7 +17,6 @@ __all__ = [
     "fit_slope",
     "batched_ks_exponential",
     "batched_ks_two_sample",
-    "LemmaReport",
 ]
 
 SLACK_MULTIPLIER = 3.0
@@ -84,22 +79,3 @@ def batched_ks_two_sample(a: np.ndarray, b: np.ndarray) -> dict:
     """Two-sample KS with Bonferroni aggregation over paired batches."""
     return _batched_ks((a, b), sps.ks_2samp)
 
-
-@dataclass(frozen=True)
-class LemmaReport(Report):
-    """Outcome of one Monte Carlo inequality check.
-
-    ``passed`` is None when the check was inconclusive (vacuous hypothesis or
-    underpowered sample); ``slack`` is the allowed margin (three combined
-    standard errors unless stated otherwise in ``notes``).
-    """
-
-    lemma: str
-    params: dict
-    trials: int
-    seed: int
-    estimates: dict = field(default_factory=dict)
-    bound: float | None = None
-    slack: float = 0.0
-    passed: bool | None = None
-    notes: dict = field(default_factory=dict)

@@ -90,7 +90,7 @@ def test_criterion_2_cocycle_exactness():
                       jump_law=UniformBallJumps(0.5)), grid, 77)
         product_path = product_exponential(driver)
         rep = verify_multiplicative(product_path, samples=1000, tol=1e-12, seed=7)
-        assert rep.passed, rep.to_dict()
+        assert rep["pass"], rep
 
         blocks = block_models(group, x={"diffusion": 0.5}, y={"diffusion": 0.5},
                               z={"diffusion": 0.2})
@@ -99,7 +99,7 @@ def test_criterion_2_cocycle_exactness():
         z = sample_additive(blocks["z"], grid, 80)
         exact_path = heisenberg_exact(x, y, z, group)
         rep = verify_multiplicative(exact_path, samples=1000, tol=1e-12, seed=8)
-        assert rep.passed, rep.to_dict()
+        assert rep["pass"], rep
 
 
 def test_criterion_3_product_limit_convergence():
@@ -111,13 +111,13 @@ def test_criterion_3_product_limit_convergence():
             x={"jump_intensity": 3.0, "jump_law": UniformBallJumps(0.5)},
             y={"jump_intensity": 3.0, "jump_law": UniformBallJumps(0.5)})
         rep = convergence_study(group, cp, base, refinements=6, trials=200, seed=31)
-        assert min(rep.rms_errors) <= 1e-12, rep.rms_errors
+        assert min(rep["rms_errors"]) <= 1e-12, rep["rms_errors"]
 
         brown = block_models(group, x={"diffusion": 0.5}, y={"diffusion": 0.5},
                              z={"diffusion": 0.2})
         rep = convergence_study(group, brown, base, refinements=6, trials=200, seed=32)
-        assert rep.fitted_slope is not None
-        assert 0.35 <= rep.fitted_slope <= 0.65, rep.fitted_slope
+        assert rep["fitted_slope"] is not None
+        assert 0.35 <= rep["fitted_slope"] <= 0.65, rep["fitted_slope"]
 
 
 def test_criterion_4_oscillation_dp_vs_bruteforce():
@@ -137,20 +137,20 @@ def test_criterion_5_lemma_batteries():
         hot = LevyModel(space=group, diffusion=0.22)
         grid32 = TimeGrid.uniform(1.0, 32)
         rep = mc_maximum_oscillation(hot, grid32, 0.5, trials, 41)
-        assert rep.passed, rep.to_dict()
-        assert 0 < rep.estimates["alpha_hat"] < 1
+        assert rep["pass"], rep
+        assert 0 < rep["estimates"]["alpha_hat"] < 1
 
         grid64 = TimeGrid.uniform(1.0, 64)
         rep = mc_largest_step(hot, grid64, 0.5, trials, 42)
-        assert rep.passed, rep.to_dict()
+        assert rep["pass"], rep
 
         mild = LevyModel(space=group, diffusion=0.115)
         rep = mc_expectation_bound(mild, grid32, 0.5, trials, 43)
-        assert rep.passed, rep.to_dict()
-        assert 0.15 <= rep.alpha_hat <= 0.45          # informative regime
-        assert rep.mean_count <= rep.bound + rep.slack
+        assert rep["pass"], rep
+        assert 0.15 <= rep["alpha_hat"] <= 0.45          # informative regime
+        assert rep["mean_count"] <= rep["bound"] + rep["slack"]
         for m in range(1, 5):
-            entry = rep.tail[f"m={m}"]
+            entry = rep["tail"][f"m={m}"]
             assert entry["pass"], (m, entry)
 
 
@@ -170,12 +170,12 @@ def test_criterion_6_jump_battery():
             model = LevyModel(space=group, jump_intensity=lam,
                               jump_law=UniformBallJumps(0.4))
             rep = poisson_battery(model, grid, jump_set, 2000, seed)
-            assert rep.passed, (lam, rep.to_dict())
+            assert rep["pass"], (lam, rep)
             se = np.sqrt(lam / (5.0 * 2000))
-            assert abs(rep.lambda_hat - lam) <= 3 * se
-            assert abs(rep.dispersion - 1.0) <= 0.1
-            assert abs(rep.window_correlation) <= 3.0 / np.sqrt(2000)
-            assert rep.ks["aggregated_pvalue"] > 0.01
+            assert abs(rep["lambda_hat"] - lam) <= 3 * se
+            assert abs(rep["dispersion"] - 1.0) <= 0.1
+            assert abs(rep["window_correlation"]) <= 3.0 / np.sqrt(2000)
+            assert rep["ks"]["aggregated_pvalue"] > 0.01
 
         probe_grid = TimeGrid.uniform(5.0, 2000)
         stationary = LevyModel(space=group, jump_intensity=2.0,
@@ -208,24 +208,24 @@ def test_criterion_7_moment_battery():
                                  jump_law=DiscreteJumps([group.embed([0.2, 0.0])], [1.0]),
                                  bound_delta=0.2)
         rep = exp_moment_estimate(moment_model, (0.25, 1.0), alpha, delta, 10**3, 61)
-        assert rep.passed, rep.to_dict()
-        assert rep.diagnostics["running_mean"]["pass"]
-        assert rep.diagnostics["partial_max"]["pass"]
+        assert rep["pass"], rep
+        assert rep["diagnostics"]["running_mean"]["pass"]
+        assert rep["diagnostics"]["partial_max"]["pass"]
 
         tail_model = LevyModel(space=group, jump_intensity=2.0,
                                jump_law=DiscreteJumps([group.embed([0.4, 0.0])], [1.0]),
                                bound_delta=0.4)
         rep = tail_decay_fit(tail_model, (0.25, 1.0), alpha, delta, 1500, 62)
-        assert rep.passed, rep.to_dict()
-        assert rep.fitted_slope <= np.log(rep.q_hat) + 0.1
+        assert rep["pass"], rep
+        assert rep["fitted_slope"] <= np.log(rep["q_hat"]) + 0.1
 
         rep = metric_modulus_curve(moment_model, 1.0, alpha,
                                    [0.25, 0.125, 0.0625, 0.03125, 0.015625],
                                    400, 63, cells=256)
-        assert rep.passed, rep.to_dict()
-        values = rep.diagnostics["values"]
+        assert rep["pass"], rep
+        values = rep["diagnostics"]["values"]
         assert values[-1] < values[0] / 4
-        assert not rep.diagnostics["inversions"]
+        assert not rep["diagnostics"]["inversions"]
 
 
 def test_criterion_8_determinism(tmp_path):

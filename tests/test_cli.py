@@ -1,12 +1,14 @@
 """Batch driver: catalog, exit codes, schema diagnostics, determinism."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,6 +17,8 @@ from liemult.cli import main
 from liemult.config import default_config, load_config, validate_config
 from liemult.errors import ConfigError
 from liemult.experiments import EXPERIMENTS, catalog, run_experiment
+
+NAN, INF = float("nan"), float("inf")    # written to a config as NaN and Infinity
 
 BASE = {
     "schema_version": 1,
@@ -282,6 +286,54 @@ class TestRun:
         assert code == 3
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches the workers only through fork")
+    def test_dead_worker_keeps_finished_reports(self, tmp_path, capsys, monkeypatch):
+        cfg = copy.deepcopy(BASE)
+        cfg["experiments"].append({"name": "gauge-metric", "seed": 5, "params": {"samples": 10}})
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def patched(name, runner):
+            def run(ctx, params, seed):
+                if name != "gauge-metric":
+                    report = runner(ctx, params, seed)
+                    (marks / name).touch()
+                    return report
+                # die once the other two entries have returned to the parent
+                deadline = time.monotonic() + 60
+                while len(list(marks.iterdir())) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)
+                os._exit(1)
+            return run
+
+        for name in ("group-axioms", "cocycle-exactness", "gauge-metric"):
+            spec = EXPERIMENTS[name]
+            monkeypatch.setitem(EXPERIMENTS, name,
+                                dataclasses.replace(spec, runner=patched(name, spec.runner)))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / "b"), "--jobs", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "runtime error in experiment 02 gauge-metric (seed 5)" in err
+        assert "lost when a worker process died" in err
+
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in ("00_group-axioms.json", "01_cocycle-exactness.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        lost = json.loads((tmp_path / "b" / "02_gauge-metric.json").read_text())
+        assert lost == {"experiment": "gauge-metric", "seed": 5, "status": "error",
+                        "schema_version": 1, "error": lost["error"]}
+        assert lost["error"].startswith("BrokenProcessPool: ")
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert summary["counts"] == {"pass": 2, "fail": 0, "inconclusive": 0, "error": 1}
+        assert [row["status"] for row in summary["experiments"]] == ["pass", "pass", "error"]
+
     def test_csv_outputs_written(self, tmp_path):
         cfg = dict(BASE)
         cfg["models"] = {"tail": {"jump_intensity": 2.0,
@@ -471,6 +523,54 @@ class TestValidation:
              "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.3}}),
          "config.experiments[2].params.h",
          "a multiple of the mesh, got 0.3 with n_cells = 8, T = 1.0"),
+        # non-finite values, rejected by the constructor or schema check that owns them
+        (lambda cfg: cfg["models"]["noisy"].update(diffusion=NAN),
+         "config.models.noisy", "diffusion"),
+        (lambda cfg: cfg["models"]["noisy"].update(drift=INF),
+         "config.models.noisy", "drift"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=NAN, jump_law={"kind": "uniform_ball", "radius": 0.3}),
+         "config.models.noisy", "jump_intensity"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=INF, jump_law={"kind": "uniform_ball", "radius": 0.3}),
+         "config.models.noisy", "jump_intensity"),
+        (lambda cfg: cfg["models"]["noisy"].update(bound_delta=NAN),
+         "config.models.noisy", "bound_delta"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "uniform_ball", "radius": INF}),
+         "config.models.noisy.jump_law", "radius"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "fixed_atom", "vector": [NAN, 0, 0, 0, 0]}),
+         "config.models.noisy.jump_law", "vector"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "discrete", "vectors": [[INF, 0, 0, 0, 0]],
+                                          "probs": [1.0]}),
+         "config.models.noisy.jump_law", "vector"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            scale={"breaks": [0.0, 0.5], "rates": [1.0, NAN]}),
+         "config.models.noisy.scale", "rates"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            scale={"breaks": [0.0, NAN], "rates": [1.0, 2.0]}),
+         "config.models.noisy.scale", "breaks"),
+        (lambda cfg: cfg["group"].update(
+            chart={"rho_prime": 1.0, "rho_double_prime": 0.5, "bracket_bound": NAN}),
+         "config.group", "bracket_bound"),
+        (lambda cfg: cfg["group"].update(
+            chart={"rho_prime": INF, "rho_double_prime": 0.5, "bracket_bound": 2.0}),
+         "config.group", "rho_prime"),
+        (lambda cfg: cfg["group"].update(N=INF), "config.group", "N must be a positive integer"),
+        (lambda cfg: cfg["grids"]["g8"].update(T=INF), "config.grids.g8", "T=inf"),
+        (lambda cfg: cfg["grids"]["g8"].update(T=NAN), "config.grids.g8", "T=nan"),
+        (lambda cfg: cfg["grids"]["g8"].update(cells=INF), "config.grids.g8", "cells=inf"),
+        (lambda cfg: cfg["grids"]["g8"].update(cells=10**400), "config.grids.g8", "too large"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "cocycle-exactness", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "tol": NAN}}),
+         "config.experiments[2].params.tol", "expected a finite number, got nan"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "exp-moment", "seed": 3,
+             "params": {"model": "noisy", "r": 0.25, "u": 1.0, "alpha": INF, "delta": 0.5}}),
+         "config.experiments[2].params.alpha", "expected a finite number, got inf"),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):

@@ -169,21 +169,21 @@ class TestExpMoment:
     def test_zero_driver_estimate_is_one(self, heis2):
         rep = exp_moment_estimate(LevyModel(space=heis2), (0.25, 1.0), ALPHA, DELTA,
                                   100, 0)
-        assert rep.estimate == 1.0
-        assert rep.passed
+        assert rep["estimate"] == 1.0
+        assert rep["pass"]
 
     def test_alpha_zero_estimate_is_one(self, moment_model):
         _, model = moment_model
         rep = exp_moment_estimate(model, (0.25, 1.0), 0.0, DELTA, 100, 0)
-        assert rep.estimate == 1.0
+        assert rep["estimate"] == 1.0
 
     def test_bounded_brownian_jump_model_diagnostics(self, moment_model):
         _, model = moment_model
         rep = exp_moment_estimate(model, (0.25, 1.0), ALPHA, DELTA, 1000, 3)
-        assert rep.passed
-        assert rep.diagnostics["running_mean"]["pass"]
-        assert rep.diagnostics["partial_max"]["pass"]
-        assert np.isfinite(rep.estimate)
+        assert rep["pass"]
+        assert rep["diagnostics"]["running_mean"]["pass"]
+        assert rep["diagnostics"]["partial_max"]["pass"]
+        assert np.isfinite(rep["estimate"])
 
     def test_unbounded_jump_model_rejected(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=1.0,
@@ -200,17 +200,17 @@ class TestExpMoment:
 class TestTailDecay:
     def test_zero_driver_trivially_geometric(self, heis2):
         rep = tail_decay_fit(LevyModel(space=heis2), (0.25, 1.0), ALPHA, DELTA, 100, 0)
-        assert rep.passed
-        assert all(pt["exceedances"] == 0 for pt in rep.tail_points)
+        assert rep["pass"]
+        assert all(pt["exceedances"] == 0 for pt in rep["tail_points"])
 
     def test_calibrated_atom_model(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=2.0,
                           jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]),
                           bound_delta=0.4)
         rep = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 1500, 3)
-        assert rep.passed
-        assert rep.fitted_slope <= np.log(rep.q_hat) + 0.1
-        assert rep.params["jump_power"] == 1
+        assert rep["pass"]
+        assert rep["fitted_slope"] <= np.log(rep["q_hat"]) + 0.1
+        assert rep["params"]["jump_power"] == 1
 
     def test_quadrupling_trials_halves_slope_se(self, heis2):
         # the exceedance floor scales with the trial count so both runs keep
@@ -222,7 +222,7 @@ class TestTailDecay:
                                min_exceedances=10)
         big = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 3200, 3,
                              min_exceedances=40)
-        ratio = big.diagnostics["slope_se"] / small.diagnostics["slope_se"]
+        ratio = big["diagnostics"]["slope_se"] / small["diagnostics"]["slope_se"]
         assert 0.3 <= ratio <= 0.7
 
 
@@ -230,16 +230,16 @@ class TestMetricModulus:
     def test_zero_driver_all_zero(self, heis2):
         model = LevyModel(space=heis2)
         rep = metric_modulus_curve(model, 1.0, ALPHA, [0.25, 0.125], 50, 0, cells=64)
-        assert rep.passed
-        assert all(v == 0.0 for v in rep.diagnostics["values"])
+        assert rep["pass"]
+        assert all(v == 0.0 for v in rep["diagnostics"]["values"])
 
     def test_brownian_jump_curve_decreases(self, moment_model):
         _, model = moment_model
         rep = metric_modulus_curve(model, 1.0, ALPHA,
                                    [0.25, 0.125, 0.0625, 0.03125, 0.015625],
                                    300, 3, cells=256)
-        assert rep.passed
-        values = rep.diagnostics["values"]
+        assert rep["pass"]
+        values = rep["diagnostics"]["values"]
         assert values[-1] < values[0] / 4
 
     def test_rare_jump_window_scaling(self, heis2):
@@ -250,7 +250,7 @@ class TestMetricModulus:
                           bound_delta=0.3)
         rep = metric_modulus_curve(model, 1.0, ALPHA, [0.5, 0.125, 0.03125],
                                    600, 5, cells=128)
-        values = rep.diagnostics["values"]
+        values = rep["diagnostics"]["values"]
         assert values[-1] <= values[0] / 4
 
     def test_requires_p_two(self, heis3p):

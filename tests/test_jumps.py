@@ -97,18 +97,18 @@ class TestPoissonBattery:
         grid = TimeGrid.uniform(5.0, 4000)
         # the +-0.1 dispersion band needs >= ~1500 trials of probe power
         rep = poisson_battery(model, grid, JumpSetSpec(0.05), 1500, 3)
-        assert rep.passed
+        assert rep["pass"]
         se = np.sqrt(2.0 / (5.0 * 1500))
-        assert abs(rep.lambda_hat - 2.0) <= 3 * se
-        assert abs(rep.dispersion - 1.0) <= 0.1
-        assert rep.ks["aggregated_pvalue"] > 0.01
+        assert abs(rep["lambda_hat"] - 2.0) <= 3 * se
+        assert abs(rep["dispersion"] - 1.0) <= 0.1
+        assert rep["ks"]["aggregated_pvalue"] > 0.01
 
     def test_underpowered_marker(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=0.05,
                           jump_law=DiscreteJumps([heis2.embed([1.0, 0.0])], [1.0]))
         rep = poisson_battery(model, TimeGrid.uniform(1.0, 64), JumpSetSpec(0.5), 50, 0)
-        assert rep.passed is None
-        assert "underpowered" in rep.notes
+        assert rep["pass"] is None
+        assert "underpowered" in rep["notes"]
 
     def test_small_diffusion_does_not_change_detection(self, heis2):
         # coupled comparison: adding sub-threshold noise keeps the same counts

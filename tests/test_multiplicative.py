@@ -79,7 +79,7 @@ class TestProductExponential:
         inc = rng.standard_normal((6, 6)) * 0.2
         path = MultiplicativePath.from_increments(uni4, grid, uni4.exp(inc))
         rep = verify_multiplicative(path, samples=300, seed=0)
-        assert rep.passed
+        assert rep["pass"]
 
     def test_inversion_duality(self, heis2, rng):
         # reversed-order path from inverted increments equals the pathwise inverse
@@ -193,21 +193,21 @@ class TestVerifyMultiplicative:
                           jump_law=UniformBallJumps(0.5))
         path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 64), 1))
         rep = verify_multiplicative(path, samples=1500, tol=1e-12, seed=4)
-        assert rep.passed and rep.max_defect <= 1e-12
+        assert rep["pass"] and rep["max_defect"] <= 1e-12
 
     def test_corrupted_cell_detected_with_triple(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.4)
         path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 64), 1))
         bad = path.with_corrupted_cell(30, heis2.embed([0.4, 0.0]))
         rep = verify_multiplicative(bad, samples=1500, tol=1e-12, seed=4)
-        assert not rep.passed
-        j, k, l = rep.argmax_triple
+        assert not rep["pass"]
+        j, k, l = rep["argmax_triple"]
         assert j <= 30 < l          # the witnessing triple spans the corrupted cell
 
     def test_report_shape(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.1)
         path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 8), 0))
-        out = verify_multiplicative(path, samples=100, seed=0).to_dict()
+        out = verify_multiplicative(path, samples=100, seed=0)
         assert set(out) == {"max_defect", "argmax_triple", "samples", "tol", "pass"}
 
 
@@ -249,7 +249,7 @@ class TestConvergenceStudy:
     def test_drift_only_is_exact(self, heis2):
         models = block_models(heis2, x={"drift": [1.0, 0.0]}, z={"drift": 0.3})
         rep = convergence_study(heis2, models, TimeGrid.uniform(1.0, 8), 3, 5, 0)
-        assert all(e <= 1e-12 for e in rep.max_errors)
+        assert all(e <= 1e-12 for e in rep["max_errors"])
 
     def test_compound_poisson_reaches_zero(self, heis2):
         models = block_models(
@@ -257,14 +257,14 @@ class TestConvergenceStudy:
             x={"jump_intensity": 3.0, "jump_law": UniformBallJumps(0.5)},
             y={"jump_intensity": 3.0, "jump_law": UniformBallJumps(0.5)})
         rep = convergence_study(heis2, models, TimeGrid.uniform(1.0, 8), 6, 25, 1)
-        assert min(rep.rms_errors) <= 1e-12
+        assert min(rep["rms_errors"]) <= 1e-12
 
     def test_brownian_order_half(self, heis2):
         models = block_models(heis2, x={"diffusion": 0.5}, y={"diffusion": 0.5},
                               z={"diffusion": 0.2})
         rep = convergence_study(heis2, models, TimeGrid.uniform(1.0, 16), 5, 80, 2)
-        assert rep.fitted_slope is not None
-        assert 0.35 <= rep.fitted_slope <= 0.65
+        assert rep["fitted_slope"] is not None
+        assert 0.35 <= rep["fitted_slope"] <= 0.65
 
 
 class TestBatchPrefixes:

@@ -1,11 +1,15 @@
-"""The README's examples and lists stay in step with the code."""
+"""The README's examples, lists and names stay in step with the code."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import liemult
 from liemult.config import _LAWS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+MODULES = {info.name for info in pkgutil.iter_modules(liemult.__path__)}
 
 
 def test_library_quick_start_runs(capsys):
@@ -18,3 +22,21 @@ def test_library_quick_start_runs(capsys):
 def test_listed_jump_laws_are_the_config_kinds():
     listed = re.search(r"Jump\s+laws:([^.]*)\.", README).group(1)
     assert re.findall(r"`(\w+)`", listed) == list(_LAWS)
+
+
+def test_dotted_names_resolve():
+    # a backticked `a.b` whose head is a liemult module or public name must exist
+    checked = []
+    for name in sorted(set(re.findall(r"`(\w+(?:\.\w+)+)`", README))):
+        head, *attrs = name.split(".")
+        if head in MODULES:
+            obj = importlib.import_module(f"liemult.{head}")
+        elif not head.startswith("_") and hasattr(liemult, head):
+            obj = getattr(liemult, head)
+        else:
+            continue
+        for attr in attrs:
+            assert hasattr(obj, attr), f"README names `{name}`, which does not resolve"
+            obj = getattr(obj, attr)
+        checked.append(name)
+    assert checked

@@ -99,28 +99,28 @@ class TestMaximumOscillation:
     def test_zero_driver_trivial(self, heis2):
         model = LevyModel(space=heis2)
         rep = mc_maximum_oscillation(model, TimeGrid.uniform(1.0, 16), 0.5, 200, 0)
-        assert rep.passed
-        assert rep.estimates["alpha_hat"] == 0.0
-        assert rep.estimates["lhs"] == 0.0
+        assert rep["pass"]
+        assert rep["estimates"]["alpha_hat"] == 0.0
+        assert rep["estimates"]["lhs"] == 0.0
 
     def test_brownian_battery(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.22)
         rep = mc_maximum_oscillation(model, TimeGrid.uniform(1.0, 32), 0.5, 3000, 7)
-        assert rep.passed
-        assert 0.0 < rep.estimates["alpha_hat"] < 1.0
+        assert rep["pass"]
+        assert 0.0 < rep["estimates"]["alpha_hat"] < 1.0
 
     def test_small_jump_driver_near_zero_alpha(self, heis2):
         # jumps confined to the quarter ball at low intensity barely move the path
         model = LevyModel(space=heis2, jump_intensity=0.2,
                           jump_law=UniformBallJumps(0.5 / 4))
         rep = mc_maximum_oscillation(model, TimeGrid.uniform(1.0, 16), 0.5, 1000, 3)
-        assert rep.passed
-        assert rep.estimates["alpha_hat"] <= 0.05
-        assert rep.estimates["p_endpoint_outside"] <= 0.05
+        assert rep["pass"]
+        assert rep["estimates"]["alpha_hat"] <= 0.05
+        assert rep["estimates"]["p_endpoint_outside"] <= 0.05
 
     def test_report_fields(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.2)
-        out = mc_maximum_oscillation(model, TimeGrid.uniform(1.0, 8), 0.5, 100, 0).to_dict()
+        out = mc_maximum_oscillation(model, TimeGrid.uniform(1.0, 8), 0.5, 100, 0)
         assert {"lemma", "params", "estimates", "bound", "slack", "pass"} <= set(out)
 
 
@@ -136,7 +136,7 @@ class TestLargestStep:
     def test_zero_driver(self, heis2):
         model = LevyModel(space=heis2)
         rep = mc_largest_step(model, TimeGrid.uniform(1.0, 16), 0.5, 200, 0)
-        assert rep.passed
+        assert rep["pass"]
 
     def test_planted_jump_forces_witness(self, heis2):
         # a single mid-path jump beyond the superset radius makes the pair
@@ -147,7 +147,7 @@ class TestLargestStep:
                           jump_law=UniformBallJumps(0.02))
         grid = TimeGrid.uniform(1.0, 16)
         rep = mc_largest_step(model, grid, 0.5, 500, 1)
-        assert rep.passed       # small jumps: both probabilities zero
+        assert rep["pass"]    # small jumps: both probabilities zero
 
         import dataclasses
         base = sample_additive(LevyModel(space=heis2), grid, 0)
@@ -164,37 +164,37 @@ class TestLargestStep:
     def test_brownian_battery(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.22)
         rep = mc_largest_step(model, TimeGrid.uniform(1.0, 32), 0.5, 3000, 7)
-        assert rep.passed
+        assert rep["pass"]
 
 
 class TestExpectationBound:
     def test_zero_driver(self, heis2):
         model = LevyModel(space=heis2)
         rep = mc_expectation_bound(model, TimeGrid.uniform(1.0, 16), 0.5, 200, 0)
-        assert rep.passed
-        assert rep.mean_count == 0.0
-        assert rep.bound == 0.0
+        assert rep["pass"]
+        assert rep["mean_count"] == 0.0
+        assert rep["bound"] == 0.0
 
     def test_calibrated_brownian(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.115)
         rep = mc_expectation_bound(model, TimeGrid.uniform(1.0, 32), 0.5, 4000, 7)
-        assert rep.passed
-        assert 0.15 <= rep.alpha_hat <= 0.45
-        assert rep.mean_count <= rep.bound + rep.slack
-        assert all(entry["pass"] for entry in rep.tail.values())
+        assert rep["pass"]
+        assert 0.15 <= rep["alpha_hat"] <= 0.45
+        assert rep["mean_count"] <= rep["bound"] + rep["slack"]
+        assert all(entry["pass"] for entry in rep["tail"].values())
 
     def test_unipotent_instance_battery(self, uni4):
         model = LevyModel(space=uni4, diffusion=0.04)
         rep = mc_expectation_bound(model, TimeGrid.uniform(1.0, 16), 0.1, 600, 3)
-        assert rep.passed
-        assert 0.0 < rep.alpha_hat < 1.0
-        assert rep.mean_count <= rep.bound + rep.slack
+        assert rep["pass"]
+        assert 0.0 < rep["alpha_hat"] < 1.0
+        assert rep["mean_count"] <= rep["bound"] + rep["slack"]
 
     def test_saturated_alpha_is_inconclusive(self, heis2):
         model = LevyModel(space=heis2, diffusion=1.5)
         rep = mc_expectation_bound(model, TimeGrid.uniform(1.0, 32), 0.5, 400, 3)
-        assert rep.passed is None
-        assert "inconclusive" in rep.tail
+        assert rep["pass"] is None
+        assert "inconclusive" in rep["tail"]
 
     def test_split_halves_are_disjoint(self, heis2):
         # alpha from the first half must not depend on the second half's draws
@@ -202,29 +202,29 @@ class TestExpectationBound:
         grid = TimeGrid.uniform(1.0, 16)
         a = mc_expectation_bound(model, grid, 0.5, 400, 11)
         b = mc_expectation_bound(model, grid, 0.5, 400, 11)
-        assert a.alpha_hat == b.alpha_hat and a.mean_count == b.mean_count
+        assert a["alpha_hat"] == b["alpha_hat"] and a["mean_count"] == b["mean_count"]
 
 
 class TestUniformContinuityProbe:
     def test_zero_driver_returns_full_horizon(self, heis2):
         model = LevyModel(space=heis2)
         rep = uniform_continuity_probe(model, 1.0, 0.5, 0.1, 200, 0)
-        assert rep.window == pytest.approx(1.0)
-        assert rep.monotone and not rep.none_found
+        assert rep["window"] == pytest.approx(1.0)
+        assert rep["monotone"] and not rep["none_found"]
 
     def test_brownian_revalidates_out_of_sample(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.35)
         rep = uniform_continuity_probe(model, 1.0, 1.0, 0.1, 1500, 3)
-        assert rep.monotone and not rep.none_found
+        assert rep["monotone"] and not rep["none_found"]
         fresh = uniform_continuity_probe(model, 1.0, 1.0, 0.1, 1500, 4)
-        p_fresh = [p for h, p in fresh.probability_curve.items()
-                   if float(h) <= rep.window][0]
-        assert p_fresh <= rep.alpha + 3 * np.sqrt(rep.alpha * (1 - rep.alpha) / 1500)
+        p_fresh = [p for h, p in fresh["probability_curve"].items()
+                   if float(h) <= rep["window"]][0]
+        assert p_fresh <= rep["alpha"] + 3 * np.sqrt(rep["alpha"] * (1 - rep["alpha"]) / 1500)
 
     def test_hot_driver_flags_none_found(self, heis2):
         model = LevyModel(space=heis2, diffusion=3.0)
         rep = uniform_continuity_probe(model, 1.0, 0.5, 0.05, 200, 0, cells=16)
-        assert rep.none_found
+        assert rep["none_found"]
 
     def test_intensity_weakly_shrinks_window(self, heis2):
         windows = []
@@ -234,7 +234,7 @@ class TestUniformContinuityProbe:
             hs = []
             for seed in range(5):
                 rep = uniform_continuity_probe(model, 1.0, 0.5, 0.2, 600, seed)
-                hs.append(rep.window)
+                hs.append(rep["window"])
             windows.append(np.mean(hs))
         assert windows[1] <= windows[0]
 
@@ -267,7 +267,7 @@ class TestChunkSeam:
         rep = mc_largest_step(model, grid, 0.5, self.TRIALS, self.SEED)
         oracle = np.mean(np.any((norms >= radius) & upper, axis=(1, 2)))
         assert 0.0 < oracle < 1.0
-        assert rep.estimates["p_any_pair_outside_superset"] == oracle
+        assert rep["estimates"]["p_any_pair_outside_superset"] == oracle
 
     def test_expectation_bound(self, setup):
         _, model, grid, norms, upper = setup
@@ -277,9 +277,9 @@ class TestChunkSeam:
         alpha = np.mean(np.any(outside[:half] & upper, axis=(1, 2)))
         counts = oscillation_counts_from_outside(outside[half:] & upper)
         assert 0.0 < alpha < 1.0 and counts.max() > 0
-        assert rep.alpha_hat == alpha
-        assert rep.mean_count == np.mean(counts)
-        assert rep.count_distribution == {
+        assert rep["alpha_hat"] == alpha
+        assert rep["mean_count"] == np.mean(counts)
+        assert rep["count_distribution"] == {
             int(k): int(v) for k, v in zip(*np.unique(counts, return_counts=True))}
 
     def test_uniform_continuity_probe(self, setup):
@@ -290,4 +290,4 @@ class TestChunkSeam:
         spans = np.where(norms[:, j, k] >= self.DELTA, k - j, 17).min(axis=1)
         oracle = {band * grid.mesh: np.mean(spans <= band) for band in (16, 8, 4, 2, 1)}
         assert len(set(oracle.values())) >= 3          # a curve, not a constant
-        assert rep.probability_curve == oracle
+        assert rep["probability_curve"] == oracle
