@@ -9,6 +9,7 @@ name the offending field path.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -44,6 +45,11 @@ _LAWS = {
 _SCALE_KEYS = {"breaks", "rates"}
 _EXPERIMENT_KEYS = {"name", "seed", "params"}
 _OUTPUT_KEYS = {"csv"}
+# the fields that take a JSON boolean: output.csv and the boolean experiment parameters
+_BOOLEAN_PARAMS = "|".join(sorted({key for spec in EXPERIMENTS.values()
+                                   for key, (typ, *_) in spec.params.items() if typ is bool}))
+_BOOLEAN_FIELDS = re.compile(
+    rf"config\.output\.csv|config\.experiments\[\d+\]\.params\.(?:{_BOOLEAN_PARAMS})")
 
 
 def _check_keys(obj, allowed, path):
@@ -52,6 +58,25 @@ def _check_keys(obj, allowed, path):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(path, f"unknown keys {sorted(unknown)}")
+
+
+def _reject_booleans(obj, path):
+    """Raise ConfigError at the first JSON boolean outside ``_BOOLEAN_FIELDS``.
+
+    ``isinstance(True, int)`` holds and ``True == 1``, so without this one walk
+    a ``true`` would pass as 1 wherever a seed, version, count, length or list
+    entry is checked as a number.
+    """
+    if isinstance(obj, bool):
+        if not _BOOLEAN_FIELDS.fullmatch(path):
+            raise ConfigError(path, "a boolean is allowed only in a boolean field,"
+                                    f" got {json.dumps(obj)}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _reject_booleans(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _reject_booleans(value, f"{path}[{i}]")
 
 
 def _require(obj, key, path):
@@ -80,6 +105,7 @@ def validate_config(cfg: dict) -> None:
     rule lives in one constructor.
     """
     _check_keys(cfg, _TOP_KEYS, "config")
+    _reject_booleans(cfg, "config")
     version = _require(cfg, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError("config.schema_version", f"expected {SCHEMA_VERSION}, got {version}")

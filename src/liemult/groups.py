@@ -96,6 +96,13 @@ def sample_norm_ball(rng: np.random.Generator, space, radius: float, size: int) 
     Rejection sampling: uniform draws from the box [-radius, radius]^dim, keeping
     those whose norm is below radius; exact for any norm whose unit ball is
     contained in the unit sup-norm box (true for all norms used here).
+
+    The number of candidates drawn is part of the result: a caller that draws
+    again from ``rng`` (``chart-certification`` draws all its product batches
+    from one generator) sees a different stream if the round sizes change,
+    even when the returned points do not.  ``TestSampleNormBall`` in
+    ``tests/test_groups.py`` pins the generator's next draw, so an exact
+    sampler changes it knowingly.
     """
     if not radius > 0:   # NaN too
         raise ParameterError(f"radius must be positive, got {radius}")

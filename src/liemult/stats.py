@@ -9,7 +9,6 @@ a 0.01 significance floor.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "binom_se",
@@ -72,10 +71,12 @@ def _batched_ks(samples: tuple, test) -> dict:
 
 def batched_ks_exponential(samples: np.ndarray, rate: float) -> dict:
     """KS test of samples against Exponential(rate), Bonferroni over batches."""
+    from scipy import stats as sps   # scipy loads on the first KS test only
     return _batched_ks((samples,), lambda part: sps.kstest(part, "expon", args=(0.0, 1.0 / rate)))
 
 
 def batched_ks_two_sample(a: np.ndarray, b: np.ndarray) -> dict:
     """Two-sample KS with Bonferroni aggregation over paired batches."""
+    from scipy import stats as sps
     return _batched_ks((a, b), sps.ks_2samp)
 

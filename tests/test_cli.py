@@ -523,6 +523,27 @@ class TestValidation:
              "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.3}}),
          "config.experiments[2].params.h",
          "a multiple of the mesh, got 0.3 with n_cells = 8, T = 1.0"),
+        # JSON booleans where a number is expected (isinstance(True, int) holds)
+        (lambda cfg: cfg["experiments"][0].update(seed=True),
+         "config.experiments[0].seed", "a boolean is allowed only in a boolean field, got true"),
+        (lambda cfg: cfg.update(schema_version=True), "config.schema_version", "got true"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "metric-modulus", "seed": 3,
+             "params": {"model": "noisy", "T": 1.0, "alpha": 0.5, "window_sizes": [True]}}),
+         "config.experiments[2].params.window_sizes[0]", "got true"),
+        (lambda cfg: cfg["grids"]["g8"].update(T=True), "config.grids.g8.T", "got true"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=True, jump_law={"kind": "uniform_ball", "radius": 0.3}),
+         "config.models.noisy.jump_intensity", "got true"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "uniform_ball", "radius": True}),
+         "config.models.noisy.jump_law.radius", "got true"),
+        # a boolean in a string parameter that shares its name with a boolean one
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "restart-probe", "seed": 3,
+             "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.25,
+                        "expect": False}}),
+         "config.experiments[2].params.expect", "expected a string, got False"),
         # non-finite values, rejected by the constructor or schema check that owns them
         (lambda cfg: cfg["models"]["noisy"].update(diffusion=NAN),
          "config.models.noisy", "diffusion"),
@@ -624,7 +645,42 @@ class TestArguments:
         assert all(e["module"] in err for e in catalog())
 
 
+# a fresh interpreter: start up and a non-KS experiment, then the two KS helpers
+LEAN_STARTUP = """
+import json, sys
+import numpy as np
+import liemult, liemult.cli
+from liemult.config import build_context, default_config, validate_config
+from liemult.experiments import run_experiment
+from liemult.stats import batched_ks_exponential, batched_ks_two_sample
+cfg = default_config()
+validate_config(cfg)
+status = run_experiment("group-axioms", build_context(cfg), {"samples": 200}, 101)["status"]
+before = "scipy" in sys.modules
+rng = np.random.default_rng(5)
+a, b = rng.exponential(0.5, 120), rng.exponential(0.6, 130)
+got = [batched_ks_exponential(a, 2.0)["batch_pvalues"],
+       batched_ks_two_sample(a, b)["batch_pvalues"]]
+after = "scipy" in sys.modules
+from scipy import stats
+want = [[stats.kstest(x, "expon", args=(0.0, 0.5)).pvalue for x in np.array_split(a, 2)],
+        [stats.ks_2samp(x, y).pvalue for x, y in zip(np.array_split(a, 2), np.array_split(b, 2))]]
+print(json.dumps({"status": status, "before": before, "after": after, "got": got,
+                  "want": want}))
+"""
+
+
 class TestEntryPoint:
+    def test_scipy_loads_on_the_first_ks_test_only(self):
+        proc = subprocess.run([sys.executable, "-c", LEAN_STARTUP], capture_output=True,
+                              text=True, check=True)
+        result = json.loads(proc.stdout)
+        assert result["status"] == "pass"
+        assert result["before"] is False, "scipy was imported before any KS test"
+        assert result["after"] is True
+        assert [len(p) for p in result["got"]] == [2, 2]
+        assert result["got"] == result["want"]
+
     def test_module_invocation(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
         proc = subprocess.run(
