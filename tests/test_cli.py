@@ -592,6 +592,23 @@ class TestValidation:
             {"name": "exp-moment", "seed": 3,
              "params": {"model": "noisy", "r": 0.25, "u": 1.0, "alpha": INF, "delta": 0.5}}),
          "config.experiments[2].params.alpha", "expected a finite number, got inf"),
+        # structure: kinds, coordinate blocks and the shape of each block
+        (lambda cfg: cfg["group"].update(kind="orthogonal"), "config.group.kind", "'orthogonal'"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "gaussian", "radius": 0.3}),
+         "config.models.noisy.jump_law.kind", "'gaussian'"),
+        (lambda cfg: cfg["group"].update(n=3), "config.group.n", "not a heisenberg parameter"),
+        (lambda cfg: cfg["models"]["noisy"].update(space="w"), "config.models.noisy.space", "'w'"),
+        (lambda cfg: (cfg.update(group={"kind": "unipotent", "n": 3}),
+                      cfg["models"]["noisy"].update(space="x")),
+         "config.models.noisy.space", "heisenberg-only"),
+        (lambda cfg: cfg.update(experiments=[]), "config.experiments", "nonempty list"),
+        (lambda cfg: cfg.update(experiments={}), "config.experiments", "nonempty list"),
+        (lambda cfg: cfg["experiments"][0].update(params=[200]),
+         "config.experiments[0].params", "expected an object"),
+        (lambda cfg: cfg.update(grids=[]), "config.grids", "named grids"),
+        (lambda cfg: cfg.update(models=[]), "config.models", "named models"),
+        (lambda cfg: cfg.update(output={"format": "csv"}), "config.output", "unknown keys ['format']"),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):
