@@ -19,8 +19,7 @@ from .geometry import (StepCountResult, bounded_jumps_check, exp_moment_estimate
                        gauge_distance, gauge_norm, metric_modulus_curve, minimal_jump_power,
                        step_count_upper, step_counts_batch, step_triangle_test,
                        tail_decay_fit)
-from .groups import (ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup,
-                     group_from_config, sample_norm_ball)
+from .groups import ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup, sample_norm_ball
 from .jumps import (JumpSetSpec, detector_fidelity, hitting_cells, poisson_battery,
                     restart_probe)
 from .multiplicative import (MultiplicativePath, batch_prefixes, convergence_study,

@@ -9,17 +9,14 @@ name the offending field path.
 from __future__ import annotations
 
 import json
-import re
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from .additive import (DiscreteJumps, LevyModel, PiecewiseConstantRate, TimeGrid,
                        UniformBallJumps)
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, resolve_params
-from .groups import group_from_config
+from .groups import ChartSpec, HeisenbergGroup, UnipotentGroup
 
 __all__ = ["load_config", "validate_config", "build_context", "default_config",
            "SCHEMA_VERSION"]
@@ -27,13 +24,18 @@ __all__ = ["load_config", "validate_config", "build_context", "default_config",
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"schema_version", "group", "grids", "models", "experiments", "output"}
-_GROUP_KEYS = {"heisenberg": {"kind", "N", "p", "chart"}, "unipotent": {"kind", "n", "chart"}}
+# a block's (allowed keys, constructor); the group and the jump laws have one per kind
+_GROUPS = {
+    "heisenberg": ({"kind", "N", "p", "chart"},
+                   lambda group: HeisenbergGroup(group["N"], group.get("p", 2.0), _chart(group))),
+    "unipotent": ({"kind", "n", "chart"}, lambda group: UnipotentGroup(group["n"], _chart(group))),
+}
 _CHART_KEYS = {"rho_prime", "rho_double_prime", "bracket_bound"}
-_GRID_KEYS = {"T", "cells"}
+_GRID = ({"T", "cells"}, lambda grid: TimeGrid.uniform(grid["T"], grid["cells"]))
 _MODEL_KEYS = {"space", "drift", "diffusion", "jump_intensity", "jump_law",
                "scale", "bound_delta"}
-# jump-law kind -> (allowed keys, constructor): a subspace ball is the ball law on the
-# given coordinates, a fixed atom a discrete law with one atom
+# a subspace ball is the ball law on the given coordinates, a fixed atom a discrete
+# law with one atom
 _LAWS = {
     "uniform_ball": ({"kind", "radius"}, lambda law: UniformBallJumps(law["radius"])),
     "subspace_ball": ({"kind", "radius", "indices"},
@@ -42,14 +44,10 @@ _LAWS = {
     "discrete": ({"kind", "vectors", "probs"},
                  lambda law: DiscreteJumps(law["vectors"], law["probs"])),
 }
-_SCALE_KEYS = {"breaks", "rates"}
+_SCALE = ({"breaks", "rates"},
+          lambda scale: PiecewiseConstantRate(scale["breaks"], scale["rates"]))
 _EXPERIMENT_KEYS = {"name", "seed", "params"}
 _OUTPUT_KEYS = {"csv"}
-# the fields that take a JSON boolean: output.csv and the boolean experiment parameters
-_BOOLEAN_PARAMS = "|".join(sorted({key for spec in EXPERIMENTS.values()
-                                   for key, (typ, *_) in spec.params.items() if typ is bool}))
-_BOOLEAN_FIELDS = re.compile(
-    rf"config\.output\.csv|config\.experiments\[\d+\]\.params\.(?:{_BOOLEAN_PARAMS})")
 
 
 def _check_keys(obj, allowed, path):
@@ -61,16 +59,15 @@ def _check_keys(obj, allowed, path):
 
 
 def _reject_booleans(obj, path):
-    """Raise ConfigError at the first JSON boolean outside ``_BOOLEAN_FIELDS``.
+    """Raise ConfigError at the first JSON boolean in ``obj``.
 
-    ``isinstance(True, int)`` holds and ``True == 1``, so without this one walk
-    a ``true`` would pass as 1 wherever a seed, version, count, length or list
-    entry is checked as a number.
+    ``isinstance(True, int)`` holds and ``True == 1``, so without this a
+    ``true`` would pass as 1 wherever a seed, count, length or vector entry is
+    checked as a number.
     """
     if isinstance(obj, bool):
-        if not _BOOLEAN_FIELDS.fullmatch(path):
-            raise ConfigError(path, "a boolean is allowed only in a boolean field,"
-                                    f" got {json.dumps(obj)}")
+        raise ConfigError(path, "a boolean is allowed only in a boolean field,"
+                                f" got {json.dumps(obj)}")
     elif isinstance(obj, dict):
         for key, value in obj.items():
             _reject_booleans(value, f"{path}.{key}")
@@ -87,9 +84,14 @@ def _require(obj, key, path):
 
 @contextmanager
 def _at(path: str):
-    """Report a constructor's rejection of a config value as a ConfigError at ``path``."""
+    """Report a constructor's rejection of a config value as a ConfigError at ``path``.
+
+    A ConfigError raised inside, by the check of a nested block, keeps its own path.
+    """
     try:
         yield
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(path, f"missing required key {exc}") from exc
     # ParameterError, InvalidInputError, bad casts, and integers too large for a float
@@ -97,58 +99,51 @@ def _at(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
+def _build(block, spec, path):
+    """``block`` built by ``spec``, its (allowed keys, constructor), once its keys are checked."""
+    keys, constructor = spec
+    _check_keys(block, keys, path)
+    with _at(path):
+        return constructor(block)
+
+
+def _build_kind(block, table, path):
+    """``block`` built by ``table[kind]``, its ``kind`` being one of the table's strings."""
+    if not isinstance(block, dict):
+        raise ConfigError(path, f"expected an object, got {type(block).__name__}")
+    kind = _require(block, "kind", path)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{path}.kind", f"expected one of {sorted(table)}, got {kind!r}")
+    return _build(block, table[kind], path)
+
+
+def _chart(group):
+    """The ChartSpec of a group block, None for the group's default chart."""
+    if group.get("chart") is None:
+        return None
+    _check_keys(group["chart"], _CHART_KEYS, "config.group.chart")
+    return ChartSpec(**group["chart"])
+
+
+def _named_blocks(cfg, key):
+    blocks = cfg.get(key, {})
+    if not isinstance(blocks, dict):
+        raise ConfigError(f"config.{key}", f"expected an object of named {key}")
+    return blocks.items()
+
+
 def validate_config(cfg: dict) -> None:
     """Raise ConfigError (with a field path) on any schema violation.
 
-    The key structure is checked here; the values of the group, grids and
-    models are checked by building them (``build_context``), so each range
-    rule lives in one constructor.
+    The group, grids and models are checked as ``build_context`` builds them,
+    so each range rule lives in one constructor; the experiment entries are
+    then resolved against the built context.
     """
     _check_keys(cfg, _TOP_KEYS, "config")
-    _reject_booleans(cfg, "config")
     version = _require(cfg, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError("config.schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-
-    group = _require(cfg, "group", "config")
-    _check_keys(group, set().union(*_GROUP_KEYS.values()), "config.group")
-    kind = _require(group, "kind", "config.group")
-    if kind not in _GROUP_KEYS:
-        raise ConfigError("config.group.kind", f"unknown kind {kind!r}")
-    extra = sorted(set(group) - _GROUP_KEYS[kind])
-    if extra:
-        raise ConfigError(f"config.group.{extra[0]}", f"not a {kind} parameter")
-    if group.get("chart") is not None:
-        _check_keys(group["chart"], _CHART_KEYS, "config.group.chart")
-
-    grids = cfg.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigError("config.grids", "expected an object of named grids")
-    for name, block in grids.items():
-        _check_keys(block, _GRID_KEYS, f"config.grids.{name}")
-
-    models = cfg.get("models", {})
-    if not isinstance(models, dict):
-        raise ConfigError("config.models", "expected an object of named models")
-    for name, block in models.items():
-        path = f"config.models.{name}"
-        _check_keys(block, _MODEL_KEYS, path)
-        space = block.get("space", "group")
-        if space not in ("group", "x", "y", "z"):
-            raise ConfigError(f"{path}.space", f"must be group/x/y/z, got {space!r}")
-        if space != "group" and kind != "heisenberg":
-            raise ConfigError(f"{path}.space", "block spaces are heisenberg-only")
-        law = block.get("jump_law")
-        if law is not None:
-            lpath = f"{path}.jump_law"
-            if not isinstance(law, dict) or "kind" not in law:
-                raise ConfigError(lpath, "expected an object with a 'kind'")
-            if law["kind"] not in _LAWS:
-                raise ConfigError(f"{lpath}.kind", f"unknown jump law {law['kind']!r}")
-            _check_keys(law, _LAWS[law["kind"]][0], lpath)
-        scale = block.get("scale")
-        if scale is not None:
-            _check_keys(scale, _SCALE_KEYS, f"{path}.scale")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError("config.schema_version",
+                          f"expected {SCHEMA_VERSION}, got {json.dumps(version)}")
     ctx = build_context(cfg)
 
     experiments = _require(cfg, "experiments", "config")
@@ -158,9 +153,10 @@ def validate_config(cfg: dict) -> None:
         path = f"config.experiments[{i}]"
         _check_keys(entry, _EXPERIMENT_KEYS, path)
         name = _require(entry, "name", path)
-        if name not in EXPERIMENTS:
+        if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ConfigError(f"{path}.name", f"unknown experiment {name!r}")
         seed = _require(entry, "seed", path)
+        _reject_booleans(seed, f"{path}.seed")
         if not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"{path}.seed", "every experiment needs an explicit"
                                               f" nonnegative integer seed, got {seed!r}")
@@ -169,43 +165,42 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"{path}.params", "expected an object")
         resolve_params(name, params, f"{path}.params", ctx)
 
-    if "output" in cfg:
-        _check_keys(cfg["output"], _OUTPUT_KEYS, "config.output")
+    output = cfg.get("output", {})
+    _check_keys(output, _OUTPUT_KEYS, "config.output")
+    if not isinstance(output.get("csv", False), bool):
+        raise ConfigError("config.output.csv",
+                          f"expected a boolean, got {json.dumps(output['csv'])}")
 
 
 def build_context(cfg: dict) -> dict:
-    """Instantiate group/grids/models from a config with a valid key structure.
+    """Check and instantiate the group, grids and models of a config.
 
-    A value that a constructor rejects raises ConfigError at its field path.
+    Each block's keys are checked just before it is built, and a JSON boolean
+    anywhere in these blocks is rejected.  A value that a constructor rejects
+    raises ConfigError at its block's path.
     """
-    with _at("config.group"):
-        group = group_from_config(cfg["group"])
-    grids = {}
-    for name, block in cfg.get("grids", {}).items():
-        with _at(f"config.grids.{name}"):
-            grids[name] = TimeGrid.uniform(block["T"], block["cells"])
+    for key in ("group", "grids", "models"):
+        _reject_booleans(cfg.get(key), f"config.{key}")
+    group = _build_kind(_require(cfg, "group", "config"), _GROUPS, "config.group")
+    grids = {name: _build(block, _GRID, f"config.grids.{name}")
+             for name, block in _named_blocks(cfg, "grids")}
     models = {}
-    for name, block in cfg.get("models", {}).items():
+    for name, block in _named_blocks(cfg, "models"):
         path = f"config.models.{name}"
-        law = scale = None
-        if block.get("jump_law"):
-            with _at(f"{path}.jump_law"):
-                law = _LAWS[block["jump_law"]["kind"]][1](block["jump_law"])
-        if block.get("scale"):
-            with _at(f"{path}.scale"):
-                scale = PiecewiseConstantRate(np.asarray(block["scale"]["breaks"], dtype=float),
-                                              np.asarray(block["scale"]["rates"], dtype=float))
+        _check_keys(block, _MODEL_KEYS, path)
         tag = block.get("space", "group")
-        with _at(path):
-            models[name] = LevyModel(
-                space=group if tag == "group" else getattr(group, f"{tag}_space"),
-                drift=np.asarray(block.get("drift", 0.0), dtype=float),
-                diffusion=np.asarray(block.get("diffusion", 0.0), dtype=float),
-                jump_intensity=block.get("jump_intensity", 0.0),
-                jump_law=law,
-                scale=scale,
-                bound_delta=block.get("bound_delta"),
-            )
+        if tag not in ("group", "x", "y", "z"):
+            raise ConfigError(f"{path}.space", f"must be group/x/y/z, got {tag!r}")
+        if tag != "group" and not isinstance(group, HeisenbergGroup):
+            raise ConfigError(f"{path}.space", "block spaces are heisenberg-only")
+        law, scale = block.get("jump_law"), block.get("scale")
+        if law is not None:
+            law = _build_kind(law, _LAWS, f"{path}.jump_law")
+        if scale is not None:
+            scale = _build(scale, _SCALE, f"{path}.scale")
+        space = group if tag == "group" else getattr(group, f"{tag}_space")
+        with _at(path):   # the model block's keys are LevyModel's fields
+            models[name] = LevyModel(**{**block, "space": space, "jump_law": law, "scale": scale})
     return {"group": group, "grids": grids, "models": models}
 
 

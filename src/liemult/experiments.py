@@ -25,6 +25,7 @@ derives ``status`` from the verdict, and no runner sets it.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -481,8 +482,7 @@ _JOINT_BOUNDS = {
     "tail-decay": _WINDOW_BOUNDS,
     "metric-modulus": (
         ("window_sizes", lambda p: len(p["window_sizes"]) > 0 and all(
-            isinstance(w, (int, float)) and 0 < w <= p["T"] for w in p["window_sizes"]),
-         "a nonempty list of sizes in (0, T]"),
+            0 < w <= p["T"] for w in p["window_sizes"]), "a nonempty list of sizes in (0, T]"),
         ("window_sizes", lambda p: all(_two_points(p["T"], p["cells"], geometry.modulus_window(p["T"], w))
                                        for w in p["window_sizes"]), "sizes whose windows hold two grid points")),
 }
@@ -526,6 +526,11 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
         label, ok = _TYPE_CHECKS[typ]
         if not ok(value):
             raise ConfigError(f"{path}.{key}", f"expected {label}, got {value!r}")
+        # a list parameter holds numbers; a direct call may pass any object, hence repr
+        for i, entry in enumerate(value if typ is list else ()):
+            if not _TYPE_CHECKS[float][1](entry):
+                raise ConfigError(f"{path}.{key}[{i}]", "expected a finite number,"
+                                  f" got {json.dumps(entry, default=repr)}")
         expected = bound and _violated(typ, bound[0], value)
         if expected:
             raise ConfigError(f"{path}.{key}", f"expected {expected}, got {value!r}")

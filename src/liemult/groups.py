@@ -36,7 +36,6 @@ __all__ = [
     "LpSpace",
     "HeisenbergGroup",
     "UnipotentGroup",
-    "group_from_config",
     "sample_norm_ball",
 ]
 
@@ -522,18 +521,3 @@ class UnipotentGroup(_NilpotentGroup):
         (vec,) = self._check(vec)
         # the largest singular value: gesdd returns them sorted descending
         return np.linalg.svd(self.to_matrix(vec), compute_uv=False)[..., 0]
-
-
-def group_from_config(cfg: dict):
-    """Build a group instance from its config block."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise InvalidInputError(f"group config must be a dict with a 'kind' key, got {cfg!r}")
-    kind = cfg["kind"]
-    chart = None
-    if "chart" in cfg and cfg["chart"] is not None:
-        chart = ChartSpec(**cfg["chart"])
-    if kind == "heisenberg":
-        return HeisenbergGroup(N=cfg["N"], p=cfg.get("p", 2.0), chart=chart)
-    if kind == "unipotent":
-        return UnipotentGroup(n=cfg["n"], chart=chart)
-    raise InvalidInputError(f"unknown group kind {kind!r}")

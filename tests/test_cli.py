@@ -597,7 +597,7 @@ class TestValidation:
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": "gaussian", "radius": 0.3}),
          "config.models.noisy.jump_law.kind", "'gaussian'"),
-        (lambda cfg: cfg["group"].update(n=3), "config.group.n", "not a heisenberg parameter"),
+        (lambda cfg: cfg["group"].update(n=3), "config.group", "unknown keys ['n']"),
         (lambda cfg: cfg["models"]["noisy"].update(space="w"), "config.models.noisy.space", "'w'"),
         (lambda cfg: (cfg.update(group={"kind": "unipotent", "n": 3}),
                       cfg["models"]["noisy"].update(space="x")),
@@ -609,6 +609,26 @@ class TestValidation:
         (lambda cfg: cfg.update(grids=[]), "config.grids", "named grids"),
         (lambda cfg: cfg.update(models=[]), "config.models", "named models"),
         (lambda cfg: cfg.update(output={"format": "csv"}), "config.output", "unknown keys ['format']"),
+        # an empty scale block is a malformed scale, not a stationary model
+        (lambda cfg: cfg["models"]["noisy"].update(scale={}), "config.models.noisy.scale",
+         "missing required key 'breaks'"),
+        # a truthy non-boolean must not turn CSV output on
+        (lambda cfg: cfg.update(output={"csv": "no"}), "config.output.csv",
+         'expected a boolean, got "no"'),
+        (lambda cfg: cfg.update(output={"csv": 0.5}), "config.output.csv",
+         "expected a boolean, got 0.5"),
+        (lambda cfg: cfg.update(output={"csv": 1}), "config.output.csv",
+         "expected a boolean, got 1"),
+        # unhashable names and kinds, and a version printed as it is written
+        (lambda cfg: cfg["experiments"][0].update(name=["group-axioms"]),
+         "config.experiments[0].name", "['group-axioms']"),
+        (lambda cfg: cfg["group"].update(kind=["heisenberg"]), "config.group.kind",
+         "expected one of ['heisenberg', 'unipotent'], got ['heisenberg']"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": ["uniform_ball"], "radius": 0.3}),
+         "config.models.noisy.jump_law.kind", "got ['uniform_ball']"),
+        (lambda cfg: cfg.update(schema_version="1"), "config.schema_version",
+         'expected 1, got "1"'),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):
@@ -625,6 +645,14 @@ class TestValidation:
                                               r": expected at least 1, got 0"):
             run_experiment("right-limit-refinement", {},
                            {"model": "noisy", "grid": "g8", "refinements": 0}, 3)
+
+    def test_run_experiment_checks_list_entries(self):
+        # each entry of a list parameter is a finite number, a boolean included
+        with pytest.raises(ConfigError, match=r"metric-modulus\.params\.window_sizes\[0\]"
+                                              r": expected a finite number, got true"):
+            run_experiment("metric-modulus", {},
+                           {"model": "noisy", "T": 1.0, "alpha": 0.5,
+                            "window_sizes": [True, 0.5]}, 0)
 
     def test_default_config_is_valid(self):
         validate_config(default_config())

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liemult import (ChartSpec, HeisenbergGroup, InvalidInputError, LpSpace, ParameterError,
-                     UniformBallJumps, UnipotentGroup, group_from_config, sample_norm_ball,
+from liemult import (ChartSpec, ConfigError, HeisenbergGroup, InvalidInputError, LpSpace,
+                     ParameterError, UniformBallJumps, UnipotentGroup, sample_norm_ball,
                      step_counts_batch, substream)
+from liemult.config import build_context
 from liemult.experiments import run_experiment
 from liemult.groups import _NilpotentGroup, coordinate_sum, lp_norm
 
@@ -447,11 +448,16 @@ class TestGenericUpperPairs:
                 assert not np.diagonal(norms, axis1=-2, axis2=-1).any()
 
 
+def build_group(group: dict):
+    """The group of a config whose only block is ``group``."""
+    return build_context({"group": group})["group"]
+
+
 class TestConfigConstruction:
     def test_group_from_config(self):
-        heis = group_from_config({"kind": "heisenberg", "N": 4, "p": 2.0})
+        heis = build_group({"kind": "heisenberg", "N": 4, "p": 2.0})
         assert isinstance(heis, HeisenbergGroup) and heis.N == 4
-        uni = group_from_config({"kind": "unipotent", "n": 4})
+        uni = build_group({"kind": "unipotent", "n": 4})
         assert isinstance(uni, UnipotentGroup) and uni.n == 4
 
     def test_invalid_parameters_rejected(self):
@@ -461,8 +467,8 @@ class TestConfigConstruction:
             HeisenbergGroup(2, 1.0)
         with pytest.raises(ParameterError):
             UnipotentGroup(5)
-        with pytest.raises(InvalidInputError):
-            group_from_config({"kind": "orthogonal"})
+        with pytest.raises(ConfigError, match=r"config\.group\.kind"):
+            build_group({"kind": "orthogonal"})
 
     def test_chart_spec_validation(self):
         with pytest.raises(ParameterError):
