@@ -17,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__
-from .config import build_context, default_config, load_config, validate_config
+from .config import default_config, load_config, validate_config
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, catalog, run_experiment
 from .reporting import dump_json
@@ -35,17 +35,13 @@ def _error_result(entry: dict, exc: BaseException, trace: str):
             "error": f"{type(exc).__name__}: {exc}"}, trace
 
 
-def _execute_entry(cfg: dict, index: int, csv_root: str | None):
-    """Run one experiment entry; safe to call in a worker process.
+def _execute_entry(ctx: dict, entry: dict):
+    """Run one experiment entry against the run's context; safe to call in a worker process.
 
     Returns ``(report, traceback)``, the traceback being None unless the
     entry raised, in which case the report is an error report.
     """
-    entry = cfg["experiments"][index]
     try:
-        ctx = build_context(cfg)
-        if csv_root is not None:
-            ctx["csv_dir"] = Path(csv_root) / f"{index:02d}_{entry['name']}"
         return run_experiment(entry["name"], ctx, entry.get("params", {}), entry["seed"]), None
     except Exception as exc:  # noqa: BLE001 - one failing entry must not lose the others
         return _error_result(entry, exc, traceback.format_exc())
@@ -59,19 +55,20 @@ def _positive_int(text: str) -> int:
 
 def _run(args) -> int:
     try:
-        if args.default:
-            cfg = default_config()
-            validate_config(cfg)
-        else:
-            cfg = load_config(args.config)
+        cfg = default_config() if args.default else load_config(args.config)
+        ctx = validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_root = str(out_dir) if cfg.get("output", {}).get("csv") else None
     entries = cfg["experiments"]
+    # one context serves every entry and is never written to; a CSV run hands each
+    # entry a shallow copy that carries its own directory
+    csv = cfg.get("output", {}).get("csv")
+    contexts = [{**ctx, "csv_dir": out_dir / f"{i:02d}_{entry['name']}"} if csv else ctx
+                for i, entry in enumerate(entries)]
 
     results = [None] * len(entries)
 
@@ -87,7 +84,7 @@ def _run(args) -> int:
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_execute_entry, cfg, i, csv_root): i
+            futures = {pool.submit(_execute_entry, contexts[i], entries[i]): i
                        for i in range(len(entries))}
             for fut in as_completed(futures):
                 try:
@@ -100,7 +97,7 @@ def _run(args) -> int:
                 finished(futures[fut], result)
     else:
         for i in range(len(entries)):
-            finished(i, _execute_entry(cfg, i, csv_root))
+            finished(i, _execute_entry(contexts[i], entries[i]))
 
     # reports and the summary are written in index order, whatever the finishing order
     summary_rows = []

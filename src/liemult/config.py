@@ -132,12 +132,12 @@ def _named_blocks(cfg, key):
     return blocks.items()
 
 
-def validate_config(cfg: dict) -> None:
-    """Raise ConfigError (with a field path) on any schema violation.
+def validate_config(cfg: dict) -> dict:
+    """Return the context of ``cfg``; raise ConfigError with a field path if it is invalid.
 
     The group, grids and models are checked as ``build_context`` builds them,
     so each range rule lives in one constructor; the experiment entries are
-    then resolved against the built context.
+    then resolved against the built context, which is returned for the run.
     """
     _check_keys(cfg, _TOP_KEYS, "config")
     version = _require(cfg, "schema_version", "config")
@@ -170,6 +170,7 @@ def validate_config(cfg: dict) -> None:
     if not isinstance(output.get("csv", False), bool):
         raise ConfigError("config.output.csv",
                           f"expected a boolean, got {json.dumps(output['csv'])}")
+    return ctx
 
 
 def build_context(cfg: dict) -> dict:

@@ -524,16 +524,17 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
             continue
         value = params[key]
         label, ok = _TYPE_CHECKS[typ]
-        if not ok(value):
-            raise ConfigError(f"{path}.{key}", f"expected {label}, got {value!r}")
-        # a list parameter holds numbers; a direct call may pass any object, hence repr
+        # a value prints as the config writes it (a direct call may pass any object,
+        # hence repr); no list parameter has a bound, so its entries are checked after
+        expected = label if not ok(value) else bound and _violated(typ, bound[0], value)
+        if expected:
+            raise ConfigError(f"{path}.{key}",
+                              f"expected {expected}, got {json.dumps(value, default=repr)}")
+        # a list parameter holds numbers
         for i, entry in enumerate(value if typ is list else ()):
             if not _TYPE_CHECKS[float][1](entry):
                 raise ConfigError(f"{path}.{key}[{i}]", "expected a finite number,"
                                   f" got {json.dumps(entry, default=repr)}")
-        expected = bound and _violated(typ, bound[0], value)
-        if expected:
-            raise ConfigError(f"{path}.{key}", f"expected {expected}, got {value!r}")
         merged[key] = value
 
     resolved = {}
@@ -546,8 +547,8 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
         if not holds(resolved):
             grid = resolved.get("grid")
             on_grid = f" with n_cells = {grid.n_cells}, T = {grid.T}" if grid else ""
-            raise ConfigError(f"{path}.{key}",
-                              f"expected {expected}, got {merged[key]!r}{on_grid}")
+            raise ConfigError(f"{path}.{key}", f"expected {expected}, got"
+                              f" {json.dumps(merged[key], default=repr)}{on_grid}")
     return merged, resolved
 
 

@@ -99,6 +99,8 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     rng = substream(seed, "oscillation-axioms")
     matrices = group.pairwise_chart_norms(batch_prefixes(group, model, grid, paths, seed)) >= delta
     n = grid.n_cells
+    full = np.arange(n + 1)
+    full_counts = oscillation_counts_from_outside(matrices)   # each path on all its points
 
     def count_on(which, idx):
         idx = np.sort(np.asarray(idx, dtype=int))
@@ -109,21 +111,18 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     violations = {"monotone": 0, "exhaustive_limit": 0, "concatenation": 0}
     for case in range(cases):
         which = case % paths
-        full = np.arange(n + 1)
+        target = int(full_counts[which])
         keep = rng.random(n + 1) < rng.uniform(0.3, 0.9)
-        if count_on(which, full[keep]) > count_on(which, full):
+        if count_on(which, full[keep]) > target:
             violations["monotone"] += 1
 
         order = rng.permutation(n + 1)
-        target = count_on(which, full)
         grown = [count_on(which, order[:m]) for m in range(1, n + 2)]
         if grown[-1] != target or any(np.diff(grown) < 0):
             violations["exhaustive_limit"] += 1
 
         cut = int(rng.integers(1, n))
-        left = np.arange(0, cut + 1)
-        right = np.arange(cut + 1, n + 1)
-        if count_on(which, full) > count_on(which, left) + count_on(which, right) + 1:
+        if target > count_on(which, full[:cut + 1]) + count_on(which, full[cut + 1:]) + 1:
             violations["concatenation"] += 1
     return {
         "cases": cases,

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from liemult import cli
+from liemult import cli, config
 from liemult.cli import main
 from liemult.config import default_config, load_config, validate_config
 from liemult.errors import ConfigError
@@ -165,15 +165,40 @@ class TestRun:
         assert report["status"] == "fail"
         assert report["max_defect"] <= report["tol"]
 
-    def test_csv_side_outputs_pinned(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_csv_side_outputs_pinned(self, tmp_path, jobs):
         # every file of a small run with CSV side outputs, one per CSV writer;
-        # the default battery writes none of them
+        # the default battery writes none of them.  Under --jobs 2 each worker
+        # gets the pickled context with its own entry's CSV directory
         out = tmp_path / "out"
-        code = main(["run", str(write_config(tmp_path, CSV_CONFIG)), "--out", str(out)])
+        code = main(["run", str(write_config(tmp_path, CSV_CONFIG)), "--out", str(out),
+                     "--jobs", jobs])
         assert code == 0
         digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.rglob("*") if p.is_file()}
         assert digests == CSV_DIGESTS
+
+    def test_context_built_at_most_twice_per_run(self, tmp_path, monkeypatch):
+        # one build checks the loaded file and one serves every entry, whatever
+        # the number of entries
+        original = config.build_context
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        for module in (config, cli):
+            if getattr(module, "build_context", None) is original:
+                monkeypatch.setattr(module, "build_context", counted)
+        cfg = copy.deepcopy(BASE)
+        cfg["experiments"] += [{"name": "group-axioms", "seed": 3, "params": {"samples": 100}},
+                               {"name": "exp-log-roundtrip", "seed": 4,
+                                "params": {"samples": 100}}]
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"])
+        assert code == 0
+        assert 1 <= len(calls) <= 2
 
     def test_reports_byte_identical_and_jobs_invariant(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
@@ -454,7 +479,7 @@ class TestValidation:
                       cfg["experiments"].append(
                           {"name": "oscillation-axioms", "seed": 3,
                            "params": {"model": "noisy", "grid": "g1", "delta": 0.25}})),
-         "config.experiments[2].params.grid", "at least 2 cells, got 'g1' with n_cells = 1"),
+         "config.experiments[2].params.grid", 'at least 2 cells, got "g1" with n_cells = 1'),
         # enumerated strings
         (lambda cfg: cfg["experiments"].append(
             {"name": "restart-probe", "seed": 3,
@@ -543,7 +568,7 @@ class TestValidation:
             {"name": "restart-probe", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.25,
                         "expect": False}}),
-         "config.experiments[2].params.expect", "expected a string, got False"),
+         "config.experiments[2].params.expect", "expected a string, got false"),
         # non-finite values, rejected by the constructor or schema check that owns them
         (lambda cfg: cfg["models"]["noisy"].update(diffusion=NAN),
          "config.models.noisy", "diffusion"),
@@ -587,11 +612,11 @@ class TestValidation:
         (lambda cfg: cfg["experiments"].append(
             {"name": "cocycle-exactness", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "tol": NAN}}),
-         "config.experiments[2].params.tol", "expected a finite number, got nan"),
+         "config.experiments[2].params.tol", "expected a finite number, got NaN"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "exp-moment", "seed": 3,
              "params": {"model": "noisy", "r": 0.25, "u": 1.0, "alpha": INF, "delta": 0.5}}),
-         "config.experiments[2].params.alpha", "expected a finite number, got inf"),
+         "config.experiments[2].params.alpha", "expected a finite number, got Infinity"),
         # structure: kinds, coordinate blocks and the shape of each block
         (lambda cfg: cfg["group"].update(kind="orthogonal"), "config.group.kind", "'orthogonal'"),
         (lambda cfg: cfg["models"]["noisy"].update(
