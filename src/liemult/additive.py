@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .groups import sample_norm_ball
-from .rng import substream
+from .rng import TrialStreams, substream
 
 __all__ = [
     "TimeGrid",
@@ -354,26 +354,29 @@ class _DriverLaw:
         self.brownian_scale = (np.sqrt(mass[:, None] * (model.diffusion[None, :] ** 2))
                                if model.diffusion.any() else None)
         self.jump_rate = model.jump_intensity * mass if model.jump_intensity > 0 else None
+        # the streams the model draws from
+        self.labels = ((("gauss",) if self.brownian_scale is not None else ())
+                       + (("jump-counts", "jump-times", "jump-vectors")
+                          if self.jump_rate is not None else ()))
 
-    def draw(self, seed: int, stream: tuple):
-        """Gaussian part, time-sorted jump times and jump vectors of the trial ``stream``."""
+    def draw(self, rng):
+        """Gaussian part, time-sorted jump times and jump vectors of one trial,
+        whose stream ``label`` is ``rng(label)``."""
         model, shape = self.model, (self.grid.n_cells, self.model.space.dim)
         gauss_part = (np.zeros(shape) if self.brownian_scale is None else
-                      self.brownian_scale * substream(seed, *stream, "gauss").standard_normal(shape))
-        counts = (None if self.jump_rate is None
-                  else substream(seed, *stream, "jump-counts").poisson(self.jump_rate))
+                      self.brownian_scale * rng("gauss").standard_normal(shape))
+        counts = None if self.jump_rate is None else rng("jump-counts").poisson(self.jump_rate)
         total = 0 if counts is None else int(counts.sum())
         if not total:
             return gauss_part, np.empty(0), np.empty((0, model.space.dim))
-        rng_times = substream(seed, *stream, "jump-times")
+        rng_times = rng("jump-times")
         cells = np.repeat(np.arange(self.grid.n_cells), counts)
         lefts, rights = self.lefts[cells], self.rights[cells]
         if model.scale is None:
             times = lefts + rng_times.uniform(size=total) * (rights - lefts)
         else:
             times = model.scale.sample_times(rng_times, lefts, rights)
-        vectors = model.jump_law.sample(substream(seed, *stream, "jump-vectors"),
-                                        model.space, total)
+        vectors = model.jump_law.sample(rng("jump-vectors"), model.space, total)
         order = np.argsort(times, kind="stable")
         return gauss_part, times[order], vectors[order]
 
@@ -386,7 +389,7 @@ def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
     trials as ``sample_additive(model, grid, seed, stream=(trial,))``.
     """
     law = _DriverLaw(model, grid)
-    gauss_part, times, vectors = law.draw(seed, stream)
+    gauss_part, times, vectors = law.draw(lambda label: substream(seed, *stream, label))
     return AdditivePath(grid=grid, model=model, drift_part=law.drift_part,
                         gauss_part=gauss_part, jump_times=times, jump_vectors=vectors)
 
@@ -394,7 +397,9 @@ def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
 def driver_increments(model: LevyModel, grid: TimeGrid, seed: int, trials: int):
     """Yield the (n_cells, d) increments of trials t = 0, ..., trials - 1, each equal to
     ``sample_additive(model, grid, seed, stream=(t,)).increments``; the constants of
-    (model, grid) are computed once for all trials."""
+    (model, grid) and the stream keys of all trials are computed once."""
     law = _DriverLaw(model, grid)
+    streams = TrialStreams(seed, trials, law.labels)
     for trial in range(trials):
-        yield _assemble(grid, law.drift_part, *law.draw(seed, (trial,)))
+        yield _assemble(grid, law.drift_part,
+                        *law.draw(lambda label: streams.rng(trial, label)))

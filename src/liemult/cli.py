@@ -17,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__
-from .config import default_config, load_config, validate_config
+from .config import default_config, read_config, validate_config
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, catalog, run_experiment
 from .reporting import dump_json
@@ -55,7 +55,7 @@ def _positive_int(text: str) -> int:
 
 def _run(args) -> int:
     try:
-        cfg = default_config() if args.default else load_config(args.config)
+        cfg = default_config() if args.default else read_config(args.config)
         ctx = validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,9 +16,9 @@ from .additive import (DiscreteJumps, LevyModel, PiecewiseConstantRate, TimeGrid
                        UniformBallJumps)
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, resolve_params
-from .groups import ChartSpec, HeisenbergGroup, UnipotentGroup
+from .groups import ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup
 
-__all__ = ["load_config", "validate_config", "build_context", "default_config",
+__all__ = ["read_config", "load_config", "validate_config", "build_context", "default_config",
            "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
@@ -34,6 +34,10 @@ _CHART_KEYS = {"rho_prime", "rho_double_prime", "bracket_bound"}
 _GRID = ({"T", "cells"}, lambda grid: TimeGrid.uniform(grid["T"], grid["cells"]))
 _MODEL_KEYS = {"space", "drift", "diffusion", "jump_intensity", "jump_law",
                "scale", "bound_delta"}
+# a model's space: the group, or one coordinate block (a, b, c) of a Heisenberg group
+_BLOCK_SPACES = {"x": lambda group: LpSpace(group.N, group.p),
+                 "y": lambda group: LpSpace(group.N, group.q),
+                 "z": lambda group: LpSpace(1, 1.0)}
 # a subspace ball is the ball law on the given coordinates, a fixed atom a discrete
 # law with one atom
 _LAWS = {
@@ -190,7 +194,7 @@ def build_context(cfg: dict) -> dict:
         path = f"config.models.{name}"
         _check_keys(block, _MODEL_KEYS, path)
         tag = block.get("space", "group")
-        if tag not in ("group", "x", "y", "z"):
+        if tag not in ("group", *_BLOCK_SPACES):   # a tuple: tag may be unhashable
             raise ConfigError(f"{path}.space", f"must be group/x/y/z, got {tag!r}")
         if tag != "group" and not isinstance(group, HeisenbergGroup):
             raise ConfigError(f"{path}.space", "block spaces are heisenberg-only")
@@ -199,18 +203,25 @@ def build_context(cfg: dict) -> dict:
             law = _build_kind(law, _LAWS, f"{path}.jump_law")
         if scale is not None:
             scale = _build(scale, _SCALE, f"{path}.scale")
-        space = group if tag == "group" else getattr(group, f"{tag}_space")
+        space = group if tag == "group" else _BLOCK_SPACES[tag](group)
         with _at(path):   # the model block's keys are LevyModel's fields
             models[name] = LevyModel(**{**block, "space": space, "jump_law": law, "scale": scale})
     return {"group": group, "grids": grids, "models": models}
 
 
-def load_config(path: str | Path) -> dict:
+def read_config(path: str | Path) -> dict:
+    """Parse a JSON config file without validating it; a syntax error raises a
+    ``ConfigError`` at ``path:line:col``."""
     path = Path(path)
     try:
-        cfg = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+
+
+def load_config(path: str | Path) -> dict:
+    """Parse and validate a JSON config file."""
+    cfg = read_config(path)
     validate_config(cfg)
     return cfg
 

@@ -336,18 +336,6 @@ class HeisenbergGroup(_NilpotentGroup):
     def __repr__(self):
         return f"HeisenbergGroup(N={self.N}, p={self.p})"
 
-    @property
-    def x_space(self) -> LpSpace:
-        return LpSpace(self.N, self.p)
-
-    @property
-    def y_space(self) -> LpSpace:
-        return LpSpace(self.N, self.q)
-
-    @property
-    def z_space(self) -> LpSpace:
-        return LpSpace(1, 1.0)
-
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Split flat coordinates into the (a, b, c) blocks."""
         (v,) = self._check(v)

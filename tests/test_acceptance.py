@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from liemult import (DiscreteJumps, HeisenbergGroup, JumpSetSpec, LevyModel,
+from liemult import (DiscreteJumps, HeisenbergGroup, JumpSetSpec, LevyModel, LpSpace,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps,
                      UnipotentGroup, convergence_study, detector_fidelity,
                      exhaustive_count_reference,
@@ -32,9 +32,9 @@ GOLDEN_DIGESTS = Path(__file__).with_name("default_reports.sha256")
 
 def block_models(heis, x=None, y=None, z=None):
     return {
-        "x": LevyModel(space=heis.x_space, **(x or {})),
-        "y": LevyModel(space=heis.y_space, **(y or {})),
-        "z": LevyModel(space=heis.z_space, **(z or {})),
+        "x": LevyModel(space=LpSpace(heis.N, heis.p), **(x or {})),
+        "y": LevyModel(space=LpSpace(heis.N, heis.q), **(y or {})),
+        "z": LevyModel(space=LpSpace(1, 1.0), **(z or {})),
     }
 
 

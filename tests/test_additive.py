@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from liemult import additive, config
+from liemult import additive, config, rng
 from liemult import (DiscreteJumps, HeisenbergGroup, LevyModel, LpSpace, ParameterError,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps,
                      UnipotentGroup, driver_increments, sample_additive, substream)
 from liemult.config import build_context, default_config
+from liemult.rng import TrialStreams, trial_keys
 from liemult.stats import batched_ks_two_sample
 
 
@@ -341,6 +342,24 @@ class TestDriverIncrements:
         assert "gauss" not in drawn and "jump-counts" in drawn
         assert np.array_equal(path.gauss_part, np.zeros((16, heis2.dim)))
         assert not np.signbit(path.gauss_part).any()
+
+        # the batched path keys no Gaussian stream and draws from none, and its
+        # Gaussian part is +0.0 in every trial
+        keyed, rekeyed, gauss_parts = [], [], []
+        monkeypatch.setattr(rng, "trial_keys", lambda seed, trials, label: keyed.append(label)
+                            or trial_keys(seed, trials, label))
+        rekey, assemble = TrialStreams.rng, additive._assemble
+        monkeypatch.setattr(TrialStreams, "rng", lambda self, trial, label: rekeyed.append(label)
+                            or rekey(self, trial, label))
+        monkeypatch.setattr(additive, "_assemble", lambda grid, drift, gauss, *jumps:
+                            gauss_parts.append(gauss) or assemble(grid, drift, gauss, *jumps))
+        batched = list(driver_increments(model, TimeGrid.uniform(1.0, 16), 5, 4))
+        assert len(batched) == len(gauss_parts) == 4
+        assert "gauss" not in keyed and "jump-counts" in keyed
+        assert "gauss" not in rekeyed and "jump-counts" in rekeyed
+        for gauss in gauss_parts:
+            assert np.array_equal(gauss, np.zeros((16, heis2.dim)))
+            assert not np.signbit(gauss).any()
 
     @pytest.mark.parametrize("name, grid, digest", [
         ("cp_poisson", ("poisson",),

@@ -14,7 +14,7 @@ import pytest
 
 from liemult import cli, config
 from liemult.cli import main
-from liemult.config import default_config, load_config, validate_config
+from liemult.config import default_config, load_config, read_config, validate_config
 from liemult.errors import ConfigError
 from liemult.experiments import EXPERIMENTS, catalog, run_experiment
 
@@ -178,9 +178,9 @@ class TestRun:
                    for p in out.rglob("*") if p.is_file()}
         assert digests == CSV_DIGESTS
 
-    def test_context_built_at_most_twice_per_run(self, tmp_path, monkeypatch):
-        # one build checks the loaded file and one serves every entry, whatever
-        # the number of entries
+    def test_context_built_once_per_run(self, tmp_path, monkeypatch):
+        # the one build that checks the file serves every entry, whatever the
+        # number of entries
         original = config.build_context
         calls = []
 
@@ -198,7 +198,7 @@ class TestRun:
         code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o"),
                      "--jobs", "1"])
         assert code == 0
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
 
     def test_reports_byte_identical_and_jobs_invariant(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)
@@ -652,6 +652,8 @@ class TestValidation:
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": ["uniform_ball"], "radius": 0.3}),
          "config.models.noisy.jump_law.kind", "got ['uniform_ball']"),
+        (lambda cfg: cfg["models"]["noisy"].update(space=["x"]), "config.models.noisy.space",
+         "got ['x']"),
         (lambda cfg: cfg.update(schema_version="1"), "config.schema_version",
          'expected 1, got "1"'),
     ])
@@ -686,6 +688,17 @@ class TestValidation:
         path = write_config(tmp_path, BASE)
         cfg = load_config(path)
         assert cfg["group"]["kind"] == "heisenberg"
+
+    def test_read_config_parses_without_validating(self, tmp_path):
+        cfg = {**BASE, "schema_version": 2}
+        path = write_config(tmp_path, cfg)
+        assert read_config(path) == cfg
+        with pytest.raises(ConfigError, match="schema_version"):
+            load_config(path)
+        path.write_text('{"schema_version": 1,,}')
+        with pytest.raises(ConfigError) as exc:
+            read_config(path)
+        assert exc.value.path == f"{path}:1:22"
 
 
 class TestArguments:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liemult import (GridMismatchError, LevyModel, ParameterError, TimeGrid,
+from liemult import (GridMismatchError, LevyModel, LpSpace, ParameterError, TimeGrid,
                      UniformBallJumps, convergence_study, heisenberg_exact,
                      product_exponential, sample_additive, verify_multiplicative)
 from liemult.groups import _NilpotentGroup
@@ -18,9 +18,9 @@ def block_models(heis, x=None, y=None, z=None):
     y = y or {}
     z = z or {}
     return {
-        "x": LevyModel(space=heis.x_space, **x),
-        "y": LevyModel(space=heis.y_space, **y),
-        "z": LevyModel(space=heis.z_space, **z),
+        "x": LevyModel(space=LpSpace(heis.N, heis.p), **x),
+        "y": LevyModel(space=LpSpace(heis.N, heis.q), **y),
+        "z": LevyModel(space=LpSpace(1, 1.0), **z),
     }
 
 
@@ -96,9 +96,9 @@ class TestProductExponential:
 class TestHeisenbergExact:
     def test_zero_y_gives_pure_z_increment(self, heis2):
         grid = TimeGrid.uniform(1.0, 6)
-        x = planted_block_path(heis2.x_space, grid, [0.3], [[1.0, 0.0]])
-        y = sample_additive(LevyModel(space=heis2.y_space), grid, 0)
-        z = dataclasses.replace(sample_additive(LevyModel(space=heis2.z_space), grid, 0),
+        x = planted_block_path(LpSpace(heis2.N, heis2.p), grid, [0.3], [[1.0, 0.0]])
+        y = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q)), grid, 0)
+        z = dataclasses.replace(sample_additive(LevyModel(space=LpSpace(1, 1.0)), grid, 0),
                                 jump_times=np.array([0.5]), jump_vectors=np.array([[2.0]]))
         path = heisenberg_exact(x, y, z, heis2)
         assert path.prefix[-1][-1] == pytest.approx(2.0)
@@ -106,17 +106,18 @@ class TestHeisenbergExact:
     def test_two_jump_area(self, heis2):
         # enumeration oracle: one (x, y) jump pair contributes area 1 over [0, 1]
         grid = TimeGrid.uniform(1.0, 10)
-        x = planted_block_path(heis2.x_space, grid, [0.3], [[1.0, 0.0]])
-        y = planted_block_path(heis2.y_space, grid, [0.7], [[1.0, 0.0]])
-        z = sample_additive(LevyModel(space=heis2.z_space), grid, 0)
+        x = planted_block_path(LpSpace(heis2.N, heis2.p), grid, [0.3], [[1.0, 0.0]])
+        y = planted_block_path(LpSpace(heis2.N, heis2.q), grid, [0.7], [[1.0, 0.0]])
+        z = sample_additive(LevyModel(space=LpSpace(1, 1.0)), grid, 0)
         assert double_sum_area(x, y, 0, 10) == pytest.approx(1.0)
         path = heisenberg_exact(x, y, z, heis2)
         assert path.prefix[-1][-1] == pytest.approx(0.5)
 
     def test_grid_mismatch_rejected(self, heis2):
-        x = sample_additive(LevyModel(space=heis2.x_space), TimeGrid.uniform(1.0, 4), 0)
-        y = sample_additive(LevyModel(space=heis2.y_space), TimeGrid.uniform(1.0, 8), 0)
-        z = sample_additive(LevyModel(space=heis2.z_space), TimeGrid.uniform(1.0, 4), 0)
+        coarse, fine = TimeGrid.uniform(1.0, 4), TimeGrid.uniform(1.0, 8)
+        x = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.p)), coarse, 0)
+        y = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q)), fine, 0)
+        z = sample_additive(LevyModel(space=LpSpace(1, 1.0)), coarse, 0)
         with pytest.raises(GridMismatchError):
             heisenberg_exact(x, y, z, heis2)
 
@@ -124,9 +125,9 @@ class TestHeisenbergExact:
         # closed-form window values built straight from increments and the
         # running-sum area op must compose along triples
         grid = TimeGrid.uniform(1.0, 64)
-        x = sample_additive(LevyModel(space=heis2.x_space, diffusion=0.5), grid, 21)
-        y = sample_additive(LevyModel(space=heis2.y_space, diffusion=0.5), grid, 22)
-        z = sample_additive(LevyModel(space=heis2.z_space, diffusion=0.2), grid, 23)
+        x = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.p), diffusion=0.5), grid, 21)
+        y = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q), diffusion=0.5), grid, 22)
+        z = sample_additive(LevyModel(space=LpSpace(1, 1.0), diffusion=0.2), grid, 23)
         path = heisenberg_exact(x, y, z, heis2)
 
         def direct(j, k):
@@ -155,18 +156,18 @@ class TestHeisenbergExact:
 class TestLevyArea:
     def test_proportional_paths_have_zero_area(self, heis2, rng):
         grid = TimeGrid.uniform(1.0, 16)
-        x = sample_additive(LevyModel(space=heis2.x_space, diffusion=0.6), grid, 3)
+        x = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.p), diffusion=0.6), grid, 3)
         y = dataclasses.replace(
-            sample_additive(LevyModel(space=heis2.y_space), grid, 0),
+            sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q)), grid, 0),
             drift_part=2.5 * x.drift_part, gauss_part=2.5 * x.gauss_part)
-        z = sample_additive(LevyModel(space=heis2.z_space), grid, 0)
+        z = sample_additive(LevyModel(space=LpSpace(1, 1.0)), grid, 0)
         assert double_sum_area(x, y, 0, 16) == pytest.approx(0.0, abs=1e-14)
         assert heisenberg_exact(x, y, z, heis2).prefix[-1][-1] == pytest.approx(0.0, abs=1e-14)
 
     def test_refinement_cascade_order(self, heis2):
         # coupled-refinement oracle: area differences decay at order ~1/2
-        mx = LevyModel(space=heis2.x_space, diffusion=1.0)
-        my = LevyModel(space=heis2.y_space, diffusion=1.0)
+        mx = LevyModel(space=LpSpace(heis2.N, heis2.p), diffusion=1.0)
+        my = LevyModel(space=LpSpace(heis2.N, heis2.q), diffusion=1.0)
         grid0 = TimeGrid.uniform(1.0, 8)
         diffs = np.zeros((4, 60))
         meshes = []

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from liemult import (ChartSpec, HeisenbergGroup, JumpSetSpec, LevyModel, TimeGrid,
+from liemult import (ChartSpec, HeisenbergGroup, JumpSetSpec, LevyModel, LpSpace, TimeGrid,
                      UniformBallJumps, UnipotentGroup, convergence_study,
                      mc_expectation_bound, mc_largest_step, mc_maximum_oscillation,
                      metric_modulus_curve, poisson_battery, product_exponential,
@@ -29,7 +29,9 @@ MODELS, GRIDS = DEFAULT["models"], DEFAULT["grids"]
 
 
 def _zero_blocks():
-    return {key: LevyModel(space=getattr(HEIS, f"{key}_space")) for key in ("x", "y", "z")}
+    return {"x": LevyModel(space=LpSpace(HEIS.N, HEIS.p)),
+            "y": LevyModel(space=LpSpace(HEIS.N, HEIS.q)),
+            "z": LevyModel(space=LpSpace(1, 1.0))}
 
 
 def _default_cocycle():
