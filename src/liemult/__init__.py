@@ -12,7 +12,7 @@ distances.
 __version__ = "0.1.0"
 
 from .additive import (AdditivePath, DiscreteJumps, LevyModel, PiecewiseConstantRate,
-                       TimeGrid, UniformBallJumps, driver_increments, sample_additive)
+                       TimeGrid, UniformBallJumps, driver_paths, sample_additive)
 from .errors import (ConfigError, GridMismatchError, HypothesisError,
                      InvalidInputError, ParameterError)
 from .geometry import (StepCountResult, bounded_jumps_check, exp_moment_estimate,

@@ -28,7 +28,7 @@ __all__ = [
     "LevyModel",
     "AdditivePath",
     "sample_additive",
-    "driver_increments",
+    "driver_paths",
 ]
 
 EXTREME_DIRECTIONS = 32    # random directions beside the axes in a ball law's extreme points
@@ -359,9 +359,12 @@ class _DriverLaw:
                        + (("jump-counts", "jump-times", "jump-vectors")
                           if self.jump_rate is not None else ()))
 
-    def draw(self, rng):
-        """Gaussian part, time-sorted jump times and jump vectors of one trial,
-        whose stream ``label`` is ``rng(label)``."""
+    def path(self, rng) -> AdditivePath:
+        """The driver path of one trial, whose stream ``label`` is ``rng(label)``."""
+        return AdditivePath(self.grid, self.model, self.drift_part, *self._draw(rng))
+
+    def _draw(self, rng):
+        """Gaussian part, time-sorted jump times and jump vectors of one trial."""
         model, shape = self.model, (self.grid.n_cells, self.model.space.dim)
         gauss_part = (np.zeros(shape) if self.brownian_scale is None else
                       self.brownian_scale * rng("gauss").standard_normal(shape))
@@ -385,21 +388,18 @@ def sample_additive(model: LevyModel, grid: TimeGrid, seed: int,
                     stream: tuple = ()) -> AdditivePath:
     """Sample one driver path; bit-identical for identical (model, grid, seed, stream).
 
-    ``stream`` extends the derivation key, letting callers run independent
-    trials as ``sample_additive(model, grid, seed, stream=(trial,))``.
+    ``stream`` extends the derivation key.  Trial t of a battery is the stream
+    ``(t,)``, which ``driver_paths`` keys for all trials at once; a trial's
+    further independent paths are streams ``(t, key)``.
     """
-    law = _DriverLaw(model, grid)
-    gauss_part, times, vectors = law.draw(lambda label: substream(seed, *stream, label))
-    return AdditivePath(grid=grid, model=model, drift_part=law.drift_part,
-                        gauss_part=gauss_part, jump_times=times, jump_vectors=vectors)
+    return _DriverLaw(model, grid).path(lambda label: substream(seed, *stream, label))
 
 
-def driver_increments(model: LevyModel, grid: TimeGrid, seed: int, trials: int):
-    """Yield the (n_cells, d) increments of trials t = 0, ..., trials - 1, each equal to
-    ``sample_additive(model, grid, seed, stream=(t,)).increments``; the constants of
+def driver_paths(model: LevyModel, grid: TimeGrid, seed: int, trials: int):
+    """Yield the driver paths of trials t = 0, ..., trials - 1, each equal to
+    ``sample_additive(model, grid, seed, stream=(t,))``; the constants of
     (model, grid) and the stream keys of all trials are computed once."""
     law = _DriverLaw(model, grid)
     streams = TrialStreams(seed, trials, law.labels)
     for trial in range(trials):
-        yield _assemble(grid, law.drift_part,
-                        *law.draw(lambda label: streams.rng(trial, label)))
+        yield law.path(lambda label: streams.rng(trial, label))

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, jumps, regularity
-from .additive import TimeGrid, sample_additive
+from .additive import TimeGrid, driver_paths, sample_additive
 from .errors import ConfigError
 from .groups import sample_norm_ball, sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
@@ -133,10 +133,9 @@ def _bracket_residuals(G, f, g, h):
 
 
 def _run_chart_certification(ctx, params, seed):
-    group = ctx["group"]
+    group, delta, power = ctx["group"], params["delta"], params["power"]
+    radius = group.ball_power_radius(delta, power)   # raises before any sampling
     ratio = group.chart.certify_bracket_bound(group, samples=params["samples"], seed=seed)
-    delta, power = params["delta"], params["power"]
-    radius = group.ball_power_radius(delta, power)
     report = {"bracket_bound_worst_ratio": ratio, "delta": delta, "power": power,
               "certified_radius": radius}
     if radius is None:
@@ -159,13 +158,9 @@ def _run_chart_certification(ctx, params, seed):
 # multiplicative-path experiments
 # --------------------------------------------------------------------------
 
-def _driver_path(params, seed, trial=0):
-    return sample_additive(params["model"], params["grid"], seed, stream=(trial,))
-
-
 def _run_cocycle(ctx, params, seed):
-    paths = (product_exponential(_driver_path(params, seed, trial), ctx["group"])
-             for trial in range(params["paths"]))
+    paths = (product_exponential(driver, ctx["group"])
+             for driver in driver_paths(params["model"], params["grid"], seed, params["paths"]))
     worst = max((verify_multiplicative(path, samples=params["triples"], tol=params["tol"],
                                        seed=seed) for path in paths),
                 key=lambda rep: rep["max_defect"])
@@ -174,7 +169,7 @@ def _run_cocycle(ctx, params, seed):
 
 def _run_cocycle_fault(ctx, params, seed):
     group = ctx["group"]
-    path = product_exponential(_driver_path(params, seed), group)
+    path = product_exponential(next(driver_paths(params["model"], params["grid"], seed, 1)), group)
     offset = group.exp(substream(seed, "fault").standard_normal(group.dim))
     bad = path.with_corrupted_cell(params["cell"], offset)
     rep = verify_multiplicative(bad, samples=params["triples"], tol=params["tol"], seed=seed)
@@ -212,9 +207,8 @@ def _run_right_limit(ctx, params, seed):
     probes = np.linspace(0.0, grid.T, params["probe_points"] + 2)[1:-1]
     levels = params["refinements"]
     defects = [[] for _ in range(levels)]
-    for trial in range(params["trials"]):
+    for trial, driver in enumerate(driver_paths(params["model"], grid, seed, params["trials"])):
         # one refinement chain per trial: level L compares chain[L] with chain[L + 1]
-        driver = _driver_path(params, seed, trial)
         coarse_path = product_exponential(driver, group)
         for level in range(levels):
             driver = driver.refine(seed, stream=(trial, "rl", level))

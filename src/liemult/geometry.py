@@ -102,9 +102,10 @@ def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float) -> 
 
 
 def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> list:
-    """Column sweep: one-parameter legs for the first superdiagonal, then
-    commutator gadgets for level-2 and (n=4) level-3 entries, recomputing the
-    exact residual between stages."""
+    """Level sweep: one-parameter legs for the first superdiagonal, then for
+    each level L = 2, ..., n-1 commutator gadgets filling the entries (i, i+L)
+    from the legs (i, i+L-1) and (i+L-1, i+L), recomputing the exact residual
+    between stages.  A gadget changes only entries above its own level."""
     leg = LEG_FRACTION * delta
     side = GADGET_FRACTION * delta
     cap = side * side
@@ -125,12 +126,7 @@ def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> li
     def residual():
         return group.to_matrix(group.log(group.mul(group.inv(current), g)))
 
-    level1 = residual()
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        mask[i, i + 1] = True
-    level1 = np.where(mask, level1, 0.0)
-    a1 = group.from_matrix(level1)
+    a1 = group.from_matrix(np.diag(np.diagonal(residual(), 1), 1))
     n1 = float(group.norm(a1))
     if n1 > 0:
         m1 = int(math.ceil(n1 / leg))
@@ -154,10 +150,10 @@ def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> li
             apply(basis(*leg1, -a))
             apply(basis(*leg2, -b))
 
-    for i in range(n - 2):
-        gadget_sweep((i, i + 2), (i, i + 1), (i + 1, i + 2))
-    if n == 4:
-        gadget_sweep((0, 3), (0, 2), (2, 3))
+    for level in range(2, n):
+        for i in range(n - level):
+            j = i + level
+            gadget_sweep((i, j), (i, j - 1), (j - 1, j))
     return factors
 
 

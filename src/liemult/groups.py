@@ -7,11 +7,13 @@ Two instances are provided:
   the first ``N`` coordinate pairs.  Elements and algebra vectors share the
   flat coordinate layout ``[a_1..a_N, b_1..b_N, c]``; exp and log are the
   coordinate identity because the exponential is a global diffeomorphism.
-* ``UnipotentGroup(n)`` — upper unitriangular ``n x n`` real matrices,
-  ``n in {3, 4}``.  Flat coordinates are the strictly upper-triangular
+* ``UnipotentGroup(n)`` — upper unitriangular ``n x n`` real matrices, any
+  integer ``n >= 2``.  Flat coordinates are the strictly upper-triangular
   entries in row-major order; a group element with coordinates ``v`` is
   ``I + M(v)`` and an algebra vector is ``M(v)``, where ``M`` scatters the
-  coordinates into the strict upper triangle.
+  coordinates into the strict upper triangle.  ``M(v)`` is nilpotent of
+  order ``n``, so the inverse, exponential and logarithm are power series
+  that end at ``M(v)^(n-1)``, one truncated series for every ``n``.
 
 All operations broadcast over leading axes, so a single element is a shape
 ``(d,)`` array and a batch of paths is ``(..., d)``.  Values are never
@@ -219,18 +221,21 @@ class _NilpotentGroup:
             out.append(arr)
         return out
 
+    def _require_bch_step(self) -> None:
+        """Raise ParameterError unless the BCH series up to degree 3 is exact here."""
+        if self.nilpotency_step > 3:
+            raise ParameterError("the BCH series is truncated at degree 3, exact only up to"
+                                 f" nilpotency step 3, got step {self.nilpotency_step}")
+
     def bch(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Truncated Baker-Campbell-Hausdorff product, exact on nilpotent steps 2 and 3."""
+        """Truncated Baker-Campbell-Hausdorff product, exact on nilpotency steps up to 3."""
+        self._require_bch_step()
         u, v = self._check(u, v)
         uv = self.bracket(u, v)
         out = u + v + 0.5 * uv
-        if self.nilpotency_step == 2:
+        if self.nilpotency_step <= 2:
             return out
-        if self.nilpotency_step == 3:
-            return out + (self.bracket(u, uv) - self.bracket(v, uv)) / 12.0
-        raise ParameterError(
-            f"bch only implemented for nilpotency steps 2 and 3, got {self.nilpotency_step}"
-        )
+        return out + (self.bracket(u, uv) - self.bracket(v, uv)) / 12.0
 
     def chart_norm(self, g: np.ndarray) -> np.ndarray:
         """Norm of log(g); the local size of a group element."""
@@ -244,9 +249,12 @@ class _NilpotentGroup:
     def ball_power_radius(self, delta: float, n: int) -> float | None:
         """Certified radius r with (U_delta)^n contained in U_r.
 
-        Computed by iterating the BCH norm bound; returns None when the
-        recursion escapes the chart (callers must then avoid chart logic).
+        Computed by iterating the BCH norm bound, which bounds the terms up to
+        degree 3 and so holds up to nilpotency step 3 (ParameterError beyond);
+        returns None when the recursion escapes the chart (callers must then
+        avoid chart logic).
         """
+        self._require_bch_step()
         if not (0 < delta < self.chart.rho_double_prime):
             raise ParameterError(
                 f"delta must lie in (0, rho_double_prime={self.chart.rho_double_prime}),"
@@ -258,7 +266,7 @@ class _NilpotentGroup:
         r = delta
         for _ in range(n - 1):
             r_next = r + delta + 0.5 * c * r * delta
-            if self.nilpotency_step >= 3:
+            if self.nilpotency_step == 3:
                 r_next += (c * c / 12.0) * (r * r * delta + r * delta * delta)
             if r_next >= self.chart.rho_prime:
                 return None
@@ -428,16 +436,17 @@ class HeisenbergGroup(_NilpotentGroup):
 
 
 class UnipotentGroup(_NilpotentGroup):
-    """Upper unitriangular n x n matrices, n in {3, 4}.
+    """Upper unitriangular n x n matrices, any integer n >= 2.
 
     The algebra norm is the spectral (operator 2-) norm of the strictly
-    upper-triangular matrix.
+    upper-triangular matrix.  The group is nilpotent of step n - 1, so
+    ``bch`` and ``ball_power_radius`` hold for n <= 4 only.
     """
 
     def __init__(self, n: int, chart: ChartSpec | None = None):
-        if n not in (3, 4):
-            raise ParameterError(f"n must be 3 or 4, got {n}")
-        self.n = int(n)
+        if not (n >= 2 and float(n).is_integer()):   # NaN and inf too
+            raise ParameterError(f"n must be an integer >= 2, got {n}")
+        self.n = n = int(n)
         self.dim = n * (n - 1) // 2
         self.nilpotency_step = n - 1
         self._rows, self._cols = np.triu_indices(n, k=1)   # row-major coordinates
@@ -459,12 +468,15 @@ class UnipotentGroup(_NilpotentGroup):
         mat = np.asarray(mat, dtype=float)
         return mat[..., self._rows, self._cols]
 
-    def _matpow_terms(self, m: np.ndarray) -> list[np.ndarray]:
-        """[m, m^2, (m^3)] up to the nilpotency degree."""
-        terms = [m, m @ m]
-        if self.n == 4:
-            terms.append(terms[1] @ m)
-        return terms
+    def _series(self, g, div) -> np.ndarray:
+        """Flat coordinates of sum_{k=1}^{n-1} m^k / div(k), m the matrix of ``g``;
+        m^n = 0, so the inverse, exponential and logarithm series end there."""
+        m = power = self.to_matrix(g)   # checks g
+        out = m / div(1)
+        for k in range(2, self.n):
+            power = power @ m
+            out += power / div(k)
+        return self.from_matrix(out)
 
     def mul(self, g, h):
         g, h = self._check(g, h)
@@ -473,31 +485,13 @@ class UnipotentGroup(_NilpotentGroup):
         return self.from_matrix(a + b + a @ b)
 
     def inv(self, g):
-        (g,) = self._check(g)
-        a = self.to_matrix(g)
-        terms = self._matpow_terms(a)
-        out = -terms[0] + terms[1]
-        if self.n == 4:
-            out -= terms[2]
-        return self.from_matrix(out)
+        return self._series(g, lambda k: (-1.0) ** k)
 
     def exp(self, vec):
-        (vec,) = self._check(vec)
-        m = self.to_matrix(vec)
-        terms = self._matpow_terms(m)
-        out = terms[0] + terms[1] / 2.0
-        if self.n == 4:
-            out += terms[2] / 6.0
-        return self.from_matrix(out)
+        return self._series(vec, lambda k: float(math.factorial(k)))
 
     def log(self, g):
-        (g,) = self._check(g)
-        e = self.to_matrix(g)
-        terms = self._matpow_terms(e)
-        out = terms[0] - terms[1] / 2.0
-        if self.n == 4:
-            out += terms[2] / 3.0
-        return self.from_matrix(out)
+        return self._series(g, lambda k: (-1.0) ** (k + 1) * k)
 
     def bracket(self, u, v):
         u, v = self._check(u, v)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import LevyModel, TimeGrid, driver_increments, sample_additive
+from .additive import LevyModel, TimeGrid, driver_paths, sample_additive
 from .errors import ParameterError
 from .multiplicative import MultiplicativePath, product_exponential
 from .stats import SLACK_MULTIPLIER, batched_ks_exponential, batched_ks_two_sample
@@ -102,8 +102,8 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     counts = np.zeros(trials)
     first_half = np.zeros(trials)
     interarrivals = []
-    for trial, increments in enumerate(driver_increments(model, grid, seed, trials)):
-        cells = group.exp(increments)
+    for trial, path in enumerate(driver_paths(model, grid, seed, trials)):
+        cells = group.exp(path.increments)
         taus = grid.points[np.flatnonzero(jump_set.contains(group, cells)) + 1]
         counts[trial] = taus.size
         first_half[trial] = np.count_nonzero(taus <= T / 2)
@@ -186,8 +186,8 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
 
     half = trials // 2
     post_hit, fixed = [], []
-    for trial, increments in enumerate(driver_increments(model, grid, seed, trials)):
-        cells = group.exp(increments)
+    for trial, path in enumerate(driver_paths(model, grid, seed, trials)):
+        cells = group.exp(path.increments)
         if trial >= half:
             fixed.append(float(group.chart_norm(group.prefix_products(cells[:steps])[steps])))
             continue

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import (AdditivePath, LevyModel, TimeGrid, driver_increments,
-                       sample_additive)
+from .additive import AdditivePath, LevyModel, TimeGrid, driver_paths, sample_additive
 from .errors import GridMismatchError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup
 from .rng import substream
@@ -214,8 +213,8 @@ def batch_prefixes(group, model: LevyModel, grid: TimeGrid, trials: int, seed: i
     ``sample_additive(model, grid, seed, stream=(i,))``.
     """
     incs = np.empty((trials, grid.n_cells, model.space.dim))
-    for t, increments in enumerate(driver_increments(model, grid, seed, trials)):
-        incs[t] = increments
+    for t, path in enumerate(driver_paths(model, grid, seed, trials)):
+        incs[t] = path.increments
     return group.prefix_products(group.exp(incs))
 
 

@@ -10,7 +10,7 @@ from scipy import stats as sps
 from liemult import additive, config, rng
 from liemult import (DiscreteJumps, HeisenbergGroup, LevyModel, LpSpace, ParameterError,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps,
-                     UnipotentGroup, driver_increments, sample_additive, substream)
+                     UnipotentGroup, driver_paths, sample_additive, substream)
 from liemult.config import build_context, default_config
 from liemult.rng import TrialStreams, trial_keys
 from liemult.stats import batched_ks_two_sample
@@ -322,16 +322,20 @@ class TestDriverIncrements:
     @pytest.mark.parametrize("trials", [1, 3, 65])
     def test_equals_one_path_sampler(self, heis2, trials):
         # oracle: the batched generator, the one-path sampler and a slow sampler that
-        # draws every stream agree bit for bit, trial by trial
+        # draws every stream agree bit for bit, trial by trial, in the increments and
+        # in the recorded jumps
         grid = TimeGrid.uniform(5.0, 24)
         for name, model in _oracle_models(heis2).items():
-            batched = np.stack(list(driver_increments(model, grid, 3, trials)))
-            single = np.stack([sample_additive(model, grid, 3, stream=(t,)).increments
-                               for t in range(trials)])
-            assert batched.shape == (trials, grid.n_cells, model.space.dim), name
-            assert np.array_equal(batched, single), name
+            batched = list(driver_paths(model, grid, 3, trials))
+            single = [sample_additive(model, grid, 3, stream=(t,)) for t in range(trials)]
+            assert len(batched) == trials, name
+            for b, s in zip(batched, single):
+                assert b.increments.shape == (grid.n_cells, model.space.dim), name
+                for part in ("increments", "gauss_part", "jump_times", "jump_vectors"):
+                    assert np.array_equal(getattr(b, part), getattr(s, part)), (name, part)
             for t in (0, trials - 1):
-                assert np.array_equal(single[t], reference_increments(model, grid, 3, (t,))), name
+                assert np.array_equal(single[t].increments,
+                                      reference_increments(model, grid, 3, (t,))), name
 
     def test_no_gauss_stream_without_diffusion(self, heis2, monkeypatch):
         drawn = []
@@ -345,21 +349,19 @@ class TestDriverIncrements:
 
         # the batched path keys no Gaussian stream and draws from none, and its
         # Gaussian part is +0.0 in every trial
-        keyed, rekeyed, gauss_parts = [], [], []
+        keyed, rekeyed = [], []
         monkeypatch.setattr(rng, "trial_keys", lambda seed, trials, label: keyed.append(label)
                             or trial_keys(seed, trials, label))
-        rekey, assemble = TrialStreams.rng, additive._assemble
+        rekey = TrialStreams.rng
         monkeypatch.setattr(TrialStreams, "rng", lambda self, trial, label: rekeyed.append(label)
                             or rekey(self, trial, label))
-        monkeypatch.setattr(additive, "_assemble", lambda grid, drift, gauss, *jumps:
-                            gauss_parts.append(gauss) or assemble(grid, drift, gauss, *jumps))
-        batched = list(driver_increments(model, TimeGrid.uniform(1.0, 16), 5, 4))
-        assert len(batched) == len(gauss_parts) == 4
+        batched = list(driver_paths(model, TimeGrid.uniform(1.0, 16), 5, 4))
+        assert len(batched) == 4
         assert "gauss" not in keyed and "jump-counts" in keyed
         assert "gauss" not in rekeyed and "jump-counts" in rekeyed
-        for gauss in gauss_parts:
-            assert np.array_equal(gauss, np.zeros((16, heis2.dim)))
-            assert not np.signbit(gauss).any()
+        for path in batched:
+            assert np.array_equal(path.gauss_part, np.zeros((16, heis2.dim)))
+            assert not np.signbit(path.gauss_part).any()
 
     @pytest.mark.parametrize("name, grid, digest", [
         ("cp_poisson", ("poisson",),

@@ -301,6 +301,33 @@ class TestRun:
         assert summary["counts"] == {"pass": 1, "fail": 0, "inconclusive": 0, "error": 1}
         assert [row["status"] for row in summary["experiments"]] == ["pass", "error"]
 
+    def test_unipotent_six_runs_and_names_the_bch_step(self, tmp_path):
+        # a group of nilpotency step 5: the kernel checks and the step counter run,
+        # and the two entries built on the degree-3 BCH series error out naming the step
+        cfg = {
+            "schema_version": 1,
+            "group": {"kind": "unipotent", "n": 6},
+            "grids": {},
+            "models": {},
+            "experiments": [
+                {"name": "group-axioms", "seed": 1, "params": {"samples": 500}},
+                {"name": "bch-consistency", "seed": 2, "params": {"samples": 500}},
+                {"name": "exp-log-roundtrip", "seed": 3, "params": {"samples": 500}},
+                {"name": "chart-certification", "seed": 4,
+                 "params": {"samples": 500, "delta": 0.1, "products": 500}},
+                {"name": "step-triangle", "seed": 5, "params": {"samples": 5, "delta": 0.3}},
+            ],
+        }
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert [row["status"] for row in summary["experiments"]] == [
+            "pass", "error", "pass", "error", "pass"]
+        step = ("ParameterError: the BCH series is truncated at degree 3, exact only up to"
+                " nilpotency step 3, got step 5")
+        for name in ("01_bch-consistency.json", "03_chart-certification.json"):
+            assert json.loads((out / name).read_text())["error"] == step
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patch reaches the workers only through fork")
     def test_dead_worker_exits_three(self, tmp_path, capsys, monkeypatch):

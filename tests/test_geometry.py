@@ -69,6 +69,19 @@ class TestStepCountUpper:
                 if res.upper:
                     assert np.max(group.norm(res.factors)) < 0.3
 
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_unipotent_certifies_at_any_size(self, n):
+        # the level sweep reaches every level up to n - 1, the corner entry
+        # (0, n - 1) through the gadget of the top level alone
+        group = UnipotentGroup(n)
+        corner = np.zeros((n, n))
+        corner[0, n - 1] = 0.5
+        vecs = substream(n, "step-count-sizes").standard_normal((6, group.dim)) * 0.35
+        for g in [group.from_matrix(corner), *group.exp(vecs)]:
+            res = step_count_upper(group, g, 0.3)
+            assert res.certified_defect <= 1e-10
+            assert res.upper > 1 and np.max(group.norm(res.factors)) < 0.3
+
     def test_vectorized_counts_match_construction(self, heis2, rng):
         elements = rng.standard_normal((500, 5)) * rng.uniform(0.0, 3.0, size=(500, 1))
         direct = np.array([step_count_upper(heis2, g, DELTA).upper for g in elements])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from liemult import (ChartSpec, ConfigError, HeisenbergGroup, InvalidInputError, LpSpace,
                      ParameterError, UniformBallJumps, UnipotentGroup, sample_norm_ball,
@@ -426,12 +427,44 @@ class TestHeisenbergBlockKernel:
             "1689fdff84c658ee5cd76f35a3edf1a307640096596ecc29831696af78964953")
 
 
+class TestUnipotentAnySize:
+    """One truncated series serves every n: exp, inv and log against oracles
+    from dense linear algebra, and the BCH routines within their step."""
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 8])
+    def test_series_match_dense_oracles(self, n):
+        group = UnipotentGroup(n)
+        assert group.dim == n * (n - 1) // 2 and group.nilpotency_step == n - 1
+        v = substream(n, "any-size").standard_normal((64, group.dim))
+        m, eye = group.to_matrix(v), np.eye(n)
+        want_exp = np.stack([expm(x) for x in m]) - eye
+        np.testing.assert_allclose(group.to_matrix(group.exp(v)), want_exp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(group.to_matrix(group.inv(v)), np.linalg.inv(eye + m) - eye,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(group.log(group.exp(v)), v, rtol=0, atol=1e-12)
+
+    def test_bch_on_the_abelian_group(self):
+        group = UnipotentGroup(2)
+        u, v = np.array([[0.3], [-1.5]]), np.array([[0.7], [0.25]])
+        np.testing.assert_array_equal(group.bch(u, v), u + v)
+        assert group.ball_power_radius(0.1, 2) > 0.2
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_bch_routines_name_the_step_beyond_three(self, n):
+        group = UnipotentGroup(n)
+        u = np.zeros(group.dim)
+        with pytest.raises(ParameterError, match=f"got step {n - 1}"):
+            group.bch(u, u)
+        with pytest.raises(ParameterError, match=f"got step {n - 1}"):
+            group.ball_power_radius(0.1, 2)
+
+
 class TestGenericUpperPairs:
     """The generic pairwise hook evaluates only the j < k pairs and mirrors them:
     its upper triangle is the full route's, bit for bit, and the matrix is exactly
     symmetric with a zero diagonal."""
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 6])
     def test_equals_full_route(self, n):
         group = UnipotentGroup(n)
         rng = substream(n, "upper-pairs")
@@ -465,8 +498,9 @@ class TestConfigConstruction:
             HeisenbergGroup(0, 2.0)
         with pytest.raises(ParameterError):
             HeisenbergGroup(2, 1.0)
-        with pytest.raises(ParameterError):
-            UnipotentGroup(5)
+        for n in (1, 2.5, float("nan")):
+            with pytest.raises(ParameterError, match="n must be an integer >= 2"):
+                UnipotentGroup(n)
         with pytest.raises(ConfigError, match=r"config\.group\.kind"):
             build_group({"kind": "orthogonal"})
 
