@@ -10,6 +10,7 @@ functions of (config, seeds, version); the parallelism degree never changes a by
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -142,8 +143,7 @@ def _list(args) -> int:
     if args.module:
         entries = [e for e in entries if e["module"] == args.module]
     if args.json:
-        dump = __import__("json").dumps(entries, indent=2, sort_keys=True)
-        print(dump)
+        print(json.dumps(entries, indent=2, sort_keys=True))
         return EXIT_OK
     for entry in entries:
         print(f"{entry['name']:28s} [{entry['module']}] {entry['verifies']}")

@@ -375,7 +375,8 @@ EXPERIMENTS = {
                            "probe_points": (I, 5, 1), **_DRIVER}),
     "oscillation-dp-bruteforce": ExperimentSpec(
         _run_oscillation_dp, "dynamic-program oscillation count equals exhaustive chain search",
-        "regularity", {"instances": (I, 1000, 1), "max_points": (I, 12, 2)}),
+        "regularity", {"instances": (I, 1000, 1),
+                       "max_points": (I, 12, (1, regularity.EXHAUSTIVE_MAX_POINTS + 1))}),
     "oscillation-axioms": ExperimentSpec(
         _battery(regularity, "oscillation_axioms_test",
                  "model", "grid", "delta", "paths", "cases", "seed"),

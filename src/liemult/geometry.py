@@ -2,10 +2,11 @@
 
 ``step_count_upper`` produces a certified upper bound for the minimal number
 of factors from the delta-ball needed to write a group element: it returns
-an explicit factor list, re-multiplies it, and fails loudly unless the
-product reproduces the element to 1e-10 with every factor strictly inside
-the ball.  The bound is an upper bound of the word-length infimum, so using
-it inside the moment inequalities only strengthens what is checked.
+an explicit factor word (an array of leg and commutator-gadget blocks),
+re-multiplies it, and fails loudly unless the product reproduces the element
+to 1e-10 with every factor strictly inside the ball.  The bound is an upper
+bound of the word-length infimum, so using it inside the moment inequalities
+only strengthens what is checked.
 
 The gauge metric is the fourth-root homogeneous norm on the p = 2
 Heisenberg instance; it is left-invariant and symmetric by construction and
@@ -70,91 +71,81 @@ def _heisenberg_count_parts(group: HeisenbergGroup, x, y, z, delta: float):
     return m_x, m_y, gadgets, z_res, nx + ny + np.abs(z)
 
 
-def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float) -> list:
+def _gadget_word(dim: int, ia: int, ib: int, a: float, bs) -> np.ndarray:
+    """Rows exp(a e_ia) exp(b e_ib) exp(-a e_ia) exp(-b e_ib) for each amount b
+    in ``bs``: when [e_ia, e_ib] commutes with both, each gadget is exp(ab [e_ia, e_ib])."""
+    bs = np.asarray(bs, dtype=float)
+    word = np.zeros((bs.size, 4, dim))
+    word[:, 0, ia] = a
+    word[:, 1, ib] = bs
+    word[:, 2, ia] = -a
+    word[:, 3, ib] = -bs
+    return word.reshape(-1, dim)
+
+
+def _leg_word(total: np.ndarray, m: int) -> np.ndarray:
+    """``m`` equal legs total / m (none when m = 0)."""
+    return np.repeat(total[None] / max(m, 1), m, axis=0)
+
+
+def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float) -> np.ndarray:
     x, y, z = group.split(g)
     m_x, m_y, gadgets, z_res, _ = _heisenberg_count_parts(group, x, y, z, delta)
     m_x, m_y, gadgets = int(m_x), int(m_y), int(gadgets)
     side = GADGET_FRACTION * delta
     cap = side * side
 
-    factors = []
-    if m_x:
-        factors.extend([group.embed(a=x / m_x)] * m_x)
-    if m_y:
-        factors.extend([group.embed(b=y / m_y)] * m_y)
-    remaining = abs(float(z_res))
-    sign = 1.0 if z_res >= 0 else -1.0
-    e1 = np.zeros(group.N)
-    e1[0] = 1.0
+    bs, remaining = [], abs(float(z_res))
     for _ in range(gadgets):
         amount = min(cap, remaining)
         remaining -= amount
-        if amount == 0.0:
-            continue
-        a, b = sign * side, amount / side
-        factors.extend([
-            group.embed(a=a * e1),
-            group.embed(b=b * e1),
-            group.embed(a=-a * e1),
-            group.embed(b=-b * e1),
-        ])
-    return factors
+        if amount != 0.0:
+            bs.append(amount / side)
+    return np.concatenate([
+        _leg_word(group.embed(a=x), m_x),
+        _leg_word(group.embed(b=y), m_y),
+        _gadget_word(group.dim, 0, group.N, side if z_res >= 0 else -side, bs),
+    ])
 
 
-def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> list:
+def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> np.ndarray:
     """Level sweep: one-parameter legs for the first superdiagonal, then for
     each level L = 2, ..., n-1 commutator gadgets filling the entries (i, i+L)
     from the legs (i, i+L-1) and (i+L-1, i+L), recomputing the exact residual
     between stages.  A gadget changes only entries above its own level."""
-    leg = LEG_FRACTION * delta
     side = GADGET_FRACTION * delta
     cap = side * side
     n = group.n
-    factors = []
+    flat = group.to_matrix(np.arange(group.dim, dtype=float)).astype(int)  # entry -> coordinate
+    targets = [(i, i + level) for level in range(2, n) for i in range(n - level)]
     current = group.identity()
+    words = []
+    for target in [None, *targets]:     # None: the legs of the first superdiagonal
+        residual = group.to_matrix(group.log(group.mul(group.inv(current), g)))
+        if target is None:
+            a1 = group.from_matrix(np.diag(np.diagonal(residual, 1), 1))
+            n1 = float(group.norm(a1))
+            word = _leg_word(a1, math.ceil(n1 / (LEG_FRACTION * delta)))
+        else:
+            i, j = target
+            coeff = float(residual[target])
+            bs, remaining = [], abs(coeff)
+            while remaining > 0.0:
+                amount = min(cap, remaining)
+                remaining -= amount
+                bs.append(amount / side)
+            word = _gadget_word(group.dim, flat[i, j - 1], flat[j - 1, j],
+                                side if coeff >= 0 else -side, bs)
+        for step in group.exp(word):
+            current = group.mul(current, step)
+        words.append(word)
+    return np.concatenate(words)
 
-    def apply(vec):
-        nonlocal current
-        factors.append(vec)
-        current = group.mul(current, group.exp(vec))
 
-    def basis(i, j, value):
-        m = np.zeros((n, n))
-        m[i, j] = value
-        return group.from_matrix(m)
-
-    def residual():
-        return group.to_matrix(group.log(group.mul(group.inv(current), g)))
-
-    a1 = group.from_matrix(np.diag(np.diagonal(residual(), 1), 1))
-    n1 = float(group.norm(a1))
-    if n1 > 0:
-        m1 = int(math.ceil(n1 / leg))
-        step = a1 / m1
-        for _ in range(m1):
-            apply(step)
-
-    def gadget_sweep(target, leg1, leg2):
-        # exp(aA) exp(bB) exp(-aA) exp(-bB) = exp(ab [A, B]) for these pairs
-        coeff = float(residual()[target])
-        remaining = abs(coeff)
-        sign = 1.0 if coeff >= 0 else -1.0
-        while remaining > 0.0:
-            amount = min(cap, remaining)
-            remaining -= amount
-            if amount == 0.0:
-                break
-            a, b = sign * side, amount / side
-            apply(basis(*leg1, a))
-            apply(basis(*leg2, b))
-            apply(basis(*leg1, -a))
-            apply(basis(*leg2, -b))
-
-    for level in range(2, n):
-        for i in range(n - level):
-            j = i + level
-            gadget_sweep((i, j), (i, j - 1), (j - 1, j))
-    return factors
+def _word_defect(group, word: np.ndarray, g: np.ndarray) -> float:
+    """Chart distance between the ordered product of exp(word) and g."""
+    product = group.prefix_products(group.exp(word))[-1]
+    return float(group.norm(group.log(product) - group.log(g)))
 
 
 def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
@@ -170,9 +161,9 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
 
     chart = float(group.chart_norm(g))
     if chart == 0.0:
-        factors = []
+        factors = np.empty((0, group.dim))
     elif chart < delta:
-        factors = [group.log(g)]
+        factors = group.log(g)[None]
     elif isinstance(group, HeisenbergGroup):
         factors = _heisenberg_factors(group, g, delta)
     elif isinstance(group, UnipotentGroup):
@@ -180,14 +171,12 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
     else:
         raise ParameterError(f"no step-count construction for {group!r}")
 
-    stack = np.asarray(factors, dtype=float).reshape(len(factors), group.dim)
-    if len(factors) and float(np.max(group.norm(stack))) >= delta:
+    if len(factors) and float(np.max(group.norm(factors))) >= delta:
         raise RuntimeError("step-count certification failed: a factor left the ball")
-    product = group.prefix_products(group.exp(stack))[-1]
-    defect = float(group.norm(group.log(product) - group.log(g)))
+    defect = _word_defect(group, factors, g)
     if defect > CERTIFICATION_TOL:
         raise RuntimeError(f"step-count certification failed: defect {defect:.3e}")
-    return StepCountResult(upper=len(factors), factors=stack, certified_defect=defect)
+    return StepCountResult(upper=len(factors), factors=factors, certified_defect=defect)
 
 
 def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: bool = False):
@@ -203,7 +192,8 @@ def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: boo
         counts = np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
         return (counts, norms) if with_norms else counts
     counts = np.array([step_count_upper(group, v, delta).upper
-                       for v in elements.reshape(-1, group.dim)]).reshape(elements.shape[:-1])
+                       for v in elements.reshape(-1, group.dim)],
+                      dtype=np.int64).reshape(elements.shape[:-1])
     return (counts, group.chart_norm(elements)) if with_norms else counts
 
 
@@ -226,9 +216,7 @@ def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict
         rh = step_count_upper(group, h, delta)
         gh = group.mul(g, h)
 
-        word = np.concatenate([rg.factors, rh.factors])
-        product = group.prefix_products(group.exp(word))[-1]
-        defect = float(group.norm(group.log(product) - group.log(gh)))
+        defect = _word_defect(group, np.concatenate([rg.factors, rh.factors]), gh)
         worst_defect = max(worst_defect, defect)
         if defect > 10 * CERTIFICATION_TOL:
             violations += 1

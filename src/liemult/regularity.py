@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 TAIL_ORDERS = 4    # geometric-tail orders m = 1..4 checked by mc_expectation_bound
+EXHAUSTIVE_MAX_POINTS = 16   # largest window exhaustive_count_reference enumerates
 
 
 def oscillation_counts_from_outside(outside: np.ndarray) -> np.ndarray:
@@ -66,13 +67,14 @@ def oscillation_counts_from_outside(outside: np.ndarray) -> np.ndarray:
 def exhaustive_count_reference(outside: np.ndarray) -> int:
     """Brute-force oscillation count by enumerating all index chains.
 
-    Independent reference for the DP; exponential in the window size, meant
-    for windows of at most ~14 points.
+    Independent reference for the DP; exponential in the window size, so
+    limited to ``EXHAUSTIVE_MAX_POINTS`` points.
     """
     outside = np.asarray(outside, dtype=bool)
     m = outside.shape[0]
-    if m > 16:
-        raise ParameterError(f"exhaustive reference limited to 16 points, got {m}")
+    if m > EXHAUSTIVE_MAX_POINTS:
+        raise ParameterError(
+            f"exhaustive reference limited to {EXHAUSTIVE_MAX_POINTS} points, got {m}")
     best = 0
     for mask in range(1, 1 << m):
         size = mask.bit_count()

@@ -496,7 +496,11 @@ class TestValidation:
         (lambda cfg: cfg["experiments"].append(
             {"name": "oscillation-dp-bruteforce", "seed": 3,
              "params": {"max_points": 1}}),
-         "config.experiments[2].params.max_points", "at least 2"),
+         "config.experiments[2].params.max_points", "a value in (1, 17), got 1"),
+        (lambda cfg: cfg["experiments"].append(
+            {"name": "oscillation-dp-bruteforce", "seed": 3,
+             "params": {"max_points": 17}}),
+         "config.experiments[2].params.max_points", "a value in (1, 17), got 17"),
         # bounds that depend on the referenced grid
         (lambda cfg: cfg["experiments"].append(
             {"name": "cocycle-fault-injection", "seed": 3,

@@ -18,6 +18,32 @@ from liemult.rng import substream
 
 ALPHA, DELTA = 0.5, 0.5
 
+# sha256 of the factor words (-0.0 read as +0.0) and certified defects of
+# step_count_upper over _factor_word_inputs, recorded from the per-factor
+# constructions before the words were built as arrays
+FACTOR_WORD_DIGESTS = {
+    "UnipotentGroup(n=3)": "864b30d2fb0fcd3ed2a580c4ac1c318aa20e7034dea8299a36f19c2080c8dc51",
+    "UnipotentGroup(n=5)": "9aec52648dcdd7bf032235d3cfaee87f03d7e247b5634d0bfffb6a2326bf413e",
+    "UnipotentGroup(n=8)": "d4930b21794de9967fa97063eff6db532ca13cd64013385fd31a0870a80f7e18",
+    "HeisenbergGroup(N=1, p=2.0)":
+        "129a843c954fec6ff1dec355cad60fe8fa81d7e236e337e4d35c710fa192bce3",
+    "HeisenbergGroup(N=2, p=2.0)":
+        "48fc0795bbfa6d93de55a071a2da595e70e34bdbd7edac9479f7a3c7b2594876",
+}
+
+
+def _factor_word_inputs(group, delta):
+    """Two seeded elements and one whose gadget coefficient is exactly 40
+    gadget areas (0.45 delta)^2: the corner entry, or z on the Heisenberg group."""
+    cap = (0.45 * delta) ** 2
+    vecs = substream(7, "factor-word-pins", repr(group), str(delta)).standard_normal(
+        (2, group.dim))
+    if isinstance(group, HeisenbergGroup):
+        return [*(vecs * 2.0), group.embed(c=-40 * cap)]
+    corner = np.zeros((group.n, group.n))
+    corner[0, -1] = 40 * cap
+    return [*group.exp(vecs * 0.3), group.from_matrix(corner)]
+
 
 @pytest.fixture(scope="module")
 def moment_model():
@@ -34,9 +60,24 @@ class TestStepCountUpper:
             res = step_count_upper(group, group.identity(), 0.3)
             assert res.upper == 0 and res.factors.shape == (0, group.dim)
 
-    def test_small_element_single_factor(self, heis2):
-        res = step_count_upper(heis2, heis2.embed([0.3, 0.0]), DELTA)
-        assert res.upper == 1
+    def test_small_element_single_factor(self, heis2, uni4):
+        for group, g in ((heis2, heis2.embed([0.3, 0.0])),
+                         (uni4, uni4.exp(np.array([0.1, 0.0, 0.05, -0.1, 0.0, 0.1])))):
+            res = step_count_upper(group, g, 0.4)
+            assert res.upper == 1
+            assert res.factors.shape == (1, group.dim)
+            np.testing.assert_array_equal(res.factors, group.log(g)[None])
+
+    @pytest.mark.parametrize("group", [UnipotentGroup(3), UnipotentGroup(5), UnipotentGroup(8),
+                                       HeisenbergGroup(1), HeisenbergGroup(2)], ids=repr)
+    def test_factor_words_pinned(self, group):
+        digest = hashlib.sha256()
+        for delta in (0.3, 0.45):
+            for g in _factor_word_inputs(group, delta):
+                res = step_count_upper(group, g, delta)
+                digest.update((res.factors + 0.0).tobytes())
+                digest.update(np.float64(res.certified_defect).tobytes())
+        assert digest.hexdigest() == FACTOR_WORD_DIGESTS[repr(group)]
 
     def test_commutator_gadget_identity(self, heis2):
         # four-fold product oracle: (a e1) (b f1) (-a e1) (-b f1) = pure z of size ab
@@ -93,6 +134,11 @@ class TestStepCountUpper:
         counts = step_counts_batch(uni4, elements, 0.2)
         direct = [step_count_upper(uni4, g, 0.2).upper for g in elements]
         np.testing.assert_array_equal(counts, direct)
+
+    def test_empty_batch_counts_are_integers(self, heis2, uni4):
+        for group in (heis2, uni4):
+            counts = step_counts_batch(group, np.empty((0, group.dim)), 0.2)
+            assert counts.shape == (0,) and counts.dtype == np.int64
 
     def test_delta_validation(self, heis2):
         with pytest.raises(ParameterError):
