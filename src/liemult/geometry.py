@@ -99,8 +99,7 @@ def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float) -> 
     for _ in range(gadgets):
         amount = min(cap, remaining)
         remaining -= amount
-        if amount != 0.0:
-            bs.append(amount / side)
+        bs.append(amount / side)
     return np.concatenate([
         _leg_word(group.embed(a=x), m_x),
         _leg_word(group.embed(b=y), m_y),
@@ -136,8 +135,7 @@ def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> np
                 bs.append(amount / side)
             word = _gadget_word(group.dim, flat[i, j - 1], flat[j - 1, j],
                                 side if coeff >= 0 else -side, bs)
-        for step in group.exp(word):
-            current = group.mul(current, step)
+        current = group.prefix_products(np.concatenate([current[None], group.exp(word)]))[-1]
         words.append(word)
     return np.concatenate(words)
 

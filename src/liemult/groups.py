@@ -21,6 +21,11 @@ mutated in place; everything here is pure and safe to share across workers.
 Block sums (norms, pairings, all-pairs chart norms) run coordinate by
 coordinate over the whole batch in numpy's reduce order (``coordinate_sum``),
 so they give the same bits as a trailing-axis ``np.sum``.
+
+Each group has one prefix-product kernel: the Heisenberg group its closed
+form, the unipotent group the fold of ``mul`` kept in matrix form.  The
+generic fold of ``mul`` in ``_NilpotentGroup`` is the reference the tests
+compare them against.
 """
 
 from __future__ import annotations
@@ -198,7 +203,11 @@ class _NilpotentGroup:
     """Shared machinery for the two built-in instances.
 
     An instance supplies ``mul``, ``inv``, ``exp``, ``log``, ``bracket`` and
-    ``norm``, each broadcasting over leading axes of ``(..., d)`` arrays.
+    ``norm``, each broadcasting over leading axes of ``(..., d)`` arrays, and
+    its own prefix-product kernel: ``HeisenbergGroup`` overrides
+    ``prefix_products`` with its closed form, ``UnipotentGroup`` the
+    ``_prefix_products`` hook with the matrix-form fold.  The hook here, the
+    fold of ``mul`` one cell at a time, is the reference for the tests only.
     """
 
     dim: int
@@ -281,6 +290,12 @@ class _NilpotentGroup:
         ``increments`` has shape (..., n, d); the result (..., n+1, d) starts
         at the identity.
         """
+        # the one entry point: each group overrides the hook below with its kernel
+        return self._prefix_products(increments)
+
+    def _prefix_products(self, increments: np.ndarray) -> np.ndarray:
+        # the reference fold of mul, one cell at a time; the tests compare the
+        # groups' own kernels against it
         (increments,) = self._check(increments)
         n = increments.shape[-2]
         out = np.zeros(increments.shape[:-2] + (n + 1, self.dim))
@@ -492,6 +507,20 @@ class UnipotentGroup(_NilpotentGroup):
 
     def log(self, g):
         return self._series(g, lambda k: (-1.0) ** (k + 1) * k)
+
+    def _prefix_products(self, increments):
+        # the reference fold kept in matrix form: each step is mul's
+        # a + b + a @ b on the same (..., n, n) matrices, so it has mul's bits,
+        # and the strict lower triangle stays +0.0 as in to_matrix
+        steps = self.to_matrix(increments)   # checks increments
+        cells = steps.shape[-3]
+        out = np.zeros(steps.shape[:-3] + (cells + 1, self.n, self.n))
+        acc = out[..., 0, :, :]
+        for k in range(cells):
+            b = steps[..., k, :, :]
+            acc = acc + b + acc @ b
+            out[..., k + 1, :, :] = acc
+        return self.from_matrix(out)
 
     def bracket(self, u, v):
         u, v = self._check(u, v)

@@ -129,6 +129,22 @@ class TestStepCountUpper:
         vectorized = step_counts_batch(heis2, elements, DELTA)
         np.testing.assert_array_equal(direct, vectorized)
 
+    @pytest.mark.parametrize("delta, k", [(2.0, 198), (2.0, 10), (0.5, 59), (0.3, 56),
+                                          (0.3, 63), (1.0, 160), (0.1, 40)])
+    def test_exact_gadget_multiples_match_vectorized(self, delta, k):
+        # |z| = k * cap can take ceil(|z|/cap) = k + 1 gadgets while k subtractions
+        # of cap empty it; the construction still emits all k + 1, the last one
+        # of zero area, so the two counters agree
+        group = HeisenbergGroup(1)
+        cap = (0.45 * delta) ** 2
+        for z in (k * cap, -k * cap):
+            g = group.embed(c=z)
+            res = step_count_upper(group, g, delta)
+            assert res.upper == step_counts_batch(group, g[None], delta)[0]
+            assert res.certified_defect <= 1e-10
+        if (delta, k) == (2.0, 198):
+            assert res.upper == 796
+
     def test_unipotent_batch_falls_back_to_construction(self, uni4, rng):
         elements = uni4.exp(rng.standard_normal((10, 6)) * 0.3)
         counts = step_counts_batch(uni4, elements, 0.2)

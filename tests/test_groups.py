@@ -459,6 +459,24 @@ class TestUnipotentAnySize:
             group.ball_power_radius(0.1, 2)
 
 
+class TestUnipotentPrefixKernel:
+    """The matrix-form fold is the reference fold of mul, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_equals_reference_fold(self, n):
+        group = UnipotentGroup(n)
+        rng = substream(n, "prefix-kernel")
+        for lead in [(), (3,), (2, 3)]:
+            for m in [0, 1, 33]:
+                # magnitudes over four decades, so the products round in many places
+                scale = 10.0 ** rng.uniform(-2, 2, size=lead + (m, 1))
+                increments = rng.standard_normal(lead + (m, group.dim)) * scale
+                prefix = group.prefix_products(increments)
+                assert prefix.shape == lead + (m + 1, group.dim)
+                assert np.array_equal(
+                    prefix, _NilpotentGroup._prefix_products(group, increments))
+
+
 class TestGenericUpperPairs:
     """The generic pairwise hook evaluates only the j < k pairs and mirrors them:
     its upper triangle is the full route's, bit for bit, and the matrix is exactly

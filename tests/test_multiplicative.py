@@ -148,8 +148,8 @@ class TestHeisenbergExact:
         z = sample_additive(models["z"], grid, 7)
         exact = heisenberg_exact(x, y, z, heis2)
         merged = heis2.embed(x.increments, y.increments, z.increments[:, 0])
-        # independent oracle: the generic sequential group-law loop
-        oracle = _NilpotentGroup.prefix_products(heis2, heis2.exp(merged))
+        # independent oracle: the reference fold of the group law
+        oracle = _NilpotentGroup._prefix_products(heis2, heis2.exp(merged))
         assert np.max(heis2.norm(exact.prefix - oracle)) <= 1e-12
 
 
