@@ -83,6 +83,19 @@ def _gadget_word(dim: int, ia: int, ib: int, a: float, bs) -> np.ndarray:
     return word.reshape(-1, dim)
 
 
+def _gadget_amounts(coeff: float, side: float) -> list[float]:
+    """The ceil(|coeff| / cap) gadget amounts b, cap = side^2, that fill |coeff|:
+    each takes min(cap, what is left), so a * b with |a| = side sums to |coeff|."""
+    cap = side * side
+    remaining = abs(coeff)
+    amounts = []
+    for _ in range(math.ceil(remaining / cap)):
+        amount = min(cap, remaining)
+        remaining -= amount
+        amounts.append(amount / side)
+    return amounts
+
+
 def _leg_word(total: np.ndarray, m: int) -> np.ndarray:
     """``m`` equal legs total / m (none when m = 0)."""
     return np.repeat(total[None] / max(m, 1), m, axis=0)
@@ -90,20 +103,13 @@ def _leg_word(total: np.ndarray, m: int) -> np.ndarray:
 
 def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float) -> np.ndarray:
     x, y, z = group.split(g)
-    m_x, m_y, gadgets, z_res, _ = _heisenberg_count_parts(group, x, y, z, delta)
-    m_x, m_y, gadgets = int(m_x), int(m_y), int(gadgets)
+    m_x, m_y, _, z_res, _ = _heisenberg_count_parts(group, x, y, z, delta)
     side = GADGET_FRACTION * delta
-    cap = side * side
-
-    bs, remaining = [], abs(float(z_res))
-    for _ in range(gadgets):
-        amount = min(cap, remaining)
-        remaining -= amount
-        bs.append(amount / side)
     return np.concatenate([
-        _leg_word(group.embed(a=x), m_x),
-        _leg_word(group.embed(b=y), m_y),
-        _gadget_word(group.dim, 0, group.N, side if z_res >= 0 else -side, bs),
+        _leg_word(group.embed(a=x), int(m_x)),
+        _leg_word(group.embed(b=y), int(m_y)),
+        _gadget_word(group.dim, 0, group.N, side if z_res >= 0 else -side,
+                     _gadget_amounts(float(z_res), side)),
     ])
 
 
@@ -113,7 +119,6 @@ def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> np
     from the legs (i, i+L-1) and (i+L-1, i+L), recomputing the exact residual
     between stages.  A gadget changes only entries above its own level."""
     side = GADGET_FRACTION * delta
-    cap = side * side
     n = group.n
     flat = group.to_matrix(np.arange(group.dim, dtype=float)).astype(int)  # entry -> coordinate
     targets = [(i, i + level) for level in range(2, n) for i in range(n - level)]
@@ -128,13 +133,8 @@ def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> np
         else:
             i, j = target
             coeff = float(residual[target])
-            bs, remaining = [], abs(coeff)
-            while remaining > 0.0:
-                amount = min(cap, remaining)
-                remaining -= amount
-                bs.append(amount / side)
             word = _gadget_word(group.dim, flat[i, j - 1], flat[j - 1, j],
-                                side if coeff >= 0 else -side, bs)
+                                side if coeff >= 0 else -side, _gadget_amounts(coeff, side))
         current = group.prefix_products(np.concatenate([current[None], group.exp(word)]))[-1]
         words.append(word)
     return np.concatenate(words)

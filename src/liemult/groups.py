@@ -13,7 +13,9 @@ Two instances are provided:
   ``I + M(v)`` and an algebra vector is ``M(v)``, where ``M`` scatters the
   coordinates into the strict upper triangle.  ``M(v)`` is nilpotent of
   order ``n``, so the inverse, exponential and logarithm are power series
-  that end at ``M(v)^(n-1)``, one truncated series for every ``n``.
+  that end at ``M(v)^(n-1)``, one truncated series for every ``n``.  Its
+  norm is the spectral norm of ``M(v)``, the square root of the top
+  eigenvalue of the scaled Gram matrix in one batched ``eigvalsh`` call.
 
 All operations broadcast over leading axes, so a single element is a shape
 ``(d,)`` array and a batch of paths is ``(..., d)``.  Values are never
@@ -454,8 +456,12 @@ class UnipotentGroup(_NilpotentGroup):
     """Upper unitriangular n x n matrices, any integer n >= 2.
 
     The algebra norm is the spectral (operator 2-) norm of the strictly
-    upper-triangular matrix.  The group is nilpotent of step n - 1, so
-    ``bch`` and ``ball_power_radius`` hold for n <= 4 only.
+    upper-triangular matrix, taken as the square root of the top eigenvalue of
+    its Gram matrix after scaling the entries by their largest magnitude.  It
+    agrees with ``np.linalg.norm(ord=2)`` to a relative 1e-14 at any scale (to
+    the subnormal spacing on subnormal norms), is exactly 0 on the zero matrix,
+    and raises ``LinAlgError`` on non-finite entries.  The group is nilpotent
+    of step n - 1, so ``bch`` and ``ball_power_radius`` hold for n <= 4 only.
     """
 
     def __init__(self, n: int, chart: ChartSpec | None = None):
@@ -529,6 +535,12 @@ class UnipotentGroup(_NilpotentGroup):
         return self.from_matrix(a @ b - b @ a)
 
     def norm(self, vec):
+        # a = M(vec) / max|M(vec)| keeps a^T a clear of underflow and overflow;
+        # a zero matrix keeps scale 0, so its norm is exactly 0
         (vec,) = self._check(vec)
-        # the largest singular value: gesdd returns them sorted descending
-        return np.linalg.svd(self.to_matrix(vec), compute_uv=False)[..., 0]
+        scale = np.max(np.abs(vec), axis=-1)
+        if not np.all(np.isfinite(scale)):
+            raise np.linalg.LinAlgError("spectral norm of a matrix with non-finite entries")
+        a = self.to_matrix(vec / np.where(scale > 0.0, scale, 1.0)[..., None])
+        top = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]
+        return scale * np.sqrt(np.maximum(top, 0.0))

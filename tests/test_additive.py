@@ -244,7 +244,7 @@ class TestJumpLawsPinned:
         ("heisenberg", "discrete",
          "bac39033b63841835b6c3c390f1b73c006cf509d6a86aa8f52ff855706341f09"),
         ("unipotent", "uniform_ball",
-         "c01dcd18082797ca7fa4ee9a4bad28929c89f11eff7ea8d86b62ac122d3ee3d5"),
+         "f46b0a5d6bb3c3b470deecd2f23f4d77e0fe6b35681a488508994296b06ff1ed"),
         ("unipotent", "fixed_atom",
          "80e416010d6647c09bb25ea408ad9d440847620390dce91826495422d2bd9466"),
         ("unipotent", "discrete",

@@ -22,9 +22,9 @@ ALPHA, DELTA = 0.5, 0.5
 # step_count_upper over _factor_word_inputs, recorded from the per-factor
 # constructions before the words were built as arrays
 FACTOR_WORD_DIGESTS = {
-    "UnipotentGroup(n=3)": "864b30d2fb0fcd3ed2a580c4ac1c318aa20e7034dea8299a36f19c2080c8dc51",
-    "UnipotentGroup(n=5)": "9aec52648dcdd7bf032235d3cfaee87f03d7e247b5634d0bfffb6a2326bf413e",
-    "UnipotentGroup(n=8)": "d4930b21794de9967fa97063eff6db532ca13cd64013385fd31a0870a80f7e18",
+    "UnipotentGroup(n=3)": "b56b0cfbd429e302e798fb78a1f4c99980e5ff9c37c635517a8f1a405927fcf8",
+    "UnipotentGroup(n=5)": "4e6202be54a5ea7cdf8a3ad01121f8b6519a393946fe2c6fef12cbe87acf0e91",
+    "UnipotentGroup(n=8)": "6499b4eafcfed0bcaf50821b7279058ddd0de994106e031b65dc6ee5c58d910a",
     "HeisenbergGroup(N=1, p=2.0)":
         "129a843c954fec6ff1dec355cad60fe8fa81d7e236e337e4d35c710fa192bce3",
     "HeisenbergGroup(N=2, p=2.0)":
@@ -96,6 +96,18 @@ class TestStepCountUpper:
         res = step_count_upper(heis2, heis2.embed(c=1.0), DELTA)
         gadgets = int(np.ceil(1.0 / (0.45 * DELTA) ** 2))
         assert res.upper == 4 * gadgets
+
+    @pytest.mark.parametrize("delta", [0.2, 0.3, 0.45])
+    def test_gadget_counts_agree_at_exact_multiples(self, delta):
+        # the corner of U(3) and z of H(1) are both filled by gadgets of area at most
+        # cap; at exact multiples k * cap the two groups take the same ceil(k) gadgets
+        uni, heis = UnipotentGroup(3), HeisenbergGroup(1)
+        cap = (0.45 * delta) ** 2
+        for k in range(1, 121):
+            corner = np.zeros((3, 3))
+            corner[0, 2] = k * cap
+            upper = step_count_upper(uni, uni.from_matrix(corner), delta).upper
+            assert upper == step_count_upper(heis, heis.embed(c=k * cap), delta).upper, k
 
     def test_axis_atom_norm_three_delta(self, heis2):
         res = step_count_upper(heis2, heis2.embed([3 * DELTA, 0.0]), DELTA)
@@ -180,10 +192,10 @@ class TestStepTriangle:
             assert rep["concatenation_violations"] == 0
 
     def test_unipotent_report_pinned(self, uni4):
-        # recorded before the certification products moved onto prefix_products
+        # re-recorded when the spectral norm moved onto the scaled Gram matrix
         assert step_triangle_test(uni4, 10, 0.1, 206) == {
             "samples": 10, "delta": 0.1, "concatenation_violations": 0,
-            "worst_concatenation_defect": 9.170103921056512e-16,
+            "worst_concatenation_defect": 3.8956904860124047e-16,
             "direct_le_sum_fraction": 0.9, "pass": True,
         }
 
