@@ -229,13 +229,15 @@ def _run_right_limit(ctx, params, seed):
 
 def _run_oscillation_dp(ctx, params, seed):
     rng = substream(seed, "dp-windows")
-    mismatches = 0
-    for _ in range(params["instances"]):
+    # each instance padded to max_points with indices that are in no chain
+    padded = np.zeros((params["instances"], params["max_points"], params["max_points"]), dtype=bool)
+    expected = []
+    for outside in padded:
         size = int(rng.integers(2, params["max_points"] + 1))
         density = rng.uniform(0.1, 0.8)
-        outside = np.triu(rng.random((size, size)) < density, k=1)
-        if int(oscillation_counts_from_outside(outside)) != exhaustive_count_reference(outside):
-            mismatches += 1
+        outside[:size, :size] = np.triu(rng.random((size, size)) < density, k=1)
+        expected.append(exhaustive_count_reference(outside[:size, :size]))
+    mismatches = int(np.count_nonzero(oscillation_counts_from_outside(padded) != expected))
     return {
         "instances": params["instances"],
         "max_points": params["max_points"],

@@ -26,8 +26,8 @@ so they give the same bits as a trailing-axis ``np.sum``.
 
 Each group has one prefix-product kernel: the Heisenberg group its closed
 form, the unipotent group the fold of ``mul`` kept in matrix form.  The
-generic fold of ``mul`` in ``_NilpotentGroup`` is the reference the tests
-compare them against.
+generic fold of ``mul`` one cell at a time, the reference the tests compare
+them against, lives in the tests.
 """
 
 from __future__ import annotations
@@ -208,8 +208,7 @@ class _NilpotentGroup:
     ``norm``, each broadcasting over leading axes of ``(..., d)`` arrays, and
     its own prefix-product kernel: ``HeisenbergGroup`` overrides
     ``prefix_products`` with its closed form, ``UnipotentGroup`` the
-    ``_prefix_products`` hook with the matrix-form fold.  The hook here, the
-    fold of ``mul`` one cell at a time, is the reference for the tests only.
+    ``_prefix_products`` hook with the matrix-form fold.
     """
 
     dim: int
@@ -292,20 +291,8 @@ class _NilpotentGroup:
         ``increments`` has shape (..., n, d); the result (..., n+1, d) starts
         at the identity.
         """
-        # the one entry point: each group overrides the hook below with its kernel
+        # the one entry point: a group overrides it or supplies the _prefix_products hook
         return self._prefix_products(increments)
-
-    def _prefix_products(self, increments: np.ndarray) -> np.ndarray:
-        # the reference fold of mul, one cell at a time; the tests compare the
-        # groups' own kernels against it
-        (increments,) = self._check(increments)
-        n = increments.shape[-2]
-        out = np.zeros(increments.shape[:-2] + (n + 1, self.dim))
-        acc = np.broadcast_to(self.identity(), increments.shape[:-2] + (self.dim,)).copy()
-        for k in range(n):
-            acc = self.mul(acc, increments[..., k, :])
-            out[..., k + 1, :] = acc
-        return out
 
     def pair_increment(self, prefix: np.ndarray, j, k) -> np.ndarray:
         """Two-parameter value inv(g_j) g_k from cached prefix products."""
@@ -538,8 +525,8 @@ class UnipotentGroup(_NilpotentGroup):
         # a = M(vec) / max|M(vec)| keeps a^T a clear of underflow and overflow;
         # a zero matrix keeps scale 0, so its norm is exactly 0
         (vec,) = self._check(vec)
-        scale = np.max(np.abs(vec), axis=-1)
-        if not np.all(np.isfinite(scale)):
+        scale = np.abs(vec).max(axis=-1)
+        if not np.isfinite(scale).all():
             raise np.linalg.LinAlgError("spectral norm of a matrix with non-finite entries")
         a = self.to_matrix(vec / np.where(scale > 0.0, scale, 1.0)[..., None])
         top = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]

@@ -46,22 +46,19 @@ EXHAUSTIVE_MAX_POINTS = 16   # largest window exhaustive_count_reference enumera
 
 
 def oscillation_counts_from_outside(outside: np.ndarray) -> np.ndarray:
-    """Longest-chain DP on a batch of pairwise outside matrices.
+    """Longest-chain DP on one outside matrix or a batch of matrices of one size.
 
     ``outside[..., j, k]`` says whether the increment from index j to index k
-    leaves the ball.  Returns the maximal chain length per batch entry.
+    leaves the ball; an index with no edge in or out is in no chain.  Returns
+    the maximal chain length per matrix.
     """
     outside = np.asarray(outside, dtype=bool)
-    squeeze = outside.ndim == 2
-    if squeeze:
-        outside = outside[None]
     m = outside.shape[-1]
     best = np.zeros(outside.shape[:-2] + (m,))
     for k in range(1, m):
         cand = np.where(outside[..., :k, k], best[..., :k], -1.0).max(axis=-1)
         best[..., k] = np.maximum(cand + 1.0, 0.0)
-    counts = best.max(axis=-1).astype(int)
-    return counts[0] if squeeze else counts
+    return best.max(axis=-1).astype(int)
 
 
 def exhaustive_count_reference(outside: np.ndarray) -> int:
@@ -96,36 +93,32 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     counts along exhaustive enumerations, and the +1 concatenation bound for
     windows in increasing position.
     """
+    n = grid.n_cells
+    if n < 2:
+        raise ParameterError(f"the concatenation check needs a grid of at least 2 cells, got {n}")
     group = _require_group_model(model)
     group.require_chart_radius(delta)
     rng = substream(seed, "oscillation-axioms")
-    matrices = group.pairwise_chart_norms(batch_prefixes(group, model, grid, paths, seed)) >= delta
-    n = grid.n_cells
+    outside = group.pairwise_chart_norms(batch_prefixes(group, model, grid, paths, seed)) >= delta
     full = np.arange(n + 1)
-    full_counts = oscillation_counts_from_outside(matrices)   # each path on all its points
-
-    def count_on(which, idx):
-        idx = np.sort(np.asarray(idx, dtype=int))
-        if idx.size == 0:
-            return 0
-        return int(oscillation_counts_from_outside(matrices[which][np.ix_(idx, idx)]))
+    full_counts = oscillation_counts_from_outside(outside)   # each path on all its points
 
     violations = {"monotone": 0, "exhaustive_limit": 0, "concatenation": 0}
-    for case in range(cases):
-        which = case % paths
+    for which in np.arange(cases) % paths:
         target = int(full_counts[which])
         keep = rng.random(n + 1) < rng.uniform(0.3, 0.9)
-        if count_on(which, full[keep]) > target:
-            violations["monotone"] += 1
-
-        order = rng.permutation(n + 1)
-        grown = [count_on(which, order[:m]) for m in range(1, n + 2)]
-        if grown[-1] != target or any(np.diff(grown) < 0):
-            violations["exhaustive_limit"] += 1
-
+        rank = np.argsort(rng.permutation(n + 1))        # each index's position in the order
         cut = int(rng.integers(1, n))
-        if target > count_on(which, full[:cut + 1]) + count_on(which, full[cut + 1:]) + 1:
+        # each subset as a mask of the full matrix: the random one, the two sides
+        # of the cut and the n + 1 prefixes of the order, counted in one call
+        sets = np.vstack([keep, full <= cut, full > cut, rank <= full[:, None]])
+        counts = oscillation_counts_from_outside(outside[which] & sets[:, None] & sets[..., None])
+        if counts[0] > target:
+            violations["monotone"] += 1
+        if target > counts[1] + counts[2] + 1:
             violations["concatenation"] += 1
+        if counts[-1] != target or any(np.diff(counts[3:]) < 0):
+            violations["exhaustive_limit"] += 1
     return {
         "cases": cases,
         "violations": violations,

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -784,10 +785,18 @@ print(json.dumps({"status": status, "before": before, "after": after, "got": got
 """
 
 
+def child_env() -> dict:
+    """This environment with the repository's ``src`` first on PYTHONPATH, so a
+    child interpreter imports the same liemult as the tests."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 class TestEntryPoint:
     def test_scipy_loads_on_the_first_ks_test_only(self):
         proc = subprocess.run([sys.executable, "-c", LEAN_STARTUP], capture_output=True,
-                              text=True, check=True)
+                              text=True, check=True, env=child_env())
         result = json.loads(proc.stdout)
         assert result["status"] == "pass"
         assert result["before"] is False, "scipy was imported before any KS test"
@@ -800,6 +809,6 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "liemult", "run", str(cfg_path),
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "pass" in proc.stdout

@@ -478,7 +478,7 @@ class TestUnipotentPrefixKernel:
     """The matrix-form fold is the reference fold of mul, bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
-    def test_equals_reference_fold(self, n):
+    def test_equals_reference_fold(self, n, reference_fold):
         group = UnipotentGroup(n)
         rng = substream(n, "prefix-kernel")
         for lead in [(), (3,), (2, 3)]:
@@ -489,7 +489,7 @@ class TestUnipotentPrefixKernel:
                 prefix = group.prefix_products(increments)
                 assert prefix.shape == lead + (m + 1, group.dim)
                 assert np.array_equal(
-                    prefix, _NilpotentGroup._prefix_products(group, increments))
+                    prefix, reference_fold(group, increments))
 
 
 class TestGenericUpperPairs:

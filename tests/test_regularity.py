@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from liemult import (LevyModel, TimeGrid, UniformBallJumps, batch_prefixes,
+from liemult import (LevyModel, ParameterError, TimeGrid, UniformBallJumps, batch_prefixes,
                      exhaustive_count_reference, mc_expectation_bound,
                      mc_largest_step, mc_maximum_oscillation,
                      oscillation_axioms_test, oscillation_counts_from_outside,
                      product_exponential, sample_additive,
                      uniform_continuity_probe)
+from liemult import experiments, regularity
+from liemult.experiments import run_experiment
 from liemult.multiplicative import TRIAL_CHUNK, MultiplicativePath
 from liemult.regularity import _suffix_norms
 from liemult.rng import substream
@@ -61,8 +63,62 @@ class TestCountOscillations:
         rng = substream(1, "dp-batch")
         outside = np.triu(rng.random((40, 9, 9)) < 0.5, k=1)
         batched = oscillation_counts_from_outside(outside)
-        scalar = [int(oscillation_counts_from_outside(o)) for o in outside]
+        scalar = [oscillation_counts_from_outside(o) for o in outside]
+        assert all(isinstance(s, np.integer) and np.ndim(s) == 0 for s in scalar)
         np.testing.assert_array_equal(batched, scalar)
+
+
+class TestMaskedCounts:
+    """A subset given as a mask of the full outside matrix has no edge in or out
+    of its dropped indices, so it counts as the gathered submatrix."""
+
+    def test_mask_equals_gathered_submatrix(self):
+        rng = substream(3, "dp-masks")
+        for _ in range(200):
+            m = int(rng.integers(1, 13))
+            outside = np.triu(rng.random((m, m)) < rng.uniform(0.1, 0.9), k=1)
+            masks = np.vstack([np.zeros(m, dtype=bool),                 # empty
+                               np.arange(m) == rng.integers(m),          # singleton
+                               np.ones(m, dtype=bool),
+                               rng.random((5, m)) < rng.uniform(0.2, 0.9)])
+            counts = oscillation_counts_from_outside(outside & masks[:, :, None] & masks[:, None, :])
+            for mask, got in zip(masks, counts):
+                gathered = outside[np.ix_(mask, mask)]
+                assert got == exhaustive_count_reference(gathered)
+                if mask.any():
+                    assert got == oscillation_counts_from_outside(gathered)
+
+    def test_padded_batch_counts_each_instance(self):
+        rng = substream(4, "dp-padded")
+        sizes = [1, 2, 5, 9, 12, 3]
+        padded = np.zeros((len(sizes), 12, 12), dtype=bool)
+        want = []
+        for outside, size in zip(padded, sizes):
+            outside[:size, :size] = np.triu(rng.random((size, size)) < 0.7, k=1)
+            want.append(exhaustive_count_reference(outside[:size, :size]))
+        assert max(want) > 1
+        np.testing.assert_array_equal(oscillation_counts_from_outside(padded), want)
+
+    def test_one_dp_call_per_case_and_per_run(self, heis2, monkeypatch):
+        calls = []
+
+        def counted(outside):
+            calls.append(np.shape(outside))
+            return oscillation_counts_from_outside(outside)
+        monkeypatch.setattr(regularity, "oscillation_counts_from_outside", counted)
+        monkeypatch.setattr(experiments, "oscillation_counts_from_outside", counted)
+
+        model = LevyModel(space=heis2, diffusion=0.25)
+        report = oscillation_axioms_test(model, TimeGrid.uniform(1.0, 8), 0.25, 3, 20, 5)
+        assert report["pass"]
+        assert len(calls) == 20 + 1
+        assert calls[0] == (3, 9, 9) and set(calls[1:]) == {(8 + 4, 9, 9)}
+
+        calls.clear()
+        report = run_experiment("oscillation-dp-bruteforce", {},
+                                {"instances": 40, "max_points": 10}, 7)
+        assert report["status"] == "pass"
+        assert calls == [(40, 10, 10)]
 
 
 class TestAxioms:
@@ -71,6 +127,11 @@ class TestAxioms:
         report = oscillation_axioms_test(model, TimeGrid.uniform(1.0, 16), 0.25, 6, 300, 5)
         assert report["pass"], report
         assert report["cases"] == 300 and not any(report["violations"].values())
+
+    def test_one_cell_grid_rejected(self, heis2):
+        model = LevyModel(space=heis2, diffusion=0.25)
+        with pytest.raises(ParameterError, match="needs a grid of at least 2 cells"):
+            oscillation_axioms_test(model, TimeGrid.uniform(1.0, 1), 0.25, 2, 5, 0)
 
     def test_single_point_subset_counts_zero(self, heis2):
         path = brownian_paths(heis2, 0.3, 8, 1, seed=1)[0]
