@@ -63,7 +63,11 @@ def _run(args) -> int:
         return EXIT_SCHEMA
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"argument --out: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     entries = cfg["experiments"]
     # one context serves every entry and is never written to; a CSV run hands each
     # entry a shallow copy that carries its own directory
@@ -84,7 +88,8 @@ def _run(args) -> int:
         print(f"[{report['status'].upper():>12}] {index:02d} {name}", flush=True)
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork pool starts all its workers at the first submit: no more than there are entries
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(entries))) as pool:
             futures = {pool.submit(_execute_entry, contexts[i], entries[i]): i
                        for i in range(len(entries))}
             for fut in as_completed(futures):

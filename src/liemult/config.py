@@ -211,12 +211,14 @@ def build_context(cfg: dict) -> dict:
 
 def read_config(path: str | Path) -> dict:
     """Parse a JSON config file without validating it; a syntax error raises a
-    ``ConfigError`` at ``path:line:col``."""
+    ``ConfigError`` at ``path:line:col``, an unreadable or non-UTF-8 file one at ``path``."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(path), getattr(exc, "strerror", None) or str(exc)) from exc
 
 
 def load_config(path: str | Path) -> dict:

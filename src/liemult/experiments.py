@@ -9,14 +9,16 @@ validation and for ``list-experiments``.
 Adding an experiment means adding one ``ExperimentSpec`` to ``EXPERIMENTS``:
 its runner, a one-line description, the catalog module, and the parameter
 schema ``name -> (type, default[, bound])``, a bound being a minimum, an open
-interval ``(low, high)`` or a tuple of allowed strings.  Most runners come
-from one of two factories.  ``_residuals(label, draws, residuals)`` is a row
-of the residual-check table: it draws ``draws`` batches of scaled vectors
-from the substream ``label`` and reports the largest norm of each named
-residual against ``tol``.  ``_battery(module, "function", *args)`` forwards
-parameters and ``_DERIVED`` values to a battery whose report carries its own
-``pass``.  Any other runner takes ``(ctx, params, seed)`` and returns
-``(report, verdict)``, the verdict being True, False or None (inconclusive).
+interval ``(low, high)`` or a tuple of allowed strings.  A runner takes
+``(ctx, params, seed)`` and returns ``(report, verdict)``, the verdict being
+True, False or None (inconclusive).  ``_residuals(label, draws, residuals)``
+makes the runner of a row of the residual-check table: it draws ``draws``
+batches of scaled vectors from the substream ``label`` and reports the
+largest norm of each named residual against ``tol``.  Every other runner is
+plain code; a battery row calls its battery through the battery's module, as
+in ``regularity.mc_largest_step(...)``, so a wrapper on the module binding (a
+profiling span) sees each call, and ``_passes(report)`` reads the verdict from
+a report that carries its own ``pass``.
 ``resolve_params`` merges the parameters over their defaults, checks their
 bounds, resolves ``model*`` and ``grid`` names and applies ``_JOINT_BOUNDS``,
 for ``validate_config`` and ``run_experiment`` alike; ``run_experiment``
@@ -62,32 +64,9 @@ def _side_csv(ctx, filename, header, rows):
         write_csv(ctx["csv_dir"] / filename, header, rows)
 
 
-# Battery arguments that are not plain parameters.
-_DERIVED = {
-    "group": lambda ctx, params, seed: ctx["group"],
-    "jump_set": lambda ctx, params, seed: jumps.JumpSetSpec(params["epsilon"]),
-    "window": lambda ctx, params, seed: (params["r"], params["u"]),
-    "seed": lambda ctx, params, seed: seed,
-}
-
-
-def _battery(module, name: str, *args: str, csv=None):
-    """Runner forwarding ``args`` to the battery ``module.name``.
-
-    Each argument is a parameter or a ``_DERIVED`` value; the verdict is the
-    report's own ``pass``.  ``csv`` is an optional side output
-    ``(file, header, rows_of(report))``.  The battery is looked up on its
-    module at every call and never stored, so a wrapper installed on the
-    module binding (a profiling span) sees the call.
-    """
-    def runner(ctx, params, seed):
-        values = [_DERIVED[a](ctx, params, seed) if a in _DERIVED else params[a]
-                  for a in args]
-        report = getattr(module, name)(*values)
-        if csv:
-            _side_csv(ctx, csv[0], csv[1], csv[2](report))
-        return report, report["pass"]
-    return runner
+def _passes(report):
+    """``(report, verdict)`` of a battery whose report carries its own ``pass``."""
+    return report, report["pass"]
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +224,14 @@ def _run_oscillation_dp(ctx, params, seed):
     }, mismatches == 0
 
 
+def _run_expectation_bound(ctx, params, seed):
+    rep = regularity.mc_expectation_bound(params["model"], params["grid"], params["delta"],
+                                          params["trials"], seed)
+    _side_csv(ctx, "oscillation_counts.csv", ["count", "trials"],
+              sorted(rep["count_distribution"].items()))
+    return rep, rep["pass"]
+
+
 def _run_uniform_continuity(ctx, params, seed):
     def probe(probe_seed):
         return regularity.uniform_continuity_probe(
@@ -318,6 +305,15 @@ def _run_bounded_jumps(ctx, params, seed):
     return rep, rep["pass"] == params["expect"]
 
 
+def _run_tail_decay(ctx, params, seed):
+    rep = geometry.tail_decay_fit(params["model"], (params["r"], params["u"]), params["alpha"],
+                                  params["delta"], params["trials"], seed, params["cells"])
+    _side_csv(ctx, "tail_decay.csv", ["k", "gamma", "exceedances", "p_hat", "se"],
+              [(p["k"], p["gamma"], p["exceedances"], p["p_hat"], p["se"])
+               for p in rep["tail_points"]])
+    return rep, rep["pass"]
+
+
 def _run_additive_determinism(ctx, params, seed):
     a = sample_additive(params["model"], params["grid"], seed)
     b = sample_additive(params["model"], params["grid"], seed)
@@ -380,24 +376,22 @@ EXPERIMENTS = {
         "regularity", {"instances": (I, 1000, 1),
                        "max_points": (I, 12, (1, regularity.EXHAUSTIVE_MAX_POINTS + 1))}),
     "oscillation-axioms": ExperimentSpec(
-        _battery(regularity, "oscillation_axioms_test",
-                 "model", "grid", "delta", "paths", "cases", "seed"),
+        lambda ctx, p, seed: _passes(regularity.oscillation_axioms_test(
+            p["model"], p["grid"], p["delta"], p["paths"], p["cases"], seed)),
         "counter monotonicity, exhaustive limits, concatenation bound",
         "regularity", {"paths": (I, 8, 1), "cases": (I, 1000, 1), "delta": POS, **_DRIVER}),
     "max-oscillation-bound": ExperimentSpec(
-        _battery(regularity, "mc_maximum_oscillation",
-                 "model", "grid", "delta", "trials", "seed"),
+        lambda ctx, p, seed: _passes(regularity.mc_maximum_oscillation(
+            p["model"], p["grid"], p["delta"], p["trials"], seed)),
         "endpoint exit probability dominates scaled suffix-exit probability",
         "regularity", {"delta": POS, "trials": (I, 10000, 1), **_DRIVER}),
     "largest-step-bound": ExperimentSpec(
-        _battery(regularity, "mc_largest_step", "model", "grid", "delta", "trials", "seed"),
+        lambda ctx, p, seed: _passes(regularity.mc_largest_step(
+            p["model"], p["grid"], p["delta"], p["trials"], seed)),
         "any-pair exit probability is dominated by suffix-exit probability",
         "regularity", {"delta": POS, "trials": (I, 10000, 1), **_DRIVER}),
     "expectation-bound": ExperimentSpec(
-        _battery(regularity, "mc_expectation_bound", "model", "grid", "delta", "trials", "seed",
-                 csv=("oscillation_counts.csv", ["count", "trials"],
-                      lambda rep: sorted(rep["count_distribution"].items()))),
-        "mean oscillation count below a/(1-a) with geometric tail",
+        _run_expectation_bound, "mean oscillation count below a/(1-a) with geometric tail",
         "regularity", {"delta": POS, "trials": (I, 10000, 2), **_DRIVER}),
     "uniform-continuity-probe": ExperimentSpec(
         _run_uniform_continuity, "largest window keeping oscillation probability under budget",
@@ -407,7 +401,8 @@ EXPERIMENTS = {
         _run_detector_fidelity, "threshold detector recovers recorded driver jumps exactly",
         "jumps", {"epsilon": POS, "trials": (I, 500, 1), **_DRIVER}),
     "poisson-battery": ExperimentSpec(
-        _battery(jumps, "poisson_battery", "model", "grid", "jump_set", "trials", "seed"),
+        lambda ctx, p, seed: _passes(jumps.poisson_battery(
+            p["model"], p["grid"], jumps.JumpSetSpec(p["epsilon"]), p["trials"], seed)),
         "detected jump counts behave like a Poisson process",
         "jumps", {"epsilon": POS, "trials": (I, 2000, 2), **_DRIVER}),
     "restart-probe": ExperimentSpec(
@@ -415,7 +410,8 @@ EXPERIMENTS = {
         "jumps", {"epsilon": POS, "h": POS, "trials": (I, 2000, 2),
                   "expect": (S, "match", ("match", "reject")), **_DRIVER}),
     "step-triangle": ExperimentSpec(
-        _battery(geometry, "step_triangle_test", "group", "samples", "delta", "seed"),
+        lambda ctx, p, seed: _passes(geometry.step_triangle_test(
+            ctx["group"], p["samples"], p["delta"], seed)),
         "concatenated factor lists certify subadditive step counts",
         "geometry", {"samples": (I, 1000, 1), "delta": POS}),
     "gauge-metric": ExperimentSpec(
@@ -426,21 +422,16 @@ EXPERIMENTS = {
         "geometry", {"delta": POS, "n_power": (I, None, 1), "expect": (B, True),
                      "model": (S, None)}),
     "exp-moment": ExperimentSpec(
-        _battery(geometry, "exp_moment_estimate",
-                 "model", "window", "alpha", "delta", "trials", "seed", "cells"),
+        lambda ctx, p, seed: _passes(geometry.exp_moment_estimate(
+            p["model"], (p["r"], p["u"]), p["alpha"], p["delta"], p["trials"], seed, p["cells"])),
         "windowed exponential moment of the step counter stabilizes",
         "geometry", _MOMENT_PARAMS),
     "tail-decay": ExperimentSpec(
-        _battery(geometry, "tail_decay_fit",
-                 "model", "window", "alpha", "delta", "trials", "seed", "cells",
-                 csv=("tail_decay.csv", ["k", "gamma", "exceedances", "p_hat", "se"],
-                      lambda rep: [(p["k"], p["gamma"], p["exceedances"], p["p_hat"], p["se"])
-                                   for p in rep["tail_points"]])),
-        "exceedance tail decays at least geometrically with the exit rate",
+        _run_tail_decay, "exceedance tail decays at least geometrically with the exit rate",
         "geometry", _MOMENT_PARAMS),
     "metric-modulus": ExperimentSpec(
-        _battery(geometry, "metric_modulus_curve",
-                 "model", "T", "alpha", "window_sizes", "trials", "seed", "cells"),
+        lambda ctx, p, seed: _passes(geometry.metric_modulus_curve(
+            p["model"], p["T"], p["alpha"], p["window_sizes"], p["trials"], seed, p["cells"])),
         "shrinking-window metric moments decrease toward zero",
         "geometry", {"T": POS, "alpha": (F, None), "window_sizes": (LF, None),
                      "trials": (I, 400, 1), "cells": (I, 256, 1), "model": (S, None)}),
@@ -505,8 +496,8 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
     experiment's schema, then replaces every ``model*`` / ``grid`` name by the
     context's object and applies the experiment's joint bound.  Returns the
     merged parameters and the resolved ones; an unknown, missing, mistyped or
-    out-of-range parameter or an unknown reference raises ConfigError under
-    ``path``.
+    out-of-range parameter, an unknown reference or a model on the wrong space
+    raises ConfigError under ``path``.
     """
     schema = EXPERIMENTS[name].params
     unknown = set(params) - set(schema)
@@ -540,6 +531,12 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
         if table and value not in ctx.get(table, {}):
             raise ConfigError(f"{path}.{key}", f"unknown {table} reference {value!r}")
         resolved[key] = ctx[table][value] if table else value
+        # a group path needs a model on the group, the exact product one model per
+        # coordinate block; additive-determinism only samples the driver
+        if (table == "models" and name != "additive-determinism"
+                and (resolved[key].space is ctx["group"]) != (key == "model")):
+            space = "the group" if key == "model" else "a coordinate block"
+            raise ConfigError(f"{path}.{key}", f"expected a model on {space}, got {value!r}")
     for key, holds, expected in _JOINT_BOUNDS.get(name, ()):
         if not holds(resolved):
             grid = resolved.get("grid")

@@ -187,18 +187,16 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     half = trials // 2
     post_hit, fixed = [], []
     for trial, path in enumerate(driver_paths(model, grid, seed, trials)):
-        cells = group.exp(path.increments)
-        if trial >= half:
-            fixed.append(float(group.chart_norm(group.prefix_products(cells[:steps])[steps])))
-            continue
-        hits = np.flatnonzero(jump_set.contains(group, cells))
-        if hits.size == 0:
-            continue
-        k = int(hits[0]) + 1                   # grid index of tau_1
-        if k + steps > grid.n_cells:
-            continue
+        cells, k = group.exp(path.increments), 0     # a fixed-lag trial starts at index 0
+        if trial < half:
+            hits = np.flatnonzero(jump_set.contains(group, cells))
+            # grid index of tau_1; a trial without a hit is skipped
+            k = int(hits[0]) + 1 if hits.size else grid.n_cells
+            if k + steps > grid.n_cells:
+                continue
         prefix = group.prefix_products(cells[:k + steps])
-        post_hit.append(float(group.chart_norm(group.pair_increment(prefix, k, k + steps))))
+        (post_hit if trial < half else fixed).append(
+            float(group.chart_norm(group.pair_increment(prefix, k, k + steps))))
 
     result = {
         "h": h,

@@ -9,11 +9,12 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
-from liemult import cli, config
+from liemult import cli, config, geometry, jumps, regularity
 from liemult.cli import main
 from liemult.config import default_config, load_config, read_config, validate_config
 from liemult.errors import ConfigError
@@ -89,6 +90,31 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def default_entry(name):
+    """The first entry of the default battery that runs experiment ``name``."""
+    return copy.deepcopy(next(e for e in default_config()["experiments"] if e["name"] == name))
+
+
+def latin1_config(tmp_path):
+    """A config file that is valid JSON in Latin-1 but not UTF-8."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps({**BASE, "note": "caf\u00e9"}, ensure_ascii=False)
+                     .encode("latin-1"))
+    return path
+
+
+# every experiment that reads a model, with a valid entry on the default config's
+# models; all but product-limit-convergence build group paths from it
+MODEL_ENTRIES = {name: default_entry(name) for name in (
+    "cocycle-exactness", "right-limit-refinement", "oscillation-axioms", "max-oscillation-bound",
+    "largest-step-bound", "expectation-bound", "uniform-continuity-probe", "detector-fidelity",
+    "poisson-battery", "restart-probe", "bounded-jumps-gate", "exp-moment", "tail-decay",
+    "metric-modulus", "product-limit-convergence")}
+MODEL_ENTRIES["cocycle-fault-injection"] = {
+    "name": "cocycle-fault-injection", "seed": 1,
+    "params": {"model": "brownian_jump", "grid": "g64", "cell": 3}}
 
 
 class TestCatalog:
@@ -445,6 +471,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match="ghost"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("name, key, model, space", [
+        *((name, "model", "block_brownian_x", "the group")
+          for name in MODEL_ENTRIES if name != "product-limit-convergence"),
+        *(("product-limit-convergence", key, "brownian_mild", "a coordinate block")
+          for key in ("model_x", "model_y", "model_z")),
+    ])
+    def test_model_on_the_wrong_space_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                name, key, model, space):
+        started = []
+        monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
+        cfg = default_config()
+        cfg["experiments"] = [copy.deepcopy(MODEL_ENTRIES[name])]
+        cfg["experiments"][0]["params"][key] = model
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"config error: config.experiments[0].params.{key}: expected a model on"
+                f" {space}, got '{model}'") in capsys.readouterr().err
+        assert started == []
+
+    def test_additive_determinism_accepts_a_block_model(self):
+        # it only samples the driver, which lives on the model's own space
+        cfg = default_config()
+        cfg["experiments"] = [{"name": "additive-determinism", "seed": 1,
+                               "params": {"model": "block_brownian_x", "grid": "g16"}}]
+        ctx = validate_config(cfg)
+        report = run_experiment("additive-determinism", ctx, cfg["experiments"][0]["params"], 1)
+        assert report["status"] == "pass"
+
     @pytest.mark.parametrize("edit, path, field", [
         (lambda cfg: cfg["grids"]["g8"].update(T=0), "config.grids.g8", "T"),
         (lambda cfg: cfg["group"].update(N=2.5), "config.group", "N"),
@@ -732,6 +786,21 @@ class TestValidation:
             read_config(path)
         assert exc.value.path == f"{path}:1:22"
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda tmp_path: tmp_path / "missing.json", "No such file or directory"),
+        (lambda tmp_path: tmp_path, "Is a directory"),
+        (latin1_config, "can't decode byte 0xe9"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exits_two_at_its_path(self, tmp_path, capsys, make, message):
+        path = make(tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            read_config(path)
+        assert exc.value.path == str(path) and message in str(exc.value)
+        code = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestArguments:
     @pytest.mark.parametrize("argv, argument", [
@@ -753,11 +822,101 @@ class TestArguments:
         assert argument in capsys.readouterr().err
         assert started == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_that_cannot_be_created_exits_two(self, tmp_path, capsys, monkeypatch, jobs):
+        started = []
+        monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *args, **kw: started.append(kw))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            code = main(["run", str(write_config(tmp_path, BASE)), "--out", str(out),
+                         "--jobs", jobs])
+            assert code == 2
+            assert f"argument --out: cannot create {out}: " in capsys.readouterr().err
+        assert started == []
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("jobs, entries, workers", [
+        ("1000", 2, [2]), ("2", 1, [1]), ("2", 3, [2]), ("1", 2, [])])
+    def test_pool_has_at_most_one_worker_per_entry(self, tmp_path, monkeypatch,
+                                                   jobs, entries, workers):
+        made = []
+
+        class InProcessPool:
+            """Records its ``max_workers`` and runs each submitted call in this process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        cfg = copy.deepcopy(BASE)
+        cfg["experiments"] = [{"name": "group-axioms", "seed": i, "params": {"samples": 50}}
+                              for i in range(entries)]
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out),
+                     "--jobs", jobs]) == 0
+        assert made == workers
+        assert len(list(out.glob("0*_group-axioms.json"))) == entries
+
     def test_module_choices_come_from_the_catalog(self, capsys):
         with pytest.raises(SystemExit):
             main(["list-experiments", "--module", "nosuch"])
         err = capsys.readouterr().err
         assert all(e["module"] in err for e in catalog())
+
+
+# each row that calls a battery whose report carries its own pass: the battery's
+# module, its name there, and the report fields the row's CSV side output reads
+BATTERY_ROWS = {
+    "oscillation-axioms": (regularity, "oscillation_axioms_test", {}),
+    "max-oscillation-bound": (regularity, "mc_maximum_oscillation", {}),
+    "largest-step-bound": (regularity, "mc_largest_step", {}),
+    "expectation-bound": (regularity, "mc_expectation_bound", {"count_distribution": {"1": 3}}),
+    "poisson-battery": (jumps, "poisson_battery", {}),
+    "step-triangle": (geometry, "step_triangle_test", {}),
+    "exp-moment": (geometry, "exp_moment_estimate", {}),
+    "tail-decay": (geometry, "tail_decay_fit", {"tail_points": [
+        {"k": 1, "gamma": 0.5, "exceedances": 2, "p_hat": 0.1, "se": 0.05}]}),
+    "metric-modulus": (geometry, "metric_modulus_curve", {}),
+}
+
+
+class TestBatteryRows:
+    @pytest.mark.parametrize("name", sorted(BATTERY_ROWS))
+    def test_row_calls_the_battery_on_its_module(self, tmp_path, monkeypatch, name):
+        # a wrapper installed on the module binding, such as a profiling span, sees the call
+        module, attr, fields = BATTERY_ROWS[name]
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            return {"pass": True, "stub": name, **fields}
+
+        monkeypatch.setattr(module, attr, stub)
+        cfg = default_config()
+        ctx = {**validate_config(cfg), "csv_dir": tmp_path}
+        report = run_experiment(name, ctx, default_entry(name)["params"], 987654)
+        assert report["stub"] == name and report["status"] == "pass"
+        assert len(calls) == 1 and 987654 in calls[0]
+        if name == "step-triangle":
+            assert calls[0][0] is ctx["group"]
+        if name == "poisson-battery":
+            assert calls[0][2] == jumps.JumpSetSpec(0.05)
+        if name in ("exp-moment", "tail-decay"):
+            assert calls[0][1] == (0.25, 1.0)
+        assert len(list(tmp_path.iterdir())) == (1 if fields else 0)
 
 
 # a fresh interpreter: start up and a non-KS experiment, then the two KS helpers

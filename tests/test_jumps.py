@@ -160,3 +160,17 @@ class TestRestartProbe:
                           jump_law=UniformBallJumps(0.4))
         with pytest.raises(ParameterError):
             restart_probe(model, TimeGrid.uniform(1.0, 7), JumpSetSpec(0.1), 0.25, 10, 0)
+
+    @pytest.mark.parametrize("group_name", ["heis2", "heis3p", "uni3", "uni4"])
+    def test_fixed_lag_increment_from_index_zero_is_the_prefix_product(self, request, rng,
+                                                                       group_name):
+        # the probe reads both samples as inv(g_k) g_(k+steps); at k = 0 this must be
+        # the prefix product g_steps itself, bit for bit
+        group = request.getfixturevalue(group_name)
+        for scale in (1e-3, 0.1, 1.0, 3.0):
+            for steps in (1, 2, 7, 33):
+                cells = group.exp(scale * rng.standard_normal((steps, group.dim)))
+                prefix = group.prefix_products(cells)
+                direct = group.chart_norm(prefix[steps])
+                via_pair = group.chart_norm(group.pair_increment(prefix, 0, steps))
+                assert direct.tobytes() == via_pair.tobytes()
