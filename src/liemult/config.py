@@ -16,7 +16,7 @@ from .additive import (DiscreteJumps, LevyModel, PiecewiseConstantRate, TimeGrid
                        UniformBallJumps)
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, resolve_params
-from .groups import ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup
+from .groups import ChartSpec, HeisenbergGroup, UnipotentGroup
 
 __all__ = ["read_config", "load_config", "validate_config", "build_context", "default_config",
            "SCHEMA_VERSION"]
@@ -34,10 +34,6 @@ _CHART_KEYS = {"rho_prime", "rho_double_prime", "bracket_bound"}
 _GRID = ({"T", "cells"}, lambda grid: TimeGrid.uniform(grid["T"], grid["cells"]))
 _MODEL_KEYS = {"space", "drift", "diffusion", "jump_intensity", "jump_law",
                "scale", "bound_delta"}
-# a model's space: the group, or one coordinate block (a, b, c) of a Heisenberg group
-_BLOCK_SPACES = {"x": lambda group: LpSpace(group.N, group.p),
-                 "y": lambda group: LpSpace(group.N, group.q),
-                 "z": lambda group: LpSpace(1, 1.0)}
 # a subspace ball is the ball law on the given coordinates, a fixed atom a discrete
 # law with one atom
 _LAWS = {
@@ -189,23 +185,23 @@ def build_context(cfg: dict) -> dict:
     group = _build_kind(_require(cfg, "group", "config"), _GROUPS, "config.group")
     grids = {name: _build(block, _GRID, f"config.grids.{name}")
              for name, block in _named_blocks(cfg, "grids")}
+    # a model's space: the group, or one coordinate block of a Heisenberg group
+    spaces = {"group": group, **getattr(group, "block_spaces", {})}
     models = {}
     for name, block in _named_blocks(cfg, "models"):
         path = f"config.models.{name}"
         _check_keys(block, _MODEL_KEYS, path)
         tag = block.get("space", "group")
-        if tag not in ("group", *_BLOCK_SPACES):   # a tuple: tag may be unhashable
-            raise ConfigError(f"{path}.space", f"must be group/x/y/z, got {tag!r}")
-        if tag != "group" and not isinstance(group, HeisenbergGroup):
-            raise ConfigError(f"{path}.space", "block spaces are heisenberg-only")
+        if not isinstance(tag, str) or tag not in spaces:   # tag may be unhashable
+            raise ConfigError(f"{path}.space", f"expected one of {sorted(spaces)}, got {tag!r}")
         law, scale = block.get("jump_law"), block.get("scale")
         if law is not None:
             law = _build_kind(law, _LAWS, f"{path}.jump_law")
         if scale is not None:
             scale = _build(scale, _SCALE, f"{path}.scale")
-        space = group if tag == "group" else _BLOCK_SPACES[tag](group)
         with _at(path):   # the model block's keys are LevyModel's fields
-            models[name] = LevyModel(**{**block, "space": space, "jump_law": law, "scale": scale})
+            models[name] = LevyModel(**{**block, "space": spaces[tag], "jump_law": law,
+                                        "scale": scale})
     return {"group": group, "grids": grids, "models": models}
 
 

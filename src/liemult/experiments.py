@@ -9,7 +9,8 @@ validation and for ``list-experiments``.
 Adding an experiment means adding one ``ExperimentSpec`` to ``EXPERIMENTS``:
 its runner, a one-line description, the catalog module, and the parameter
 schema ``name -> (type, default[, bound])``, a bound being a minimum, an open
-interval ``(low, high)`` or a tuple of allowed strings.  A runner takes
+interval ``(low, high)``, a tuple of allowed strings or the name of a chart
+radius, the interval ``(0, radius)`` of the context group's chart.  A runner takes
 ``(ctx, params, seed)`` and returns ``(report, verdict)``, the verdict being
 True, False or None (inconclusive).  ``_residuals(label, draws, residuals)``
 makes the runner of a row of the residual-check table: it draws ``draws``
@@ -328,8 +329,11 @@ def _run_additive_determinism(ctx, params, seed):
 
 F, I, S, B, LF = float, int, str, bool, list
 POS = (F, None, (0, math.inf))     # a required positive number
+# a required delta inside the chart: below its rho_prime, or below its rho_double_prime
+# where the battery certifies a ball power; resolve_params reads the group's chart
+DELTA_RHO1, DELTA_RHO2 = (F, None, "rho_prime"), (F, None, "rho_double_prime")
 _DRIVER = {"model": (S, None), "grid": (S, None)}     # the driver of a path experiment
-_MOMENT_PARAMS = {"r": (F, None, 0), "u": POS, "alpha": (F, None), "delta": POS,
+_MOMENT_PARAMS = {"r": (F, None, 0), "u": POS, "alpha": (F, None), "delta": DELTA_RHO1,
                   "trials": (I, 1000, 1), "cells": (I, 64, 1), "model": (S, None)}
 EXPERIMENTS = {
     "group-axioms": ExperimentSpec(
@@ -351,7 +355,7 @@ EXPERIMENTS = {
         "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0), "tol": (F, 1e-12)}),
     "chart-certification": ExperimentSpec(
         _run_chart_certification, "bracket-norm bound and ball-power radius containment by sampling",
-        "groups", {"samples": (I, 10000, 1), "delta": POS, "power": (I, 2, 1),
+        "groups", {"samples": (I, 10000, 1), "delta": DELTA_RHO2, "power": (I, 2, 1),
                    "products": (I, 100000, 1)}),
     "cocycle-exactness": ExperimentSpec(
         _run_cocycle, "two-parameter increments compose exactly along index triples",
@@ -379,23 +383,23 @@ EXPERIMENTS = {
         lambda ctx, p, seed: _passes(regularity.oscillation_axioms_test(
             p["model"], p["grid"], p["delta"], p["paths"], p["cases"], seed)),
         "counter monotonicity, exhaustive limits, concatenation bound",
-        "regularity", {"paths": (I, 8, 1), "cases": (I, 1000, 1), "delta": POS, **_DRIVER}),
+        "regularity", {"paths": (I, 8, 1), "cases": (I, 1000, 1), "delta": DELTA_RHO1, **_DRIVER}),
     "max-oscillation-bound": ExperimentSpec(
         lambda ctx, p, seed: _passes(regularity.mc_maximum_oscillation(
             p["model"], p["grid"], p["delta"], p["trials"], seed)),
         "endpoint exit probability dominates scaled suffix-exit probability",
-        "regularity", {"delta": POS, "trials": (I, 10000, 1), **_DRIVER}),
+        "regularity", {"delta": DELTA_RHO2, "trials": (I, 10000, 1), **_DRIVER}),
     "largest-step-bound": ExperimentSpec(
         lambda ctx, p, seed: _passes(regularity.mc_largest_step(
             p["model"], p["grid"], p["delta"], p["trials"], seed)),
         "any-pair exit probability is dominated by suffix-exit probability",
-        "regularity", {"delta": POS, "trials": (I, 10000, 1), **_DRIVER}),
+        "regularity", {"delta": DELTA_RHO2, "trials": (I, 10000, 1), **_DRIVER}),
     "expectation-bound": ExperimentSpec(
         _run_expectation_bound, "mean oscillation count below a/(1-a) with geometric tail",
-        "regularity", {"delta": POS, "trials": (I, 10000, 2), **_DRIVER}),
+        "regularity", {"delta": DELTA_RHO1, "trials": (I, 10000, 2), **_DRIVER}),
     "uniform-continuity-probe": ExperimentSpec(
         _run_uniform_continuity, "largest window keeping oscillation probability under budget",
-        "regularity", {"T": POS, "delta": POS, "alpha": (F, None, (0, 1)),
+        "regularity", {"T": POS, "delta": DELTA_RHO1, "alpha": (F, None, (0, 1)),
                        "trials": (I, 2000, 1), "cells": (I, 64, 1), "model": (S, None)}),
     "detector-fidelity": ExperimentSpec(
         _run_detector_fidelity, "threshold detector recovers recorded driver jumps exactly",
@@ -413,13 +417,13 @@ EXPERIMENTS = {
         lambda ctx, p, seed: _passes(geometry.step_triangle_test(
             ctx["group"], p["samples"], p["delta"], seed)),
         "concatenated factor lists certify subadditive step counts",
-        "geometry", {"samples": (I, 1000, 1), "delta": POS}),
+        "geometry", {"samples": (I, 1000, 1), "delta": DELTA_RHO1}),
     "gauge-metric": ExperimentSpec(
         _run_gauge_metric, "gauge distance: left-invariance, symmetry, sampled triangle inequality",
         "geometry", {"samples": (I, 100000, 1), "scale": (F, 2.0)}),
     "bounded-jumps-gate": ExperimentSpec(
         _run_bounded_jumps, "jump increments certified inside a ball power",
-        "geometry", {"delta": POS, "n_power": (I, None, 1), "expect": (B, True),
+        "geometry", {"delta": DELTA_RHO1, "n_power": (I, None, 1), "expect": (B, True),
                      "model": (S, None)}),
     "exp-moment": ExperimentSpec(
         lambda ctx, p, seed: _passes(geometry.exp_moment_estimate(
@@ -459,16 +463,19 @@ def _two_points(T: float, cells: int, window: tuple[float, float]) -> bool:
 # experiment -> ((key, holds(resolved params), expected), ...), checked in order
 _WINDOW_BOUNDS = (("r", lambda p: p["r"] < p["u"], "a window start below u"),
                   ("r", lambda p: _two_points(p["u"], p["cells"], (p["r"], p["u"])), "two grid points in (r, u)"))
+# the moment batteries' own hypothesis, as geometry checks it
+_BOUNDED = ("model", lambda p: geometry.has_bounded_jumps(p["model"]), "a bounded-jump model")
 _JOINT_BOUNDS = {
     "cocycle-fault-injection": (("cell", lambda p: p["cell"] < p["grid"].n_cells,
                                  "a cell below n_cells"),),
     # the concatenation check splits the grid in two
     "oscillation-axioms": (("grid", lambda p: p["grid"].n_cells >= 2, "a grid of at least 2 cells"),),
+    "poisson-battery": (("model", lambda p: p["model"].scale is None, "a stationary model"),),
     "restart-probe": (("h", lambda p: p["h"] < p["grid"].T, "a lag below T"),
                       ("h", lambda p: jumps.lag_steps(p["grid"], p["h"]) > 0, "a multiple of the mesh")),
-    "exp-moment": _WINDOW_BOUNDS,
-    "tail-decay": _WINDOW_BOUNDS,
-    "metric-modulus": (
+    "exp-moment": (*_WINDOW_BOUNDS, _BOUNDED),
+    "tail-decay": (*_WINDOW_BOUNDS, _BOUNDED),
+    "metric-modulus": (_BOUNDED,
         ("window_sizes", lambda p: len(p["window_sizes"]) > 0 and all(
             0 < w <= p["T"] for w in p["window_sizes"]), "a nonempty list of sizes in (0, T]"),
         ("window_sizes", lambda p: all(_two_points(p["T"], p["cells"], geometry.modulus_window(p["T"], w))
@@ -511,6 +518,8 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
             merged[key] = default
             continue
         value = params[key]
+        if bound and isinstance(bound[0], str):   # a chart radius of the context's group
+            bound = [(0, getattr(ctx["group"].chart, bound[0]))]
         label, ok = _TYPE_CHECKS[typ]
         # a value prints as the config writes it (a direct call may pass any object,
         # hence repr); no list parameter has a bound, so its entries are checked after
@@ -531,16 +540,18 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
         if table and value not in ctx.get(table, {}):
             raise ConfigError(f"{path}.{key}", f"unknown {table} reference {value!r}")
         resolved[key] = ctx[table][value] if table else value
-        # a group path needs a model on the group, the exact product one model per
-        # coordinate block; additive-determinism only samples the driver
-        if (table == "models" and name != "additive-determinism"
-                and (resolved[key].space is ctx["group"]) != (key == "model")):
-            space = "the group" if key == "model" else "a coordinate block"
-            raise ConfigError(f"{path}.{key}", f"expected a model on {space}, got {value!r}")
+        # a group path needs a model on the group, the exact product a model_b on the
+        # group's own space of block b (an identity test: a swapped block fails at every
+        # p); additive-determinism only samples the driver
+        if table == "models" and name != "additive-determinism":
+            blocks, b = getattr(ctx["group"], "block_spaces", {}), key[-1]
+            if resolved[key].space is not (ctx["group"] if key == "model" else blocks.get(b)):
+                space = "the group" if key == "model" else f"block {b}"
+                raise ConfigError(f"{path}.{key}", f"expected a model on {space}, got {value!r}")
     for key, holds, expected in _JOINT_BOUNDS.get(name, ()):
         if not holds(resolved):
             grid = resolved.get("grid")
-            on_grid = f" with n_cells = {grid.n_cells}, T = {grid.T}" if grid else ""
+            on_grid = f" with n_cells = {grid.n_cells}, T = {grid.T}" if grid and key != "model" else ""
             raise ConfigError(f"{path}.{key}", f"expected {expected}, got"
                               f" {json.dumps(merged[key], default=repr)}{on_grid}")
     return merged, resolved

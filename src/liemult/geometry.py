@@ -270,8 +270,13 @@ def bounded_jumps_check(model: LevyModel, delta: float, n_power: int,
     }
 
 
+def has_bounded_jumps(model: LevyModel) -> bool:
+    # no jumps, or jumps whose law the model bounds by a declared bound_delta
+    return not (model.jump_intensity > 0 and model.bound_delta is None)
+
+
 def _require_bounded(model: LevyModel):
-    if model.jump_intensity > 0 and model.bound_delta is None:
+    if not has_bounded_jumps(model):
         raise HypothesisError(
             "the moment batteries require a bounded-jump model"
             " (construct the LevyModel with bound_delta)"

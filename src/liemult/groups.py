@@ -326,7 +326,7 @@ class HeisenbergGroup(_NilpotentGroup):
         the conjugate exponent q = p / (p - 1).
     chart : optional ChartSpec override.
 
-    The algebra norm is the sum norm ``|a|_p + |b|_q + |c|``.
+    The algebra norm is the sum norm ``|a|_p + |b|_q + |c|`` of the ``block_spaces`` x, y, z.
     """
 
     nilpotency_step = 2
@@ -340,6 +340,7 @@ class HeisenbergGroup(_NilpotentGroup):
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
         self.dim = 2 * self.N + 1
+        self.block_spaces = {"x": LpSpace(self.N, self.p), "y": LpSpace(self.N, self.q), "z": LpSpace(1, 1.0)}
         # exp is a global diffeomorphism; the radius is an arithmetic-safety cap
         self.chart = chart or ChartSpec(
             rho_prime=1e6, rho_double_prime=2.5e5, bracket_bound=2.0

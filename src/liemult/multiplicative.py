@@ -103,11 +103,10 @@ def product_exponential(path: AdditivePath, group=None) -> MultiplicativePath:
 def _block_paths_compatible(group: HeisenbergGroup, x_path, y_path, z_path):
     if not isinstance(group, HeisenbergGroup):
         raise InvalidInputError("the exact construction is specific to the Heisenberg instance")
-    if x_path.dim != group.N or y_path.dim != group.N or z_path.dim != 1:
-        raise InvalidInputError(
-            f"block dimensions ({x_path.dim}, {y_path.dim}, {z_path.dim}) do not match"
-            f" (N, N, 1) = ({group.N}, {group.N}, 1)"
-        )
+    for b, path in zip("xyz", (x_path, y_path, z_path)):
+        if path.model.space != group.block_spaces[b]:
+            raise InvalidInputError(f"the {b} path is on {path.model.space},"
+                                    f" not on block {b} = {group.block_spaces[b]}")
     if not (x_path.grid == y_path.grid == z_path.grid):
         raise GridMismatchError("the three block paths must share one grid")
 
@@ -116,10 +115,10 @@ def heisenberg_exact(x_path: AdditivePath, y_path: AdditivePath, z_path: Additiv
                      group: HeisenbergGroup) -> MultiplicativePath:
     """Exact multiplicative construction on the Heisenberg instance.
 
-    The last coordinate of the prefix at t_k is the z-increment plus half the
-    discrete Levy area of the first two blocks over (t_0, t_k], accumulated
-    as a strictly-lower-triangular double sum; the grid cocycle identity is
-    exact because the double sum splits over disjoint index blocks.
+    The last coordinate of the prefix at t_k is the z-increment plus half the discrete
+    Levy area of the x and y paths over (t_0, t_k], a strictly-lower-triangular double
+    sum that splits over disjoint index blocks, so the grid cocycle identity is exact.
+    The path of block b must be on ``group.block_spaces[b]``, else InvalidInputError.
     """
     _block_paths_compatible(group, x_path, y_path, z_path)
     cells = group.embed(x_path.increments, y_path.increments, z_path.increments[:, 0])

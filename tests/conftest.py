@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from liemult import HeisenbergGroup, UnipotentGroup
+from liemult import HeisenbergGroup, LevyModel, UnipotentGroup
+
+
+def block_models(group, x=None, y=None, z=None):
+    """One model per coordinate block of the Heisenberg ``group``, each on the group's
+    own ``block_spaces`` entry, with the LevyModel fields given for its block."""
+    fields = {"x": x, "y": y, "z": z}
+    return {b: LevyModel(space=space, **(fields[b] or {}))
+            for b, space in group.block_spaces.items()}
 
 
 @pytest.fixture(scope="session")

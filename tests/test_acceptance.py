@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from liemult import (DiscreteJumps, HeisenbergGroup, JumpSetSpec, LevyModel, LpSpace,
+from conftest import block_models
+from liemult import (DiscreteJumps, HeisenbergGroup, JumpSetSpec, LevyModel,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps,
                      UnipotentGroup, convergence_study, detector_fidelity,
                      exhaustive_count_reference,
@@ -28,14 +29,6 @@ from liemult.rng import substream
 # sha256 of every file `liemult run --default` writes; a change that alters a
 # report byte updates this file and declares the change.
 GOLDEN_DIGESTS = Path(__file__).with_name("default_reports.sha256")
-
-
-def block_models(heis, x=None, y=None, z=None):
-    return {
-        "x": LevyModel(space=LpSpace(heis.N, heis.p), **(x or {})),
-        "y": LevyModel(space=LpSpace(heis.N, heis.q), **(y or {})),
-        "z": LevyModel(space=LpSpace(1, 1.0), **(z or {})),
-    }
 
 
 @contextmanager

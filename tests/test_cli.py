@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -117,6 +118,47 @@ MODEL_ENTRIES["cocycle-fault-injection"] = {
     "params": {"model": "brownian_jump", "grid": "g64", "cell": 3}}
 
 
+def block_config(p):
+    """The default config on the Heisenberg group of exponent ``p``, without
+    ``moment_model`` and ``tail_model`` and the entries that read them: at p = 3 their
+    atoms fail the bound_delta check by cube-root round-off (norm 0.20000000000000004
+    against 0.2)."""
+    cfg = default_config()
+    cfg["group"]["p"] = p
+    bounded = ("moment_model", "tail_model")
+    for name in bounded:
+        del cfg["models"][name]
+    cfg["experiments"] = [e for e in cfg["experiments"] if e["params"].get("model") not in bounded]
+    return cfg
+
+
+# every experiment with a delta: its other parameters, valid on delta_config for both
+# groups of CHARTS; BALL_POWER ones certify a ball power and stay below rho_double_prime
+DELTA_PARAMS = {
+    "chart-certification": {},
+    "oscillation-axioms": {"model": "m", "grid": "g"},
+    "max-oscillation-bound": {"model": "m", "grid": "g"},
+    "largest-step-bound": {"model": "m", "grid": "g"},
+    "expectation-bound": {"model": "m", "grid": "g"},
+    "uniform-continuity-probe": {"model": "m", "T": 1.0, "alpha": 0.1},
+    "step-triangle": {},
+    "bounded-jumps-gate": {"model": "m", "n_power": 1},
+    "exp-moment": {"model": "m", "r": 0.25, "u": 1.0, "alpha": 0.5},
+    "tail-decay": {"model": "m", "r": 0.25, "u": 1.0, "alpha": 0.5},
+}
+BALL_POWER = ("chart-certification", "max-oscillation-bound", "largest-step-bound")
+# a group block -> the (rho_prime, rho_double_prime) of its default chart
+CHARTS = {"heisenberg": ({"kind": "heisenberg", "N": 2, "p": 2.0}, 1e6, 2.5e5),
+          "unipotent": ({"kind": "unipotent", "n": 4}, 0.5, 0.125)}
+
+
+def delta_config(group, name, delta):
+    return {"schema_version": 1, "group": group, "grids": {"g": {"T": 1.0, "cells": 16}},
+            "models": {"m": {"diffusion": 0.1}},
+            "experiments": [{"name": name, "seed": 1,
+                             "params": {**DELTA_PARAMS[name], "delta": delta}}]}
+
+
 class TestCatalog:
     def test_at_least_fifteen_entries(self):
         assert len(catalog()) >= 15
@@ -144,6 +186,15 @@ class TestCatalog:
         # catalog updates this digest and declares the change
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_every_delta_is_bounded_by_a_chart_radius(self):
+        # a delta the chart does not hold fails inside its battery; the bound names it first
+        bounds = {name: spec.params["delta"] for name, spec in EXPERIMENTS.items()
+                  if "delta" in spec.params}
+        assert set(bounds) == set(DELTA_PARAMS)
+        for name, (typ, default, *bound) in bounds.items():
+            radius = "rho_double_prime" if name in BALL_POWER else "rho_prime"
+            assert (typ, default, bound) == (float, None, [radius]), name
 
 
 class TestRun:
@@ -299,30 +350,28 @@ class TestRun:
         assert "metric-modulus" in capsys.readouterr().err
 
     def test_runtime_error_keeps_other_reports(self, tmp_path, capsys):
-        cfg = dict(BASE)
-        cfg["grids"] = {"g64": {"T": 5.0, "cells": 64}}
-        cfg["models"] = {"cp_nonstat": {"jump_intensity": 2.0,
-                                        "jump_law": {"kind": "uniform_ball", "radius": 0.4},
-                                        "scale": {"breaks": [0.0, 2.5], "rates": [0.1, 6.0]}}}
+        # the degree-3 BCH series on a step-5 group is a runtime error by design
+        cfg = {"schema_version": 1, "group": {"kind": "unipotent", "n": 6}, "grids": {},
+               "models": {}}
         cfg["experiments"] = [
             {"name": "group-axioms", "seed": 1, "params": {"samples": 200}},
-            {"name": "poisson-battery", "seed": 2,
-             "params": {"model": "cp_nonstat", "grid": "g64", "epsilon": 0.05, "trials": 10}},
+            {"name": "bch-consistency", "seed": 2, "params": {"samples": 200}},
         ]
         cfg_path = write_config(tmp_path, cfg)
         for out, jobs in (("a", "1"), ("b", "2")):
             assert main(["run", str(cfg_path), "--out", str(tmp_path / out), "--jobs", jobs]) == 3
             err = capsys.readouterr().err
-            assert "runtime error in experiment 01 poisson-battery (seed 2)" in err
+            assert "runtime error in experiment 01 bch-consistency (seed 2)" in err
             assert "Traceback (most recent call last)" in err
-            assert "requires a stationary model" in err
+            assert "exact only up to nilpotency step 3" in err
         files = sorted(p.name for p in (tmp_path / "a").iterdir())
-        assert files == ["00_group-axioms.json", "01_poisson-battery.json", "summary.json"]
+        assert files == ["00_group-axioms.json", "01_bch-consistency.json", "summary.json"]
         for name in files:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        assert json.loads((tmp_path / "a" / "01_poisson-battery.json").read_text()) == {
-            "experiment": "poisson-battery", "seed": 2, "status": "error", "schema_version": 1,
-            "error": "ParameterError: the Poisson battery requires a stationary model",
+        assert json.loads((tmp_path / "a" / "01_bch-consistency.json").read_text()) == {
+            "experiment": "bch-consistency", "seed": 2, "status": "error", "schema_version": 1,
+            "error": "ParameterError: the BCH series is truncated at degree 3, exact only up to"
+                     " nilpotency step 3, got step 5",
         }
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["counts"] == {"pass": 1, "fail": 0, "inconclusive": 0, "error": 1}
@@ -474,7 +523,7 @@ class TestValidation:
     @pytest.mark.parametrize("name, key, model, space", [
         *((name, "model", "block_brownian_x", "the group")
           for name in MODEL_ENTRIES if name != "product-limit-convergence"),
-        *(("product-limit-convergence", key, "brownian_mild", "a coordinate block")
+        *(("product-limit-convergence", key, "brownian_mild", f"block {key[-1]}")
           for key in ("model_x", "model_y", "model_z")),
     ])
     def test_model_on_the_wrong_space_exits_two(self, tmp_path, capsys, monkeypatch,
@@ -488,6 +537,67 @@ class TestValidation:
         assert code == 2
         assert (f"config error: config.experiments[0].params.{key}: expected a model on"
                 f" {space}, got '{model}'") in capsys.readouterr().err
+        assert started == []
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("key, model", [("model_x", "block_cp_y"), ("model_y", "block_cp_x"),
+                                            ("model_x", "block_brownian_z")])
+    def test_model_on_another_block_exits_two(self, tmp_path, capsys, monkeypatch, p, key,
+                                              model):
+        # each block model must be on the group's own space of its block: at p = 3 an x/y
+        # swap would draw the x jumps from the l^q ball, and a z model has the wrong length
+        started = []
+        monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
+        cfg = block_config(p)
+        i = next(i for i, entry in enumerate(cfg["experiments"])
+                 if entry["params"].get("expect") == "jump-separation")
+        cfg["experiments"][i]["params"][key] = model
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"config error: config.experiments[{i}].params.{key}: expected a model on"
+                f" block {key[-1]}, got '{model}'\n") in capsys.readouterr().err
+        assert started == []
+
+    def test_block_models_in_place_pass_at_p_three(self):
+        cfg = block_config(3.0)
+        ctx = validate_config(cfg)
+        for entry in cfg["experiments"]:
+            if entry["name"] == "product-limit-convergence":
+                report = run_experiment(entry["name"], ctx, entry["params"], entry["seed"])
+                assert report["status"] == "pass", report
+
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    @pytest.mark.parametrize("name", sorted(DELTA_PARAMS))
+    def test_delta_beyond_the_chart_radius_exits_two(self, tmp_path, capsys, monkeypatch, kind,
+                                                     name):
+        started = []
+        monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
+        group, rho_prime, rho_double_prime = CHARTS[kind]
+        radius = rho_double_prime if name in BALL_POWER else rho_prime
+        validate_config(delta_config(group, name, math.nextafter(radius, 0.0)))
+        above = math.nextafter(radius, INF)
+        cfg_path = write_config(tmp_path, delta_config(group, name, above))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert (f"config error: config.experiments[0].params.delta: expected a value in"
+                f" (0, {radius}), got {json.dumps(above)}\n") in capsys.readouterr().err
+        assert started == []
+
+    @pytest.mark.parametrize("name, model, expected", [
+        ("poisson-battery", "cp_nonstat", "a stationary model"),
+        *((name, "brownian_jump", "a bounded-jump model")
+          for name in ("exp-moment", "tail-decay", "metric-modulus")),
+    ])
+    def test_model_outside_the_battery_hypothesis_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                            name, model, expected):
+        started = []
+        monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
+        cfg = default_config()
+        cfg["experiments"] = [default_entry(name)]
+        cfg["experiments"][0]["params"]["model"] = model
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"config error: config.experiments[0].params.model: expected {expected},"
+                f' got "{model}"\n') in capsys.readouterr().err
         assert started == []
 
     def test_additive_determinism_accepts_a_block_model(self):
@@ -586,10 +696,10 @@ class TestValidation:
         (lambda cfg: cfg["experiments"].append(
             {"name": "max-oscillation-bound", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "delta": -0.5}}),
-         "config.experiments[2].params.delta", "a value in (0, inf), got -0.5"),
+         "config.experiments[2].params.delta", "a value in (0, 250000.0), got -0.5"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "chart-certification", "seed": 3, "params": {"delta": -0.1}}),
-         "config.experiments[2].params.delta", "a value in (0, inf), got -0.1"),
+         "config.experiments[2].params.delta", "a value in (0, 250000.0), got -0.1"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "restart-probe", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.0}}),
@@ -712,7 +822,7 @@ class TestValidation:
         (lambda cfg: cfg["models"]["noisy"].update(space="w"), "config.models.noisy.space", "'w'"),
         (lambda cfg: (cfg.update(group={"kind": "unipotent", "n": 3}),
                       cfg["models"]["noisy"].update(space="x")),
-         "config.models.noisy.space", "heisenberg-only"),
+         "config.models.noisy.space", "expected one of ['group'], got 'x'"),
         (lambda cfg: cfg.update(experiments=[]), "config.experiments", "nonempty list"),
         (lambda cfg: cfg.update(experiments={}), "config.experiments", "nonempty list"),
         (lambda cfg: cfg["experiments"][0].update(params=[200]),

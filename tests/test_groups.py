@@ -196,6 +196,17 @@ class TestNorm:
         for group in (heis2, uni4):
             assert group.norm(np.zeros(group.dim)) == 0.0
 
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_block_spaces_sum_to_the_group_norm(self, rng, N, p):
+        # bit for bit, so the owner of the block spaces cannot swap p and q
+        group = HeisenbergGroup(N, p)
+        spaces = group.block_spaces
+        a, b, c = rng.standard_normal((50, N)), rng.standard_normal((50, N)), rng.standard_normal(50)
+        np.testing.assert_array_equal(
+            group.norm(group.embed(a, b, c)),
+            spaces["x"].norm(a) + spaces["y"].norm(b) + spaces["z"].norm(c[..., None]))
+
     @given(scale=st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
     def test_homogeneity(self, scale):

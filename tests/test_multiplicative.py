@@ -5,22 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from liemult import (GridMismatchError, LevyModel, LpSpace, ParameterError, TimeGrid,
+from conftest import block_models
+from liemult import (GridMismatchError, InvalidInputError, LevyModel, ParameterError, TimeGrid,
                      UniformBallJumps, convergence_study, heisenberg_exact,
                      product_exponential, sample_additive, verify_multiplicative)
 from liemult.multiplicative import (TRIAL_CHUNK, MultiplicativePath, batch_prefixes,
                                    map_trial_chunks)
-
-
-def block_models(heis, x=None, y=None, z=None):
-    x = x or {}
-    y = y or {}
-    z = z or {}
-    return {
-        "x": LevyModel(space=LpSpace(heis.N, heis.p), **x),
-        "y": LevyModel(space=LpSpace(heis.N, heis.q), **y),
-        "z": LevyModel(space=LpSpace(1, 1.0), **z),
-    }
 
 
 def double_sum_area(x, y, j, k):
@@ -95,9 +85,9 @@ class TestProductExponential:
 class TestHeisenbergExact:
     def test_zero_y_gives_pure_z_increment(self, heis2):
         grid = TimeGrid.uniform(1.0, 6)
-        x = planted_block_path(LpSpace(heis2.N, heis2.p), grid, [0.3], [[1.0, 0.0]])
-        y = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q)), grid, 0)
-        z = dataclasses.replace(sample_additive(LevyModel(space=LpSpace(1, 1.0)), grid, 0),
+        x = planted_block_path(heis2.block_spaces["x"], grid, [0.3], [[1.0, 0.0]])
+        y = sample_additive(LevyModel(space=heis2.block_spaces["y"]), grid, 0)
+        z = dataclasses.replace(sample_additive(LevyModel(space=heis2.block_spaces["z"]), grid, 0),
                                 jump_times=np.array([0.5]), jump_vectors=np.array([[2.0]]))
         path = heisenberg_exact(x, y, z, heis2)
         assert path.prefix[-1][-1] == pytest.approx(2.0)
@@ -105,28 +95,38 @@ class TestHeisenbergExact:
     def test_two_jump_area(self, heis2):
         # enumeration oracle: one (x, y) jump pair contributes area 1 over [0, 1]
         grid = TimeGrid.uniform(1.0, 10)
-        x = planted_block_path(LpSpace(heis2.N, heis2.p), grid, [0.3], [[1.0, 0.0]])
-        y = planted_block_path(LpSpace(heis2.N, heis2.q), grid, [0.7], [[1.0, 0.0]])
-        z = sample_additive(LevyModel(space=LpSpace(1, 1.0)), grid, 0)
+        x = planted_block_path(heis2.block_spaces["x"], grid, [0.3], [[1.0, 0.0]])
+        y = planted_block_path(heis2.block_spaces["y"], grid, [0.7], [[1.0, 0.0]])
+        z = sample_additive(LevyModel(space=heis2.block_spaces["z"]), grid, 0)
         assert double_sum_area(x, y, 0, 10) == pytest.approx(1.0)
         path = heisenberg_exact(x, y, z, heis2)
         assert path.prefix[-1][-1] == pytest.approx(0.5)
 
     def test_grid_mismatch_rejected(self, heis2):
         coarse, fine = TimeGrid.uniform(1.0, 4), TimeGrid.uniform(1.0, 8)
-        x = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.p)), coarse, 0)
-        y = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q)), fine, 0)
-        z = sample_additive(LevyModel(space=LpSpace(1, 1.0)), coarse, 0)
+        x = sample_additive(LevyModel(space=heis2.block_spaces["x"]), coarse, 0)
+        y = sample_additive(LevyModel(space=heis2.block_spaces["y"]), fine, 0)
+        z = sample_additive(LevyModel(space=heis2.block_spaces["z"]), coarse, 0)
         with pytest.raises(GridMismatchError):
             heisenberg_exact(x, y, z, heis2)
+
+    def test_block_path_on_another_block_space_rejected(self, heis3p):
+        # at p = 3 the x and y blocks carry different norms, so a swap is an error
+        grid = TimeGrid.uniform(1.0, 4)
+        x, y, z = (sample_additive(m, grid, 0) for m in block_models(heis3p).values())
+        with pytest.raises(InvalidInputError, match=r"^the x path is on LpSpace\(dim=3, p=1\.5\),"
+                                                    r" not on block x = LpSpace\(dim=3, p=3\.0\)$"):
+            heisenberg_exact(y, x, z, heis3p)
+        with pytest.raises(InvalidInputError, match="the z path"):
+            heisenberg_exact(x, y, x, heis3p)
 
     def test_direct_window_values_compose(self, heis2):
         # closed-form window values built straight from increments and the
         # running-sum area op must compose along triples
         grid = TimeGrid.uniform(1.0, 64)
-        x = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.p), diffusion=0.5), grid, 21)
-        y = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q), diffusion=0.5), grid, 22)
-        z = sample_additive(LevyModel(space=LpSpace(1, 1.0), diffusion=0.2), grid, 23)
+        x = sample_additive(LevyModel(space=heis2.block_spaces["x"], diffusion=0.5), grid, 21)
+        y = sample_additive(LevyModel(space=heis2.block_spaces["y"], diffusion=0.5), grid, 22)
+        z = sample_additive(LevyModel(space=heis2.block_spaces["z"], diffusion=0.2), grid, 23)
         path = heisenberg_exact(x, y, z, heis2)
 
         def direct(j, k):
@@ -155,18 +155,18 @@ class TestHeisenbergExact:
 class TestLevyArea:
     def test_proportional_paths_have_zero_area(self, heis2, rng):
         grid = TimeGrid.uniform(1.0, 16)
-        x = sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.p), diffusion=0.6), grid, 3)
+        x = sample_additive(LevyModel(space=heis2.block_spaces["x"], diffusion=0.6), grid, 3)
         y = dataclasses.replace(
-            sample_additive(LevyModel(space=LpSpace(heis2.N, heis2.q)), grid, 0),
+            sample_additive(LevyModel(space=heis2.block_spaces["y"]), grid, 0),
             drift_part=2.5 * x.drift_part, gauss_part=2.5 * x.gauss_part)
-        z = sample_additive(LevyModel(space=LpSpace(1, 1.0)), grid, 0)
+        z = sample_additive(LevyModel(space=heis2.block_spaces["z"]), grid, 0)
         assert double_sum_area(x, y, 0, 16) == pytest.approx(0.0, abs=1e-14)
         assert heisenberg_exact(x, y, z, heis2).prefix[-1][-1] == pytest.approx(0.0, abs=1e-14)
 
     def test_refinement_cascade_order(self, heis2):
         # coupled-refinement oracle: area differences decay at order ~1/2
-        mx = LevyModel(space=LpSpace(heis2.N, heis2.p), diffusion=1.0)
-        my = LevyModel(space=LpSpace(heis2.N, heis2.q), diffusion=1.0)
+        mx = LevyModel(space=heis2.block_spaces["x"], diffusion=1.0)
+        my = LevyModel(space=heis2.block_spaces["y"], diffusion=1.0)
         grid0 = TimeGrid.uniform(1.0, 8)
         diffs = np.zeros((4, 60))
         meshes = []

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import liemult
 from liemult.config import _LAWS
+from liemult.experiments import EXPERIMENTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 MODULES = {info.name for info in pkgutil.iter_modules(liemult.__path__)}
@@ -22,6 +23,14 @@ def test_library_quick_start_runs(capsys):
 def test_listed_jump_laws_are_the_config_kinds():
     listed = re.search(r"Jump\s+laws:([^.]*)\.", README).group(1)
     assert re.findall(r"`(\w+)`", listed) == list(_LAWS)
+
+
+def test_listed_delta_radii_are_the_catalog_bounds():
+    for radius in ("rho_double_prime", "rho_prime"):
+        listed = re.search(rf"below\s+`{radius}`[^(]*\(([^)]*)\)", README).group(1)
+        bounded = [name for name, spec in EXPERIMENTS.items()
+                   if spec.params.get("delta", ())[2:] == (radius,)]
+        assert re.findall(r"`([\w-]+)`", listed) == bounded
 
 
 def test_dotted_names_resolve():

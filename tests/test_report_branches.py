@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from liemult import (ChartSpec, HeisenbergGroup, JumpSetSpec, LevyModel, LpSpace, TimeGrid,
+from conftest import block_models
+from liemult import (ChartSpec, HeisenbergGroup, JumpSetSpec, LevyModel, TimeGrid,
                      UniformBallJumps, UnipotentGroup, convergence_study,
                      mc_expectation_bound, mc_largest_step, mc_maximum_oscillation,
                      metric_modulus_curve, poisson_battery, product_exponential,
@@ -26,12 +27,6 @@ HOT = LevyModel(space=HEIS, diffusion=50.0)                  # every increment l
 SMALL_CHART = UnipotentGroup(4, chart=ChartSpec(0.3, 0.2, 2.0))
 DEFAULT = build_context(default_config())
 MODELS, GRIDS = DEFAULT["models"], DEFAULT["grids"]
-
-
-def _zero_blocks():
-    return {"x": LevyModel(space=LpSpace(HEIS.N, HEIS.p)),
-            "y": LevyModel(space=LpSpace(HEIS.N, HEIS.q)),
-            "z": LevyModel(space=LpSpace(1, 1.0))}
 
 
 def _default_cocycle():
@@ -84,7 +79,7 @@ CASES = {
         ("none_found", True),
         "3a49eab78d37e10248314411c60c080da320ec330b019dc3fab85b780dd12fb7"),
     "convergence-no-slope": (
-        lambda: convergence_study(HEIS, _zero_blocks(), TimeGrid.uniform(1.0, 4), 2, 3, 0),
+        lambda: convergence_study(HEIS, block_models(HEIS), TimeGrid.uniform(1.0, 4), 2, 3, 0),
         ("fitted_slope", None),
         "d5754890f42073d3798c01e0fcead0ca5cba032420dca9735511f5e8b28142c6"),
     "poisson-default": (
