@@ -139,7 +139,7 @@ def _run_chart_certification(ctx, params, seed):
 # --------------------------------------------------------------------------
 
 def _run_cocycle(ctx, params, seed):
-    paths = (product_exponential(driver, ctx["group"])
+    paths = (product_exponential(driver)
              for driver in driver_paths(params["model"], params["grid"], seed, params["paths"]))
     worst = max((verify_multiplicative(path, samples=params["triples"], tol=params["tol"],
                                        seed=seed) for path in paths),
@@ -149,7 +149,7 @@ def _run_cocycle(ctx, params, seed):
 
 def _run_cocycle_fault(ctx, params, seed):
     group = ctx["group"]
-    path = product_exponential(next(driver_paths(params["model"], params["grid"], seed, 1)), group)
+    path = product_exponential(next(driver_paths(params["model"], params["grid"], seed, 1)))
     offset = group.exp(substream(seed, "fault").standard_normal(group.dim))
     bad = path.with_corrupted_cell(params["cell"], offset)
     rep = verify_multiplicative(bad, samples=params["triples"], tol=params["tol"], seed=seed)
@@ -189,10 +189,10 @@ def _run_right_limit(ctx, params, seed):
     defects = [[] for _ in range(levels)]
     for trial, driver in enumerate(driver_paths(params["model"], grid, seed, params["trials"])):
         # one refinement chain per trial: level L compares chain[L] with chain[L + 1]
-        coarse_path = product_exponential(driver, group)
+        coarse_path = product_exponential(driver)
         for level in range(levels):
             driver = driver.refine(seed, stream=(trial, "rl", level))
-            fine_path = product_exponential(driver, group)
+            fine_path = product_exponential(driver)
             for t in probes:
                 a = coarse_path.evaluate_right_limit(float(t))
                 b = fine_path.evaluate_right_limit(float(t))
@@ -476,6 +476,7 @@ _JOINT_BOUNDS = {
     "exp-moment": (*_WINDOW_BOUNDS, _BOUNDED),
     "tail-decay": (*_WINDOW_BOUNDS, _BOUNDED),
     "metric-modulus": (_BOUNDED,
+        ("model", lambda p: geometry.has_gauge_metric(p["model"].space), "a model on the p = 2 Heisenberg group"),
         ("window_sizes", lambda p: len(p["window_sizes"]) > 0 and all(
             0 < w <= p["T"] for w in p["window_sizes"]), "a nonempty list of sizes in (0, T]"),
         ("window_sizes", lambda p: all(_two_points(p["T"], p["cells"], geometry.modulus_window(p["T"], w))
@@ -504,9 +505,13 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
     context's object and applies the experiment's joint bound.  Returns the
     merged parameters and the resolved ones; an unknown, missing, mistyped or
     out-of-range parameter, an unknown reference or a model on the wrong space
-    raises ConfigError under ``path``.
+    raises ConfigError under ``path`` (gauge-metric off p = 2: at its ``name``).
     """
     schema = EXPERIMENTS[name].params
+    # no parameter of gauge-metric names the group its metric needs: the entry's name is at fault
+    if name == "gauge-metric" and not geometry.has_gauge_metric(ctx["group"]):
+        raise ConfigError(f"{path.rpartition('.')[0]}.name", "expected an experiment the group"
+                          " supports, got 'gauge-metric' (it needs the p = 2 Heisenberg group)")
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(path, f"unknown parameters {sorted(unknown)}")

@@ -230,9 +230,15 @@ def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict
     }
 
 
+def has_gauge_metric(group) -> bool:
+    # the gauge metric, and so the metric modulus battery, lives on the p = 2
+    # Heisenberg instance only; config validation asks the same question
+    return isinstance(group, HeisenbergGroup) and group.p == 2.0
+
+
 def gauge_norm(group: HeisenbergGroup, v: np.ndarray) -> np.ndarray:
     """Fourth-root homogeneous gauge on the p = 2 instance."""
-    if not (isinstance(group, HeisenbergGroup) and group.p == 2.0):
+    if not has_gauge_metric(group):
         raise ParameterError(
             "the gauge metric is defined for the p=2 Heisenberg instance only"
         )
@@ -317,7 +323,7 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
     r, u = window
     grid = TimeGrid.uniform(u, cells)
     idx = _window_indices(grid, r, u)
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
+    prefixes = batch_prefixes(model, grid, seed, trials)
     j, k = np.triu_indices(idx.size, 1)
 
     def reduce(chunk):
@@ -477,14 +483,14 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
     """
     _require_bounded(model)
     group = model.space
-    if not (isinstance(group, HeisenbergGroup) and group.p == 2.0):
+    if not has_gauge_metric(group):
         raise ParameterError("the metric modulus battery needs the p=2 Heisenberg instance")
     sizes = sorted((float(w) for w in window_sizes), reverse=True)
     if not sizes or sizes[0] > T or sizes[-1] <= 0:
         raise ParameterError(f"window sizes must lie in (0, T], got {window_sizes}")
 
     grid = TimeGrid.uniform(T, cells)
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
+    prefixes = batch_prefixes(model, grid, seed, trials)
     values, ses = [], []
     for w in sizes:
         idx = _window_indices(grid, *modulus_window(T, w))

@@ -69,7 +69,7 @@ def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     precisions, recalls, scored, rows = [], [], 0, []
     for trial in range(trials):
         driver = sample_additive(model, grid, seed, stream=(trial,))
-        detected = hitting_cells(product_exponential(driver, group), jump_set)
+        detected = hitting_cells(product_exponential(driver), jump_set)
         big = driver.jump_times[group.norm(driver.jump_vectors) >= 2.0 * jump_set.epsilon]
         true_cells = [int(c) for c in grid.cell_of(big)]
         if true_cells:

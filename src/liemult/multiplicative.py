@@ -90,13 +90,10 @@ class MultiplicativePath:
         return MultiplicativePath(self.group, self.grid, cells, self.prefix)
 
 
-def product_exponential(path: AdditivePath, group=None) -> MultiplicativePath:
-    """Time-ordered product of exponentials of the driver's cell increments."""
-    group = group if group is not None else path.model.space
-    if getattr(group, "dim", None) != path.dim:
-        raise InvalidInputError(
-            f"driver dimension {path.dim} does not match group dimension {group.dim}"
-        )
+def product_exponential(path: AdditivePath) -> MultiplicativePath:
+    """Time-ordered product of exponentials of the driver's cell increments, in
+    the group of the driver's model, ``path.model.space``."""
+    group = path.model.space
     return MultiplicativePath.from_increments(group, path.grid, group.exp(path.increments))
 
 
@@ -205,13 +202,14 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
     }
 
 
-def batch_prefixes(group, model: LevyModel, grid: TimeGrid, trials: int, seed: int) -> np.ndarray:
-    """Prefix products of ``trials`` independent driver paths, shape (trials, n+1, d).
+def batch_prefixes(model: LevyModel, grid: TimeGrid, seed: int, trials: int) -> np.ndarray:
+    """Prefix products of ``trials`` driver paths in the group ``model.space``, (trials, n+1, d).
 
-    Trial ``i`` uses the stream (seed, i), the same path as
-    ``sample_additive(model, grid, seed, stream=(i,))``.
+    The arguments are those of ``driver_paths``: trial ``i`` is the stream (seed, i),
+    the same path as ``sample_additive(model, grid, seed, stream=(i,))``.
     """
-    incs = np.empty((trials, grid.n_cells, model.space.dim))
+    group = model.space
+    incs = np.empty((trials, grid.n_cells, group.dim))
     for t, path in enumerate(driver_paths(model, grid, seed, trials)):
         incs[t] = path.increments
     return group.prefix_products(group.exp(incs))

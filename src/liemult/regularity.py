@@ -99,7 +99,7 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     group = _require_group_model(model)
     group.require_chart_radius(delta)
     rng = substream(seed, "oscillation-axioms")
-    outside = group.pairwise_chart_norms(batch_prefixes(group, model, grid, paths, seed)) >= delta
+    outside = group.pairwise_chart_norms(batch_prefixes(model, grid, seed, paths)) >= delta
     full = np.arange(n + 1)
     full_counts = oscillation_counts_from_outside(outside)   # each path on all its points
 
@@ -172,7 +172,7 @@ def mc_maximum_oscillation(model: LevyModel, grid: TimeGrid, delta: float,
     if radius is None:
         return report
 
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
+    prefixes = batch_prefixes(model, grid, seed, trials)
     from_start = group.chart_norm(prefixes)                      # x(0, j)
     to_end = _suffix_norms(group, prefixes)
 
@@ -207,7 +207,7 @@ def mc_largest_step(model: LevyModel, grid: TimeGrid, delta: float,
     if radius is None:
         return report
 
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
+    prefixes = batch_prefixes(model, grid, seed, trials)
     p_pairs = float(np.mean(_any_pair_outside(group, prefixes, radius)))
     p_anchor = float(np.mean(np.any(_suffix_norms(group, prefixes) >= delta, axis=1)))
 
@@ -237,7 +237,7 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
     if trials < 2:
         raise ParameterError(f"the split-half estimate needs trials >= 2, got {trials}")
     half = trials // 2
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
+    prefixes = batch_prefixes(model, grid, seed, trials)
 
     alpha_hat = float(np.mean(_any_pair_outside(group, prefixes[:half], delta)))
     se_alpha = binom_se(alpha_hat, half)
@@ -306,7 +306,7 @@ def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: fl
     group = _require_group_model(model)
     group.require_chart_radius(delta)
     grid = TimeGrid.uniform(T, cells)
-    prefixes = batch_prefixes(group, model, grid, trials, seed)
+    prefixes = batch_prefixes(model, grid, seed, trials)
 
     points = np.arange(cells + 1)
     spans = points[None, :] - points[:, None]            # k - j at [j, k]

@@ -90,6 +90,24 @@ class TestSampling:
         with pytest.raises(ParameterError, match="radius must be positive, got nan"):
             UniformBallJumps(np.nan)   # its box would have no bounds
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    @pytest.mark.parametrize("block", ["x", "y"])
+    def test_bound_delta_allows_the_norm_round_off(self, p, N, block):
+        # an atom on one coordinate has exact norm |c| in every l^p; its computed
+        # norm may sit a few ulps above c, as 0.2 does at p = 3 (0.20000000000000004)
+        space = HeisenbergGroup(N, p).block_spaces[block]
+        for c in (0.05, 0.1, 0.2, 1.0 / 3.0, 0.4, 0.7, 1.0, 2.5):
+            for i in range(N):
+                atom = np.zeros((1, N))
+                atom[0, i] = c
+                LevyModel(space=space, jump_intensity=1.0,
+                          jump_law=DiscreteJumps(atom, [1.0]), bound_delta=c)
+                with pytest.raises(ParameterError, match="exceeds bound_delta"):
+                    LevyModel(space=space, jump_intensity=1.0,
+                              jump_law=DiscreteJumps(atom * (1.0 + 1e-9), [1.0]),
+                              bound_delta=c)
+
     def test_discrete_law_probabilities(self, heis2, grid):
         with pytest.raises(ParameterError):
             DiscreteJumps(np.zeros((2, 5)), [0.5, 0.6])
@@ -404,6 +422,24 @@ class TestRefinement:
         h.update(fine.jump_times.tobytes())
         assert h.hexdigest() == "9263ec83422a90778be6239ce360a672e34136400eaf7f65008dfbeddb69b362"
         assert not fine.gauss_part.any()
+
+    def test_rate_scaled_refinement_pinned(self, heis2):
+        # recorded when refine still computed the fine cells' mass, drift and variance
+        # itself; they now come from the driver law of the refined grid
+        model = LevyModel(space=heis2, drift=heis2.embed([0.4, -0.2], c=0.1),
+                          diffusion=[0.3, 0.1, 0.2, 0.0, 0.5], jump_intensity=4.0,
+                          jump_law=UniformBallJumps(0.5),
+                          scale=PiecewiseConstantRate(np.array([0.0, 0.3, 0.7]),
+                                                      np.array([2.0, 0.0, 0.5])))
+        grid = TimeGrid.uniform(1.0, 16)
+        fine = sample_additive(model, grid, seed=9).refine(seed=1, stream=(2, "x"))
+        h = hashlib.sha256(fine.increments.tobytes())
+        h.update(fine.gauss_part.tobytes())
+        h.update(fine.jump_times.tobytes())
+        assert h.hexdigest() == "765c7391bc76fe10e637432e078324a04feb9323d80a1b7bee518a292bae5601"
+        assert fine.jump_times.size and fine.gauss_part.any()
+        assert np.array_equal(fine.drift_part,
+                              sample_additive(model, grid.refined(), seed=0).drift_part)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_diffusion_free_coarse_sums_exact(self, heis2, seed):

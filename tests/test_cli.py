@@ -118,17 +118,16 @@ MODEL_ENTRIES["cocycle-fault-injection"] = {
     "params": {"model": "brownian_jump", "grid": "g64", "cell": 3}}
 
 
+# the default entries whose gauge metric exists on the p = 2 Heisenberg group only
+GAUGE_ENTRIES = ("gauge-metric", "metric-modulus")
+
+
 def block_config(p):
-    """The default config on the Heisenberg group of exponent ``p``, without
-    ``moment_model`` and ``tail_model`` and the entries that read them: at p = 3 their
-    atoms fail the bound_delta check by cube-root round-off (norm 0.20000000000000004
-    against 0.2)."""
+    """The default config on the Heisenberg group of exponent ``p``, without the
+    entries that need p = 2."""
     cfg = default_config()
     cfg["group"]["p"] = p
-    bounded = ("moment_model", "tail_model")
-    for name in bounded:
-        del cfg["models"][name]
-    cfg["experiments"] = [e for e in cfg["experiments"] if e["params"].get("model") not in bounded]
+    cfg["experiments"] = [e for e in cfg["experiments"] if e["name"] not in GAUGE_ENTRIES]
     return cfg
 
 
@@ -337,17 +336,16 @@ class TestRun:
     def test_runtime_error_exits_three_naming_experiment(self, tmp_path, capsys):
         cfg = {
             "schema_version": 1,
-            "group": {"kind": "heisenberg", "N": 2, "p": 3.0},   # gauge needs p = 2
+            # the degree-3 BCH series on a step-5 group is a runtime error by design
+            "group": {"kind": "unipotent", "n": 6},
             "grids": {},
-            "models": {"still": {}},
-            "experiments": [{"name": "metric-modulus", "seed": 1,
-                             "params": {"model": "still", "T": 1.0, "alpha": 0.5,
-                                        "window_sizes": [0.25], "trials": 5,
-                                        "cells": 16}}],
+            "models": {},
+            "experiments": [{"name": "bch-consistency", "seed": 1,
+                             "params": {"samples": 20}}],
         }
         code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "metric-modulus" in capsys.readouterr().err
+        assert "bch-consistency" in capsys.readouterr().err
 
     def test_runtime_error_keeps_other_reports(self, tmp_path, capsys):
         # the degree-3 BCH series on a step-5 group is a runtime error by design
@@ -598,6 +596,32 @@ class TestValidation:
         assert code == 2
         assert (f"config error: config.experiments[0].params.model: expected {expected},"
                 f' got "{model}"\n') in capsys.readouterr().err
+        assert started == []
+
+    @pytest.mark.parametrize("group, name, field", [
+        ({"kind": "unipotent", "n": 4}, "gauge-metric", "name"),
+        ({"kind": "heisenberg", "N": 2, "p": 3.0}, "gauge-metric", "name"),
+        ({"kind": "heisenberg", "N": 2, "p": 3.0}, "metric-modulus", "params.model"),
+    ])
+    def test_gauge_battery_off_the_p_two_group_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                         group, name, field):
+        # gauge-metric has no parameter that names the group, so its name is at fault
+        started = []
+        monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
+        params = {"gauge-metric": {"samples": 10},
+                  "metric-modulus": {"model": "still", "T": 1.0, "alpha": 0.5,
+                                     "window_sizes": [0.25], "trials": 5, "cells": 16}}[name]
+        cfg = {"schema_version": 1, "group": group, "grids": {}, "models": {"still": {}},
+               "experiments": [{"name": "group-axioms", "seed": 1, "params": {"samples": 20}},
+                               {"name": name, "seed": 2, "params": params}]}
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        expected = ({"name": "expected an experiment the group supports, got 'gauge-metric'"
+                             " (it needs the p = 2 Heisenberg group)",
+                     "params.model": 'expected a model on the p = 2 Heisenberg group,'
+                                     ' got "still"'}[field])
+        assert (f"config error: config.experiments[1].{field}: {expected}\n"
+                in capsys.readouterr().err)
         assert started == []
 
     def test_additive_determinism_accepts_a_block_model(self):

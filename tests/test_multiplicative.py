@@ -1,13 +1,14 @@
 """Multiplicative path construction, cocycle verification, product limits."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from conftest import block_models
 from liemult import (GridMismatchError, InvalidInputError, LevyModel, ParameterError, TimeGrid,
-                     UniformBallJumps, convergence_study, heisenberg_exact,
+                     UniformBallJumps, convergence_study, driver_paths, heisenberg_exact,
                      product_exponential, sample_additive, verify_multiplicative)
 from liemult.multiplicative import (TRIAL_CHUNK, MultiplicativePath, batch_prefixes,
                                    map_trial_chunks)
@@ -272,11 +273,24 @@ class TestBatchPrefixes:
         model = LevyModel(space=heis2, diffusion=0.3, jump_intensity=1.0,
                           jump_law=UniformBallJumps(0.4))
         grid = TimeGrid.uniform(1.0, 8)
-        batch = batch_prefixes(heis2, model, grid, 4, 9)
+        batch = batch_prefixes(model, grid, 9, 4)
         for trial in range(4):
             single = product_exponential(
                 sample_additive(model, grid, 9, stream=(trial,)))
             np.testing.assert_array_equal(batch[trial], single.prefix)
+
+
+    def test_takes_the_arguments_of_driver_paths(self):
+        # the group is model.space, and the arguments come in driver_paths' order
+        params = ["model", "grid", "seed", "trials"]
+        assert list(inspect.signature(batch_prefixes).parameters) == params
+        assert list(inspect.signature(driver_paths).parameters) == params
+
+    def test_product_exponential_takes_the_group_of_the_model(self, heis2):
+        assert list(inspect.signature(product_exponential).parameters) == ["path"]
+        path = product_exponential(sample_additive(LevyModel(space=heis2, diffusion=0.3),
+                                                   TimeGrid.uniform(1.0, 4), 0))
+        assert path.group is heis2
 
 
 class TestMapTrialChunks:
@@ -286,7 +300,7 @@ class TestMapTrialChunks:
     def prefixes(self, heis2):
         assert self.TRIALS % TRIAL_CHUNK != 0
         model = LevyModel(space=heis2, diffusion=0.3)
-        return batch_prefixes(heis2, model, TimeGrid.uniform(1.0, 6), self.TRIALS, 4)
+        return batch_prefixes(model, TimeGrid.uniform(1.0, 6), 4, self.TRIALS)
 
     def test_array_result_equals_unchunked_reduction(self, heis2, prefixes):
         sizes = []

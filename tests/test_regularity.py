@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from liemult import (LevyModel, ParameterError, TimeGrid, UniformBallJumps, batch_prefixes,
-                     exhaustive_count_reference, mc_expectation_bound,
+from liemult import (LevyModel, LpSpace, ParameterError, TimeGrid, UniformBallJumps,
+                     batch_prefixes, exhaustive_count_reference, mc_expectation_bound,
                      mc_largest_step, mc_maximum_oscillation,
                      oscillation_axioms_test, oscillation_counts_from_outside,
                      product_exponential, sample_additive,
@@ -187,7 +187,7 @@ class TestMaximumOscillation:
 
     def test_suffix_norms_are_last_pairwise_column(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.4)
-        prefixes = batch_prefixes(heis2, model, TimeGrid.uniform(1.0, 10), 7, 2)
+        prefixes = batch_prefixes(model, TimeGrid.uniform(1.0, 10), 2, 7)
         np.testing.assert_allclose(_suffix_norms(heis2, prefixes),
                                    heis2.pairwise_chart_norms(prefixes)[:, :, -1],
                                    rtol=1e-12, atol=1e-15)
@@ -305,6 +305,24 @@ class TestUniformContinuityProbe:
             uniform_continuity_probe(model, 1.0, 0.5, 1.5, 10, 0)
 
 
+class TestGroupModel:
+    """``_require_group_model`` is the path layer's one group check: a driver
+    over a vector space has no group to take products in."""
+
+    @pytest.mark.parametrize("battery", [
+        lambda m, g: oscillation_axioms_test(m, g, 0.5, 2, 5, 0),
+        lambda m, g: mc_maximum_oscillation(m, g, 0.5, 10, 0),
+        lambda m, g: mc_largest_step(m, g, 0.5, 10, 0),
+        lambda m, g: mc_expectation_bound(m, g, 0.5, 10, 0),
+        lambda m, g: uniform_continuity_probe(m, 1.0, 0.5, 0.1, 10, 0, cells=8),
+    ], ids=["axioms", "maximum-oscillation", "largest-step", "expectation-bound",
+            "uniform-continuity"])
+    def test_model_over_a_vector_space_rejected(self, battery):
+        model = LevyModel(space=LpSpace(5), diffusion=0.1)
+        with pytest.raises(ParameterError, match="bound to a group instance"):
+            battery(model, TimeGrid.uniform(1.0, 8))
+
+
 class TestChunkSeam:
     """The all-pairs batteries reduce trial chunks; at a trial count that is
     not a multiple of the chunk size their estimates must equal an oracle
@@ -317,7 +335,7 @@ class TestChunkSeam:
         assert self.TRIALS % TRIAL_CHUNK != 0
         model = LevyModel(space=heis2, diffusion=0.3)
         grid = TimeGrid.uniform(1.0, 16)
-        prefixes = batch_prefixes(heis2, model, grid, self.TRIALS, self.SEED)
+        prefixes = batch_prefixes(model, grid, self.SEED, self.TRIALS)
         norms = heis2.pairwise_chart_norms(prefixes)           # (trials, 17, 17)
         upper = np.triu(np.ones((17, 17), dtype=bool), k=1)
         return heis2, model, grid, norms, upper

@@ -31,7 +31,7 @@ MODELS, GRIDS = DEFAULT["models"], DEFAULT["grids"]
 
 def _default_cocycle():
     path = product_exponential(sample_additive(MODELS["brownian_jump"], GRIDS["g256"], 107,
-                                               stream=(0,)), HEIS)
+                                               stream=(0,)))
     return verify_multiplicative(path, samples=500, tol=1e-12, seed=107)
 
 
