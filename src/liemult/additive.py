@@ -32,10 +32,10 @@ __all__ = [
 ]
 
 EXTREME_DIRECTIONS = 32    # random directions beside the axes in a ball law's extreme points
-# the computed norm of a jump law's support may exceed bound_delta by this relative
-# round-off: an l^p norm with p != 2 takes a p-th root, so 0.2 * e_1 at p = 3 has norm
-# 0.20000000000000004.  No battery reads bound_delta as a number (has_bounded_jumps asks
-# whether it is declared, minimal_jump_power certifies the atoms), so no verdict moves
+# the norm of a jump law's support, in units of bound_delta, may exceed 1 by this
+# relative round-off: an l^p norm with p != 2 takes a p-th root.  No battery reads
+# bound_delta as a number (require_bounded_jumps asks whether it is declared,
+# minimal_jump_power certifies the atoms), so no verdict moves
 BOUND_RTOL = 8 * np.finfo(float).eps
 
 
@@ -177,8 +177,8 @@ class UniformBallJumps:
                               norm=lambda v: space.norm(self._lift(space, v)))
         return self._lift(space, sample_norm_ball(rng, sub, self.radius, count))
 
-    def max_norm(self, space):
-        return self.radius
+    def bound_ratio(self, space, bound):
+        return self.radius / bound if bound else np.inf
 
     def extreme_points(self, space, rng):
         """Support points of maximal norm: scaled coordinate axes plus random directions."""
@@ -210,8 +210,14 @@ class DiscreteJumps:
         idx = rng.choice(self.probs.size, size=count, p=self.probs)
         return self.vectors[idx]
 
-    def max_norm(self, space):
-        return float(np.max(space.norm(self.vectors)))
+    def bound_ratio(self, space, bound):
+        """The support's largest norm over ``bound`` (inf for bound 0 and an atom != 0)."""
+        # top * norm(vectors / top) / bound: the norm sees entries in [-1, 1], so it
+        # neither overflows nor underflows, and a quotient past the floats is inf
+        top = float(np.max(np.abs(self.vectors)))
+        if not (top and bound):
+            return top and np.inf   # 0 for zero atoms, else inf for bound 0
+        return top / bound * float(np.max(space.norm(self.vectors / top)))
 
     def extreme_points(self, space, rng):
         return self.vectors
@@ -241,8 +247,9 @@ class LevyModel:
         positive, and its dimension must fit ``space`` (checked here).
     scale : optional piecewise-constant time rescaling; None means stationary.
     bound_delta : when set, the jump law support must lie in the closed norm
-        ball of this radius, up to a relative ``BOUND_RTOL`` for the round-off of
-        the norm's p-th root (checked here, used by the bounded-jump batteries).
+        ball of this radius: its norm in units of bound_delta is at most 1, up to a
+        relative ``BOUND_RTOL`` for the round-off of the norm's p-th root (checked
+        here, used by the bounded-jump batteries).
     """
 
     space: object
@@ -272,11 +279,12 @@ class LevyModel:
         if self.jump_law is not None:
             self.jump_law.check_space(self.space)
         if self.bound_delta is not None and self.jump_law is not None:
-            mn = self.jump_law.max_norm(self.space)
-            if mn > self.bound_delta * (1.0 + BOUND_RTOL):
-                raise ParameterError(
-                    f"jump law support (norm {mn}) exceeds bound_delta={self.bound_delta}"
-                )
+            # in units of bound_delta: a tiny support's norm neither underflows to 0 nor
+            # carries the larger relative round-off of a p-th root taken far from 1
+            ratio = self.jump_law.bound_ratio(self.space, self.bound_delta)
+            if ratio > 1.0 + BOUND_RTOL:
+                raise ParameterError(f"jump law support (norm {ratio} times bound_delta)"
+                                     f" exceeds bound_delta={self.bound_delta}")
 
     def rate_integral(self, a, b) -> np.ndarray:
         if self.scale is None:

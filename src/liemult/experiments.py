@@ -21,9 +21,9 @@ in ``regularity.mc_largest_step(...)``, so a wrapper on the module binding (a
 profiling span) sees each call, and ``_passes(report)`` reads the verdict from
 a report that carries its own ``pass``.
 ``resolve_params`` merges the parameters over their defaults, checks their
-bounds, resolves ``model*`` and ``grid`` names and applies ``_JOINT_BOUNDS``,
-for ``validate_config`` and ``run_experiment`` alike; ``run_experiment``
-derives ``status`` from the verdict, and no runner sets it.
+bounds, resolves ``model*`` and ``grid`` names and runs the batteries' own
+checks in ``_JOINT_BOUNDS``, for ``validate_config`` and ``run_experiment``
+alike; ``run_experiment`` derives ``status`` from the verdict, and no runner sets it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import geometry, jumps, regularity
+from . import geometry, jumps, multiplicative, regularity
 from .additive import TimeGrid, driver_paths, sample_additive
-from .errors import ConfigError
+from .errors import ConfigError, HypothesisError, ParameterError
 from .groups import sample_norm_ball, sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
                              verify_multiplicative)
@@ -116,11 +116,12 @@ def _run_chart_certification(ctx, params, seed):
     group, delta, power = ctx["group"], params["delta"], params["power"]
     radius = group.ball_power_radius(delta, power)   # raises before any sampling
     ratio = group.chart.certify_bracket_bound(group, samples=params["samples"], seed=seed)
+    bounded = ratio <= 1.0 + 1e-12     # no sampled pair breaks |[U,V]| <= C |U| |V|
     report = {"bracket_bound_worst_ratio": ratio, "delta": delta, "power": power,
               "certified_radius": radius}
     if radius is None:
         report["notes"] = {"inconclusive": "radius recursion left the chart"}
-        return report, None
+        return report, None if bounded else False
     rng = substream(seed, "ball-power")
     worst = 0.0
     remaining = params["products"]
@@ -131,7 +132,7 @@ def _run_chart_certification(ctx, params, seed):
         worst = max(worst, float(np.max(group.chart_norm(prod))))
         remaining -= batch
     report["worst_product_norm"] = worst
-    return report, worst < radius
+    return report, bounded and worst < radius
 
 
 # --------------------------------------------------------------------------
@@ -148,9 +149,9 @@ def _run_cocycle(ctx, params, seed):
 
 
 def _run_cocycle_fault(ctx, params, seed):
-    group = ctx["group"]
+    multiplicative.require_cell(params["grid"], params["cell"])   # before the path is drawn
     path = product_exponential(next(driver_paths(params["model"], params["grid"], seed, 1)))
-    offset = group.exp(substream(seed, "fault").standard_normal(group.dim))
+    offset = path.group.exp(substream(seed, "fault").standard_normal(path.group.dim))
     bad = path.with_corrupted_cell(params["cell"], offset)
     rep = verify_multiplicative(bad, samples=params["triples"], tol=params["tol"], seed=seed)
     # a negative control passes when the verification fails and its worst
@@ -454,34 +455,30 @@ _TYPE_CHECKS = {
 }
 
 
-def _two_points(T: float, cells: int, window: tuple[float, float]) -> bool:
-    # the count of geometry._window_indices on the battery's grid
-    return geometry.window_points(TimeGrid.uniform(T, cells), *window).size >= 2
-
-
-# bounds that relate a parameter to another one or to the resolved grid:
-# experiment -> ((key, holds(resolved params), expected), ...), checked in order
-_WINDOW_BOUNDS = (("r", lambda p: p["r"] < p["u"], "a window start below u"),
-                  ("r", lambda p: _two_points(p["u"], p["cells"], (p["r"], p["u"])), "two grid points in (r, u)"))
-# the moment batteries' own hypothesis, as geometry checks it
-_BOUNDED = ("model", lambda p: geometry.has_bounded_jumps(p["model"]), "a bounded-jump model")
+# the battery preconditions that tie a parameter to another one or to the resolved
+# grid or model: experiment -> ((key, check(resolved params)), ...), run in order.
+# Each check is the battery's own, which raises before the battery draws a path
+_WINDOW = ("r", lambda p: geometry.window_indices(TimeGrid.uniform(p["u"], p["cells"]), p["r"], p["u"]))
+_BOUNDED = ("model", lambda p: geometry.require_bounded_jumps(p["model"]))
 _JOINT_BOUNDS = {
-    "cocycle-fault-injection": (("cell", lambda p: p["cell"] < p["grid"].n_cells,
-                                 "a cell below n_cells"),),
-    # the concatenation check splits the grid in two
-    "oscillation-axioms": (("grid", lambda p: p["grid"].n_cells >= 2, "a grid of at least 2 cells"),),
-    "poisson-battery": (("model", lambda p: p["model"].scale is None, "a stationary model"),),
-    "restart-probe": (("h", lambda p: p["h"] < p["grid"].T, "a lag below T"),
-                      ("h", lambda p: jumps.lag_steps(p["grid"], p["h"]) > 0, "a multiple of the mesh")),
-    "exp-moment": (*_WINDOW_BOUNDS, _BOUNDED),
-    "tail-decay": (*_WINDOW_BOUNDS, _BOUNDED),
-    "metric-modulus": (_BOUNDED,
-        ("model", lambda p: geometry.has_gauge_metric(p["model"].space), "a model on the p = 2 Heisenberg group"),
-        ("window_sizes", lambda p: len(p["window_sizes"]) > 0 and all(
-            0 < w <= p["T"] for w in p["window_sizes"]), "a nonempty list of sizes in (0, T]"),
-        ("window_sizes", lambda p: all(_two_points(p["T"], p["cells"], geometry.modulus_window(p["T"], w))
-                                       for w in p["window_sizes"]), "sizes whose windows hold two grid points")),
+    "cocycle-fault-injection": (("cell", lambda p: multiplicative.require_cell(p["grid"], p["cell"])),),
+    "oscillation-axioms": (("grid", lambda p: regularity.require_two_cells(p["grid"])),),
+    "poisson-battery": (("model", lambda p: jumps.require_stationary(p["model"])),),
+    "restart-probe": (("h", lambda p: jumps.lag_steps(p["grid"], p["h"])),),
+    "exp-moment": (_WINDOW, _BOUNDED),
+    "tail-decay": (_WINDOW, _BOUNDED),
+    "metric-modulus": (_BOUNDED, ("model", lambda p: geometry.require_gauge_metric(p["model"].space)),
+                       ("window_sizes", lambda p: geometry.modulus_windows(
+                           TimeGrid.uniform(p["T"], p["cells"]), p["window_sizes"]))),
 }
+
+
+def _checked(field: str, check, arg) -> None:
+    """Run a battery's own ``check(arg)``; what it raises is a ConfigError at ``field``."""
+    try:
+        check(arg)
+    except (ParameterError, HypothesisError) as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def _violated(typ, bound, value) -> str | None:
@@ -502,16 +499,15 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
 
     Reads each parameter's type, default, bound and required flag from the
     experiment's schema, then replaces every ``model*`` / ``grid`` name by the
-    context's object and applies the experiment's joint bound.  Returns the
-    merged parameters and the resolved ones; an unknown, missing, mistyped or
-    out-of-range parameter, an unknown reference or a model on the wrong space
+    context's object and runs its ``_JOINT_BOUNDS`` checks.  Returns the merged
+    and the resolved parameters; an unknown, missing, mistyped or out-of-range
+    parameter, an unknown reference, a model on the wrong space or a failed check
     raises ConfigError under ``path`` (gauge-metric off p = 2: at its ``name``).
     """
     schema = EXPERIMENTS[name].params
     # no parameter of gauge-metric names the group its metric needs: the entry's name is at fault
-    if name == "gauge-metric" and not geometry.has_gauge_metric(ctx["group"]):
-        raise ConfigError(f"{path.rpartition('.')[0]}.name", "expected an experiment the group"
-                          " supports, got 'gauge-metric' (it needs the p = 2 Heisenberg group)")
+    if name == "gauge-metric":
+        _checked(f"{path.rpartition('.')[0]}.name", geometry.require_gauge_metric, ctx["group"])
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(path, f"unknown parameters {sorted(unknown)}")
@@ -553,12 +549,8 @@ def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict,
             if resolved[key].space is not (ctx["group"] if key == "model" else blocks.get(b)):
                 space = "the group" if key == "model" else f"block {b}"
                 raise ConfigError(f"{path}.{key}", f"expected a model on {space}, got {value!r}")
-    for key, holds, expected in _JOINT_BOUNDS.get(name, ()):
-        if not holds(resolved):
-            grid = resolved.get("grid")
-            on_grid = f" with n_cells = {grid.n_cells}, T = {grid.T}" if grid and key != "model" else ""
-            raise ConfigError(f"{path}.{key}", f"expected {expected}, got"
-                              f" {json.dumps(merged[key], default=repr)}{on_grid}")
+    for key, check in _JOINT_BOUNDS.get(name, ()):
+        _checked(f"{path}.{key}", check, resolved)
     return merged, resolved
 
 

@@ -47,6 +47,7 @@ GADGET_FRACTION = 0.45      # commutator legs use 0.45 * delta per side
 MAX_NORM_FACTOR = 3.0       # step-triangle samples norms uniformly in [0, 3 * delta)
 CERTIFY_SAMPLES = 16        # exp-moment pairs recounted by the certified constructor
 TAIL_LEVELS = 5             # exceedance thresholds of the tail-decay fit
+MIN_EXCEEDANCES = 10        # exceedances a tail-decay level needs to enter the slope fit
 
 
 @dataclass(frozen=True)
@@ -230,18 +231,15 @@ def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict
     }
 
 
-def has_gauge_metric(group) -> bool:
-    # the gauge metric, and so the metric modulus battery, lives on the p = 2
-    # Heisenberg instance only; config validation asks the same question
-    return isinstance(group, HeisenbergGroup) and group.p == 2.0
+def require_gauge_metric(group) -> None:
+    """Raise ParameterError unless ``group`` is the p = 2 Heisenberg group, the one with a gauge metric."""
+    if not (isinstance(group, HeisenbergGroup) and group.p == 2.0):
+        raise ParameterError(f"the gauge metric needs the p = 2 Heisenberg group, got {group!r}")
 
 
 def gauge_norm(group: HeisenbergGroup, v: np.ndarray) -> np.ndarray:
     """Fourth-root homogeneous gauge on the p = 2 instance."""
-    if not has_gauge_metric(group):
-        raise ParameterError(
-            "the gauge metric is defined for the p=2 Heisenberg instance only"
-        )
+    require_gauge_metric(group)
     x, y, z = group.split(np.asarray(v, dtype=float))
     horizontal = group.pairing(x, x) + group.pairing(y, y)
     return (horizontal**2 + 16.0 * z * z) ** 0.25
@@ -276,36 +274,31 @@ def bounded_jumps_check(model: LevyModel, delta: float, n_power: int,
     }
 
 
-def has_bounded_jumps(model: LevyModel) -> bool:
-    # no jumps, or jumps whose law the model bounds by a declared bound_delta
-    return not (model.jump_intensity > 0 and model.bound_delta is None)
+def require_bounded_jumps(model: LevyModel) -> None:
+    """Raise HypothesisError unless ``model`` has no jumps or a declared ``bound_delta`` on them."""
+    if model.jump_intensity > 0 and model.bound_delta is None:
+        raise HypothesisError("the moment batteries require a bounded-jump model, got"
+                              f" jump_intensity {model.jump_intensity} and no bound_delta")
 
 
-def _require_bounded(model: LevyModel):
-    if not has_bounded_jumps(model):
-        raise HypothesisError(
-            "the moment batteries require a bounded-jump model"
-            " (construct the LevyModel with bound_delta)"
-        )
-
-
-def window_points(grid: TimeGrid, r: float, u: float) -> np.ndarray:
-    """Indices of the grid points strictly inside the window (r, u)."""
-    return np.flatnonzero((grid.points > r) & (grid.points < u))
-
-
-def modulus_window(T: float, w: float) -> tuple[float, float]:
-    """The window of size ``w`` centred on T/2 that ``metric_modulus_curve`` reads."""
-    return (T - w) / 2.0, (T + w) / 2.0
-
-
-def _window_indices(grid: TimeGrid, r: float, u: float) -> np.ndarray:
+def window_indices(grid: TimeGrid, r: float, u: float) -> np.ndarray:
+    """Indices of the grid points strictly inside the window (r, u); ParameterError
+    unless 0 <= r < u <= T and the window holds at least two of them."""
     if not (0.0 <= r < u <= grid.T):
-        raise ParameterError(f"window must satisfy 0 <= r < u <= T, got ({r}, {u})")
-    idx = window_points(grid, r, u)
+        raise ParameterError(f"window must satisfy 0 <= r < u <= T = {grid.T}, got ({r}, {u})")
+    idx = np.flatnonzero((grid.points > r) & (grid.points < u))
     if idx.size < 2:
-        raise ParameterError("window contains fewer than two grid points")
+        raise ParameterError(f"window ({r}, {u}) holds fewer than two points of the {grid.n_cells}-cell grid")
     return idx
+
+
+def modulus_windows(grid: TimeGrid, window_sizes) -> list:
+    """``(w, window_indices)`` of each metric modulus window, centred on T/2, the largest w
+    first; ParameterError unless the sizes are a nonempty list in (0, T]."""
+    sizes = sorted((float(w) for w in window_sizes), reverse=True)
+    if not sizes or sizes[0] > grid.T or sizes[-1] <= 0:
+        raise ParameterError(f"window sizes must be a nonempty list in (0, {grid.T}], got {window_sizes}")
+    return [(w, window_indices(grid, (grid.T - w) / 2.0, (grid.T + w) / 2.0)) for w in sizes]
 
 
 def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: float,
@@ -318,11 +311,10 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
     counts over those indices and, per trial and start index, whether some
     later pair increment leaves the delta-ball (for the tail-rate estimate).
     """
-    _require_bounded(model)
+    grid = TimeGrid.uniform(window[1], cells)
+    idx = window_indices(grid, *window)
+    require_bounded_jumps(model)
     group = model.space
-    r, u = window
-    grid = TimeGrid.uniform(u, cells)
-    idx = _window_indices(grid, r, u)
     prefixes = batch_prefixes(model, grid, seed, trials)
     j, k = np.triu_indices(idx.size, 1)
 
@@ -417,8 +409,7 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
 
 
 def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
-                   delta: float, trials: int, seed: int, cells: int = 64,
-                   min_exceedances: int = 10) -> dict:
+                   delta: float, trials: int, seed: int, cells: int = 64) -> dict:
     """Geometric tail of the windowed exponential moment.
 
     Exceedance probabilities are measured at thresholds
@@ -445,7 +436,7 @@ def tail_decay_fit(model: LevyModel, window: tuple[float, float], alpha: float,
             "se": binom_se(p_hat, trials),
         })
 
-    usable = [pt for pt in tail_points if pt["exceedances"] >= min_exceedances]
+    usable = [pt for pt in tail_points if pt["exceedances"] >= MIN_EXCEEDANCES]
     params = {"window": list(window), "alpha": alpha, "delta": delta,
               "jump_power": j_power, "n_cells": cells}
     if q_hat == 0.0 and all(pt["exceedances"] == 0 for pt in tail_points):
@@ -481,19 +472,14 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
     error allowed) and its final value must drop below a quarter of the
     first.
     """
-    _require_bounded(model)
+    require_bounded_jumps(model)
     group = model.space
-    if not has_gauge_metric(group):
-        raise ParameterError("the metric modulus battery needs the p=2 Heisenberg instance")
-    sizes = sorted((float(w) for w in window_sizes), reverse=True)
-    if not sizes or sizes[0] > T or sizes[-1] <= 0:
-        raise ParameterError(f"window sizes must lie in (0, T], got {window_sizes}")
-
+    require_gauge_metric(group)
     grid = TimeGrid.uniform(T, cells)
+    windows = modulus_windows(grid, window_sizes)
     prefixes = batch_prefixes(model, grid, seed, trials)
     values, ses = [], []
-    for w in sizes:
-        idx = _window_indices(grid, *modulus_window(T, w))
+    for _, idx in windows:
         j, k = np.triu_indices(idx.size, 1)
         sup_d = map_trial_chunks(prefixes[:, idx], lambda chunk: gauge_norm(
             group, group.pair_increment(chunk, j, k)).max(axis=1))
@@ -511,7 +497,7 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
         decayed = values[-1] < values[0] / 4.0
     passed = bool(not inversions and decayed)
     return _moment_report(
-        "metric_modulus", {"T": T, "alpha": alpha, "window_sizes": sizes, "n_cells": cells},
+        "metric_modulus", {"T": T, "alpha": alpha, "window_sizes": [w for w, _ in windows], "n_cells": cells},
         passed, trials, seed,
         estimate=values[-1],
         se=ses[-1],

@@ -183,22 +183,15 @@ class ChartSpec:
                 f"bracket_bound must be finite and nonnegative, got {self.bracket_bound}")
 
     def certify_bracket_bound(self, group, samples: int = 10**4, seed: int = 0) -> float:
-        """Check ``|[U,V]| <= C |U| |V|`` on random standard-normal pairs; return
-        the worst ratio.
-
-        Raises ParameterError if any sampled pair violates the bound.
-        """
+        """The worst ratio ``|[U,V]| / (C |U| |V|)`` over random standard-normal pairs,
+        inf for a pair with ``C |U| |V| = 0 < |[U,V]|``; above 1 a pair breaks the bound."""
         rng = substream(seed, "chart-certify")
         u = rng.standard_normal((samples, group.dim))
         v = rng.standard_normal((samples, group.dim))
         lhs = group.norm(group.bracket(u, v))
         rhs = self.bracket_bound * group.norm(u) * group.norm(v)
-        ratio = np.max(np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0))
-        if np.any(lhs > rhs * (1 + 1e-12)):
-            raise ParameterError(
-                f"bracket_bound {self.bracket_bound} violated: worst ratio {ratio:.6f}"
-            )
-        return float(ratio)
+        return float(np.max(np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0),
+                                      where=rhs > 0)))
 
 
 class _NilpotentGroup:

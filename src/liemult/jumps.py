@@ -96,8 +96,7 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     sample correlation of counts over the two half-time windows within
     3/sqrt(trials) of zero.
     """
-    if model.scale is not None:
-        raise ParameterError("the Poisson battery requires a stationary model")
+    require_stationary(model)
     group, T = model.space, grid.T
     counts = np.zeros(trials)
     first_half = np.zeros(trials)
@@ -157,10 +156,20 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     return report
 
 
+def require_stationary(model: LevyModel) -> None:
+    """Raise ParameterError unless ``model`` is stationary (no ``scale``), as the Poisson law needs."""
+    if model.scale is not None:
+        raise ParameterError("the Poisson battery requires a stationary model, got one with a scale")
+
+
 def lag_steps(grid: TimeGrid, h: float) -> int:
-    """Grid cells spanned by the lag ``h``; 0 unless h is a positive multiple of the mesh."""
+    """Grid cells spanned by the lag ``h``; ParameterError unless h in (0, T) is a multiple of the mesh."""
+    if not 0 < h < grid.T:
+        raise ParameterError(f"h must lie in (0, T) = (0, {grid.T}), got {h}")
     steps = int(round(h / grid.mesh))
-    return steps if steps >= 1 and abs(steps * grid.mesh - h) <= 1e-9 * grid.T else 0
+    if steps < 1 or abs(steps * grid.mesh - h) > 1e-9 * grid.T:
+        raise ParameterError(f"h must be a multiple of the grid mesh {grid.mesh}, got {h}")
+    return steps
 
 
 def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
@@ -177,12 +186,7 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     only up to the last grid index the trial reads; the prefix recursion runs
     left to right, so those rows equal the rows of the full path.
     """
-    if not (0 < h < grid.T):
-        raise ParameterError(f"h must lie in (0, T), got {h}")
-    group = model.space
-    steps = lag_steps(grid, h)
-    if not steps:
-        raise ParameterError("h must be a positive multiple of the (uniform) grid mesh")
+    group, steps = model.space, lag_steps(grid, h)
 
     half = trials // 2
     post_hit, fixed = [], []

@@ -83,11 +83,16 @@ class MultiplicativePath:
         The cached prefix is left untouched, so the returned path is
         inconsistent on purpose and must fail verification.
         """
-        if not (0 <= k < self.n_cells):
-            raise InvalidInputError(f"k must lie in 0..{self.n_cells - 1}, got {k}")
+        require_cell(self.grid, k)
         cells = self.cell_increments.copy()
         cells[k] = self.group.mul(cells[k], offset)
         return MultiplicativePath(self.group, self.grid, cells, self.prefix)
+
+
+def require_cell(grid: TimeGrid, k: int) -> None:
+    """Raise ParameterError unless ``k`` indexes a cell of ``grid``, as ``with_corrupted_cell`` needs."""
+    if not 0 <= k < grid.n_cells:
+        raise ParameterError(f"cell must lie in 0..{grid.n_cells - 1}, got {k}")
 
 
 def product_exponential(path: AdditivePath) -> MultiplicativePath:

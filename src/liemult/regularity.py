@@ -83,6 +83,12 @@ def exhaustive_count_reference(outside: np.ndarray) -> int:
     return best
 
 
+def require_two_cells(grid: TimeGrid) -> None:
+    """Raise ParameterError unless ``grid`` has the 2 cells that the concatenation check cuts."""
+    if grid.n_cells < 2:
+        raise ParameterError(f"the concatenation check needs a grid of at least 2 cells, got {grid.n_cells}")
+
+
 def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, paths: int,
                             cases: int, seed: int) -> dict:
     """Structural properties of the oscillation counter on random instances.
@@ -93,9 +99,8 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     counts along exhaustive enumerations, and the +1 concatenation bound for
     windows in increasing position.
     """
+    require_two_cells(grid)
     n = grid.n_cells
-    if n < 2:
-        raise ParameterError(f"the concatenation check needs a grid of at least 2 cells, got {n}")
     group = _require_group_model(model)
     group.require_chart_radius(delta)
     rng = substream(seed, "oscillation-axioms")

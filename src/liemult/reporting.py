@@ -17,7 +17,7 @@ __all__ = ["jsonable", "dump_json", "write_csv"]
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays (NaN to None) for json."""
+    """Recursively convert numpy scalars/arrays (NaN and +-inf to None) for strict json."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -30,9 +30,7 @@ def jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
-        if np.isnan(value):
-            return None
-        return value
+        return value if np.isfinite(value) else None
     return obj
 
 

@@ -108,6 +108,35 @@ class TestSampling:
                               jump_law=DiscreteJumps(atom * (1.0 + 1e-9), [1.0]),
                               bound_delta=c)
 
+    @pytest.mark.filterwarnings("error")    # no overflow on the way to a verdict
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("c", [1e-20, 1e-100, 1e-300])
+    def test_bound_delta_holds_at_tiny_scales(self, p, c):
+        # measured in units of bound_delta, a tiny atom's norm neither underflows
+        # (2e-300 was accepted at bound_delta 1e-300) nor carries the p-th root's
+        # round-off of a tiny norm (1e-20 was rejected at bound_delta 1e-20)
+        for space in (LpSpace(2, p), UnipotentGroup(3)):
+            for atom in (c * np.eye(space.dim)[0], -c * np.eye(space.dim)[-1]):
+                LevyModel(space=space, jump_intensity=1.0,
+                          jump_law=DiscreteJumps([atom], [1.0]), bound_delta=c)
+                # 2c, and an atom 1e10 times c whose quotient by 1e-310 overflows
+                for big, bound in ((2 * atom, c), (atom / c, c * 1e-10)):
+                    with pytest.raises(ParameterError, match="exceeds bound_delta"):
+                        LevyModel(space=space, jump_intensity=1.0,
+                                  jump_law=DiscreteJumps([big], [1.0]), bound_delta=bound)
+            with pytest.raises(ParameterError, match="exceeds bound_delta"):
+                LevyModel(space=space, jump_intensity=1.0, jump_law=UniformBallJumps(2 * c),
+                          bound_delta=c)
+
+    def test_zero_bound_delta_accepts_only_zero_atoms(self):
+        space = LpSpace(2, 3.0)
+        LevyModel(space=space, jump_intensity=1.0,
+                  jump_law=DiscreteJumps([[0.0, 0.0]], [1.0]), bound_delta=0.0)
+        for law in (DiscreteJumps([[0.0, 0.0], [0.0, 1e-300]], [0.5, 0.5]),
+                    UniformBallJumps(1e-300)):
+            with pytest.raises(ParameterError, match="exceeds bound_delta"):
+                LevyModel(space=space, jump_intensity=1.0, jump_law=law, bound_delta=0.0)
+
     def test_discrete_law_probabilities(self, heis2, grid):
         with pytest.raises(ParameterError):
             DiscreteJumps(np.zeros((2, 5)), [0.5, 0.6])

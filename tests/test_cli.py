@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from liemult import cli, config, geometry, jumps, regularity
+from liemult import cli, config, experiments, geometry, jumps, multiplicative, regularity
 from liemult.cli import main
 from liemult.config import default_config, load_config, read_config, validate_config
-from liemult.errors import ConfigError
-from liemult.experiments import EXPERIMENTS, catalog, run_experiment
+from liemult.errors import ConfigError, HypothesisError, ParameterError
+from liemult.experiments import EXPERIMENTS, catalog, resolve_params, run_experiment
 
 NAN, INF = float("nan"), float("inf")    # written to a config as NaN and Infinity
 
@@ -347,6 +347,43 @@ class TestRun:
         assert code == 3
         assert "bch-consistency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rho_prime, rho_double_prime", [(1e6, 2.5e5), (0.25, 0.2)])
+    def test_violated_bracket_bound_fails_chart_certification(self, tmp_path, rho_prime,
+                                                              rho_double_prime):
+        # the bracket bound is the battery's own assertion: a sampled violation is a
+        # failed verdict (exit 1), also where the ball-power radius leaves the chart
+        chart = {"rho_prime": rho_prime, "rho_double_prime": rho_double_prime,
+                 "bracket_bound": 0.1}
+        cfg = {"schema_version": 1, "group": {"kind": "heisenberg", "N": 2, "chart": chart},
+               "grids": {}, "models": {},
+               "experiments": [{"name": "chart-certification", "seed": 1,
+                                "params": {"delta": 0.1, "power": 3, "products": 2000}}]}
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        assert code == 1
+        report = json.loads((tmp_path / "o" / "00_chart-certification.json").read_text())
+        assert report["status"] == "fail" and report["bracket_bound_worst_ratio"] > 1.0
+        assert (report["certified_radius"] is None) == (rho_prime < 1.0)
+
+    def test_zero_bracket_bound_report_is_strict_json(self, tmp_path):
+        # C = 0 makes the worst ratio infinite; the report writes it as null, not the
+        # non-standard token Infinity
+        chart = {"rho_prime": 1e6, "rho_double_prime": 2.5e5, "bracket_bound": 0.0}
+        cfg = {"schema_version": 1, "group": {"kind": "heisenberg", "N": 2, "chart": chart},
+               "grids": {}, "models": {},
+               "experiments": [{"name": "chart-certification", "seed": 1,
+                                "params": {"delta": 0.1, "power": 3, "products": 2000}}]}
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        for path in (tmp_path / "o").glob("*.json"):
+            report = json.loads(path.read_text(), parse_constant=reject)
+            if path.name == "00_chart-certification.json":
+                assert report["status"] == "fail"
+                assert report["bracket_bound_worst_ratio"] is None
+
     def test_runtime_error_keeps_other_reports(self, tmp_path, capsys):
         # the degree-3 BCH series on a step-5 group is a runtime error by design
         cfg = {"schema_version": 1, "group": {"kind": "unipotent", "n": 6}, "grids": {},
@@ -581,8 +618,10 @@ class TestValidation:
         assert started == []
 
     @pytest.mark.parametrize("name, model, expected", [
-        ("poisson-battery", "cp_nonstat", "a stationary model"),
-        *((name, "brownian_jump", "a bounded-jump model")
+        ("poisson-battery", "cp_nonstat",
+         "the Poisson battery requires a stationary model, got one with a scale"),
+        *((name, "brownian_jump", "the moment batteries require a bounded-jump model,"
+                                  " got jump_intensity 2.0 and no bound_delta")
           for name in ("exp-moment", "tail-decay", "metric-modulus")),
     ])
     def test_model_outside_the_battery_hypothesis_exits_two(self, tmp_path, capsys, monkeypatch,
@@ -594,17 +633,19 @@ class TestValidation:
         cfg["experiments"][0]["params"]["model"] = model
         code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert (f"config error: config.experiments[0].params.model: expected {expected},"
-                f' got "{model}"\n') in capsys.readouterr().err
+        assert (f"config error: config.experiments[0].params.model: {expected}\n"
+                in capsys.readouterr().err)
         assert started == []
 
-    @pytest.mark.parametrize("group, name, field", [
-        ({"kind": "unipotent", "n": 4}, "gauge-metric", "name"),
-        ({"kind": "heisenberg", "N": 2, "p": 3.0}, "gauge-metric", "name"),
-        ({"kind": "heisenberg", "N": 2, "p": 3.0}, "metric-modulus", "params.model"),
+    @pytest.mark.parametrize("group, name, field, built", [
+        ({"kind": "unipotent", "n": 4}, "gauge-metric", "name", "UnipotentGroup(n=4)"),
+        ({"kind": "heisenberg", "N": 2, "p": 3.0}, "gauge-metric", "name",
+         "HeisenbergGroup(N=2, p=3.0)"),
+        ({"kind": "heisenberg", "N": 2, "p": 3.0}, "metric-modulus", "params.model",
+         "HeisenbergGroup(N=2, p=3.0)"),
     ])
     def test_gauge_battery_off_the_p_two_group_exits_two(self, tmp_path, capsys, monkeypatch,
-                                                         group, name, field):
+                                                         group, name, field, built):
         # gauge-metric has no parameter that names the group, so its name is at fault
         started = []
         monkeypatch.setattr(cli, "_execute_entry", lambda *args: started.append(args))
@@ -616,12 +657,8 @@ class TestValidation:
                                {"name": name, "seed": 2, "params": params}]}
         code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
         assert code == 2
-        expected = ({"name": "expected an experiment the group supports, got 'gauge-metric'"
-                             " (it needs the p = 2 Heisenberg group)",
-                     "params.model": 'expected a model on the p = 2 Heisenberg group,'
-                                     ' got "still"'}[field])
-        assert (f"config error: config.experiments[1].{field}: {expected}\n"
-                in capsys.readouterr().err)
+        assert (f"config error: config.experiments[1].{field}: the gauge metric needs"
+                f" the p = 2 Heisenberg group, got {built}\n" in capsys.readouterr().err)
         assert started == []
 
     def test_additive_determinism_accepts_a_block_model(self):
@@ -694,12 +731,13 @@ class TestValidation:
         (lambda cfg: cfg["experiments"].append(
             {"name": "cocycle-fault-injection", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "cell": 8}}),
-         "config.experiments[2].params.cell", "below n_cells, got 8 with n_cells = 8"),
+         "config.experiments[2].params.cell", "cell must lie in 0..7, got 8"),
         (lambda cfg: (cfg["grids"].update(g1={"T": 1.0, "cells": 1}),
                       cfg["experiments"].append(
                           {"name": "oscillation-axioms", "seed": 3,
                            "params": {"model": "noisy", "grid": "g1", "delta": 0.25}})),
-         "config.experiments[2].params.grid", 'at least 2 cells, got "g1" with n_cells = 1'),
+         "config.experiments[2].params.grid",
+         "the concatenation check needs a grid of at least 2 cells, got 1"),
         # enumerated strings
         (lambda cfg: cfg["experiments"].append(
             {"name": "restart-probe", "seed": 3,
@@ -736,38 +774,40 @@ class TestValidation:
         (lambda cfg: cfg["experiments"].append(
             {"name": "restart-probe", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 1.0}}),
-         "config.experiments[2].params.h", "a lag below T, got 1.0 with n_cells = 8, T = 1.0"),
+         "config.experiments[2].params.h", "h must lie in (0, T) = (0, 1.0), got 1.0"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "metric-modulus", "seed": 3,
              "params": {"model": "noisy", "T": 1.0, "alpha": 0.5, "window_sizes": []}}),
          "config.experiments[2].params.window_sizes",
-         "a nonempty list of sizes in (0, T], got []"),
+         "window sizes must be a nonempty list in (0, 1.0], got []"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "exp-moment", "seed": 3,
              "params": {"model": "noisy", "r": 0.9, "u": 0.2, "alpha": 0.5, "delta": 0.5}}),
-         "config.experiments[2].params.r", "a window start below u, got 0.9"),
+         "config.experiments[2].params.r",
+         "window must satisfy 0 <= r < u <= T = 0.2, got (0.9, 0.2)"),
         # windows and lags counted on the battery's grid
         (lambda cfg: cfg["experiments"].append(
             {"name": "exp-moment", "seed": 3,
              "params": {"model": "noisy", "r": 0.9, "u": 1.0, "alpha": 0.5, "delta": 0.5,
                         "cells": 4}}),
-         "config.experiments[2].params.r", "two grid points in (r, u), got 0.9"),
+         "config.experiments[2].params.r",
+         "window (0.9, 1.0) holds fewer than two points of the 4-cell grid"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "tail-decay", "seed": 3,
              "params": {"model": "noisy", "r": 0.9, "u": 1.0, "alpha": 0.5, "delta": 0.5,
                         "cells": 4}}),
-         "config.experiments[2].params.r", "two grid points in (r, u), got 0.9"),
+         "config.experiments[2].params.r",
+         "window (0.9, 1.0) holds fewer than two points of the 4-cell grid"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "metric-modulus", "seed": 3,
              "params": {"model": "noisy", "T": 1.0, "alpha": 0.5, "window_sizes": [0.01],
                         "cells": 8}}),
          "config.experiments[2].params.window_sizes",
-         "sizes whose windows hold two grid points, got [0.01]"),
+         "window (0.495, 0.505) holds fewer than two points of the 8-cell grid"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "restart-probe", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": 0.3}}),
-         "config.experiments[2].params.h",
-         "a multiple of the mesh, got 0.3 with n_cells = 8, T = 1.0"),
+         "config.experiments[2].params.h", "h must be a multiple of the grid mesh 0.125, got 0.3"),
         # JSON booleans where a number is expected (isinstance(True, int) holds)
         (lambda cfg: cfg["experiments"][0].update(seed=True),
          "config.experiments[0].seed", "a boolean is allowed only in a boolean field, got true"),
@@ -1051,6 +1091,87 @@ class TestBatteryRows:
         if name in ("exp-moment", "tail-decay"):
             assert calls[0][1] == (0.25, 1.0)
         assert len(list(tmp_path.iterdir())) == (1 if fields else 0)
+
+
+HEIS_P2, HEIS_P3 = {"kind": "heisenberg", "N": 2, "p": 2.0}, {"kind": "heisenberg", "N": 2, "p": 3.0}
+WINDOW = {"alpha": 0.5, "delta": 0.5}
+# one entry per battery precondition that validation runs: (group, experiment, its
+# params on joint_config, the field the check names); every _JOINT_BOUNDS row has one
+JOINT_CASES = [
+    (HEIS_P2, "cocycle-fault-injection", {"model": "noisy", "grid": "g8", "cell": 8},
+     "params.cell"),
+    (HEIS_P2, "oscillation-axioms", {"model": "noisy", "grid": "g1", "delta": 0.25},
+     "params.grid"),
+    (HEIS_P2, "poisson-battery", {"model": "scaled", "grid": "g8", "epsilon": 0.1},
+     "params.model"),
+    *((HEIS_P2, "restart-probe", {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": h},
+       "params.h") for h in (1.0, 0.3)),
+    *((HEIS_P2, name, {"model": model, "r": r, "u": u, "cells": cells, **WINDOW}, field)
+      for name in ("exp-moment", "tail-decay")
+      for model, r, u, cells, field in (("noisy", 0.9, 0.2, 64, "params.r"),
+                                        ("noisy", 0.9, 1.0, 4, "params.r"),
+                                        ("jumpy", 0.25, 1.0, 64, "params.model"))),
+    *((group, "metric-modulus", {"model": model, "T": 1.0, "alpha": 0.5, "window_sizes": sizes,
+                                 "cells": 8}, field)
+      for group, model, sizes, field in ((HEIS_P2, "jumpy", [0.5], "params.model"),
+                                         (HEIS_P3, "noisy", [0.5], "params.model"),
+                                         (HEIS_P2, "noisy", [], "params.window_sizes"),
+                                         (HEIS_P2, "noisy", [0.5, 1.5], "params.window_sizes"),
+                                         (HEIS_P2, "noisy", [0.5, 0.01], "params.window_sizes"))),
+    (HEIS_P3, "gauge-metric", {"samples": 10}, "name"),
+    ({"kind": "unipotent", "n": 4}, "gauge-metric", {"samples": 10}, "name"),
+]
+
+
+def joint_config(group, entries):
+    return {"schema_version": 1, "group": group,
+            "grids": {"g8": {"T": 1.0, "cells": 8}, "g1": {"T": 1.0, "cells": 1}},
+            "models": {"noisy": {"diffusion": 0.2},
+                       "scaled": {"diffusion": 0.2,
+                                  "scale": {"breaks": [0.0, 0.5], "rates": [1.0, 2.0]}},
+                       "jumpy": {"jump_intensity": 2.0,
+                                 "jump_law": {"kind": "uniform_ball", "radius": 0.3}}},
+            "experiments": entries}
+
+
+class TestJointChecks:
+    @pytest.mark.parametrize("group, name, params, field", JOINT_CASES,
+                             ids=[f"{name}-{field}" for _, name, _, field in JOINT_CASES])
+    def test_validation_prints_the_battery_own_message(self, tmp_path, capsys, monkeypatch,
+                                                       group, name, params, field):
+        # validation exits 2 with the message of the battery's own check, and the
+        # battery, called on the same values with validation's checks off, raises
+        # that message before it draws a path
+        cfg = joint_config(group, [{"name": name, "seed": 1, "params": params}])
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        prefix = f"config error: config.experiments[0].{field}: "
+        assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+        message = err[len(prefix):-1]
+
+        def no_path(*args):
+            raise AssertionError("a path was drawn before the check")
+
+        for module in (experiments, jumps, geometry, regularity, multiplicative):
+            for binding in ("driver_paths", "batch_prefixes"):
+                if hasattr(module, binding):
+                    monkeypatch.setattr(module, binding, no_path)
+        ctx = validate_config(joint_config(group, [{"name": "group-axioms", "seed": 1}]))
+        monkeypatch.setattr(experiments, "_checked", lambda *args: None)
+        _, resolved = resolve_params(name, params, "params", ctx)
+        with pytest.raises((ParameterError, HypothesisError)) as exc:
+            EXPERIMENTS[name].runner(ctx, resolved, 1)
+        assert str(exc.value) == message
+
+    def test_every_check_row_has_a_case(self):
+        rows = {(name, f"params.{key}") for name, checks in experiments._JOINT_BOUNDS.items()
+                for key, _ in checks}
+        assert rows <= {(name, field) for _, name, _, field in JOINT_CASES}
+        # a row calls a check of a battery module, never one of experiments
+        for checks in experiments._JOINT_BOUNDS.values():
+            for _, check in checks:
+                assert not set(check.__code__.co_names) & set(vars(experiments)) - {
+                    "geometry", "jumps", "multiplicative", "regularity", "TimeGrid"}
 
 
 # a fresh interpreter: start up and a non-KS experiment, then the two KS helpers

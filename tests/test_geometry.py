@@ -12,6 +12,7 @@ from liemult import (DiscreteJumps, HeisenbergGroup, HypothesisError, LevyModel,
                      gauge_norm, mc_expectation_bound, mc_largest_step,
                      metric_modulus_curve, minimal_jump_power, step_count_upper,
                      step_counts_batch, step_triangle_test, tail_decay_fit)
+from liemult import geometry
 from liemult.multiplicative import TRIAL_CHUNK
 from liemult.reporting import jsonable
 from liemult.rng import substream
@@ -299,16 +300,16 @@ class TestTailDecay:
         assert rep["fitted_slope"] <= np.log(rep["q_hat"]) + 0.1
         assert rep["params"]["jump_power"] == 1
 
-    def test_quadrupling_trials_halves_slope_se(self, heis2):
+    def test_quadrupling_trials_halves_slope_se(self, heis2, monkeypatch):
         # the exceedance floor scales with the trial count so both runs keep
         # the same usable-level policy and the binomial slope SE is comparable
         model = LevyModel(space=heis2, jump_intensity=2.0,
                           jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]),
                           bound_delta=0.4)
-        small = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 800, 3,
-                               min_exceedances=10)
-        big = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 3200, 3,
-                             min_exceedances=40)
+        monkeypatch.setattr(geometry, "MIN_EXCEEDANCES", 10)
+        small = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 800, 3)
+        monkeypatch.setattr(geometry, "MIN_EXCEEDANCES", 40)
+        big = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 3200, 3)
         ratio = big["diagnostics"]["slope_se"] / small["diagnostics"]["slope_se"]
         assert 0.3 <= ratio <= 0.7
 
@@ -361,13 +362,14 @@ class TestUnipotentBatteriesPinned:
     }
 
     @pytest.mark.parametrize("battery", sorted(DIGESTS))
-    def test_report_digest(self, battery):
+    def test_report_digest(self, battery, monkeypatch):
         assert self.TRIALS % TRIAL_CHUNK != 0
         group = UnipotentGroup(4)
         model = LevyModel(space=group, diffusion=0.03, jump_intensity=2.0,
                           jump_law=UniformBallJumps(0.05), bound_delta=0.05)
         grid = TimeGrid.uniform(1.0, 16)
         window = (0.25, 1.0)
+        monkeypatch.setattr(geometry, "MIN_EXCEEDANCES", 5)   # the tail fit's floor at 150 trials
         rep = {
             "expectation_bound": lambda: mc_expectation_bound(
                 model, grid, self.DELTA, self.TRIALS, self.SEED),
@@ -376,8 +378,7 @@ class TestUnipotentBatteriesPinned:
             "exp_moment": lambda: exp_moment_estimate(
                 model, window, ALPHA, self.DELTA, self.TRIALS, self.SEED, cells=8),
             "tail_decay": lambda: tail_decay_fit(
-                model, window, ALPHA, self.DELTA, self.TRIALS, self.SEED, cells=8,
-                min_exceedances=5),
+                model, window, ALPHA, self.DELTA, self.TRIALS, self.SEED, cells=8),
         }[battery]()
         data = json.dumps(jsonable(rep), sort_keys=True).encode()
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[battery]

@@ -411,8 +411,10 @@ class TestChartMachinery:
 
     def test_bracket_bound_violation_detected(self, heis2):
         bad = ChartSpec(rho_prime=1e6, rho_double_prime=10.0, bracket_bound=0.01)
-        with pytest.raises(ParameterError):
-            bad.certify_bracket_bound(heis2, samples=2000, seed=0)
+        assert bad.certify_bracket_bound(heis2, samples=2000, seed=0) > 1.0
+        # a pair with C |U| |V| = 0 < |[U,V]| is a violation, of infinite ratio
+        zero = ChartSpec(rho_prime=1e6, rho_double_prime=10.0, bracket_bound=0.0)
+        assert zero.certify_bracket_bound(heis2, samples=2000, seed=0) == np.inf
 
 
 class TestHeisenbergBlockKernel:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import liemult
 from liemult.config import _LAWS
-from liemult.experiments import EXPERIMENTS
+from liemult.experiments import _JOINT_BOUNDS, EXPERIMENTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 MODULES = {info.name for info in pkgutil.iter_modules(liemult.__path__)}
@@ -23,6 +23,11 @@ def test_library_quick_start_runs(capsys):
 def test_listed_jump_laws_are_the_config_kinds():
     listed = re.search(r"Jump\s+laws:([^.]*)\.", README).group(1)
     assert re.findall(r"`(\w+)`", listed) == list(_LAWS)
+
+
+def test_listed_joint_checks_are_the_check_table():
+    listed = re.search(r"experiments that carry a\s+joint check are([^.]*)\.", README).group(1)
+    assert re.findall(r"`([\w-]+)`", listed) == list(_JOINT_BOUNDS)
 
 
 def test_listed_delta_radii_are_the_catalog_bounds():

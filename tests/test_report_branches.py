@@ -8,6 +8,7 @@ dropped key, or a changed value, shows up here.
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from liemult import (ChartSpec, HeisenbergGroup, JumpSetSpec, LevyModel, TimeGri
                      metric_modulus_curve, poisson_battery, product_exponential,
                      sample_additive, tail_decay_fit, uniform_continuity_probe,
                      verify_multiplicative)
+from liemult import geometry
 from liemult.config import build_context, default_config
 from liemult.reporting import jsonable
 
@@ -27,6 +29,12 @@ HOT = LevyModel(space=HEIS, diffusion=50.0)                  # every increment l
 SMALL_CHART = UnipotentGroup(4, chart=ChartSpec(0.3, 0.2, 2.0))
 DEFAULT = build_context(default_config())
 MODELS, GRIDS = DEFAULT["models"], DEFAULT["grids"]
+
+
+def _with_min_exceedances(count, build):
+    """``build()`` with the tail fit's exceedance floor ``geometry.MIN_EXCEEDANCES`` at ``count``."""
+    with mock.patch.object(geometry, "MIN_EXCEEDANCES", count):
+        return build()
 
 
 def _default_cocycle():
@@ -66,8 +74,8 @@ CASES = {
         ("notes", {"degenerate": "no exceedances at any level"}),
         "a6b34c8d08dc94428347fa2f126c757f484e4205e236b674c72ef08d41939c29"),
     "tail-decay-inconclusive": (
-        lambda: tail_decay_fit(MODELS["tail_model"], (0.25, 1.0), 0.5, 0.5, 200, 0,
-                               min_exceedances=10**6),
+        lambda: _with_min_exceedances(10**6, lambda: tail_decay_fit(
+            MODELS["tail_model"], (0.25, 1.0), 0.5, 0.5, 200, 0)),
         ("notes", {"inconclusive": "fewer than two usable exceedance levels"}),
         "280be963c14b694c41e7f7a4509a543d7361b2654670b2870aabb6a55d930a9d"),
     "metric-modulus-all-zero": (
