@@ -20,10 +20,10 @@ from .geometry import (StepCountResult, bounded_jumps_check, exp_moment_estimate
                        step_count_upper, step_counts_batch, step_triangle_test,
                        tail_decay_fit)
 from .groups import ChartSpec, HeisenbergGroup, LpSpace, UnipotentGroup, sample_norm_ball
-from .jumps import (JumpSetSpec, detector_fidelity, hitting_cells, poisson_battery,
-                    restart_probe)
+from .jumps import JumpSetSpec, detector_fidelity, poisson_battery, restart_probe
 from .multiplicative import (MultiplicativePath, batch_prefixes, convergence_study,
-                             heisenberg_exact, product_exponential, verify_multiplicative)
+                             heisenberg_exact, product_exponential, right_limit_defects,
+                             verify_multiplicative)
 from .regularity import (exhaustive_count_reference, mc_expectation_bound, mc_largest_step,
                          mc_maximum_oscillation, oscillation_axioms_test,
                          oscillation_counts_from_outside, uniform_continuity_probe)

@@ -94,8 +94,9 @@ def _at(path: str):
         raise
     except KeyError as exc:
         raise ConfigError(path, f"missing required key {exc}") from exc
-    # ParameterError, InvalidInputError, bad casts, and integers too large for a float
-    except (ValueError, TypeError, OverflowError) as exc:
+    # ParameterError, InvalidInputError, bad casts, integers too large for a float,
+    # and a grid too large to allocate
+    except (ValueError, TypeError, OverflowError, MemoryError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -207,13 +208,16 @@ def build_context(cfg: dict) -> dict:
 
 def read_config(path: str | Path) -> dict:
     """Parse a JSON config file without validating it; a syntax error raises a
-    ``ConfigError`` at ``path:line:col``, an unreadable or non-UTF-8 file one at ``path``."""
+    ``ConfigError`` at ``path:line:col``, an unreadable or non-UTF-8 file, or one that
+    ``json`` cannot turn into values, one at ``path``."""
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    # a ValueError is a non-UTF-8 byte or an integer past int's digit limit, and a
+    # RecursionError nesting past the parser's limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(str(path), getattr(exc, "strerror", None) or str(exc)) from exc
 
 

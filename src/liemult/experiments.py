@@ -16,10 +16,11 @@ True, False or None (inconclusive).  ``_residuals(label, draws, residuals)``
 makes the runner of a row of the residual-check table: it draws ``draws``
 batches of scaled vectors from the substream ``label`` and reports the
 largest norm of each named residual against ``tol``.  Every other runner is
-plain code; a battery row calls its battery through the battery's module, as
-in ``regularity.mc_largest_step(...)``, so a wrapper on the module binding (a
-profiling span) sees each call, and ``_passes(report)`` reads the verdict from
-a report that carries its own ``pass``.
+plain code that calls its battery through the battery's module, as in
+``multiplicative.right_limit_defects(...)``, so a wrapper on the module binding
+(a profiling span) sees each call; the battery owns its trial loop and the
+runner only its gate, and ``_passes(report)`` reads the verdict from a report
+that carries its own ``pass``.
 ``resolve_params`` merges the parameters over their defaults, checks their
 bounds, resolves ``model*`` and ``grid`` names and runs the batteries' own
 checks in ``_JOINT_BOUNDS``, for ``validate_config`` and ``run_experiment``
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -149,16 +150,20 @@ def _run_cocycle(ctx, params, seed):
 
 
 def _run_cocycle_fault(ctx, params, seed):
-    multiplicative.require_cell(params["grid"], params["cell"])   # before the path is drawn
+    cell = params["cell"]
+    multiplicative.require_cell(params["grid"], cell)   # before the path is drawn
     path = product_exponential(next(driver_paths(params["model"], params["grid"], seed, 1)))
     offset = path.group.exp(substream(seed, "fault").standard_normal(path.group.dim))
-    bad = path.with_corrupted_cell(params["cell"], offset)
-    rep = verify_multiplicative(bad, samples=params["triples"], tol=params["tol"], seed=seed)
+    # the cell translated by the offset under the cached prefix: inconsistent on purpose
+    cells = path.cell_increments.copy()
+    cells[cell] = path.group.mul(cells[cell], offset)
+    rep = verify_multiplicative(replace(path, cell_increments=cells),
+                                samples=params["triples"], tol=params["tol"], seed=seed)
     # a negative control passes when the verification fails and its worst
     # triple (j, k, l) spans the corrupted cell: j <= cell < l
     j, _, l = rep["argmax_triple"]
-    verdict = not rep["pass"] and j <= params["cell"] < l
-    rep.update(corrupted_cell=params["cell"], negative_control=True)
+    verdict = not rep["pass"] and j <= cell < l
+    rep.update(corrupted_cell=cell, negative_control=True)
     return rep, verdict
 
 
@@ -184,22 +189,10 @@ def _run_convergence(ctx, params, seed):
 
 
 def _run_right_limit(ctx, params, seed):
-    group, grid = ctx["group"], params["grid"]
-    probes = np.linspace(0.0, grid.T, params["probe_points"] + 2)[1:-1]
-    levels = params["refinements"]
-    defects = [[] for _ in range(levels)]
-    for trial, driver in enumerate(driver_paths(params["model"], grid, seed, params["trials"])):
-        # one refinement chain per trial: level L compares chain[L] with chain[L + 1]
-        coarse_path = product_exponential(driver)
-        for level in range(levels):
-            driver = driver.refine(seed, stream=(trial, "rl", level))
-            fine_path = product_exponential(driver)
-            for t in probes:
-                a = coarse_path.evaluate_right_limit(float(t))
-                b = fine_path.evaluate_right_limit(float(t))
-                defects[level].append(float(group.norm(group.log(a) - group.log(b))))
-            coarse_path = fine_path
-    medians = [float(np.median(d)) for d in defects]
+    defects = multiplicative.right_limit_defects(
+        params["model"], params["grid"], params["trials"], params["refinements"],
+        params["probe_points"], seed)
+    medians = [float(np.median(level)) for level in defects]
     decreasing = all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
     return {"median_defects_per_level": medians}, decreasing and medians[-1] <= medians[0]
 

@@ -23,7 +23,7 @@ import numpy as np
 from .additive import LevyModel, TimeGrid
 from .errors import HypothesisError, InvalidInputError, ParameterError
 from .groups import HeisenbergGroup, UnipotentGroup, lp_norm, sample_scaled_vectors
-from .multiplicative import batch_prefixes, map_trial_chunks
+from .multiplicative import batch_prefixes, map_trial_chunks, require_group
 from .rng import substream
 from .stats import binom_se, fit_slope, mean_se
 
@@ -253,9 +253,9 @@ def gauge_distance(group: HeisenbergGroup, g: np.ndarray, h: np.ndarray) -> np.n
 def minimal_jump_power(model: LevyModel, delta: float, seed: int = 0) -> int:
     """Smallest certified n with all jump-law group increments in the
     delta-ball power n (0 for jump-free models)."""
+    group = require_group(model)
     if model.jump_intensity == 0 or model.jump_law is None:
         return 0
-    group = model.space
     points = model.jump_law.extreme_points(group, substream(seed, "jump-extremes"))
     uppers = [step_count_upper(group, group.exp(v), delta).upper for v in points]
     return int(max(uppers))
@@ -314,7 +314,7 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
     grid = TimeGrid.uniform(window[1], cells)
     idx = window_indices(grid, *window)
     require_bounded_jumps(model)
-    group = model.space
+    group = require_group(model)
     prefixes = batch_prefixes(model, grid, seed, trials)
     j, k = np.triu_indices(idx.size, 1)
 

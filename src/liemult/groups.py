@@ -92,9 +92,10 @@ def column_lp_norm(columns, n: int, p: float) -> np.ndarray:
     """l^p norm of ``n`` coordinate columns, as ``lp_norm`` of them stacked."""
     if p == 2.0:
         return np.sqrt(coordinate_sum((c * c for c in columns), n))
-    # np.power, not **: a 0-d column is a numpy scalar, whose ** is libm's pow
-    # rather than the ufunc loop the stacked array would use
-    return coordinate_sum((np.power(np.abs(c), p) for c in columns), n) ** (1.0 / p)
+    # np.power, not **: a 0-d column or sum is a numpy scalar, whose ** is libm's
+    # pow rather than the ufunc loop of an array, so one element's norm would not
+    # be the bits of its row in a batch
+    return np.power(coordinate_sum((np.power(np.abs(c), p) for c in columns), n), 1.0 / p)
 
 
 def sample_norm_ball(rng: np.random.Generator, space, radius: float, size: int) -> np.ndarray:

@@ -16,12 +16,11 @@ import numpy as np
 
 from .additive import LevyModel, TimeGrid, driver_paths, sample_additive
 from .errors import ParameterError
-from .multiplicative import MultiplicativePath, product_exponential
+from .multiplicative import product_exponential, require_group
 from .stats import SLACK_MULTIPLIER, batched_ks_exponential, batched_ks_two_sample
 
 __all__ = [
     "JumpSetSpec",
-    "hitting_cells",
     "detector_fidelity",
     "poisson_battery",
     "restart_probe",
@@ -35,22 +34,18 @@ class JumpSetSpec:
     """Threshold jump set: elements with chart norm at least epsilon.
 
     By construction the set is disjoint from the epsilon-ball around the
-    identity; log-undefined elements count as members.
+    identity; an element whose chart norm is NaN is not a member.
     """
 
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
 
-    def contains(self, group, elements: np.ndarray) -> np.ndarray:
-        return group.chart_norm(elements) >= self.epsilon
-
-
-def hitting_cells(path: MultiplicativePath, jump_set: JumpSetSpec) -> np.ndarray:
-    """Indices of grid cells whose increment lands in the jump set."""
-    return np.flatnonzero(jump_set.contains(path.group, path.cell_increments))
+    def hits(self, group, cells: np.ndarray) -> np.ndarray:
+        """Indices of the cell increments ``cells`` (n, d) that land in the set."""
+        return np.flatnonzero(group.chart_norm(cells) >= self.epsilon)
 
 
 def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
@@ -65,11 +60,11 @@ def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     also lists every detection as a ``(trial, n, tau)`` row under
     ``hitting_times``.
     """
-    group = model.space
+    group = require_group(model)
     precisions, recalls, scored, rows = [], [], 0, []
     for trial in range(trials):
         driver = sample_additive(model, grid, seed, stream=(trial,))
-        detected = hitting_cells(product_exponential(driver), jump_set)
+        detected = jump_set.hits(group, product_exponential(driver).cell_increments)
         big = driver.jump_times[group.norm(driver.jump_vectors) >= 2.0 * jump_set.epsilon]
         true_cells = [int(c) for c in grid.cell_of(big)]
         if true_cells:
@@ -97,13 +92,12 @@ def poisson_battery(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     3/sqrt(trials) of zero.
     """
     require_stationary(model)
-    group, T = model.space, grid.T
+    group, T = require_group(model), grid.T
     counts = np.zeros(trials)
     first_half = np.zeros(trials)
     interarrivals = []
     for trial, path in enumerate(driver_paths(model, grid, seed, trials)):
-        cells = group.exp(path.increments)
-        taus = grid.points[np.flatnonzero(jump_set.contains(group, cells)) + 1]
+        taus = grid.points[jump_set.hits(group, group.exp(path.increments)) + 1]
         counts[trial] = taus.size
         first_half[trial] = np.count_nonzero(taus <= T / 2)
         interarrivals.append(np.diff(np.concatenate([[0.0], taus])))
@@ -186,14 +180,14 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     only up to the last grid index the trial reads; the prefix recursion runs
     left to right, so those rows equal the rows of the full path.
     """
-    group, steps = model.space, lag_steps(grid, h)
+    group, steps = require_group(model), lag_steps(grid, h)
 
     half = trials // 2
     post_hit, fixed = [], []
     for trial, path in enumerate(driver_paths(model, grid, seed, trials)):
         cells, k = group.exp(path.increments), 0     # a fixed-lag trial starts at index 0
         if trial < half:
-            hits = np.flatnonzero(jump_set.contains(group, cells))
+            hits = jump_set.hits(group, cells)
             # grid index of tau_1; a trial without a hit is skipped
             k = int(hits[0]) + 1 if hits.size else grid.n_cells
             if k + steps > grid.n_cells:

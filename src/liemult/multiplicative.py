@@ -36,6 +36,8 @@ __all__ = [
     "verify_multiplicative",
     "convergence_study",
     "batch_prefixes",
+    "require_group",
+    "right_limit_defects",
 ]
 
 
@@ -58,39 +60,13 @@ class MultiplicativePath:
             )
         return cls(group, grid, cell_increments, group.prefix_products(cell_increments))
 
-    @property
-    def n_cells(self) -> int:
-        return self.grid.n_cells
-
     def value(self, j, k) -> np.ndarray:
         """Two-parameter value x^{t_j}_{t_k} = inv(g_j) g_k; j, k may be arrays."""
         return self.group.pair_increment(self.prefix, j, k)
 
-    def evaluate_right_limit(self, t: float) -> np.ndarray:
-        """Path value at the smallest grid point >= t.
-
-        As a function of t this is a right-continuous step function with left
-        limits, the grid-level stand-in for the regularized path.
-        """
-        if not (0.0 <= t <= self.grid.T):
-            raise ParameterError(f"t must lie in [0, {self.grid.T}], got {t}")
-        idx = int(np.searchsorted(self.grid.points, t, side="left"))
-        return self.prefix[idx]
-
-    def with_corrupted_cell(self, k: int, offset: np.ndarray) -> "MultiplicativePath":
-        """Fault-injection helper: translate cell increment k by a group offset.
-
-        The cached prefix is left untouched, so the returned path is
-        inconsistent on purpose and must fail verification.
-        """
-        require_cell(self.grid, k)
-        cells = self.cell_increments.copy()
-        cells[k] = self.group.mul(cells[k], offset)
-        return MultiplicativePath(self.group, self.grid, cells, self.prefix)
-
 
 def require_cell(grid: TimeGrid, k: int) -> None:
-    """Raise ParameterError unless ``k`` indexes a cell of ``grid``, as ``with_corrupted_cell`` needs."""
+    """Raise ParameterError unless ``k`` indexes a cell of ``grid``, as the fault injection needs."""
     if not 0 <= k < grid.n_cells:
         raise ParameterError(f"cell must lie in 0..{grid.n_cells - 1}, got {k}")
 
@@ -137,7 +113,7 @@ def verify_multiplicative(path: MultiplicativePath, samples: int = 1000,
     check ties the two-parameter family to the path data instead of being an
     algebraic identity; a corrupted cell or prefix entry raises the defect.
     """
-    group, n = path.group, path.n_cells
+    group, n = path.group, path.grid.n_cells
     rng = substream(seed, "verify-triples")
     triples = np.sort(rng.integers(0, n + 1, size=(samples, 3)), axis=1)
     j, k, l = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -207,6 +183,14 @@ def convergence_study(group: HeisenbergGroup, models: dict, base_grid: TimeGrid,
     }
 
 
+def require_group(model: LevyModel):
+    """``model.space``; ParameterError unless it is a group, as every path battery needs."""
+    group = model.space
+    if not hasattr(group, "mul"):
+        raise ParameterError("the model must be bound to a group instance")
+    return group
+
+
 def batch_prefixes(model: LevyModel, grid: TimeGrid, seed: int, trials: int) -> np.ndarray:
     """Prefix products of ``trials`` driver paths in the group ``model.space``, (trials, n+1, d).
 
@@ -232,3 +216,23 @@ def map_trial_chunks(prefixes: np.ndarray, reduce):
     if isinstance(chunks[0], tuple):
         return tuple(np.concatenate(parts) for parts in zip(*chunks))
     return np.concatenate(chunks)
+
+
+def right_limit_defects(model: LevyModel, grid: TimeGrid, trials: int, refinements: int,
+                        probe_points: int, seed: int) -> np.ndarray:
+    """Chart distances, (refinements, trials, probe_points), between successive
+    levels of each trial's coupled refinement chain: path t of ``driver_paths``,
+    level L + 1 refined from level L with the stream (t, "rl", L).  A level is read
+    at the even interior probes of (0, T) by its right limit, the prefix at the
+    smallest grid point >= t: a cadlag step function of t.
+    """
+    group = require_group(model)
+    probes = np.linspace(0.0, grid.T, probe_points + 2)[1:-1]
+    reads = np.empty((refinements + 1, trials, probe_points, group.dim))
+    for trial, driver in enumerate(driver_paths(model, grid, seed, trials)):
+        for level in range(refinements + 1):
+            if level:
+                driver = driver.refine(seed, stream=(trial, "rl", level - 1))
+            reads[level, trial] = product_exponential(driver).prefix[
+                np.searchsorted(driver.grid.points, probes)]
+    return group.norm(np.diff(group.log(reads), axis=0))

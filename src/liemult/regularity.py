@@ -27,7 +27,7 @@ import numpy as np
 
 from .additive import LevyModel, TimeGrid
 from .errors import ParameterError
-from .multiplicative import batch_prefixes, map_trial_chunks
+from .multiplicative import batch_prefixes, map_trial_chunks, require_group
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, binom_se, mean_se
 
@@ -101,7 +101,7 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     """
     require_two_cells(grid)
     n = grid.n_cells
-    group = _require_group_model(model)
+    group = require_group(model)
     group.require_chart_radius(delta)
     rng = substream(seed, "oscillation-axioms")
     outside = group.pairwise_chart_norms(batch_prefixes(model, grid, seed, paths)) >= delta
@@ -131,13 +131,6 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     }
 
 
-def _require_group_model(model: LevyModel):
-    group = model.space
-    if not hasattr(group, "mul"):
-        raise ParameterError("the model must be bound to a group instance")
-    return group
-
-
 def _any_pair_outside(group, prefixes: np.ndarray, threshold: float) -> np.ndarray:
     """Per trial: does some x(j, k), j < k, have chart norm >= threshold?"""
     return map_trial_chunks(prefixes, lambda chunk: np.triu(
@@ -159,7 +152,7 @@ def _superset_check(lemma: str, model: LevyModel, grid: TimeGrid, delta: float,
     standard errors.  When the radius left the chart (None) the report is
     already the inconclusive one.
     """
-    group = _require_group_model(model)
+    group = require_group(model)
     radius = group.ball_power_radius(delta, 2)
     report = {"lemma": lemma, "trials": trials, "seed": seed, "estimates": {}, "bound": None,
               "slack": 0.0, "pass": None, "notes": {},
@@ -237,7 +230,7 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
     independent samples.  The geometric tail from the proof recursion is
     checked for orders up to ``TAIL_ORDERS``.
     """
-    group = _require_group_model(model)
+    group = require_group(model)
     group.require_chart_radius(delta)
     if trials < 2:
         raise ParameterError(f"the split-half estimate needs trials >= 2, got {trials}")
@@ -308,7 +301,7 @@ def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: fl
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    group = _require_group_model(model)
+    group = require_group(model)
     group.require_chart_radius(delta)
     grid = TimeGrid.uniform(T, cells)
     prefixes = batch_prefixes(model, grid, seed, trials)

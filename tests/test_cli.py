@@ -106,6 +106,15 @@ def latin1_config(tmp_path):
     return path
 
 
+def text_config(name, text):
+    """A maker of the config file ``name`` holding ``text``."""
+    def make(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+    return make
+
+
 # every experiment that reads a model, with a valid entry on the default config's
 # models; all but product-limit-convergence build group paths from it
 MODEL_ENTRIES = {name: default_entry(name) for name in (
@@ -869,6 +878,9 @@ class TestValidation:
         (lambda cfg: cfg["grids"]["g8"].update(T=NAN), "config.grids.g8", "T=nan"),
         (lambda cfg: cfg["grids"]["g8"].update(cells=INF), "config.grids.g8", "cells=inf"),
         (lambda cfg: cfg["grids"]["g8"].update(cells=10**400), "config.grids.g8", "too large"),
+        # 8 PiB of grid points: numpy refuses the allocation at once
+        (lambda cfg: cfg["grids"]["g8"].update(cells=10**15), "config.grids.g8",
+         "Unable to allocate"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "cocycle-exactness", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "tol": NAN}}),
@@ -964,7 +976,12 @@ class TestValidation:
         (lambda tmp_path: tmp_path / "missing.json", "No such file or directory"),
         (lambda tmp_path: tmp_path, "Is a directory"),
         (latin1_config, "can't decode byte 0xe9"),
-    ], ids=["missing", "directory", "not-utf8"])
+        # valid JSON syntax that json cannot turn into values
+        (text_config("deep.json", "[" * 100_000 + "]" * 100_000),
+         "maximum recursion depth exceeded"),
+        (text_config("digits.json", '{"schema_version": ' + "9" * 5000 + "}"),
+         "Exceeds the limit (4300 digits)"),
+    ], ids=["missing", "directory", "not-utf8", "deep-nesting", "long-integer"])
     def test_unreadable_config_exits_two_at_its_path(self, tmp_path, capsys, make, message):
         path = make(tmp_path)
         with pytest.raises(ConfigError) as exc:
@@ -972,7 +989,8 @@ class TestValidation:
         assert exc.value.path == str(path) and message in str(exc.value)
         code = main(["run", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"config error: {path}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
 

@@ -22,10 +22,12 @@ def random_algebra(group, rng, size, scale=1.0):
 
 # The trailing-axis formulas the coordinate sums replaced: the oracles that
 # coordinate_sum, lp_norm, pairing and HeisenbergGroup.norm must match bit for bit.
+# The root goes through np.power, the power loop of an array, at every batch shape:
+# the sum of one element is a numpy scalar, whose ** is libm's pow
 def oracle_lp_norm(a, p):
     if p == 2.0:
         return np.sqrt(np.sum(a * a, axis=-1))
-    return np.sum(np.abs(a) ** p, axis=-1) ** (1.0 / p)
+    return np.power(np.sum(np.abs(a) ** p, axis=-1), 1.0 / p)
 
 
 def oracle_pairing(a, b):
@@ -293,10 +295,13 @@ class TestCoordinateSum:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_single_elements(self, p):
         # the columns of one (d,) element are numpy scalars, whose ** is not the
-        # power loop that the stacked (N,) array goes through
+        # power loop that the stacked (N,) array goes through; each element's norm
+        # is the bits of its row in the batch
         group = HeisenbergGroup(2, p)
-        for vec in self.wide_values(substream(0, "single-element"), (64, group.dim)):
+        batch = self.wide_values(substream(0, "single-element"), (64, group.dim))
+        for vec, row in zip(batch, group.norm(batch)):
             assert_same_bits(group.norm(vec), oracle_heisenberg_norm(group, vec))
+            assert_same_bits(group.norm(vec), row)
 
 
 class TestSampleNormBall:

@@ -7,8 +7,7 @@ import pytest
 
 from liemult import (DiscreteJumps, JumpSetSpec, LevyModel, ParameterError,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps, detector_fidelity,
-                     hitting_cells, poisson_battery, product_exponential, restart_probe,
-                     sample_additive)
+                     poisson_battery, product_exponential, restart_probe, sample_additive)
 
 
 def planted_path(heis, grid, times, vectors):
@@ -20,7 +19,15 @@ def planted_path(heis, grid, times, vectors):
 
 def hitting_times(path, spec):
     """Right endpoints of the detected cells, the cadlag hitting times."""
-    return path.grid.points[hitting_cells(path, spec) + 1]
+    return path.grid.points[spec.hits(path.group, path.cell_increments) + 1]
+
+
+class TestJumpSetSpec:
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        # a NaN or infinite threshold would construct, and then no cell would ever hit
+        with pytest.raises(ParameterError, match="positive and finite"):
+            JumpSetSpec(epsilon)
 
 
 class TestHittingTimes:

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import block_models
-from liemult import (GridMismatchError, InvalidInputError, LevyModel, ParameterError, TimeGrid,
-                     UniformBallJumps, convergence_study, driver_paths, heisenberg_exact,
-                     product_exponential, sample_additive, verify_multiplicative)
+from liemult import (GridMismatchError, InvalidInputError, JumpSetSpec, LevyModel, LpSpace,
+                     ParameterError, TimeGrid, UniformBallJumps, convergence_study,
+                     detector_fidelity, driver_paths, exp_moment_estimate, heisenberg_exact,
+                     mc_expectation_bound, mc_largest_step, mc_maximum_oscillation,
+                     minimal_jump_power, oscillation_axioms_test, poisson_battery,
+                     product_exponential, restart_probe, right_limit_defects, sample_additive,
+                     tail_decay_fit, uniform_continuity_probe, verify_multiplicative)
+from liemult.experiments import run_experiment
 from liemult.multiplicative import (TRIAL_CHUNK, MultiplicativePath, batch_prefixes,
                                    map_trial_chunks)
 
@@ -197,11 +202,13 @@ class TestVerifyMultiplicative:
         assert rep["pass"] and rep["max_defect"] <= 1e-12
 
     def test_corrupted_cell_detected_with_triple(self, heis2):
-        model = LevyModel(space=heis2, diffusion=0.4)
-        path = product_exponential(sample_additive(model, TimeGrid.uniform(1.0, 64), 1))
-        bad = path.with_corrupted_cell(30, heis2.embed([0.4, 0.0]))
-        rep = verify_multiplicative(bad, samples=1500, tol=1e-12, seed=4)
-        assert not rep["pass"]
+        # the fault runner translates cell 30 under the cached prefix
+        grid = TimeGrid.uniform(1.0, 64)
+        ctx = {"group": heis2, "grids": {"g": grid},
+               "models": {"m": LevyModel(space=heis2, diffusion=0.4)}}
+        rep = run_experiment("cocycle-fault-injection", ctx,
+                             {"model": "m", "grid": "g", "cell": 30, "triples": 1500}, 4)
+        assert not rep["pass"] and rep["status"] == "pass"
         j, k, l = rep["argmax_triple"]
         assert j <= 30 < l          # the witnessing triple spans the corrupted cell
 
@@ -212,37 +219,51 @@ class TestVerifyMultiplicative:
         assert set(out) == {"max_defect", "argmax_triple", "samples", "tol", "pass"}
 
 
+def right_limit_oracle(model, grid, trials, refinements, probe_points, seed):
+    """``right_limit_defects`` probe by probe: each level read at the smallest
+    grid point >= t, trial t sampled on its own stream (seed, t)."""
+    group = model.space
+    probes = np.linspace(0.0, grid.T, probe_points + 2)[1:-1]
+    out = np.empty((refinements, trials, probe_points))
+    for trial in range(trials):
+        driver = sample_additive(model, grid, seed, stream=(trial,))
+        coarse = product_exponential(driver)
+        for level in range(refinements):
+            driver = driver.refine(seed, stream=(trial, "rl", level))
+            fine = product_exponential(driver)
+            for i, t in enumerate(probes):
+                a = coarse.prefix[np.searchsorted(coarse.grid.points, t)]
+                b = fine.prefix[np.searchsorted(fine.grid.points, t)]
+                out[level, trial, i] = group.norm(group.log(a) - group.log(b))
+            coarse = fine
+    return out
+
+
 class TestRightLimit:
-    def test_grid_point_and_interior(self, heis2):
-        grid = TimeGrid.uniform(1.0, 4)
-        inc = heis2.exp(np.tile(heis2.embed([0.1, 0.0]), (4, 1)))
-        path = MultiplicativePath.from_increments(heis2, grid, inc)
-        np.testing.assert_array_equal(path.evaluate_right_limit(0.5), path.prefix[2])
-        np.testing.assert_array_equal(path.evaluate_right_limit(0.55), path.prefix[3])
-        np.testing.assert_array_equal(path.evaluate_right_limit(0.0), path.prefix[0])
-        with pytest.raises(ParameterError):
-            path.evaluate_right_limit(1.5)
+    @pytest.mark.parametrize("group", ["heis2", "heis3p", "uni4"])
+    def test_matches_probe_by_probe_oracle(self, group, request):
+        group = request.getfixturevalue(group)
+        model = LevyModel(space=group, diffusion=0.3, jump_intensity=2.0,
+                          jump_law=UniformBallJumps(0.4))
+        grid = TimeGrid.uniform(1.0, 8)
+        # (level, trial, probe) with three different sizes
+        defects = right_limit_defects(model, grid, 4, 3, 5, 11)
+        assert defects.shape == (3, 4, 5)
+        np.testing.assert_array_equal(defects, right_limit_oracle(model, grid, 4, 3, 5, 11))
+
+    def test_reads_the_smallest_grid_point_at_or_after_t(self, heis2):
+        # a drift path is exp(t v): probes 0.2, 0.4, 0.6, 0.8 read the 4-cell grid at
+        # 0.25, 0.5, 0.75, 1 and the 8-cell grid at 0.25, 0.5, 0.625, 0.875
+        v = heis2.embed([1.0, 0.0])
+        model = LevyModel(space=heis2, drift=v)
+        defects = right_limit_defects(model, TimeGrid.uniform(1.0, 4), 1, 1, 4, 0)
+        np.testing.assert_allclose(defects[0, 0], [0.0, 0.0, 0.125, 0.125], atol=1e-15)
 
     def test_defects_shrink_under_refinement(self, heis2):
         model = LevyModel(space=heis2, diffusion=0.5, jump_intensity=2.0,
                           jump_law=UniformBallJumps(0.4))
-        probes = [0.21, 0.53, 0.77]
-        medians = []
-        for level in range(3):
-            defects = []
-            for trial in range(30):
-                driver = sample_additive(model, TimeGrid.uniform(1.0, 16), 3,
-                                         stream=(trial,))
-                for step in range(level):
-                    driver = driver.refine(5, stream=(trial, step))
-                fine = driver.refine(5, stream=(trial, level))
-                coarse_path = product_exponential(driver)
-                fine_path = product_exponential(fine)
-                for t in probes:
-                    defects.append(float(heis2.norm(
-                        coarse_path.evaluate_right_limit(t)
-                        - fine_path.evaluate_right_limit(t))))
-            medians.append(np.median(defects))
+        defects = right_limit_defects(model, TimeGrid.uniform(1.0, 16), 30, 3, 4, 5)
+        medians = np.median(defects, axis=(1, 2))
         assert medians[2] <= medians[0]
 
 
@@ -319,3 +340,31 @@ class TestMapTrialChunks:
             prefixes, lambda chunk: (chunk[:, 0, :], heis2.chart_norm(chunk[:, -1, :])))
         np.testing.assert_array_equal(first, prefixes[:, 0, :])
         np.testing.assert_array_equal(last, heis2.chart_norm(prefixes[:, -1, :]))
+
+
+class TestRequireGroup:
+    """``require_group`` is the path layer's one group check: a driver over a
+    vector space has no group to take products in."""
+
+    GRID = TimeGrid.uniform(1.0, 8)
+
+    @pytest.mark.parametrize("battery", [
+        lambda m, g: oscillation_axioms_test(m, g, 0.5, 2, 5, 0),
+        lambda m, g: mc_maximum_oscillation(m, g, 0.5, 10, 0),
+        lambda m, g: mc_largest_step(m, g, 0.5, 10, 0),
+        lambda m, g: mc_expectation_bound(m, g, 0.5, 10, 0),
+        lambda m, g: uniform_continuity_probe(m, 1.0, 0.5, 0.1, 10, 0, cells=8),
+        lambda m, g: exp_moment_estimate(m, (0.25, 1.0), 0.5, 0.5, 10, 0, cells=8),
+        lambda m, g: tail_decay_fit(m, (0.25, 1.0), 0.5, 0.5, 10, 0, cells=8),
+        lambda m, g: minimal_jump_power(m, 0.5),
+        lambda m, g: detector_fidelity(m, g, JumpSetSpec(0.1), 4, 0),
+        lambda m, g: poisson_battery(m, g, JumpSetSpec(0.1), 4, 0),
+        lambda m, g: restart_probe(m, g, JumpSetSpec(0.1), 0.25, 4, 0),
+        lambda m, g: right_limit_defects(m, g, 2, 1, 2, 0),
+    ], ids=["axioms", "maximum-oscillation", "largest-step", "expectation-bound",
+            "uniform-continuity", "exp-moment", "tail-decay", "minimal-jump-power",
+            "detector-fidelity", "poisson-battery", "restart-probe", "right-limit"])
+    def test_model_over_a_vector_space_rejected(self, battery):
+        model = LevyModel(space=LpSpace(5), diffusion=0.1)
+        with pytest.raises(ParameterError, match="bound to a group instance"):
+            battery(model, self.GRID)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liemult import (LevyModel, LpSpace, ParameterError, TimeGrid, UniformBallJumps,
+from liemult import (LevyModel, ParameterError, TimeGrid, UniformBallJumps,
                      batch_prefixes, exhaustive_count_reference, mc_expectation_bound,
                      mc_largest_step, mc_maximum_oscillation,
                      oscillation_axioms_test, oscillation_counts_from_outside,
@@ -303,24 +303,6 @@ class TestUniformContinuityProbe:
         model = LevyModel(space=heis2)
         with pytest.raises(Exception):
             uniform_continuity_probe(model, 1.0, 0.5, 1.5, 10, 0)
-
-
-class TestGroupModel:
-    """``_require_group_model`` is the path layer's one group check: a driver
-    over a vector space has no group to take products in."""
-
-    @pytest.mark.parametrize("battery", [
-        lambda m, g: oscillation_axioms_test(m, g, 0.5, 2, 5, 0),
-        lambda m, g: mc_maximum_oscillation(m, g, 0.5, 10, 0),
-        lambda m, g: mc_largest_step(m, g, 0.5, 10, 0),
-        lambda m, g: mc_expectation_bound(m, g, 0.5, 10, 0),
-        lambda m, g: uniform_continuity_probe(m, 1.0, 0.5, 0.1, 10, 0, cells=8),
-    ], ids=["axioms", "maximum-oscillation", "largest-step", "expectation-bound",
-            "uniform-continuity"])
-    def test_model_over_a_vector_space_rejected(self, battery):
-        model = LevyModel(space=LpSpace(5), diffusion=0.1)
-        with pytest.raises(ParameterError, match="bound to a group instance"):
-            battery(model, TimeGrid.uniform(1.0, 8))
 
 
 class TestChunkSeam:
