@@ -1,21 +1,25 @@
 """Experiment config parsing, schema validation, and the default battery.
 
 Configs are JSON with four blocks: ``group``, ``grids``, ``models``, and an
-ordered ``experiments`` list.  Validation is strict: unknown keys are
-rejected everywhere, every experiment carries an explicit seed, and errors
-name the offending field path.
+ordered ``experiments`` list.  Every object has a schema of the rows of an
+experiment's parameters, ``name -> (type, default[, bound])``, which
+``experiments.check_fields`` checks: unknown keys are rejected everywhere, every
+value has a declared type, and errors name the offending field path.  A value's
+range is checked by the constructor that owns it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from .additive import (DiscreteJumps, LevyModel, PiecewiseConstantRate, TimeGrid,
                        UniformBallJumps)
 from .errors import ConfigError
-from .experiments import EXPERIMENTS, resolve_params
+from .experiments import (EXPERIMENTS, NONEMPTY, NUM, OPTIONAL, check_fields, resolve_params,
+                          shown)
 from .groups import ChartSpec, HeisenbergGroup, UnipotentGroup
 
 __all__ = ["read_config", "load_config", "validate_config", "build_context", "default_config",
@@ -23,114 +27,69 @@ __all__ = ["read_config", "load_config", "validate_config", "build_context", "de
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {"schema_version", "group", "grids", "models", "experiments", "output"}
-# a block's (allowed keys, constructor); the group and the jump laws have one per kind
+_OUTPUT = {"csv": (bool, False)}
+_CONTEXT = {"group": (dict, None), "grids": (dict, {}), "models": (dict, {})}
+_TOP = {"schema_version": (int, None), **_CONTEXT, "experiments": (NONEMPTY, None),
+        "output": (_OUTPUT, {})}
+_ENTRY = {"name": (str, None), "seed": (int, None, 0), "params": (dict, {})}
+_CHART = {"rho_prime": (NUM, None), "rho_double_prime": (NUM, None),
+          "bracket_bound": (NUM, None)}
+# a kind's (schema, constructor), the schema without its ``kind`` row
 _GROUPS = {
-    "heisenberg": ({"kind", "N", "p", "chart"},
-                   lambda group: HeisenbergGroup(group["N"], group.get("p", 2.0), _chart(group))),
-    "unipotent": ({"kind", "n", "chart"}, lambda group: UnipotentGroup(group["n"], _chart(group))),
+    "heisenberg": ({"N": (NUM, None), "p": (NUM, 2.0), "chart": (_CHART, OPTIONAL)},
+                   lambda group: HeisenbergGroup(group["N"], group["p"], _chart(group))),
+    "unipotent": ({"n": (NUM, None), "chart": (_CHART, OPTIONAL)},
+                  lambda group: UnipotentGroup(group["n"], _chart(group))),
 }
-_CHART_KEYS = {"rho_prime", "rho_double_prime", "bracket_bound"}
-_GRID = ({"T", "cells"}, lambda grid: TimeGrid.uniform(grid["T"], grid["cells"]))
-_MODEL_KEYS = {"space", "drift", "diffusion", "jump_intensity", "jump_law",
-               "scale", "bound_delta"}
+_GRID = {"T": (NUM, None), "cells": (NUM, None)}
+_SCALE = {"breaks": ([NUM], None), "rates": ([NUM], None)}
+# a model's space is bounded by the names of the group's spaces when it is built
+_MODEL = {"space": (str, "group"), "drift": ((NUM, [NUM]), 0.0),
+          "diffusion": ((NUM, [NUM]), 0.0), "jump_intensity": (NUM, 0.0),
+          "jump_law": (dict, OPTIONAL), "scale": (_SCALE, OPTIONAL),
+          "bound_delta": (NUM, OPTIONAL)}
 # a subspace ball is the ball law on the given coordinates, a fixed atom a discrete
 # law with one atom
 _LAWS = {
-    "uniform_ball": ({"kind", "radius"}, lambda law: UniformBallJumps(law["radius"])),
-    "subspace_ball": ({"kind", "radius", "indices"},
+    "uniform_ball": ({"radius": (NUM, None)}, lambda law: UniformBallJumps(law["radius"])),
+    "subspace_ball": ({"radius": (NUM, None), "indices": ([NUM], None)},
                       lambda law: UniformBallJumps(law["radius"], law["indices"])),
-    "fixed_atom": ({"kind", "vector"}, lambda law: DiscreteJumps([law["vector"]], [1.0])),
-    "discrete": ({"kind", "vectors", "probs"},
+    "fixed_atom": ({"vector": ([NUM], None)},
+                   lambda law: DiscreteJumps([law["vector"]], [1.0])),
+    "discrete": ({"vectors": ([[NUM]], None), "probs": ([NUM], None)},
                  lambda law: DiscreteJumps(law["vectors"], law["probs"])),
 }
-_SCALE = ({"breaks", "rates"},
-          lambda scale: PiecewiseConstantRate(scale["breaks"], scale["rates"]))
-_EXPERIMENT_KEYS = {"name", "seed", "params"}
-_OUTPUT_KEYS = {"csv"}
-
-
-def _check_keys(obj, allowed, path):
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(path, f"unknown keys {sorted(unknown)}")
-
-
-def _reject_booleans(obj, path):
-    """Raise ConfigError at the first JSON boolean in ``obj``.
-
-    ``isinstance(True, int)`` holds and ``True == 1``, so without this a
-    ``true`` would pass as 1 wherever a seed, count, length or vector entry is
-    checked as a number.
-    """
-    if isinstance(obj, bool):
-        raise ConfigError(path, "a boolean is allowed only in a boolean field,"
-                                f" got {json.dumps(obj)}")
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            _reject_booleans(value, f"{path}.{key}")
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            _reject_booleans(value, f"{path}[{i}]")
-
-
-def _require(obj, key, path):
-    if key not in obj:
-        raise ConfigError(path, f"missing required key {key!r}")
-    return obj[key]
 
 
 @contextmanager
 def _at(path: str):
-    """Report a constructor's rejection of a config value as a ConfigError at ``path``.
-
-    A ConfigError raised inside, by the check of a nested block, keeps its own path.
-    """
+    """Report a constructor's rejection of a config value as a ConfigError at ``path``;
+    a ConfigError raised inside, by the check of a nested block, keeps its own path."""
     try:
         yield
     except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(path, f"missing required key {exc}") from exc
     # ParameterError, InvalidInputError, bad casts, integers too large for a float,
     # and a grid too large to allocate
     except (ValueError, TypeError, OverflowError, MemoryError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _build(block, spec, path):
-    """``block`` built by ``spec``, its (allowed keys, constructor), once its keys are checked."""
-    keys, constructor = spec
-    _check_keys(block, keys, path)
-    with _at(path):
-        return constructor(block)
-
-
 def _build_kind(block, table, path):
-    """``block`` built by ``table[kind]``, its ``kind`` being one of the table's strings."""
-    if not isinstance(block, dict):
-        raise ConfigError(path, f"expected an object, got {type(block).__name__}")
-    kind = _require(block, "kind", path)
-    if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"{path}.kind", f"expected one of {sorted(table)}, got {kind!r}")
-    return _build(block, table[kind], path)
+    """``block`` built by ``table[kind]``, its kind's (schema, constructor) pair; the
+    ``kind``, one of the table's names, is checked before the block's other keys."""
+    kind = {"kind": (str, None, tuple(table))}
+    check_fields({key: block[key] for key in kind if key in block}
+                 if isinstance(block, dict) else block, kind, path)
+    schema, constructor = table[block["kind"]]
+    fields = check_fields(block, {**kind, **schema}, path)
+    with _at(path):
+        return constructor(fields)
 
 
 def _chart(group):
-    """The ChartSpec of a group block, None for the group's default chart."""
-    if group.get("chart") is None:
-        return None
-    _check_keys(group["chart"], _CHART_KEYS, "config.group.chart")
-    return ChartSpec(**group["chart"])
-
-
-def _named_blocks(cfg, key):
-    blocks = cfg.get(key, {})
-    if not isinstance(blocks, dict):
-        raise ConfigError(f"config.{key}", f"expected an object of named {key}")
-    return blocks.items()
+    """The ChartSpec of a checked group block, None for the group's default chart."""
+    return None if group["chart"] is None else ChartSpec(**group["chart"])
 
 
 def validate_config(cfg: dict) -> dict:
@@ -140,70 +99,56 @@ def validate_config(cfg: dict) -> dict:
     so each range rule lives in one constructor; the experiment entries are
     then resolved against the built context, which is returned for the run.
     """
-    _check_keys(cfg, _TOP_KEYS, "config")
-    version = _require(cfg, "schema_version", "config")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    top = check_fields(cfg, _TOP, "config")
+    if top["schema_version"] != SCHEMA_VERSION:
         raise ConfigError("config.schema_version",
-                          f"expected {SCHEMA_VERSION}, got {json.dumps(version)}")
-    ctx = build_context(cfg)
-
-    experiments = _require(cfg, "experiments", "config")
-    if not isinstance(experiments, list) or not experiments:
-        raise ConfigError("config.experiments", "expected a nonempty list")
-    for i, entry in enumerate(experiments):
+                          f"expected {SCHEMA_VERSION}, got {shown(top['schema_version'])}")
+    ctx = build_context(top)
+    for i, entry in enumerate(top["experiments"]):
         path = f"config.experiments[{i}]"
-        _check_keys(entry, _EXPERIMENT_KEYS, path)
-        name = _require(entry, "name", path)
-        if not isinstance(name, str) or name not in EXPERIMENTS:
-            raise ConfigError(f"{path}.name", f"unknown experiment {name!r}")
-        seed = _require(entry, "seed", path)
-        _reject_booleans(seed, f"{path}.seed")
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"{path}.seed", "every experiment needs an explicit"
-                                              f" nonnegative integer seed, got {seed!r}")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{path}.params", "expected an object")
-        resolve_params(name, params, f"{path}.params", ctx)
-
-    output = cfg.get("output", {})
-    _check_keys(output, _OUTPUT_KEYS, "config.output")
-    if not isinstance(output.get("csv", False), bool):
-        raise ConfigError("config.output.csv",
-                          f"expected a boolean, got {json.dumps(output['csv'])}")
+        entry = check_fields(entry, _ENTRY, path)
+        if entry["name"] not in EXPERIMENTS:
+            raise ConfigError(f"{path}.name", f"unknown experiment {shown(entry['name'])}")
+        resolve_params(entry["name"], entry["params"], f"{path}.params", ctx)
     return ctx
 
 
 def build_context(cfg: dict) -> dict:
     """Check and instantiate the group, grids and models of a config.
 
-    Each block's keys are checked just before it is built, and a JSON boolean
-    anywhere in these blocks is rejected.  A value that a constructor rejects
-    raises ConfigError at its block's path.
+    Each block is checked against its schema just before it is built, and a
+    value that a constructor rejects raises ConfigError at its block's path.
     """
-    for key in ("group", "grids", "models"):
-        _reject_booleans(cfg.get(key), f"config.{key}")
-    group = _build_kind(_require(cfg, "group", "config"), _GROUPS, "config.group")
-    grids = {name: _build(block, _GRID, f"config.grids.{name}")
-             for name, block in _named_blocks(cfg, "grids")}
+    cfg = check_fields({key: cfg[key] for key in _CONTEXT if key in cfg}, _CONTEXT, "config")
+    group = _build_kind(cfg["group"], _GROUPS, "config.group")
+    grids = {}
+    for name, block in cfg["grids"].items():
+        with _at(f"config.grids.{name}"):
+            grids[name] = TimeGrid.uniform(**check_fields(block, _GRID, f"config.grids.{name}"))
     # a model's space: the group, or one coordinate block of a Heisenberg group
     spaces = {"group": group, **getattr(group, "block_spaces", {})}
+    schema = {**_MODEL, "space": (str, "group", tuple(spaces))}
     models = {}
-    for name, block in _named_blocks(cfg, "models"):
+    for name, block in cfg["models"].items():
         path = f"config.models.{name}"
-        _check_keys(block, _MODEL_KEYS, path)
-        tag = block.get("space", "group")
-        if not isinstance(tag, str) or tag not in spaces:   # tag may be unhashable
-            raise ConfigError(f"{path}.space", f"expected one of {sorted(spaces)}, got {tag!r}")
-        law, scale = block.get("jump_law"), block.get("scale")
-        if law is not None:
-            law = _build_kind(law, _LAWS, f"{path}.jump_law")
-        if scale is not None:
-            scale = _build(scale, _SCALE, f"{path}.scale")
-        with _at(path):   # the model block's keys are LevyModel's fields
-            models[name] = LevyModel(**{**block, "space": spaces[tag], "jump_law": law,
-                                        "scale": scale})
+        model = check_fields(block, schema, path)   # LevyModel's fields
+        if model["jump_law"] is not None:
+            model["jump_law"] = _build_kind(model["jump_law"], _LAWS, f"{path}.jump_law")
+        if model["scale"] is not None:
+            with _at(f"{path}.scale"):
+                model["scale"] = PiecewiseConstantRate(**model["scale"])
+        with _at(path):
+            models[name] = LevyModel(**{**model, "space": spaces[model["space"]]})
     return {"group": group, "grids": grids, "models": models}
+
+
+def _integer(text: str) -> int:
+    """A JSON integer literal as an int; one past int's digit limit raises a
+    ValueError that gives its digits and the limit."""
+    digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+    if 0 < limit < digits:
+        raise ValueError(f"an integer has {digits} digits, above the limit of {limit}")
+    return int(text)
 
 
 def read_config(path: str | Path) -> dict:
@@ -212,7 +157,7 @@ def read_config(path: str | Path) -> dict:
     ``json`` cannot turn into values, one at ``path``."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     # a ValueError is a non-UTF-8 byte or an integer past int's digit limit, and a

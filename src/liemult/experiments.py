@@ -21,10 +21,10 @@ plain code that calls its battery through the battery's module, as in
 (a profiling span) sees each call; the battery owns its trial loop and the
 runner only its gate, and ``_passes(report)`` reads the verdict from a report
 that carries its own ``pass``.
-``resolve_params`` merges the parameters over their defaults, checks their
-bounds, resolves ``model*`` and ``grid`` names and runs the batteries' own
-checks in ``_JOINT_BOUNDS``, for ``validate_config`` and ``run_experiment``
-alike; ``run_experiment`` derives ``status`` from the verdict, and no runner sets it.
+``check_fields`` checks an object against such a schema, here and for every
+block of a config; ``resolve_params`` also resolves ``model*`` and ``grid`` names
+and runs the batteries' own checks in ``_JOINT_BOUNDS``, for ``validate_config``
+and ``run_experiment`` alike; ``run_experiment`` derives ``status`` from the verdict.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .reporting import jsonable, write_csv
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, binom_se
 
-__all__ = ["EXPERIMENTS", "run_experiment", "catalog", "resolve_params"]
+__all__ = ["EXPERIMENTS", "run_experiment", "catalog", "resolve_params", "check_fields"]
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,10 @@ def _run_additive_determinism(ctx, params, seed):
     return report, identical and coupling <= 1e-14
 
 
-F, I, S, B, LF = float, int, str, bool, list
+F, I, S, B, LF = float, int, str, bool, [float]
+# NUM: a number, NaN and the infinities too, whose range its constructor checks;
+# OPTIONAL: the default of a field that may be left out or null, and then reads None
+NUM, NONEMPTY, OPTIONAL = "number", "nonempty list", object()
 POS = (F, None, (0, math.inf))     # a required positive number
 # a required delta inside the chart: below its rho_prime, or below its rho_double_prime
 # where the battery certifies a ball power; resolve_params reads the group's chart
@@ -438,13 +441,24 @@ EXPERIMENTS = {
         "additive", _DRIVER),
 }
 
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the one type table: a type of a schema row is a key of it, a list type [t] (a list
+# whose entries are t), a schema (an object with those fields) or a tuple of
+# alternatives, such as (NUM, [NUM]) for a number or a list of numbers
 _TYPE_CHECKS = {
-    float: ("a finite number", lambda v: not isinstance(v, bool) and (
-        isinstance(v, int) or isinstance(v, float) and math.isfinite(v))),
+    float: ("a finite number", lambda v: _is_number(v) and (
+        isinstance(v, int) or math.isfinite(v))),
+    NUM: ("a number", _is_number),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     list: ("a list", lambda v: isinstance(v, list)),
+    NONEMPTY: ("a nonempty list", lambda v: isinstance(v, list) and len(v) > 0),
+    dict: ("an object", lambda v: isinstance(v, dict)),
 }
 
 
@@ -487,52 +501,85 @@ def _violated(typ, bound, value) -> str | None:
     return None if value >= bound else f"at least {bound}"
 
 
+def shown(value) -> str:
+    """``value`` as a config writes it (JSON, any other object as its repr), cut to 60 characters."""
+    try:
+        text = json.dumps(value, default=repr)
+    except (ValueError, RecursionError):   # circular, or nested past the recursion limit
+        text = f"<{type(value).__name__}>"
+    return text if len(text) <= 60 else f"{text[:56]} ..."
+
+
+def _type_row(typ) -> tuple:
+    """The (label, check) of a non-alternative row type: a list type is a list, a schema an object."""
+    return _TYPE_CHECKS[type(typ) if isinstance(typ, (list, dict)) else typ]
+
+
+def _checked_type(typ, value, path: str, radius):
+    """``value`` checked against the row type ``typ``; a schema's value is its fields
+    merged over their defaults, a list's its entries, each checked at ``path[i]``."""
+    alternatives = typ if isinstance(typ, tuple) else (typ,)
+    for typ in alternatives:
+        if _type_row(typ)[1](value):
+            break
+    else:
+        raise ConfigError(path, f"expected {' or '.join(_type_row(t)[0] for t in alternatives)},"
+                                f" got {shown(value)}")
+    if isinstance(typ, dict):
+        return check_fields(value, typ, path, radius)
+    if isinstance(typ, list):
+        return [_checked_type(typ[0], entry, f"{path}[{i}]", radius)
+                for i, entry in enumerate(value)]
+    return value
+
+
+def check_fields(obj, schema: dict, path: str, radius=None) -> dict:
+    """The fields of the object ``obj``, checked against ``schema`` and merged over its
+    defaults: that it is an object, its keys, then each value's type and bound; the
+    first violation raises ConfigError at its path.  An ``OPTIONAL`` field may be left
+    out or null and then reads None; ``radius`` maps a chart radius's name to its value."""
+    _checked_type(dict, obj, path, radius)
+    unknown = set(obj) - set(schema)
+    if unknown:
+        raise ConfigError(path, f"unknown keys {sorted(unknown)}")
+    missing = [key for key, (_, default, *_) in schema.items() if default is None and key not in obj]
+    if missing:
+        raise ConfigError(path, f"missing required key {missing[0]!r}")
+    merged = {}
+    for key, (typ, default, *bound) in schema.items():
+        if key not in obj or obj[key] is None and default is OPTIONAL:
+            merged[key] = None if default is OPTIONAL else default
+            continue
+        field = f"{path}.{key}"
+        value = merged[key] = _checked_type(typ, obj[key], field, radius)
+        if bound and isinstance(bound[0], str):   # a chart radius
+            bound = [(0, radius(bound[0]))]
+        expected = bound and _violated(typ, bound[0], value)
+        if expected:
+            raise ConfigError(field, f"expected {expected}, got {shown(value)}")
+    return merged
+
+
 def resolve_params(name: str, params: dict, path: str, ctx: dict) -> tuple[dict, dict]:
     """``params`` over the catalog defaults of experiment ``name``, checked.
 
-    Reads each parameter's type, default, bound and required flag from the
-    experiment's schema, then replaces every ``model*`` / ``grid`` name by the
-    context's object and runs its ``_JOINT_BOUNDS`` checks.  Returns the merged
-    and the resolved parameters; an unknown, missing, mistyped or out-of-range
-    parameter, an unknown reference, a model on the wrong space or a failed check
-    raises ConfigError under ``path`` (gauge-metric off p = 2: at its ``name``).
+    Checks the parameters against the experiment's schema (``check_fields``, a
+    chart radius read from the context group), then replaces every ``model*`` /
+    ``grid`` name by the context's object and runs its ``_JOINT_BOUNDS`` checks.
+    Returns the merged and the resolved parameters; a failed check raises
+    ConfigError under ``path`` (gauge-metric off p = 2: at its ``name``).
     """
-    schema = EXPERIMENTS[name].params
     # no parameter of gauge-metric names the group its metric needs: the entry's name is at fault
     if name == "gauge-metric":
         _checked(f"{path.rpartition('.')[0]}.name", geometry.require_gauge_metric, ctx["group"])
-    unknown = set(params) - set(schema)
-    if unknown:
-        raise ConfigError(path, f"unknown parameters {sorted(unknown)}")
-    merged = {}
-    for key, (typ, default, *bound) in schema.items():
-        if key not in params:
-            if default is None:
-                raise ConfigError(f"{path}.{key}", "required parameter missing")
-            merged[key] = default
-            continue
-        value = params[key]
-        if bound and isinstance(bound[0], str):   # a chart radius of the context's group
-            bound = [(0, getattr(ctx["group"].chart, bound[0]))]
-        label, ok = _TYPE_CHECKS[typ]
-        # a value prints as the config writes it (a direct call may pass any object,
-        # hence repr); no list parameter has a bound, so its entries are checked after
-        expected = label if not ok(value) else bound and _violated(typ, bound[0], value)
-        if expected:
-            raise ConfigError(f"{path}.{key}",
-                              f"expected {expected}, got {json.dumps(value, default=repr)}")
-        # a list parameter holds numbers
-        for i, entry in enumerate(value if typ is list else ()):
-            if not _TYPE_CHECKS[float][1](entry):
-                raise ConfigError(f"{path}.{key}[{i}]", "expected a finite number,"
-                                  f" got {json.dumps(entry, default=repr)}")
-        merged[key] = value
+    merged = check_fields(params, EXPERIMENTS[name].params, path,
+                          lambda radius: getattr(ctx["group"].chart, radius))
 
     resolved = {}
     for key, value in merged.items():
         table = "models" if key.startswith("model") else "grids" if key == "grid" else None
         if table and value not in ctx.get(table, {}):
-            raise ConfigError(f"{path}.{key}", f"unknown {table} reference {value!r}")
+            raise ConfigError(f"{path}.{key}", f"unknown {table} reference {shown(value)}")
         resolved[key] = ctx[table][value] if table else value
         # a group path needs a model on the group, the exact product a model_b on the
         # group's own space of block b (an identity test: a swapped block fails at every
@@ -556,7 +603,8 @@ def catalog() -> list[dict]:
             "module": spec.module,
             "verifies": spec.verifies,
             "params": {
-                key: {"type": typ.__name__, "required": default is None,
+                key: {"type": "list" if isinstance(typ, list) else typ.__name__,
+                      "required": default is None,
                       **({} if default is None else {"default": default})}
                 for key, (typ, default, *_) in spec.params.items()
             },

@@ -84,18 +84,41 @@ def coordinate_sum(terms, n: int):
 
 
 def lp_norm(arr: np.ndarray, p: float) -> np.ndarray:
-    """l^p norm over the trailing axis."""
-    return column_lp_norm((arr[..., i] for i in range(arr.shape[-1])), arr.shape[-1], p)
+    """l^p norm over the trailing axis, as ``column_lp_norm`` of the columns unless a
+    p-th power underflows or overflows (numpy's floating-point flags).  Then each row
+    whose sum of powers left the normal floats (zero or subnormal, or infinite) and
+    whose largest entry ``top`` is positive and finite is taken again as
+    ``top * (sum (|x_i| / top)^p)^(1/p)``; every other row keeps the direct bits."""
+    n = arr.shape[-1]
+    try:
+        with np.errstate(under="raise", over="raise"):
+            return column_lp_norm((arr[..., i] for i in range(n)), n, p)
+    except FloatingPointError:
+        pass
+    with np.errstate(under="ignore", over="ignore"):
+        out = np.array(column_lp_norm((arr[..., i] for i in range(n)), n, p))
+        sums = _power_sum((arr[..., i] for i in range(n)), n, p)
+        top = np.max(np.abs(arr), axis=-1)
+        redo = ((sums < np.finfo(float).tiny) | (sums == np.inf)) & (top > 0) & (top < np.inf)
+        rows = arr[redo] / top[redo][:, None]
+        out[redo] = top[redo] * column_lp_norm((rows[:, i] for i in range(n)), n, p)
+    return out[()]
 
 
-def column_lp_norm(columns, n: int, p: float) -> np.ndarray:
-    """l^p norm of ``n`` coordinate columns, as ``lp_norm`` of them stacked."""
+def _power_sum(columns, n: int, p: float):
+    """The sum of the p-th powers of the absolute values of ``n`` coordinate columns."""
     if p == 2.0:
-        return np.sqrt(coordinate_sum((c * c for c in columns), n))
+        return coordinate_sum((c * c for c in columns), n)
     # np.power, not **: a 0-d column or sum is a numpy scalar, whose ** is libm's
     # pow rather than the ufunc loop of an array, so one element's norm would not
     # be the bits of its row in a batch
-    return np.power(coordinate_sum((np.power(np.abs(c), p) for c in columns), n), 1.0 / p)
+    return coordinate_sum((np.power(np.abs(c), p) for c in columns), n)
+
+
+def column_lp_norm(columns, n: int, p: float) -> np.ndarray:
+    """l^p norm of ``n`` coordinate columns, taken directly as ``(sum |x_i|^p)^(1/p)``."""
+    sums = _power_sum(columns, n, p)
+    return np.sqrt(sums) if p == 2.0 else np.power(sums, 1.0 / p)
 
 
 def sample_norm_ball(rng: np.random.Generator, space, radius: float, size: int) -> np.ndarray:
@@ -413,8 +436,12 @@ class HeisenbergGroup(_NilpotentGroup):
         dz = (z[..., None, :] - z[..., :, None]) + 0.5 * (np.swapaxes(cross, -1, -2) - cross)
         dx = (x[..., None, :, i] - x[..., :, None, i] for i in range(self.N))
         dy = (y[..., None, :, i] - y[..., :, None, i] for i in range(self.N))
-        return (column_lp_norm(dx, self.N, self.p) + column_lp_norm(dy, self.N, self.q)
-                + np.abs(dz))
+        try:
+            with np.errstate(under="raise", over="raise"):
+                return (column_lp_norm(dx, self.N, self.p) + column_lp_norm(dy, self.N, self.q)
+                        + np.abs(dz))
+        except FloatingPointError:   # a lost norm: the generic route takes lp_norm's
+            return super()._pairwise_chart_norms(prefix)
 
     def prefix_products(self, increments):
         # same left-to-right recursion as the generic loop, vectorized:

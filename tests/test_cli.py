@@ -13,6 +13,7 @@ import time
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liemult import cli, config, experiments, geometry, jumps, multiplicative, regularity
@@ -165,6 +166,54 @@ def delta_config(group, name, delta):
             "models": {"m": {"diffusion": 0.1}},
             "experiments": [{"name": name, "seed": 1,
                              "params": {**DELTA_PARAMS[name], "delta": delta}}]}
+
+
+# a valid block of every config schema, each field set: the base of the schema walk
+WALK_CHARTS = {"heisenberg": {"rho_prime": 1e6, "rho_double_prime": 2.5e5, "bracket_bound": 2.0},
+               "unipotent": {"rho_prime": 0.5, "rho_double_prime": 0.125, "bracket_bound": 2.0}}
+WALK_GROUPS = {"heisenberg": {"kind": "heisenberg", "N": 2, "p": 2.0},
+               "unipotent": {"kind": "unipotent", "n": 3}}
+WALK_LAWS = {"uniform_ball": {"radius": 0.3}, "subspace_ball": {"radius": 0.3, "indices": [0, 1]},
+             "fixed_atom": {"vector": [0.1, 0, 0, 0, 0]},
+             "discrete": {"vectors": [[0.1, 0, 0, 0, 0]], "probs": [1.0]}}
+
+
+def walk_config(group="heisenberg", law="uniform_ball"):
+    return {"schema_version": 1,
+            "group": {**WALK_GROUPS[group], "chart": WALK_CHARTS[group]},
+            "grids": {"g": {"T": 1.0, "cells": 8}},
+            "models": {"m": {"space": "group", "drift": 0.0, "diffusion": 0.1,
+                             "jump_intensity": 1.0, "jump_law": {"kind": law, **WALK_LAWS[law]},
+                             "scale": {"breaks": [0.0], "rates": [1.0]}, "bound_delta": 1.0}},
+            "experiments": [{"name": "group-axioms", "seed": 1, "params": {"samples": 20}}],
+            "output": {"csv": False}}
+
+
+KIND = {"kind": (str, None)}   # the row a kind's block adds to its kind's schema
+# (config, keys of the checked object in it, the object's schema)
+SCHEMA_WALK = [
+    (walk_config(), (), config._TOP),
+    *((walk_config(group), ("group",), {**KIND, **config._GROUPS[group][0]})
+      for group in config._GROUPS),
+    (walk_config(), ("group", "chart"), config._CHART),
+    (walk_config(), ("grids", "g"), config._GRID),
+    (walk_config(), ("models", "m"), config._MODEL),
+    *((walk_config(law=law), ("models", "m", "jump_law"), {**KIND, **config._LAWS[law][0]})
+      for law in config._LAWS),
+    (walk_config(), ("models", "m", "scale"), config._SCALE),
+    (walk_config(), ("experiments", 0), config._ENTRY),
+    (walk_config(), ("output",), config._OUTPUT),
+]
+
+
+def walk_path(keys):
+    return "config" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)
+
+
+def walk_object(cfg, keys):
+    for key in keys:
+        cfg = cfg[key]
+    return cfg
 
 
 class TestCatalog:
@@ -819,7 +868,7 @@ class TestValidation:
          "config.experiments[2].params.h", "h must be a multiple of the grid mesh 0.125, got 0.3"),
         # JSON booleans where a number is expected (isinstance(True, int) holds)
         (lambda cfg: cfg["experiments"][0].update(seed=True),
-         "config.experiments[0].seed", "a boolean is allowed only in a boolean field, got true"),
+         "config.experiments[0].seed", "expected an integer, got true"),
         (lambda cfg: cfg.update(schema_version=True), "config.schema_version", "got true"),
         (lambda cfg: cfg["experiments"].append(
             {"name": "metric-modulus", "seed": 3,
@@ -890,21 +939,23 @@ class TestValidation:
              "params": {"model": "noisy", "r": 0.25, "u": 1.0, "alpha": INF, "delta": 0.5}}),
          "config.experiments[2].params.alpha", "expected a finite number, got Infinity"),
         # structure: kinds, coordinate blocks and the shape of each block
-        (lambda cfg: cfg["group"].update(kind="orthogonal"), "config.group.kind", "'orthogonal'"),
+        (lambda cfg: cfg["group"].update(kind="orthogonal"), "config.group.kind",
+         "expected one of ['heisenberg', 'unipotent'], got \"orthogonal\""),
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": "gaussian", "radius": 0.3}),
-         "config.models.noisy.jump_law.kind", "'gaussian'"),
+         "config.models.noisy.jump_law.kind", 'got "gaussian"'),
         (lambda cfg: cfg["group"].update(n=3), "config.group", "unknown keys ['n']"),
-        (lambda cfg: cfg["models"]["noisy"].update(space="w"), "config.models.noisy.space", "'w'"),
+        (lambda cfg: cfg["models"]["noisy"].update(space="w"), "config.models.noisy.space",
+         "expected one of ['group', 'x', 'y', 'z'], got \"w\""),
         (lambda cfg: (cfg.update(group={"kind": "unipotent", "n": 3}),
                       cfg["models"]["noisy"].update(space="x")),
-         "config.models.noisy.space", "expected one of ['group'], got 'x'"),
+         "config.models.noisy.space", "expected one of ['group'], got \"x\""),
         (lambda cfg: cfg.update(experiments=[]), "config.experiments", "nonempty list"),
         (lambda cfg: cfg.update(experiments={}), "config.experiments", "nonempty list"),
         (lambda cfg: cfg["experiments"][0].update(params=[200]),
          "config.experiments[0].params", "expected an object"),
-        (lambda cfg: cfg.update(grids=[]), "config.grids", "named grids"),
-        (lambda cfg: cfg.update(models=[]), "config.models", "named models"),
+        (lambda cfg: cfg.update(grids=[]), "config.grids", "expected an object, got []"),
+        (lambda cfg: cfg.update(models=[]), "config.models", "expected an object, got []"),
         (lambda cfg: cfg.update(output={"format": "csv"}), "config.output", "unknown keys ['format']"),
         # an empty scale block is a malformed scale, not a stationary model
         (lambda cfg: cfg["models"]["noisy"].update(scale={}), "config.models.noisy.scale",
@@ -918,16 +969,16 @@ class TestValidation:
          "expected a boolean, got 1"),
         # unhashable names and kinds, and a version printed as it is written
         (lambda cfg: cfg["experiments"][0].update(name=["group-axioms"]),
-         "config.experiments[0].name", "['group-axioms']"),
+         "config.experiments[0].name", 'expected a string, got ["group-axioms"]'),
         (lambda cfg: cfg["group"].update(kind=["heisenberg"]), "config.group.kind",
-         "expected one of ['heisenberg', 'unipotent'], got ['heisenberg']"),
+         'expected a string, got ["heisenberg"]'),
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": ["uniform_ball"], "radius": 0.3}),
-         "config.models.noisy.jump_law.kind", "got ['uniform_ball']"),
+         "config.models.noisy.jump_law.kind", 'expected a string, got ["uniform_ball"]'),
         (lambda cfg: cfg["models"]["noisy"].update(space=["x"]), "config.models.noisy.space",
-         "got ['x']"),
+         'expected a string, got ["x"]'),
         (lambda cfg: cfg.update(schema_version="1"), "config.schema_version",
-         'expected 1, got "1"'),
+         'expected an integer, got "1"'),
     ])
     def test_constructor_rejections_exit_two_with_field_path(self, tmp_path, capsys,
                                                              edit, path, field):
@@ -937,6 +988,43 @@ class TestValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert f"config error: {path}: " in err and field in err
+
+    @pytest.mark.parametrize("cfg, keys, schema", SCHEMA_WALK,
+                             ids=[walk_path(keys) + (f"-{walk_object(cfg, keys).get('kind')}"
+                                                     if "kind" in schema else "")
+                                  for cfg, keys, schema in SCHEMA_WALK])
+    def test_every_field_has_a_type(self, tmp_path, capsys, cfg, keys, schema):
+        # a string, a boolean, a list and an object in each field of each schema exit 2
+        # at that field or an entry inside it, so no field can come without a type
+        assert set(WALK_LAWS) == set(config._LAWS) and set(WALK_GROUPS) == set(config._GROUPS)
+        assert set(walk_object(cfg, keys)) == set(schema)
+        validate_config(cfg)
+        for field, (typ, *_) in schema.items():
+            for value in ("?", True, ["?"], {"?": 1}):
+                if typ is bool and value is True:   # the field's own type
+                    continue
+                bad = copy.deepcopy(cfg)
+                walk_object(bad, keys)[field] = value
+                code = main(["run", str(write_config(tmp_path, bad)), "--out", str(tmp_path / "o")])
+                err = capsys.readouterr().err
+                assert code == 2 and err.startswith(f"config error: {walk_path(keys)}.{field}")
+                assert err[len(f"config error: {walk_path(keys)}.{field}")] in ":[.", err
+
+    def test_null_optional_fields_and_integral_floats_build_the_same_context(self):
+        written = copy.deepcopy(BASE)
+        written["group"].update(N=2.0, chart=None)
+        written["grids"]["g8"].update(cells=8.0)
+        for model in written["models"].values():
+            model.update(jump_law=None, scale=None, bound_delta=None)
+        want, got = validate_config(copy.deepcopy(BASE)), validate_config(written)
+        assert repr(got["group"]) == repr(want["group"])
+        assert got["group"].chart == want["group"].chart
+        assert np.array_equal(got["grids"]["g8"].points, want["grids"]["g8"].points)
+        for name, model in want["models"].items():
+            for field in dataclasses.fields(model):
+                a, b = getattr(got["models"][name], field.name), getattr(model, field.name)
+                assert (repr(a) == repr(b) if field.name == "space"
+                        else np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b)
 
     def test_run_experiment_checks_ranges_before_running(self):
         # the range check also guards direct calls, before any reference lookup
@@ -980,7 +1068,7 @@ class TestValidation:
         (text_config("deep.json", "[" * 100_000 + "]" * 100_000),
          "maximum recursion depth exceeded"),
         (text_config("digits.json", '{"schema_version": ' + "9" * 5000 + "}"),
-         "Exceeds the limit (4300 digits)"),
+         "an integer has 5000 digits, above the limit of 4300"),
     ], ids=["missing", "directory", "not-utf8", "deep-nesting", "long-integer"])
     def test_unreadable_config_exits_two_at_its_path(self, tmp_path, capsys, make, message):
         path = make(tmp_path)
@@ -991,6 +1079,8 @@ class TestValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+        # the message names the file's fault, not interpreter settings
+        assert "sys." not in err
         assert not (tmp_path / "o").exists()
 
 

@@ -30,6 +30,12 @@ def oracle_lp_norm(a, p):
     return np.power(np.sum(np.abs(a) ** p, axis=-1), 1.0 / p)
 
 
+def rescaled_oracle_lp_norm(a, p):
+    """The l^p norm as top * |a / top|_p, top = max |a_i|: no power leaves the floats."""
+    top = np.max(np.abs(a), axis=-1, keepdims=True)
+    return top[..., 0] * oracle_lp_norm(a / np.where(top > 0, top, 1.0), p)
+
+
 def oracle_pairing(a, b):
     return np.sum(a * b, axis=-1)
 
@@ -304,6 +310,44 @@ class TestCoordinateSum:
             assert_same_bits(group.norm(vec), row)
 
 
+class TestLpNormRange:
+    """l^p norms whose p-th powers leave the floats are taken on rescaled entries;
+    every other norm keeps the bits of the direct formula."""
+
+    @pytest.mark.parametrize("space, vec, want", [
+        # q = 101: (4e-5)^101 underflows to 0
+        (HeisenbergGroup(2, p=1.01), [0, 0, 4e-5, 4e-5, 0], 4e-5 * 2 ** (1 / 101)),
+        # q = 10001: 2^10001 overflows
+        (HeisenbergGroup(2, p=1.0001), [0, 0, 2, 2, 0], 2 * 2 ** (1 / 10001)),
+        (LpSpace(2, 1200), [0.3, 0.3], 0.3 * 2 ** (1 / 1200)),
+        # a subnormal sum of squares, and one past the floats
+        (LpSpace(2), [3e-160, 4e-160], 5e-160),
+        (LpSpace(2), [3e200, 4e200], 5e200),
+    ])
+    def test_norm_past_the_floats(self, space, vec, want):
+        vec = np.array(vec, dtype=float)
+        np.testing.assert_allclose(space.norm(vec), want, rtol=1e-15)
+        # a row of a batch gets the bits of the single element
+        batch = np.stack([vec, np.ones_like(vec), np.zeros_like(vec)])
+        assert_same_bits(space.norm(batch)[0], space.norm(vec))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_in_range_rows_keep_the_direct_bits(self, p):
+        rng = substream(int(p * 10), "lp-range")
+        a = rng.standard_normal((200, 6)) * 10.0 ** rng.uniform(-8, 8, size=(200, 6))
+        # entries whose powers underflow beside ones that do not, so the rescue runs,
+        # and zero, infinite and NaN rows, which keep their direct value
+        a[::7, 0] = 1e-200
+        a[1] = 0.0
+        a[2, 3], a[3, 4] = np.inf, np.nan
+        lost = np.full(6, 1e-200)
+        with np.errstate(under="ignore"):
+            want = oracle_lp_norm(a, p)
+        assert_same_bits(lp_norm(np.vstack([a, lost]), p)[:-1], want)
+        assert_same_bits(lp_norm(a, p), want)
+        assert lp_norm(lost, p) > 0
+
+
 class TestSampleNormBall:
     @pytest.mark.parametrize("draw, first, next_draw", [
         (lambda rng: sample_norm_ball(rng, HeisenbergGroup(2), 0.4, 10),
@@ -425,7 +469,7 @@ class TestChartMachinery:
 class TestHeisenbergBlockKernel:
     """The block pairwise kernel against the full mul(inv(P), P) route, bit for bit."""
 
-    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 1.01])
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 9, 32])
     def test_equals_generic_route(self, N, p):
         group = HeisenbergGroup(N, p)
@@ -434,9 +478,19 @@ class TestHeisenbergBlockKernel:
             for m in [1, 2, 33]:
                 # magnitudes over four decades, so the sums round in many places
                 scale = 10.0 ** rng.uniform(-2, 2, size=lead + (m, 1))
+                if p == 1.01:   # q = 101: the y block's powers underflow
+                    scale *= 1e-3
                 prefix = rng.standard_normal(lead + (m, group.dim)) * scale
                 pairs = full_pair_route(group, prefix)
                 norms = oracle_heisenberg_norm(group, pairs)   # log is the identity
+                if p == 1.01:
+                    # the direct oracle loses y norms to 0; the norm is the rescaled
+                    # one to round-off, and every kernel gives its bits
+                    x, y, z = group.split(pairs)
+                    np.testing.assert_allclose(
+                        group.chart_norm(pairs), rescaled_oracle_lp_norm(x, p)
+                        + rescaled_oracle_lp_norm(y, group.q) + np.abs(z), rtol=1e-13)
+                    norms = group.chart_norm(pairs)
                 assert pairs.shape == lead + (m, m, group.dim)
                 j, k = np.indices((m, m))
                 assert np.array_equal(group.pair_increment(prefix, j, k), pairs)
