@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, clipped
 from .groups import sample_norm_ball
 from .rng import TrialStreams, substream
 
@@ -102,6 +102,9 @@ class PiecewiseConstantRate:
 
     breaks: np.ndarray
     rates: np.ndarray
+    # the antiderivative's values at the breaks, built once; _antiderivative(breaks)
+    # has these bits too, as a break's own piece adds rate * 0.0 = +0.0 to them
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         breaks = np.asarray(self.breaks, dtype=float)
@@ -109,21 +112,23 @@ class PiecewiseConstantRate:
         if breaks.ndim != 1 or breaks.size == 0 or breaks[0] != 0.0:
             raise ParameterError("breaks must be a 1-d array starting at 0")
         if not (np.all(np.diff(breaks) > 0) and np.isfinite(breaks[-1])):   # NaN too
-            raise ParameterError(f"breaks must be finite and strictly increasing, got {breaks}")
+            raise ParameterError(f"breaks must be finite and strictly increasing,"
+                                 f" got {clipped(breaks)}")
         if rates.shape != breaks.shape or not np.all((rates >= 0) & (rates < np.inf)):
             raise ParameterError(f"rates must be finite and nonnegative, one per piece,"
-                                 f" got {rates}")
+                                 f" got {clipped(rates)}")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "_cum",
+                           np.concatenate([[0.0], np.cumsum(rates[:-1] * np.diff(breaks))]))
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Integrated rate over [a, b], vectorized over endpoints."""
         return self._antiderivative(np.asarray(b, float)) - self._antiderivative(np.asarray(a, float))
 
     def _antiderivative(self, t: np.ndarray) -> np.ndarray:
-        cum = np.concatenate([[0.0], np.cumsum(self.rates[:-1] * np.diff(self.breaks))])
         idx = np.maximum(np.searchsorted(self.breaks, t, side="right") - 1, 0)
-        return cum[idx] + self.rates[idx] * (t - self.breaks[idx])
+        return self._cum[idx] + self.rates[idx] * (t - self.breaks[idx])
 
     def sample_times(self, rng: np.random.Generator, a: np.ndarray,
                      b: np.ndarray) -> np.ndarray:
@@ -135,10 +140,9 @@ class PiecewiseConstantRate:
         total = self.integral(a, b)
         targets = self._antiderivative(a) + rng.uniform(0.0, total)
         # invert the antiderivative piece by piece
-        cum_at_breaks = self._antiderivative(self.breaks)
-        idx = np.maximum(np.searchsorted(cum_at_breaks, targets, side="right") - 1, 0)
+        idx = np.maximum(np.searchsorted(self._cum, targets, side="right") - 1, 0)
         rate = self.rates[idx]
-        out = self.breaks[idx] + np.where(rate > 0, (targets - cum_at_breaks[idx]) / np.where(rate > 0, rate, 1.0), 0.0)
+        out = self.breaks[idx] + np.where(rate > 0, (targets - self._cum[idx]) / np.where(rate > 0, rate, 1.0), 0.0)
         return np.clip(out, a, b)
 
 
@@ -156,7 +160,8 @@ class UniformBallJumps:
         if idx is not None and (idx.ndim != 1 or idx.size == 0 or idx.min() < 0
                                 or np.unique(idx).size < idx.size
                                 or np.any(idx != np.asarray(indices))):   # no truncation
-            raise ParameterError(f"indices must be distinct nonnegative coordinates, got {indices}")
+            raise ParameterError(f"indices must be distinct nonnegative coordinates,"
+                                 f" got {clipped(indices)}")
 
     def _lift(self, space, sub: np.ndarray) -> np.ndarray:
         if self.indices is None:
@@ -197,7 +202,7 @@ class DiscreteJumps:
         if self.vectors.ndim != 2 or self.probs.shape != self.vectors.shape[:1]:
             raise ParameterError("need a 2-d array of atoms and one probability per atom")
         if not np.all(np.isfinite(self.vectors)):
-            raise ParameterError(f"atom vectors must be finite, got {vectors}")
+            raise ParameterError(f"atom vectors must be finite, got {clipped(vectors)}")
         if np.any(self.probs < 0) or not abs(self.probs.sum() - 1.0) <= 1e-12:   # NaN too
             raise ParameterError(f"probabilities must sum to 1, got {self.probs.sum()}")
 
@@ -229,7 +234,7 @@ def _per_direction(dim: int, name: str, value) -> np.ndarray:
     if arr.ndim > 1 or arr.size not in (1, dim):
         raise ParameterError(f"{name} must be a scalar or have {dim} entries, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite, got {value}")
+        raise ParameterError(f"{name} must be finite, got {clipped(value)}")
     return np.broadcast_to(arr, (dim,)).copy()
 
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the cut of echoed values."""
+
+
+def clipped(value) -> str:
+    """``str(value)`` as an error message echoes it: cut to 60 characters, the last
+    four an ellipsis, if longer."""
+    text = str(value)
+    return text if len(text) <= 60 else f"{text[:56]} ..."
 
 
 class InvalidInputError(ValueError):

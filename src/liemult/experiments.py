@@ -38,7 +38,7 @@ import numpy as np
 
 from . import geometry, jumps, multiplicative, regularity
 from .additive import TimeGrid, driver_paths, sample_additive
-from .errors import ConfigError, HypothesisError, ParameterError
+from .errors import ConfigError, HypothesisError, ParameterError, clipped
 from .groups import sample_norm_ball, sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
                              verify_multiplicative)
@@ -502,12 +502,12 @@ def _violated(typ, bound, value) -> str | None:
 
 
 def shown(value) -> str:
-    """``value`` as a config writes it (JSON, any other object as its repr), cut to 60 characters."""
+    """``value`` as a config writes it (JSON, any other object as its repr), ``clipped``."""
     try:
         text = json.dumps(value, default=repr)
     except (ValueError, RecursionError):   # circular, or nested past the recursion limit
         text = f"<{type(value).__name__}>"
-    return text if len(text) <= 60 else f"{text[:56]} ..."
+    return clipped(text)
 
 
 def _type_row(typ) -> tuple:
@@ -541,7 +541,7 @@ def check_fields(obj, schema: dict, path: str, radius=None) -> dict:
     _checked_type(dict, obj, path, radius)
     unknown = set(obj) - set(schema)
     if unknown:
-        raise ConfigError(path, f"unknown keys {sorted(unknown)}")
+        raise ConfigError(path, f"unknown keys {clipped(sorted(unknown))}")
     missing = [key for key, (_, default, *_) in schema.items() if default is None and key not in obj]
     if missing:
         raise ConfigError(path, f"missing required key {missing[0]!r}")

@@ -989,6 +989,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"config error: {path}: " in err and field in err
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda cfg: cfg["group"].update({"k" * 1000: 1}), "config.group"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            jump_intensity=1.0, jump_law={"kind": "fixed_atom", "vector": [NAN] + [0.0] * 300}),
+         "config.models.noisy.jump_law"),
+        (lambda cfg: cfg["models"]["noisy"].update(
+            scale={"breaks": [0.0, 1.0], "rates": [1.0, -1.0] * 150}),
+         "config.models.noisy.scale"),
+        (lambda cfg: (cfg["group"].update(N=40), cfg["models"]["noisy"].update(drift=[NAN] * 81)),
+         "config.models.noisy"),
+    ], ids=["unknown-key", "atom", "rates", "drift"])
+    def test_long_values_are_cut_in_errors(self, tmp_path, capsys, edit, path):
+        # a value is echoed up to 60 characters, so a long input gives a short line
+        cfg = copy.deepcopy(BASE)
+        edit(cfg)
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"config error: {path}: ") and " ..." in err
+        assert all(len(line) < 200 for line in err.splitlines())
+
     @pytest.mark.parametrize("cfg, keys, schema", SCHEMA_WALK,
                              ids=[walk_path(keys) + (f"-{walk_object(cfg, keys).get('kind')}"
                                                      if "kind" in schema else "")

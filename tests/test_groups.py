@@ -1,6 +1,7 @@
 """Group and algebra kernel tests: laws, charts, and the ball-power radius."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from liemult import (ChartSpec, ConfigError, HeisenbergGroup, InvalidInputError, LpSpace,
-                     ParameterError, UniformBallJumps, UnipotentGroup, sample_norm_ball,
-                     step_counts_batch, substream)
+                     ParameterError, UniformBallJumps, UnipotentGroup, additive,
+                     sample_norm_ball, step_counts_batch, substream)
 from liemult.config import build_context
 from liemult.experiments import run_experiment
 from liemult.groups import _NilpotentGroup, coordinate_sum, lp_norm
+from liemult.rng import TrialStreams
 
 
 def random_algebra(group, rng, size, scale=1.0):
@@ -366,6 +368,102 @@ class TestSampleNormBall:
         rng = np.random.default_rng(11)
         assert draw(rng)[0, 0] == first
         assert rng.random() == next_draw
+
+
+def round_loop_norm_ball(rng, space, radius, size):
+    """The rejection rounds that sample_norm_ball replays: each round draws
+    max(64, 4 * missing) box candidates and keeps its inside ones."""
+    out = np.empty((size, space.dim))
+    have = 0
+    while have < size:
+        batch = max(64, 4 * (size - have))
+        cand = rng.uniform(-radius, radius, size=(batch, space.dim))
+        good = cand[space.norm(cand) < radius]
+        take = min(size - have, good.shape[0])
+        out[have:have + take] = good[:take]
+        have += take
+    return out
+
+
+def _ball_draw(space, radius):
+    """A draw ``(sampler, rng, size) -> points`` through the given ball sampler."""
+    return lambda sampler, rng, size: sampler(rng, space, radius, size)
+
+
+def _subspace_draw(sampler, rng, size):
+    # UniformBallJumps with indices runs the sampler on the subspace ball of the lift
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(additive, "sample_norm_ball", sampler)
+        return UniformBallJumps(0.3, [0, 2, 4]).sample(rng, HeisenbergGroup(2), size)
+
+
+BALL_DRAWS = {
+    "heisenberg-p1.5": _ball_draw(HeisenbergGroup(2, 1.5), 0.4),
+    "heisenberg-p2": _ball_draw(HeisenbergGroup(2, 2.0), 0.4),
+    "heisenberg-p3": _ball_draw(HeisenbergGroup(2, 3.0), 0.4),
+    "heisenberg-n3": _ball_draw(HeisenbergGroup(3), 0.4),
+    "lp": _ball_draw(LpSpace(4, 1.5), 1.0),
+    "unipotent": _ball_draw(UnipotentGroup(4), 0.1),
+    "subspace": _subspace_draw,
+}
+BALL_STREAMS = {
+    "substream": lambda: substream(5, "ball-oracle"),
+    "rekeyed": lambda: TrialStreams(5, 4, ["ball-oracle"]).rng(3, "ball-oracle"),
+    "pcg64": lambda: np.random.default_rng(5),
+}
+# one stream per space, in turn: a Heisenberg group with N = 3 takes a second
+# per 12,288 points at its 0.3 % acceptance
+CERTIFICATION_CASES = [pytest.param(BALL_DRAWS[space], BALL_STREAMS[stream], id=f"{space}-{stream}")
+                       for space, stream in zip(BALL_DRAWS, list(BALL_STREAMS) * 3)]
+
+
+class TestSampleNormBallOracle:
+    """sample_norm_ball against the round loop: the same points, and the generator
+    left where the round loop leaves it, on every kind of stream and at every
+    buffer position."""
+
+    @staticmethod
+    def check(draw, stream, size, offset):
+        ours, theirs = stream(), stream()
+        ours.random(offset)   # offset doubles in: mid-buffer for Philox
+        theirs.random(offset)
+        got = draw(sample_norm_ball, ours, size)
+        want = draw(round_loop_norm_ball, theirs, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("stream", BALL_STREAMS.values(), ids=BALL_STREAMS.keys())
+    @pytest.mark.parametrize("draw", BALL_DRAWS.values(), ids=BALL_DRAWS.keys())
+    def test_small_draws_match_round_loop(self, draw, stream):
+        for size in (0, 1, 10, 30):
+            for offset in range(4):
+                self.check(draw, stream, size, offset)
+
+    @pytest.mark.parametrize("draw, stream", CERTIFICATION_CASES)
+    def test_certification_batch_matches_round_loop(self, draw, stream):
+        # the batch size of chart-certification: rounds of thousands of candidates,
+        # then short rounds under one block
+        self.check(draw, stream, 12_288, 3)
+
+    @staticmethod
+    def counted_heisenberg(calls):
+        group = HeisenbergGroup(2)
+        return SimpleNamespace(dim=group.dim,
+                               norm=lambda v: calls.append(len(v)) or group.norm(v))
+
+    def test_small_draw_takes_two_norm_calls(self):
+        # 30 points at about 2 % acceptance: the round loop takes 18 norm calls on
+        # this stream (11 to 37 on 300 streams), the blocks two (three on about 3 %
+        # of streams)
+        calls = []
+        sample_norm_ball(np.random.default_rng(11), self.counted_heisenberg(calls), 0.4, 30)
+        assert len(calls) <= 2
+
+    def test_blocks_hold_at_most_one_round(self):
+        # the first round, 4 * 12,288 candidates, is the largest; no block is larger
+        calls = []
+        sample_norm_ball(np.random.default_rng(11), self.counted_heisenberg(calls), 0.1, 12_288)
+        assert calls[0] == 4 * 12_288 and max(calls) == calls[0]
 
 
 class TestChartMachinery:

@@ -7,7 +7,8 @@ import pytest
 
 from liemult import (DiscreteJumps, JumpSetSpec, LevyModel, ParameterError,
                      PiecewiseConstantRate, TimeGrid, UniformBallJumps, detector_fidelity,
-                     poisson_battery, product_exponential, restart_probe, sample_additive)
+                     poisson_battery, product_exponential, restart_probe, sample_additive,
+                     substream)
 
 
 def planted_path(heis, grid, times, vectors):
@@ -15,6 +16,25 @@ def planted_path(heis, grid, times, vectors):
     driver = dataclasses.replace(base, jump_times=np.asarray(times, dtype=float),
                                  jump_vectors=np.asarray(vectors, dtype=float))
     return driver, product_exponential(driver)
+
+
+def rebuilt_antiderivative(scale, t):
+    """The rate's antiderivative with its table rebuilt on each call."""
+    cum = np.concatenate([[0.0], np.cumsum(scale.rates[:-1] * np.diff(scale.breaks))])
+    idx = np.maximum(np.searchsorted(scale.breaks, t, side="right") - 1, 0)
+    return cum[idx] + scale.rates[idx] * (t - scale.breaks[idx])
+
+
+def rebuilt_sample_times(scale, rng, a, b):
+    """sample_times on rebuilt tables, inverting through the antiderivative at the breaks."""
+    total = rebuilt_antiderivative(scale, b) - rebuilt_antiderivative(scale, a)
+    targets = rebuilt_antiderivative(scale, a) + rng.uniform(0.0, total)
+    cum_at_breaks = rebuilt_antiderivative(scale, scale.breaks)
+    idx = np.maximum(np.searchsorted(cum_at_breaks, targets, side="right") - 1, 0)
+    rate = scale.rates[idx]
+    out = scale.breaks[idx] + np.where(rate > 0, (targets - cum_at_breaks[idx])
+                                       / np.where(rate > 0, rate, 1.0), 0.0)
+    return np.clip(out, a, b)
 
 
 def hitting_times(path, spec):
@@ -136,6 +156,27 @@ class TestPoissonBattery:
                           jump_law=UniformBallJumps(0.4), scale=scale)
         with pytest.raises(ParameterError):
             poisson_battery(model, TimeGrid.uniform(1.0, 16), JumpSetSpec(0.1), 10, 0)
+
+
+class TestPiecewiseConstantRate:
+    @pytest.mark.parametrize("breaks, rates", [
+        ([0.0, 2.5], [0.1, 6.0]),               # cp_nonstat of the default battery
+        ([0.0, 0.3, 0.7], [0.0, 2.0, 0.0]),     # zero pieces
+        ([0.0], [2.0]),
+        (np.cumsum(np.r_[0.0, substream(3, "breaks").uniform(0.01, 0.5, 40)]),
+         substream(3, "rates").uniform(0.0, 5.0, 41)),
+    ], ids=["cp-nonstat", "zero-pieces", "one-piece", "many-pieces"])
+    def test_table_built_once_keeps_the_bits(self, breaks, rates):
+        # the table is built in the constructor; times and integrals keep the bits
+        # of the antiderivative rebuilt on every call
+        scale = PiecewiseConstantRate(np.asarray(breaks), np.asarray(rates))
+        grid = TimeGrid.uniform(12.0, 3000)
+        a, b = grid.points[:-1], grid.points[1:]
+        assert scale.integral(a, b).tobytes() == (rebuilt_antiderivative(scale, b)
+                                                  - rebuilt_antiderivative(scale, a)).tobytes()
+        got = scale.sample_times(substream(4, "times"), a, b)
+        want = rebuilt_sample_times(scale, substream(4, "times"), a, b)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRestartProbe:
