@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .additive import (DiscreteJumps, LevyModel, PiecewiseConstantRate, TimeGrid,
                        UniformBallJumps)
-from .errors import ConfigError
+from .errors import ConfigError, rejected_at
 from .experiments import (EXPERIMENTS, NONEMPTY, NUM, OPTIONAL, check_fields, resolve_params,
                           shown)
 from .groups import ChartSpec, HeisenbergGroup, UnipotentGroup
@@ -61,20 +60,6 @@ _LAWS = {
 }
 
 
-@contextmanager
-def _at(path: str):
-    """Report a constructor's rejection of a config value as a ConfigError at ``path``;
-    a ConfigError raised inside, by the check of a nested block, keeps its own path."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    # ParameterError, InvalidInputError, bad casts, integers too large for a float,
-    # and a grid too large to allocate
-    except (ValueError, TypeError, OverflowError, MemoryError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
 def _build_kind(block, table, path):
     """``block`` built by ``table[kind]``, its kind's (schema, constructor) pair; the
     ``kind``, one of the table's names, is checked before the block's other keys."""
@@ -83,7 +68,7 @@ def _build_kind(block, table, path):
                  if isinstance(block, dict) else block, kind, path)
     schema, constructor = table[block["kind"]]
     fields = check_fields(block, {**kind, **schema}, path)
-    with _at(path):
+    with rejected_at(path):
         return constructor(fields)
 
 
@@ -123,7 +108,7 @@ def build_context(cfg: dict) -> dict:
     group = _build_kind(cfg["group"], _GROUPS, "config.group")
     grids = {}
     for name, block in cfg["grids"].items():
-        with _at(f"config.grids.{name}"):
+        with rejected_at(f"config.grids.{name}"):
             grids[name] = TimeGrid.uniform(**check_fields(block, _GRID, f"config.grids.{name}"))
     # a model's space: the group, or one coordinate block of a Heisenberg group
     spaces = {"group": group, **getattr(group, "block_spaces", {})}
@@ -135,9 +120,9 @@ def build_context(cfg: dict) -> dict:
         if model["jump_law"] is not None:
             model["jump_law"] = _build_kind(model["jump_law"], _LAWS, f"{path}.jump_law")
         if model["scale"] is not None:
-            with _at(f"{path}.scale"):
+            with rejected_at(f"{path}.scale"):
                 model["scale"] = PiecewiseConstantRate(**model["scale"])
-        with _at(path):
+        with rejected_at(path):
             models[name] = LevyModel(**{**model, "space": spaces[model["space"]]})
     return {"group": group, "grids": grids, "models": models}
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the library, and the cut of echoed values."""
+"""Exception types shared across the library, the cut of echoed values, and the
+turn of a rejected config value into a ConfigError at its field path."""
+
+from contextlib import contextmanager
 
 
 def clipped(value) -> str:
@@ -30,3 +33,18 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+@contextmanager
+def rejected_at(path: str):
+    """Report a constructor's or a battery check's rejection of a config value as a
+    ConfigError at ``path``; a ConfigError raised inside, by the check of a nested
+    block, keeps its own path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    # ParameterError, HypothesisError, InvalidInputError, bad casts, integers too
+    # large for a float, and a grid too large to allocate
+    except (ValueError, TypeError, OverflowError, MemoryError) as exc:
+        raise ConfigError(path, str(exc)) from exc

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import geometry, jumps, multiplicative, regularity
 from .additive import TimeGrid, driver_paths, sample_additive
-from .errors import ConfigError, HypothesisError, ParameterError, clipped
+from .errors import ConfigError, clipped, rejected_at
 from .groups import sample_norm_ball, sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
                              verify_multiplicative)
@@ -464,7 +464,10 @@ _TYPE_CHECKS = {
 
 # the battery preconditions that tie a parameter to another one or to the resolved
 # grid or model: experiment -> ((key, check(resolved params)), ...), run in order.
-# Each check is the battery's own, which raises before the battery draws a path
+# Each check is the battery's own, which raises before the battery draws a path; a
+# battery with a ``cells`` parameter first builds its uniform grid over (0, u] or (0, T]
+_CELLS_U = ("cells", lambda p: TimeGrid.uniform(p["u"], p["cells"]))
+_CELLS_T = ("cells", lambda p: TimeGrid.uniform(p["T"], p["cells"]))
 _WINDOW = ("r", lambda p: geometry.window_indices(TimeGrid.uniform(p["u"], p["cells"]), p["r"], p["u"]))
 _BOUNDED = ("model", lambda p: geometry.require_bounded_jumps(p["model"]))
 _JOINT_BOUNDS = {
@@ -472,20 +475,20 @@ _JOINT_BOUNDS = {
     "oscillation-axioms": (("grid", lambda p: regularity.require_two_cells(p["grid"])),),
     "poisson-battery": (("model", lambda p: jumps.require_stationary(p["model"])),),
     "restart-probe": (("h", lambda p: jumps.lag_steps(p["grid"], p["h"])),),
-    "exp-moment": (_WINDOW, _BOUNDED),
-    "tail-decay": (_WINDOW, _BOUNDED),
+    "uniform-continuity-probe": (_CELLS_T,),
+    "exp-moment": (_CELLS_U, _WINDOW, _BOUNDED),
+    "tail-decay": (_CELLS_U, _WINDOW, _BOUNDED),
     "metric-modulus": (_BOUNDED, ("model", lambda p: geometry.require_gauge_metric(p["model"].space)),
+                       _CELLS_T,
                        ("window_sizes", lambda p: geometry.modulus_windows(
                            TimeGrid.uniform(p["T"], p["cells"]), p["window_sizes"]))),
 }
 
 
 def _checked(field: str, check, arg) -> None:
-    """Run a battery's own ``check(arg)``; what it raises is a ConfigError at ``field``."""
-    try:
+    """Run a battery's own ``check(arg)``; what it rejects is a ConfigError at ``field``."""
+    with rejected_at(field):
         check(arg)
-    except (ParameterError, HypothesisError) as exc:
-        raise ConfigError(field, str(exc)) from None
 
 
 def _violated(typ, bound, value) -> str | None:

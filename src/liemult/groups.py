@@ -21,8 +21,8 @@ All operations broadcast over leading axes, so a single element is a shape
 ``(d,)`` array and a batch of paths is ``(..., d)``.  Values are never
 mutated in place; everything here is pure and safe to share across workers.
 Block sums (norms, pairings, all-pairs chart norms) run coordinate by
-coordinate over the whole batch in numpy's reduce order (``coordinate_sum``),
-so they give the same bits as a trailing-axis ``np.sum``.
+coordinate over the whole batch, left to right (``coordinate_sum``): they give
+the bits of a sequential sum, and each holds only its running sum and one term.
 
 Each group has one prefix-product kernel: the Heisenberg group its closed
 form, the unipotent group the fold of ``mul`` kept in matrix form.  The
@@ -50,37 +50,15 @@ __all__ = [
 ]
 
 
-def coordinate_sum(terms, n: int):
-    """Sum ``n`` per-coordinate arrays with the bits of ``np.sum(..., axis=-1)``
-    over them stacked on a trailing axis, each addition over the whole batch.
-
-    The order is numpy's pairwise ``add.reduce``: a left fold below 8 terms,
-    8 interleaved lanes up to 128, recursive halves at ``n//2 - (n//2) % 8``
-    beyond.  ``terms`` is a generator of fresh arrays, never views of an input:
-    the first ones are added into in place, and at most 8 are live at a time.
-    """
-    terms = iter(terms)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        acc = coordinate_sum(terms, half)
-        acc += coordinate_sum(terms, n - half)
-        return acc
-    if n < 8:
-        acc = next(terms)
-        for _ in range(n - 1):
-            acc += next(terms)
-    else:
-        lanes = [next(terms) for _ in range(8)]
-        for _ in range(n // 8 - 1):
-            for i in range(8):
-                lanes[i] += next(terms)   # by index: a 0-d lane is a numpy scalar
-        for step in (1, 2, 4):   # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
-            for i in range(0, 8, 2 * step):
-                lanes[i] += lanes[i + step]
-        acc = lanes[0]
-        for _ in range(n % 8):
-            acc += next(terms)
-    acc += 0.0   # add.reduce starts from +0.0, so a sum of -0.0 terms reads +0.0
+def coordinate_sum(terms):
+    """Sum a generator of per-coordinate arrays left to right, each addition over the
+    whole batch; the terms are fresh arrays, never views of an input, as the first is
+    added into in place, so only it and the current term are live at a time."""
+    acc = next(terms)
+    for term in terms:
+        acc += term   # a 0-d sum is a numpy scalar, and += rebinds it
+        del term   # freed before the generator makes the next one
+    acc += 0.0   # a sum of -0.0 terms reads +0.0, as from np.sum
     return acc
 
 
@@ -93,33 +71,37 @@ def lp_norm(arr: np.ndarray, p: float) -> np.ndarray:
     n = arr.shape[-1]
     try:
         with np.errstate(under="raise", over="raise"):
-            return column_lp_norm((arr[..., i] for i in range(n)), n, p)
+            return column_lp_norm((arr[..., i] for i in range(n)), p)
     except FloatingPointError:
         pass
     with np.errstate(under="ignore", over="ignore"):
-        out = np.array(column_lp_norm((arr[..., i] for i in range(n)), n, p))
-        sums = _power_sum((arr[..., i] for i in range(n)), n, p)
+        sums = _power_sum((arr[..., i] for i in range(n)), p)
+        out = np.array(_root(sums, p))
         top = np.max(np.abs(arr), axis=-1)
         redo = ((sums < np.finfo(float).tiny) | (sums == np.inf)) & (top > 0) & (top < np.inf)
         rows = arr[redo] / top[redo][:, None]
-        out[redo] = top[redo] * column_lp_norm((rows[:, i] for i in range(n)), n, p)
+        out[redo] = top[redo] * column_lp_norm((rows[:, i] for i in range(n)), p)
     return out[()]
 
 
-def _power_sum(columns, n: int, p: float):
-    """The sum of the p-th powers of the absolute values of ``n`` coordinate columns."""
+def _power_sum(columns, p: float):
+    """The sum of the p-th powers of the absolute values of coordinate columns."""
     if p == 2.0:
-        return coordinate_sum((c * c for c in columns), n)
+        return coordinate_sum(c * c for c in columns)
     # np.power, not **: a 0-d column or sum is a numpy scalar, whose ** is libm's
     # pow rather than the ufunc loop of an array, so one element's norm would not
     # be the bits of its row in a batch
-    return coordinate_sum((np.power(np.abs(c), p) for c in columns), n)
+    return coordinate_sum(np.power(np.abs(c), p) for c in columns)
 
 
-def column_lp_norm(columns, n: int, p: float) -> np.ndarray:
-    """l^p norm of ``n`` coordinate columns, taken directly as ``(sum |x_i|^p)^(1/p)``."""
-    sums = _power_sum(columns, n, p)
+def _root(sums, p: float):
+    """The p-th root of a sum of p-th powers."""
     return np.sqrt(sums) if p == 2.0 else np.power(sums, 1.0 / p)
+
+
+def column_lp_norm(columns, p: float) -> np.ndarray:
+    """l^p norm of coordinate columns, taken directly as ``(sum |x_i|^p)^(1/p)``."""
+    return _root(_power_sum(columns, p), p)
 
 
 # the fewest candidates drawn per norm call; a rejection round is max(64, 4 * missing)
@@ -416,7 +398,7 @@ class HeisenbergGroup(_NilpotentGroup):
     def pairing(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Dual pairing of the first and second blocks."""
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return coordinate_sum((a[..., i] * b[..., i] for i in range(a.shape[-1])), a.shape[-1])
+        return coordinate_sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
 
     def mul(self, g, h):
         g, h = self._check(g, h)
@@ -466,7 +448,7 @@ class HeisenbergGroup(_NilpotentGroup):
         dy = (y[..., None, :, i] - y[..., :, None, i] for i in range(self.N))
         try:
             with np.errstate(under="raise", over="raise"):
-                return (column_lp_norm(dx, self.N, self.p) + column_lp_norm(dy, self.N, self.q)
+                return (column_lp_norm(dx, self.p) + column_lp_norm(dy, self.q)
                         + np.abs(dz))
         except FloatingPointError:   # a lost norm: the generic route takes lp_norm's
             return super()._pairwise_chart_norms(prefix)

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import block_models
 from liemult import (DiscreteJumps, HeisenbergGroup, JumpSetSpec, LevyModel,
@@ -29,6 +30,20 @@ from liemult.rng import substream
 # sha256 of every file `liemult run --default` writes; a change that alters a
 # report byte updates this file and declares the change.
 GOLDEN_DIGESTS = Path(__file__).with_name("default_reports.sha256")
+# the same for a small config on HeisenbergGroup(9, 3.0), whose block sums have 9
+# terms where every default experiment's have at most 2
+N9_CONFIG = Path(__file__).with_name("heisenberg_n9.json")
+N9_DIGESTS = Path(__file__).with_name("heisenberg_n9_reports.sha256")
+
+
+def unpinned_reports(out: Path, digests: Path) -> list:
+    """The files in ``out`` whose sha256 differs from its line in ``digests``, a
+    ``sha256sum`` listing that must name exactly the files in ``out``."""
+    golden = dict(reversed(line.split("  ")) for line in digests.read_text().splitlines())
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(golden)
+    return [name for name in names
+            if hashlib.sha256((out / name).read_bytes()).hexdigest() != golden[name]]
 
 
 @contextmanager
@@ -238,9 +253,12 @@ def test_criterion_8_determinism(tmp_path):
         summary = json.loads((tmp_path / "r1" / "summary.json").read_text())
         assert summary["counts"]["fail"] == 0
 
-        golden = dict(reversed(line.split("  ")) for line in
-                      GOLDEN_DIGESTS.read_text().splitlines())
-        assert names == sorted(golden)
-        changed = [name for name in names if hashlib.sha256(
-            (tmp_path / "r1" / name).read_bytes()).hexdigest() != golden[name]]
+        changed = unpinned_reports(tmp_path / "r1", GOLDEN_DIGESTS)
         assert changed == [], f"report bytes differ from {GOLDEN_DIGESTS.name}: {changed}"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reports_pinned_at_n9(tmp_path, jobs):
+    assert cli_main(["run", str(N9_CONFIG), "--out", str(tmp_path), "--jobs", jobs]) == 0
+    changed = unpinned_reports(tmp_path, N9_DIGESTS)
+    assert changed == [], f"report bytes differ from {N9_DIGESTS.name}: {changed}"

@@ -1,6 +1,7 @@
 """Group and algebra kernel tests: laws, charts, and the ball-power radius."""
 
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,14 +23,19 @@ def random_algebra(group, rng, size, scale=1.0):
     return rng.standard_normal((size, group.dim)) * scale
 
 
-# The trailing-axis formulas the coordinate sums replaced: the oracles that
-# coordinate_sum, lp_norm, pairing and HeisenbergGroup.norm must match bit for bit.
-# The root goes through np.power, the power loop of an array, at every batch shape:
-# the sum of one element is a numpy scalar, whose ** is libm's pow
+# Trailing-axis formulas summed left to right: the oracles that coordinate_sum,
+# lp_norm, pairing and HeisenbergGroup.norm must match bit for bit.  np.cumsum is a
+# sequential accumulate, and + 0.0 turns a sum of -0.0 terms into +0.0.  The root
+# goes through np.power, the power loop of an array, at every batch shape: the sum
+# of one element is a numpy scalar, whose ** is libm's pow
+def oracle_sum(a):
+    return np.cumsum(a, axis=-1)[..., -1] + 0.0
+
+
 def oracle_lp_norm(a, p):
     if p == 2.0:
-        return np.sqrt(np.sum(a * a, axis=-1))
-    return np.power(np.sum(np.abs(a) ** p, axis=-1), 1.0 / p)
+        return np.sqrt(oracle_sum(a * a))
+    return np.power(oracle_sum(np.abs(a) ** p), 1.0 / p)
 
 
 def rescaled_oracle_lp_norm(a, p):
@@ -39,7 +45,7 @@ def rescaled_oracle_lp_norm(a, p):
 
 
 def oracle_pairing(a, b):
-    return np.sum(a * b, axis=-1)
+    return oracle_sum(a * b)
 
 
 def oracle_heisenberg_norm(group, vec):
@@ -265,9 +271,9 @@ class TestNorm:
 
 
 class TestCoordinateSum:
-    """Coordinate-wise block sums against the trailing-axis numpy formulas, bit for
-    bit: a different summation order (a plain left fold, another lane
-    combination, or a numpy whose reduce order changed) fails here."""
+    """Coordinate-wise block sums against the sequential trailing-axis numpy
+    formulas, bit for bit: any other summation order (numpy's pairwise
+    ``np.sum``, say) fails here from 8 terms on."""
 
     @staticmethod
     def wide_values(rng, shape):
@@ -287,8 +293,8 @@ class TestCoordinateSum:
             a = self.wide_values(rng, lead + (n,))
             b = self.wide_values(rng, lead + (n,))
             a_in, b_in = a.copy(), b.copy()
-            assert_same_bits(coordinate_sum((a[..., i].copy() for i in range(n)), n),
-                             np.sum(a, axis=-1))
+            assert_same_bits(coordinate_sum(a[..., i].copy() for i in range(n)),
+                             oracle_sum(a))
             assert_same_bits(HeisenbergGroup(n).pairing(a, b), oracle_pairing(a, b))
             for p in (1.5, 2.0, 3.0):
                 assert_same_bits(lp_norm(a, p), oracle_lp_norm(a, p))
@@ -596,6 +602,21 @@ class TestHeisenbergBlockKernel:
                 assert np.array_equal(group.pairwise_chart_norms(prefix), norms)
                 assert np.array_equal(
                     _NilpotentGroup._pairwise_chart_norms(group, prefix), norms)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("N", [8, 32])
+    def test_peak_memory_does_not_grow_with_n(self, N, p):
+        # each block sum keeps one running sum and the current term, so the peak is
+        # about 6 to 7 (8, 65, 65) arrays, the result included, at any N
+        group = HeisenbergGroup(N, p)
+        prefix = substream(N, "block-kernel-memory").standard_normal((8, 65, group.dim))
+        tracemalloc.start()
+        try:
+            group.pairwise_chart_norms(prefix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / np.zeros((8, 65, 65)).nbytes <= 8
 
     def test_step_counts_pinned(self):
         # recorded while the vectorized counter still called group.norm
