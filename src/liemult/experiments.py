@@ -336,20 +336,20 @@ EXPERIMENTS = {
     "group-axioms": ExperimentSpec(
         _residuals("group-axioms", 3, _axiom_residuals),
         "group law: associativity, identity, inverses on random triples",
-        "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0), "tol": (F, 1e-12)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0, 0), "tol": (F, 1e-12)}),
     "exp-log-roundtrip": ExperimentSpec(
         _residuals("exp-log", 1, _roundtrip_residuals),
         "log(exp(V)) = V and exp(log(g)) = g inside the chart",
-        "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0), "tol": (F, 1e-10)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 2.0, 0), "tol": (F, 1e-10)}),
     "bch-consistency": ExperimentSpec(
         _residuals("bch", 2, lambda G, u, v: {
             "max_bch_defect": G.bch(u, v) - G.log(G.mul(G.exp(u), G.exp(v)))}),
         "truncated commutator series equals log of the product",
-        "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0), "tol": (F, 1e-12)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0, 0), "tol": (F, 1e-12)}),
     "bracket-properties": ExperimentSpec(
         _residuals("bracket", 3, _bracket_residuals),
         "bracket antisymmetry and Jacobi identity residuals",
-        "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0), "tol": (F, 1e-12)}),
+        "groups", {"samples": (I, 10000, 1), "scale": (F, 1.0, 0), "tol": (F, 1e-12)}),
     "chart-certification": ExperimentSpec(
         _run_chart_certification, "bracket-norm bound and ball-power radius containment by sampling",
         "groups", {"samples": (I, 10000, 1), "delta": DELTA_RHO2, "power": (I, 2, 1),

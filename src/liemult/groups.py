@@ -33,7 +33,6 @@ them against, lives in the tests.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +103,7 @@ def column_lp_norm(columns, p: float) -> np.ndarray:
     return _root(_power_sum(columns, p), p)
 
 
-# the fewest candidates drawn per norm call; a rejection round is max(64, 4 * missing)
-# candidates, so one block spans many of the short rounds of a small draw
+# the fewest candidates drawn per norm call
 _BLOCK_ROWS = 1024
 
 
@@ -117,46 +115,22 @@ def sample_norm_ball(rng: np.random.Generator, space, radius: float, size: int) 
     keeping those whose norm is below radius; exact for any norm whose unit ball
     is contained in the unit sup-norm box (true for all norms used here).
 
-    The draw is defined by a round loop: each round draws ``max(64, 4 * missing)``
-    candidates and keeps its inside ones, until ``size`` are kept.  Every round
-    but the last keeps all of its inside candidates, so the result is the first
-    ``size`` inside candidates of the stream, and the generator ends where the
-    round loop leaves it, after the last round's candidates.  Here candidates are
-    drawn ahead in blocks of at least ``_BLOCK_ROWS`` with one ``norm`` call each,
-    the round boundaries are replayed on the stream positions of the inside
-    candidates, and the generator is rewound from the last block to the end of
-    the last round.  A block is one round's candidates or ``_BLOCK_ROWS``,
-    whichever is more, so only one round is held in memory.
-
-    The number of candidates consumed is part of the result: a caller that draws
-    again from ``rng`` (``chart-certification`` draws all its product batches
-    from one generator) sees a different stream if the round sizes change,
-    even when the returned points do not.  ``TestSampleNormBall`` in
-    ``tests/test_groups.py`` pins the generator's next draw, and
-    ``TestSampleNormBallOracle`` checks the points and that draw against the
-    round loop itself.
+    The points are the first ``size`` inside candidates of the stream, whatever
+    the block size.  Candidates are drawn in blocks of ``max(_BLOCK_ROWS,
+    4 * missing)`` rows with one ``norm`` call each, and the generator is left
+    after the last block.  So a caller that draws again from ``rng``
+    (``chart-certification`` draws all its product batches from one generator)
+    sees a stream that depends on ``_BLOCK_ROWS``.
     """
     if not radius > 0:   # NaN too
         raise ParameterError(f"radius must be positive, got {radius}")
     out = np.empty((size, space.dim))
-    position = []   # stream positions of the points in out, ascending
-    # kept: the inside candidates the round loop keeps by the end of the last
-    # round replayed
-    drawn = end = kept = 0
-    while kept < size:
-        end += max(64, 4 * (size - kept))   # the next round ends here
-        while drawn < end:
-            state = rng.bit_generator.state
-            block, rows, have = drawn, max(_BLOCK_ROWS, end - drawn), len(position)
-            cand = rng.uniform(-radius, radius, size=(rows, space.dim))
-            inside = np.flatnonzero(space.norm(cand) < radius)[:size - have]
-            out[have:have + inside.size] = cand[inside]
-            position += (block + inside).tolist()
-            drawn += rows
-        kept = bisect_left(position, end, kept)
-    if drawn > end:   # the last block ran past the last round: skip to its end again
-        rng.bit_generator.state = state
-        rng.random((end - block) * space.dim)   # one double per coordinate, as uniform
+    have = 0
+    while have < size:
+        cand = rng.uniform(-radius, radius, size=(max(_BLOCK_ROWS, 4 * (size - have)), space.dim))
+        inside = cand[space.norm(cand) < radius][:size - have]
+        out[have:have + len(inside)] = inside
+        have += len(inside)
     return out
 
 
@@ -444,6 +418,7 @@ class HeisenbergGroup(_NilpotentGroup):
         x, y, z = self.split(prefix)
         cross = self.pairing(x[..., :, None, :], y[..., None, :, :])   # <x_j|y_k>
         dz = (z[..., None, :] - z[..., :, None]) + 0.5 * (np.swapaxes(cross, -1, -2) - cross)
+        del cross   # freed before the column norms
         dx = (x[..., None, :, i] - x[..., :, None, i] for i in range(self.N))
         dy = (y[..., None, :, i] - y[..., :, None, i] for i in range(self.N))
         try:

@@ -828,6 +828,12 @@ class TestValidation:
             {"name": "detector-fidelity", "seed": 3,
              "params": {"model": "noisy", "grid": "g8", "epsilon": -1.0}}),
          "config.experiments[2].params.epsilon", "a value in (0, inf), got -1.0"),
+        # a negative scale, which the residual batteries' uniform norm draw refuses
+        *((lambda cfg, name=name: cfg["experiments"].append(
+            {"name": name, "seed": 3, "params": {"scale": -1.0}}),
+           "config.experiments[2].params.scale", "at least 0, got -1.0")
+          for name in ("group-axioms", "exp-log-roundtrip", "bch-consistency",
+                       "bracket-properties")),
         # bounds between parameters or on the grid
         (lambda cfg: cfg["experiments"].append(
             {"name": "restart-probe", "seed": 3,
