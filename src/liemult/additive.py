@@ -410,6 +410,8 @@ def driver_paths(model: LevyModel, grid: TimeGrid, seed: int, trials: int):
     """Yield the driver paths of trials t = 0, ..., trials - 1, each equal to
     ``sample_additive(model, grid, seed, stream=(t,))``; the constants of
     (model, grid) and the stream keys of all trials are computed once."""
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     law = _DriverLaw(model, grid)
     streams = TrialStreams(seed, trials, law.labels)
     for trial in range(trials):

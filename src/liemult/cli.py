@@ -1,8 +1,8 @@
 """Batch experiment driver.
 
-``liemult run <config.json>`` executes the configured experiments, prints a
-status line as each finishes, writes one JSON report per experiment plus a
-summary, and exits 0 only if every non-inconclusive assertion passed;
+``liemult run <config.json>`` executes the configured experiments, writes each
+one's JSON report and prints its status line as it finishes, writes the summary
+last, and exits 0 only if every non-inconclusive assertion passed;
 ``liemult list-experiments`` prints the catalog.  Reports are byte-deterministic
 functions of (config, seeds, version); the parallelism degree never changes a byte.
 """
@@ -75,13 +75,18 @@ def _run(args) -> int:
     contexts = [{**ctx, "csv_dir": out_dir / f"{i:02d}_{entry['name']}"} if csv else ctx
                 for i, entry in enumerate(entries)]
 
-    results = [None] * len(entries)
+    rows = [None] * len(entries)
 
     def finished(index: int, result: tuple) -> None:
-        """Keep an entry's result and print its progress line as it returns."""
-        results[index] = result
+        """Write an entry's report and keep its summary row as it returns, so a run
+        that stops early keeps every report it finished."""
         report, trace = result
         name, seed = entries[index]["name"], entries[index]["seed"]
+        report["schema_version"] = cfg["schema_version"]
+        filename = f"{index:02d}_{name}.json"
+        dump_json(report, out_dir / filename)
+        rows[index] = {"index": index, "name": name, "seed": seed,
+                       "status": report["status"], "file": filename}
         if trace is not None:
             print(f"runtime error in experiment {index:02d} {name} (seed {seed}):\n{trace}",
                   file=sys.stderr)
@@ -105,30 +110,16 @@ def _run(args) -> int:
         for i in range(len(entries)):
             finished(i, _execute_entry(contexts[i], entries[i]))
 
-    # reports and the summary are written in index order, whatever the finishing order
-    summary_rows = []
+    # "error" enters the counts only when an entry errored
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for index, (report, _) in enumerate(results):
-        name, seed = entries[index]["name"], entries[index]["seed"]
-        report["schema_version"] = cfg["schema_version"]
-        filename = f"{index:02d}_{name}.json"
-        dump_json(report, out_dir / filename)
-        # "error" enters the counts only when an entry errored
-        counts[report["status"]] = counts.get(report["status"], 0) + 1
-        summary_rows.append({
-            "index": index,
-            "name": name,
-            "seed": seed,
-            "status": report["status"],
-            "file": filename,
-        })
-
+    for row in rows:
+        counts[row["status"]] = counts.get(row["status"], 0) + 1
     summary = {
         "schema_version": cfg["schema_version"],
         "version": __version__,
         "group": cfg["group"],
         "counts": counts,
-        "experiments": summary_rows,
+        "experiments": rows,
     }
     dump_json(summary, out_dir / "summary.json")
     print(", ".join(f"{n} {status}" for status, n in counts.items()) + f" -> {out_dir}")

@@ -470,6 +470,32 @@ class TestRun:
         assert summary["counts"] == {"pass": 1, "fail": 0, "inconclusive": 0, "error": 1}
         assert [row["status"] for row in summary["experiments"]] == ["pass", "error"]
 
+    def test_early_stop_keeps_finished_reports(self, tmp_path, capsys, monkeypatch):
+        # a stop that no entry catches (Ctrl-C, a kill) in entry 02: the two reports
+        # finished before it are on disk with their full-run bytes, and no summary is
+        cfg = copy.deepcopy(BASE)
+        cfg["experiments"].append({"name": "gauge-metric", "seed": 5, "params": {"samples": 10}})
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+
+        class Stop(BaseException):
+            pass
+
+        def stop(ctx, params, seed):
+            raise Stop
+
+        monkeypatch.setitem(EXPERIMENTS, "gauge-metric",
+                            dataclasses.replace(EXPERIMENTS["gauge-metric"], runner=stop))
+        with pytest.raises(Stop):
+            main(["run", str(cfg_path), "--out", str(tmp_path / "b"), "--jobs", "1"])
+        assert capsys.readouterr().out.splitlines() == [
+            "[        PASS] 00 group-axioms", "[        PASS] 01 cocycle-exactness"]
+        files = sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert files == ["00_group-axioms.json", "01_cocycle-exactness.json"]
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_unipotent_six_runs_and_names_the_bch_step(self, tmp_path):
         # a group of nilpotency step 5: the kernel checks and the step counter run,
         # and the two entries built on the degree-3 BCH series error out naming the step

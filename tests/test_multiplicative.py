@@ -368,3 +368,25 @@ class TestRequireGroup:
         model = LevyModel(space=LpSpace(5), diffusion=0.1)
         with pytest.raises(ParameterError, match="bound to a group instance"):
             battery(model, self.GRID)
+
+
+class TestZeroTrials:
+    """``driver_paths`` rejects zero trials, so every battery that draws through it
+    fails with a ParameterError rather than deep in its statistics."""
+
+    GRID = TimeGrid.uniform(1.0, 8)
+
+    @pytest.mark.parametrize("battery", [
+        lambda m, g: oscillation_axioms_test(m, g, 0.5, 0, 5, 0),
+        lambda m, g: mc_maximum_oscillation(m, g, 0.5, 0, 0),
+        lambda m, g: mc_largest_step(m, g, 0.5, 0, 0),
+        lambda m, g: uniform_continuity_probe(m, 1.0, 0.5, 0.1, 0, 0, cells=8),
+        lambda m, g: poisson_battery(m, g, JumpSetSpec(0.1), 0, 0),
+        lambda m, g: restart_probe(m, g, JumpSetSpec(0.1), 0.25, 0, 0),
+        lambda m, g: right_limit_defects(m, g, 0, 1, 2, 0),
+    ], ids=["axioms", "maximum-oscillation", "largest-step", "uniform-continuity",
+            "poisson-battery", "restart-probe", "right-limit"])
+    def test_zero_trials_rejected(self, heis2, battery):
+        model = LevyModel(space=heis2, diffusion=0.1)
+        with pytest.raises(ParameterError, match="trials must be at least 1, got 0"):
+            battery(model, self.GRID)
