@@ -210,11 +210,18 @@ class _NilpotentGroup:
     its own prefix-product kernel: ``HeisenbergGroup`` overrides
     ``prefix_products`` with its closed form, ``UnipotentGroup`` the
     ``_prefix_products`` hook with the matrix-form fold.
+
+    It may also supply ``norm_bounds(vec) -> (lo, hi)`` with ``lo <= norm(vec)
+    <= hi`` on finite rows.  The generic pairwise route then takes ``norm`` only
+    on the pairs whose bounds cannot decide a comparison with delta
+    (``UnipotentGroup`` supplies max-abs and Frobenius; the class default is
+    None).
     """
 
     dim: int
     nilpotency_step: int
     chart: ChartSpec
+    norm_bounds = None
 
     # -- element algebra ---------------------------------------------------
 
@@ -300,20 +307,41 @@ class _NilpotentGroup:
         (prefix,) = self._check(prefix)
         return self.mul(self.inv(prefix[..., j, :]), prefix[..., k, :])
 
-    def pairwise_chart_norms(self, prefix: np.ndarray) -> np.ndarray:
-        """Chart norms of all two-parameter values, shape (..., n+1, n+1), symmetric
-        with a zero diagonal as log(inv(g)) = -log(g); callers read the j < k pairs."""
-        # the one entry point: a group with a closed form overrides the hook below
-        return self._pairwise_chart_norms(prefix)
+    def pairs_outside(self, prefix: np.ndarray, delta: float) -> np.ndarray:
+        """Which two-parameter values leave the delta-ball, shape (..., n+1, n+1): the
+        bits of ``pairwise_chart_norms(prefix) >= delta``, for callers that compare
+        chart norms with delta and never read them."""
+        return self.pairwise_chart_norms(prefix, delta) >= delta
 
-    def _pairwise_chart_norms(self, prefix: np.ndarray) -> np.ndarray:
+    def pairwise_chart_norms(self, prefix: np.ndarray, delta: float | None = None) -> np.ndarray:
+        """Chart norms of all two-parameter values, shape (..., n+1, n+1), symmetric
+        with a zero diagonal as log(inv(g)) = -log(g); callers read the j < k pairs.
+
+        With ``delta``, an entry is only good for comparing with delta: in a group
+        with ``norm_bounds``, a pair whose bounds lie clear of delta by a relative
+        1e-12 gets the deciding bound in place of its norm, which compares with
+        delta as the norm does.  ``pairs_outside`` makes that comparison."""
+        # the one entry point: a group with a closed form overrides the hook below
+        return self._pairwise_chart_norms(prefix, delta)
+
+    def _pairwise_chart_norms(self, prefix: np.ndarray, delta: float | None = None) -> np.ndarray:
         # the generic route: only the j < k pairs are evaluated, then mirrored; the
         # m rows are inverted once and then gathered, the bits of pair_increment
         (prefix,) = self._check(prefix)
         j, k = np.triu_indices(prefix.shape[-2], 1)
-        pairs = self.mul(self.inv(prefix)[..., j, :], prefix[..., k, :])
+        logs = self.log(self.mul(self.inv(prefix)[..., j, :], prefix[..., k, :]))
+        if delta is None or self.norm_bounds is None:
+            norms = self.norm(logs)
+        else:
+            # lo and hi bracket the norm; only pairs within the margin of delta, and
+            # rows with a non-finite entry (on which norm raises), take the norm
+            lo, hi = self.norm_bounds(logs)
+            above = np.isfinite(lo) & (lo >= delta * (1.0 + 1e-12))
+            norms = np.where(above, lo, hi)
+            near = ~(above | (hi < delta * (1.0 - 1e-12)))
+            norms[near] = self.norm(logs[near])
         out = np.zeros(prefix.shape[:-1] + prefix.shape[-2:-1])   # (..., m, m)
-        out[..., j, k] = out[..., k, j] = self.chart_norm(pairs)
+        out[..., j, k] = out[..., k, j] = norms
         return out
 
 
@@ -410,8 +438,9 @@ class HeisenbergGroup(_NilpotentGroup):
     def chart_norm(self, g):
         return self.norm(g)   # log is the coordinate identity
 
-    def _pairwise_chart_norms(self, prefix):
-        # blocks (dx, dy, dz) of inv(g_j) g_k for all pairs (j, k), bit-identical to
+    def _pairwise_chart_norms(self, prefix, delta=None):
+        # delta is ignored: these norms are already cheap.  Blocks (dx, dy, dz) of
+        # inv(g_j) g_k for all pairs (j, k), bit-identical to
         # mul(inv(g_j), g_k): (-a) + b rounds as b - a, and the z pairings are its
         # products and coordinate sums, negated; dx and dy stream one coordinate
         # at a time, so no (..., m, m, N) array is built
@@ -538,3 +567,13 @@ class UnipotentGroup(_NilpotentGroup):
         a = self.to_matrix(vec / np.where(scale > 0.0, scale, 1.0)[..., None])
         top = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]
         return scale * np.sqrt(np.maximum(top, 0.0))
+
+    def norm_bounds(self, vec):
+        # max|a_ij| <= |A|_2 <= |A|_F; the Frobenius sum is taken on the entries
+        # scaled by the largest, as norm scales its Gram matrix, so it neither
+        # underflows nor overflows; a row with a non-finite entry is left unscaled,
+        # and both its bounds are non-finite
+        (vec,) = self._check(vec)
+        lo = np.abs(vec).max(axis=-1)
+        scaled = vec / np.where((lo > 0.0) & (lo < np.inf), lo, 1.0)[..., None]
+        return lo, lo * np.sqrt((scaled * scaled).sum(axis=-1))

@@ -104,7 +104,7 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
     group = require_group(model)
     group.require_chart_radius(delta)
     rng = substream(seed, "oscillation-axioms")
-    outside = group.pairwise_chart_norms(batch_prefixes(model, grid, seed, paths)) >= delta
+    outside = group.pairs_outside(batch_prefixes(model, grid, seed, paths), delta)
     full = np.arange(n + 1)
     full_counts = oscillation_counts_from_outside(outside)   # each path on all its points
 
@@ -134,7 +134,7 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
 def _any_pair_outside(group, prefixes: np.ndarray, threshold: float) -> np.ndarray:
     """Per trial: does some x(j, k), j < k, have chart norm >= threshold?"""
     return map_trial_chunks(prefixes, lambda chunk: np.triu(
-        group.pairwise_chart_norms(chunk) >= threshold, k=1).any(axis=(1, 2)))
+        group.pairs_outside(chunk, threshold), k=1).any(axis=(1, 2)))
 
 
 def _suffix_norms(group, prefixes: np.ndarray) -> np.ndarray:
@@ -241,7 +241,7 @@ def mc_expectation_bound(model: LevyModel, grid: TimeGrid, delta: float,
     se_alpha = binom_se(alpha_hat, half)
 
     counts = map_trial_chunks(prefixes[half:], lambda chunk: oscillation_counts_from_outside(
-        group.pairwise_chart_norms(chunk) >= delta))
+        group.pairs_outside(chunk, delta)))
     mean_count = float(np.mean(counts))
     se_mean = mean_se(counts)
     histogram = {int(k): int(v) for k, v in zip(*np.unique(counts, return_counts=True))}
@@ -310,7 +310,7 @@ def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: fl
     spans = points[None, :] - points[:, None]            # k - j at [j, k]
     # smallest band in which each trial already oscillates
     min_span = map_trial_chunks(prefixes, lambda chunk: np.where(
-        np.triu(group.pairwise_chart_norms(chunk) >= delta, k=1), spans, cells + 1
+        np.triu(group.pairs_outside(chunk, delta), k=1), spans, cells + 1
     ).min(axis=(1, 2)))
 
     levels = int(np.log2(cells))

@@ -34,6 +34,10 @@ GOLDEN_DIGESTS = Path(__file__).with_name("default_reports.sha256")
 # terms where every default experiment's have at most 2
 N9_CONFIG = Path(__file__).with_name("heisenberg_n9.json")
 N9_DIGESTS = Path(__file__).with_name("heisenberg_n9_reports.sha256")
+# the same for UnipotentGroup(4), whose threshold batteries decide most pairs from the
+# max-abs and Frobenius bounds of the spectral norm
+U4_CONFIG = Path(__file__).with_name("unipotent_n4.json")
+U4_DIGESTS = Path(__file__).with_name("unipotent_n4_reports.sha256")
 
 
 def unpinned_reports(out: Path, digests: Path) -> list:
@@ -262,3 +266,10 @@ def test_reports_pinned_at_n9(tmp_path, jobs):
     assert cli_main(["run", str(N9_CONFIG), "--out", str(tmp_path), "--jobs", jobs]) == 0
     changed = unpinned_reports(tmp_path, N9_DIGESTS)
     assert changed == [], f"report bytes differ from {N9_DIGESTS.name}: {changed}"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reports_pinned_at_unipotent_n4(tmp_path, jobs):
+    assert cli_main(["run", str(U4_CONFIG), "--out", str(tmp_path), "--jobs", jobs]) == 0
+    changed = unpinned_reports(tmp_path, U4_DIGESTS)
+    assert changed == [], f"report bytes differ from {U4_DIGESTS.name}: {changed}"

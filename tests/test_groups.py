@@ -16,6 +16,7 @@ from liemult import (ChartSpec, ConfigError, HeisenbergGroup, InvalidInputError,
 from liemult.config import build_context
 from liemult.experiments import run_experiment
 from liemult.groups import _NilpotentGroup, coordinate_sum, lp_norm
+from liemult.multiplicative import batch_prefixes
 from liemult.rng import TrialStreams
 
 
@@ -711,6 +712,85 @@ class TestGenericUpperPairs:
                 assert np.array_equal(norms[..., j, k], full[..., j, k])
                 assert np.array_equal(norms, np.swapaxes(norms, -1, -2))
                 assert not np.diagonal(norms, axis1=-2, axis2=-1).any()
+
+
+# the models and grids of the unipotent-mc benchmark workload
+UNIPOTENT_MC = {
+    "group": {"kind": "unipotent", "n": 4},
+    "grids": {"g32": {"T": 1.0, "cells": 32}, "g64": {"T": 1.0, "cells": 64}},
+    "models": {
+        "brownian": {"diffusion": 0.03},
+        "brownian_small": {"diffusion": 0.005},
+        "brownian_jump": {"diffusion": 0.03, "jump_intensity": 2.0,
+                          "jump_law": {"kind": "uniform_ball", "radius": 0.05}},
+    },
+}
+
+
+def assert_same_decisions(group, prefix, delta):
+    assert_same_bits(group.pairs_outside(prefix, delta),
+                     group.pairwise_chart_norms(prefix) >= delta)
+
+
+class TestPairsOutside:
+    """``pairs_outside`` decides most unipotent pairs from max|a_ij| <= |A|_2 <= |A|_F
+    and takes the spectral norm only within a relative 1e-12 of delta; its decisions
+    are those of the exact norms, bit for bit."""
+
+    @pytest.mark.parametrize("model", sorted(UNIPOTENT_MC["models"]))
+    def test_benchmark_models(self, model):
+        ctx = build_context(UNIPOTENT_MC)
+        group = ctx["group"]
+        for grid, trials in [("g32", 60), ("g64", 30)]:
+            prefix = batch_prefixes(ctx["models"][model], ctx["grids"][grid], 5, trials)
+            # delta and the superset radius of the largest-step battery
+            for delta in (0.1, group.ball_power_radius(0.1, 2)):
+                assert_same_decisions(group, prefix, delta)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-200, 0.1, 1.0, 1e150])
+    def test_rows_at_the_margin(self, delta):
+        # pair logs at delta * (1 + offset), so that some pairs fall inside the
+        # margin and some just outside it; as the prefix is [identity, exp(v)], the
+        # pair log is v to round-off.  Rows of three kinds: general, one nonzero
+        # entry (lo = norm = hi) and a first row only (norm = hi).  At 1e150 only the
+        # last two, whose matrix squares vanish, so exp and log cannot overflow
+        group = UnipotentGroup(4)
+        rng = substream(17, "pairs-outside-margin")
+        vec = rng.standard_normal((60, group.dim))
+        vec[:20] = np.eye(group.dim)[rng.integers(0, group.dim, 20)]
+        vec[20:40, 3:] = 0.0   # coordinates 0-2 are the first row
+        if delta > 1e100:
+            vec = vec[:40]
+        offsets = np.array([-2e-12, -1e-12, -1e-13, 0.0, 1e-13, 1e-12, 2e-12])
+        rows = (vec / group.norm(vec)[:, None]) * (delta * (1.0 + offsets))[:, None, None]
+        prefix = np.stack([np.zeros_like(rows), group.exp(rows)], axis=-2)
+        assert_same_decisions(group, prefix, delta)
+
+    def test_entries_whose_squares_underflow(self):
+        # every entry 6e-201: the norm is 1.35e-200, outside delta = 1e-200, while
+        # an unscaled sum of squares would read 0
+        group = UnipotentGroup(4)
+        prefix = np.stack([np.zeros(group.dim), np.full(group.dim, 6e-201)])
+        assert group.pairs_outside(prefix, 1e-200)[0, 1]
+        assert_same_decisions(group, prefix, 1e-200)
+
+    def test_non_finite_pairs_raise(self):
+        # a NaN entry, and a finite prefix whose log overflows to -inf in one entry
+        group = UnipotentGroup(3)
+        nan = np.array([[0.0, 0.0, 0.0], [0.05, np.nan, 0.05]])
+        big = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 1e200]])
+        for prefix in (nan, big):
+            with np.errstate(over="ignore"):
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    group.pairwise_chart_norms(prefix)
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    group.pairs_outside(prefix, 0.1)
+
+    def test_heisenberg_takes_its_norms(self, heis2, rng):
+        prefix = rng.standard_normal((3, 9, heis2.dim))
+        assert_same_bits(heis2.pairwise_chart_norms(prefix, 1.0),
+                         heis2.pairwise_chart_norms(prefix))
+        assert_same_decisions(heis2, prefix, 1.0)
 
 
 def build_group(group: dict):
