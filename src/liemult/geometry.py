@@ -1,12 +1,15 @@
 """Word-length step counter, gauge metric, and exponential moment checks.
 
 ``step_count_upper`` produces a certified upper bound for the minimal number
-of factors from the delta-ball needed to write a group element: it returns
-an explicit factor word (an array of leg and commutator-gadget blocks),
-re-multiplies it, and fails loudly unless the product reproduces the element
-to 1e-10 with every factor strictly inside the ball.  The bound is an upper
-bound of the word-length infimum, so using it inside the moment inequalities
-only strengthens what is checked.
+of factors from the delta-ball needed to write a group element, for one
+element (d,) or for each element of a stack (B, d) at once: it returns an
+explicit factor word per element (an array of leg and commutator-gadget
+blocks), re-multiplies every word, and fails loudly unless each product
+reproduces its element to 1e-10 with every factor strictly inside the ball.
+The words of a stack are built stage by stage for all elements together and
+folded through the group's ``prefix_products``, sorted by length and a few
+at a time.  The bound is an upper bound of the word-length infimum, so using
+it inside the moment inequalities only strengthens what is checked.
 
 The gauge metric is the fourth-root homogeneous norm on the p = 2
 Heisenberg instance; it is left-invariant and symmetric by construction and
@@ -15,7 +18,6 @@ its triangle inequality is certified by large-scale sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +48,20 @@ LEG_FRACTION = 0.9          # factor norms stay at 0.9 * delta
 GADGET_FRACTION = 0.45      # commutator legs use 0.45 * delta per side
 MAX_NORM_FACTOR = 3.0       # step-triangle samples norms uniformly in [0, 3 * delta)
 CERTIFY_SAMPLES = 16        # exp-moment pairs recounted by the certified constructor
+FOLD_CHUNK = 16             # words folded together by one prefix_products call
 TAIL_LEVELS = 5             # exceedance thresholds of the tail-decay fit
 MIN_EXCEEDANCES = 10        # exceedances a tail-decay level needs to enter the slope fit
 
 
 @dataclass(frozen=True)
 class StepCountResult:
-    """Certified decomposition g = exp(G_1) ... exp(G_m), every |G_i| < delta."""
+    """Certified decomposition g = exp(G_1) ... exp(G_m), every |G_i| < delta; for a
+    stack, ``upper`` and ``certified_defect`` are arrays and the words of all
+    elements follow one another in ``factors``."""
 
-    upper: int
+    upper: int | np.ndarray
     factors: np.ndarray
-    certified_defect: float
+    certified_defect: float | np.ndarray
 
 
 def _heisenberg_count_parts(group: HeisenbergGroup, x, y, z, delta: float):
@@ -72,49 +77,82 @@ def _heisenberg_count_parts(group: HeisenbergGroup, x, y, z, delta: float):
     return m_x, m_y, gadgets, z_res, nx + ny + np.abs(z)
 
 
-def _gadget_word(dim: int, ia: int, ib: int, a: float, bs) -> np.ndarray:
-    """Rows exp(a e_ia) exp(b e_ib) exp(-a e_ia) exp(-b e_ib) for each amount b
-    in ``bs``: when [e_ia, e_ib] commutes with both, each gadget is exp(ab [e_ia, e_ib])."""
-    bs = np.asarray(bs, dtype=float)
-    word = np.zeros((bs.size, 4, dim))
-    word[:, 0, ia] = a
-    word[:, 1, ib] = bs
-    word[:, 2, ia] = -a
-    word[:, 3, ib] = -bs
-    return word.reshape(-1, dim)
+def _leg_words(totals: np.ndarray, counts: np.ndarray):
+    """Per element, ``counts[i]`` equal legs totals[i] / counts[i] (none when 0)."""
+    return np.repeat(totals / np.maximum(counts, 1)[:, None], counts, axis=0), counts
 
 
-def _gadget_amounts(coeff: float, side: float) -> list[float]:
-    """The ceil(|coeff| / cap) gadget amounts b, cap = side^2, that fill |coeff|:
-    each takes min(cap, what is left), so a * b with |a| = side sums to |coeff|."""
+def _gadget_amounts(coeffs: np.ndarray, side: float):
+    """Per element, the ceil(|coeff| / cap) gadget amounts b, cap = side^2, that fill
+    |coeff|, flat element after element, and their counts: each takes min(cap, what
+    is left), so a * b with |a| = side sums to |coeff|."""
     cap = side * side
-    remaining = abs(coeff)
-    amounts = []
-    for _ in range(math.ceil(remaining / cap)):
-        amount = min(cap, remaining)
-        remaining -= amount
-        amounts.append(amount / side)
-    return amounts
+    remaining = np.abs(coeffs)
+    counts = np.ceil(remaining / cap).astype(np.int64)
+    amounts = np.zeros((counts.size, counts.max(initial=0)))
+    for t in range(amounts.shape[1]):
+        amount = np.minimum(cap, remaining)
+        remaining = remaining - amount
+        amounts[:, t] = amount / side
+    return amounts[np.arange(amounts.shape[1]) < counts[:, None]], counts
 
 
-def _leg_word(total: np.ndarray, m: int) -> np.ndarray:
-    """``m`` equal legs total / m (none when m = 0)."""
-    return np.repeat(total[None] / max(m, 1), m, axis=0)
+def _gadget_words(dim: int, ia: int, ib: int, coeffs: np.ndarray, side: float):
+    """Per element, rows exp(a e_ia) exp(b e_ib) exp(-a e_ia) exp(-b e_ib) for each of
+    its amounts b, a = side with the sign of its coefficient: when [e_ia, e_ib]
+    commutes with both, each gadget is exp(ab [e_ia, e_ib])."""
+    amounts, counts = _gadget_amounts(coeffs, side)
+    a = np.repeat(np.where(coeffs >= 0, side, -side), counts)
+    word = np.zeros((amounts.size, 4, dim))
+    word[:, 0, ia] = a
+    word[:, 1, ib] = amounts
+    word[:, 2, ia] = -a
+    word[:, 3, ib] = -amounts
+    return word.reshape(-1, dim), 4 * counts
 
 
-def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float) -> np.ndarray:
+def _join_words(*words):
+    """Per element, the rows of each (rows, lengths) word in turn.  A word holds
+    the rows of every element, element after element, ``lengths[i]`` of them for
+    element i."""
+    rows = np.concatenate([r for r, _ in words])
+    owner = np.concatenate([np.repeat(np.arange(n.size), n) for _, n in words])
+    return rows[np.argsort(owner, kind="stable")], sum(n for _, n in words)
+
+
+def _ordered_products(group, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Left-to-right product of each element's word of group elements, through
+    ``prefix_products``.  The words are sorted by length and folded FOLD_CHUNK
+    at a time, each chunk padded with identity rows to its own longest word; a
+    trailing identity changes no product."""
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    out = np.zeros((lengths.size, group.dim))
+    for chunk in np.split(order, range(FOLD_CHUNK, order.size, FOLD_CHUNK)):
+        place = np.arange(lengths[chunk].max(initial=0))
+        live = place < lengths[chunk, None]
+        padded = np.zeros(live.shape + (group.dim,))
+        padded[live] = rows[(starts[chunk, None] + place)[live]]
+        out[chunk] = group.prefix_products(padded)[:, -1]
+    return out
+
+
+def _word_defects(group, factors: np.ndarray, lengths: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+    """Chart distance between each element's ordered product of exp(factors) and its target."""
+    products = _ordered_products(group, group.exp(factors), lengths)
+    return group.norm(group.log(products) - group.log(targets))
+
+
+def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float):
     x, y, z = group.split(g)
     m_x, m_y, _, z_res, _ = _heisenberg_count_parts(group, x, y, z, delta)
-    side = GADGET_FRACTION * delta
-    return np.concatenate([
-        _leg_word(group.embed(a=x), int(m_x)),
-        _leg_word(group.embed(b=y), int(m_y)),
-        _gadget_word(group.dim, 0, group.N, side if z_res >= 0 else -side,
-                     _gadget_amounts(float(z_res), side)),
-    ])
+    return _join_words(_leg_words(group.embed(a=x), m_x.astype(np.int64)),
+                       _leg_words(group.embed(b=y), m_y.astype(np.int64)),
+                       _gadget_words(group.dim, 0, group.N, z_res, GADGET_FRACTION * delta))
 
 
-def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> np.ndarray:
+def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float):
     """Level sweep: one-parameter legs for the first superdiagonal, then for
     each level L = 2, ..., n-1 commutator gadgets filling the entries (i, i+L)
     from the legs (i, i+L-1) and (i+L-1, i+L), recomputing the exact residual
@@ -122,67 +160,78 @@ def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float) -> np
     side = GADGET_FRACTION * delta
     n = group.n
     flat = group.to_matrix(np.arange(group.dim, dtype=float)).astype(int)  # entry -> coordinate
+    first = flat[np.arange(n - 1), np.arange(1, n)]                        # the first superdiagonal
     targets = [(i, i + level) for level in range(2, n) for i in range(n - level)]
-    current = group.identity()
+    current = np.zeros_like(g)
     words = []
     for target in [None, *targets]:     # None: the legs of the first superdiagonal
-        residual = group.to_matrix(group.log(group.mul(group.inv(current), g)))
+        if words:                       # fold the last stage onto the product so far
+            rows, lengths = words[-1]
+            current = _ordered_products(group, *_join_words(
+                (current, np.ones(len(g), dtype=np.int64)), (group.exp(rows), lengths)))
+        residual = group.log(group.mul(group.inv(current), g))
         if target is None:
-            a1 = group.from_matrix(np.diag(np.diagonal(residual, 1), 1))
-            n1 = float(group.norm(a1))
-            word = _leg_word(a1, math.ceil(n1 / (LEG_FRACTION * delta)))
+            a1 = np.zeros_like(residual)
+            a1[:, first] = residual[:, first]
+            counts = np.ceil(group.norm(a1) / (LEG_FRACTION * delta)).astype(np.int64)
+            words.append(_leg_words(a1, counts))
         else:
             i, j = target
-            coeff = float(residual[target])
-            word = _gadget_word(group.dim, flat[i, j - 1], flat[j - 1, j],
-                                side if coeff >= 0 else -side, _gadget_amounts(coeff, side))
-        current = group.prefix_products(np.concatenate([current[None], group.exp(word)]))[-1]
-        words.append(word)
-    return np.concatenate(words)
-
-
-def _word_defect(group, word: np.ndarray, g: np.ndarray) -> float:
-    """Chart distance between the ordered product of exp(word) and g."""
-    product = group.prefix_products(group.exp(word))[-1]
-    return float(group.norm(group.log(product) - group.log(g)))
+            words.append(_gadget_words(group.dim, flat[i, j - 1], flat[j - 1, j],
+                                       residual[:, flat[i, j]], side))
+    return _join_words(*words)
 
 
 def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
-    """Certified upper bound for the minimal ball-factor count of g.
+    """Certified upper bound for the minimal ball-factor count of one element
+    g of shape (d,), or of each element of a stack (B, d).
 
-    Every call rebuilds the product of the returned factors and verifies it
-    reproduces g to 1e-10 with all factor norms strictly below delta.
+    Every call rebuilds the product of the returned factors and verifies that,
+    for every element, it reproduces the element to 1e-10 with all factor
+    norms strictly below delta.  On a stack, ``upper`` and ``certified_defect``
+    are arrays (B,) and ``factors`` holds the words of all elements, element
+    after element, ``upper[i]`` rows for element i.
     """
     group.require_chart_radius(delta)
     g = np.asarray(g, dtype=float)
-    if g.shape != (group.dim,):
-        raise InvalidInputError(f"expected a single element of dimension {group.dim}")
+    if g.ndim not in (1, 2) or g.shape[-1] != group.dim:
+        raise InvalidInputError(f"expected an element or a stack of elements of dimension {group.dim}")
+    stack = g.reshape(-1, group.dim)
 
-    chart = float(group.chart_norm(g))
-    if chart == 0.0:
-        factors = np.empty((0, group.dim))
-    elif chart < delta:
-        factors = group.log(g)[None]
-    elif isinstance(group, HeisenbergGroup):
-        factors = _heisenberg_factors(group, g, delta)
-    elif isinstance(group, UnipotentGroup):
-        factors = _unipotent_factors(group, g, delta)
-    else:
-        raise ParameterError(f"no step-count construction for {group!r}")
+    chart = group.chart_norm(stack)
+    inside = (chart > 0.0) & (chart < delta)
+    outside = ~(chart < delta)
+    built, built_lengths = np.empty((0, group.dim)), np.zeros(len(stack), dtype=np.int64)
+    if outside.any():
+        if isinstance(group, HeisenbergGroup):
+            construct = _heisenberg_factors
+        elif isinstance(group, UnipotentGroup):
+            construct = _unipotent_factors
+        else:
+            raise ParameterError(f"no step-count construction for {group!r}")
+        built, built_lengths[outside] = construct(group, stack[outside], delta)
+    factors, upper = _join_words((group.log(stack[inside]), inside.astype(np.int64)),
+                                 (built, built_lengths))
 
     if len(factors) and float(np.max(group.norm(factors))) >= delta:
         raise RuntimeError("step-count certification failed: a factor left the ball")
-    defect = _word_defect(group, factors, g)
-    if defect > CERTIFICATION_TOL:
-        raise RuntimeError(f"step-count certification failed: defect {defect:.3e}")
-    return StepCountResult(upper=len(factors), factors=factors, certified_defect=defect)
+    defects = _word_defects(group, factors, upper, stack)
+    failed = defects[defects > CERTIFICATION_TOL]
+    if failed.size:
+        raise RuntimeError(f"step-count certification failed: defect {failed[0]:.3e}")
+    if g.ndim == 1:
+        return StepCountResult(upper=int(upper[0]), factors=factors,
+                               certified_defect=float(defects[0]))
+    return StepCountResult(upper=upper, factors=factors, certified_defect=defects)
 
 
 def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: bool = False):
     """Step counts over an array of group elements (..., d), and with ``with_norms``
     their chart norms.  On the Heisenberg group the counts are vectorized,
     branch-identical to ``step_count_upper``, and the norms are the sum
-    |x|_p + |y|_q + |z| they form, the same sum as ``group.norm``."""
+    |x|_p + |y|_q + |z| they form, the same sum as ``group.norm``; on other
+    groups they are the certified counts of one ``step_count_upper`` call."""
+    group.require_chart_radius(delta)
     elements = np.asarray(elements, dtype=float)
     if isinstance(group, HeisenbergGroup):
         x, y, z = group.split(elements)
@@ -190,9 +239,8 @@ def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: boo
         full = m_x + m_y + 4.0 * gadgets
         counts = np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
         return (counts, norms) if with_norms else counts
-    counts = np.array([step_count_upper(group, v, delta).upper
-                       for v in elements.reshape(-1, group.dim)],
-                      dtype=np.int64).reshape(elements.shape[:-1])
+    counts = step_count_upper(group, elements.reshape(-1, group.dim),
+                              delta).upper.reshape(elements.shape[:-1])
     return (counts, group.chart_norm(elements)) if with_norms else counts
 
 
@@ -206,21 +254,18 @@ def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict
     required to respect the sum (a counter computed from gh alone cannot).
     """
     rng = substream(seed, "step-triangle")
-    violations = 0
-    direct_le_sum = 0
-    worst_defect = 0.0
-    for _ in range(samples):
-        g, h = group.exp(sample_scaled_vectors(rng, group, MAX_NORM_FACTOR * delta, 2))
-        rg = step_count_upper(group, g, delta)
-        rh = step_count_upper(group, h, delta)
-        gh = group.mul(g, h)
-
-        defect = _word_defect(group, np.concatenate([rg.factors, rh.factors]), gh)
-        worst_defect = max(worst_defect, defect)
-        if defect > 10 * CERTIFICATION_TOL:
-            violations += 1
-        if step_count_upper(group, gh, delta).upper <= rg.upper + rh.upper:
-            direct_le_sum += 1
+    g, h = np.stack([group.exp(sample_scaled_vectors(rng, group, MAX_NORM_FACTOR * delta, 2))
+                     for _ in range(samples)], axis=1)
+    gh = group.mul(g, h)
+    counts = step_count_upper(group, np.concatenate([g, h, gh]), delta)
+    upper_g, upper_h, upper_gh = np.split(counts.upper, 3)
+    rows_g = upper_g.sum()
+    defects = _word_defects(group, *_join_words(
+        (counts.factors[:rows_g], upper_g),
+        (counts.factors[rows_g:rows_g + upper_h.sum()], upper_h)), gh)
+    violations = int(np.count_nonzero(defects > 10 * CERTIFICATION_TOL))
+    worst_defect = float(np.max(defects, initial=0.0))
+    direct_le_sum = int(np.count_nonzero(upper_gh <= upper_g + upper_h))
     return {
         "samples": samples,
         "delta": delta,
@@ -257,8 +302,7 @@ def minimal_jump_power(model: LevyModel, delta: float, seed: int = 0) -> int:
     if model.jump_intensity == 0 or model.jump_law is None:
         return 0
     points = model.jump_law.extreme_points(group, substream(seed, "jump-extremes"))
-    uppers = [step_count_upper(group, group.exp(v), delta).upper for v in points]
-    return int(max(uppers))
+    return int(np.max(step_count_upper(group, group.exp(points), delta).upper))
 
 
 def bounded_jumps_check(model: LevyModel, delta: float, n_power: int,
@@ -384,15 +428,15 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
     values = np.exp(alpha * sup_counts.astype(float))
 
     rng = substream(seed, "certify-pairs")
-    for _ in range(CERTIFY_SAMPLES):
-        t = int(rng.integers(0, trials))
-        a, b = np.sort(rng.choice(idx, size=2, replace=False))
-        pair = group.pair_increment(prefixes[t], a, b)
-        direct = step_count_upper(group, pair, delta)
-        vector = int(step_counts_batch(group, pair[None, :], delta)[0])
-        if direct.upper != vector:
+    t, a, b = np.array([(rng.integers(0, trials), *np.sort(rng.choice(idx, size=2, replace=False)))
+                        for _ in range(CERTIFY_SAMPLES)]).T
+    pairs = group.mul(group.inv(prefixes[t, a]), prefixes[t, b])   # pair_increment per pick
+    direct = step_count_upper(group, pairs, delta).upper
+    vector = step_counts_batch(group, pairs, delta)
+    for d_count, v_count in zip(direct, vector):
+        if d_count != v_count:
             raise RuntimeError(
-                f"vectorized step count {vector} disagrees with certified {direct.upper}"
+                f"vectorized step count {v_count} disagrees with certified {d_count}"
             )
 
     diag_mean = _running_mean_diagnostic(values)

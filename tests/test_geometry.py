@@ -13,6 +13,7 @@ from liemult import (DiscreteJumps, HeisenbergGroup, HypothesisError, LevyModel,
                      metric_modulus_curve, minimal_jump_power, step_count_upper,
                      step_counts_batch, step_triangle_test, tail_decay_fit)
 from liemult import geometry
+from liemult.groups import sample_scaled_vectors
 from liemult.multiplicative import TRIAL_CHUNK
 from liemult.reporting import jsonable
 from liemult.rng import substream
@@ -172,6 +173,70 @@ class TestStepCountUpper:
     def test_delta_validation(self, heis2):
         with pytest.raises(ParameterError):
             step_count_upper(heis2, heis2.identity(), -0.1)
+
+    @pytest.mark.parametrize("delta", [-0.1, 0.0, float("nan"), "rho_prime"])
+    def test_batch_delta_validation(self, heis2, uni4, delta):
+        # the vectorized Heisenberg counter and the empty batch check delta too
+        for group in (heis2, uni4):
+            d = group.chart.rho_prime if delta == "rho_prime" else delta
+            for elements in (np.ones((3, group.dim)) * 0.01, np.empty((0, group.dim))):
+                with pytest.raises(ParameterError):
+                    step_counts_batch(group, elements, d)
+
+    @pytest.mark.parametrize("group, delta", [(UnipotentGroup(4), 0.1), (HeisenbergGroup(2), 0.5)],
+                             ids=repr)
+    def test_stack_matches_single_elements(self, group, delta):
+        # the identity, elements inside the ball and elements out to 3 delta
+        vecs = sample_scaled_vectors(substream(11, "step-count-stack"), group, 3 * delta, 24)
+        stack = np.concatenate([group.identity()[None], group.exp(vecs)])
+        res = step_count_upper(group, stack, delta)
+        singles = [step_count_upper(group, g, delta) for g in stack]
+        np.testing.assert_array_equal(res.upper, [s.upper for s in singles])
+        assert 0 in res.upper and 1 in res.upper and res.upper.max() > 20
+        words = np.split(res.factors, np.cumsum(res.upper)[:-1])
+        for word, single in zip(words, singles):
+            assert (word + 0.0).tobytes() == (single.factors + 0.0).tobytes()
+        assert res.certified_defect.tobytes() == np.array(
+            [s.certified_defect for s in singles]).tobytes()
+
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 2.0])
+    def test_gadget_amounts_match_sequential_loop(self, delta):
+        side = 0.45 * delta
+        cap = side * side
+        coeffs = []
+        for k in (1, 2, 10, 40, 198):
+            for c in (k * cap, -k * cap):
+                coeffs += [c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)]
+        coeffs = np.array([0.0, *coeffs])
+        amounts, counts = geometry._gadget_amounts(coeffs, side)
+        for coeff, batched in zip(coeffs, np.split(amounts, np.cumsum(counts)[:-1])):
+            remaining, expected = abs(float(coeff)), []
+            for _ in range(int(np.ceil(remaining / cap))):
+                amount = min(cap, remaining)
+                remaining -= amount
+                expected.append(amount / side)
+            assert batched.tolist() == expected, coeff
+
+    @pytest.mark.parametrize("group, delta", [(UnipotentGroup(4), 0.1), (HeisenbergGroup(2), 0.5)],
+                             ids=repr)
+    def test_every_element_of_a_stack_is_certified(self, group, delta, monkeypatch):
+        # a corrupted factor row of the third element must fail certification
+        name = "_heisenberg_factors" if isinstance(group, HeisenbergGroup) else "_unipotent_factors"
+        construct = getattr(geometry, name)
+
+        def corrupted(group, g, delta):
+            rows, lengths = construct(group, g, delta)
+            rows = rows.copy()
+            rows[lengths[:2].sum(), 0] += 1e-6
+            return rows, lengths
+
+        vecs = sample_scaled_vectors(substream(12, "step-count-corrupt"), group, 3 * delta, 5)
+        vecs *= (2 * delta / group.norm(vecs))[:, None]    # every element is built
+        stack = group.exp(vecs)
+        step_count_upper(group, stack, delta)
+        monkeypatch.setattr(geometry, name, corrupted)
+        with pytest.raises(RuntimeError, match="defect"):
+            step_count_upper(group, stack, delta)
 
 
 class TestStepTriangle:
