@@ -55,13 +55,14 @@ MIN_EXCEEDANCES = 10        # exceedances a tail-decay level needs to enter the 
 
 @dataclass(frozen=True)
 class StepCountResult:
-    """Certified decomposition g = exp(G_1) ... exp(G_m), every |G_i| < delta; for a
-    stack, ``upper`` and ``certified_defect`` are arrays and the words of all
-    elements follow one another in ``factors``."""
+    """Certified decomposition g = exp(G_1) ... exp(G_m), every |G_i| < delta, and the
+    chart norm of g; for a stack, ``upper``, ``certified_defect`` and ``norms`` are
+    arrays and the words of all elements follow one another in ``factors``."""
 
     upper: int | np.ndarray
     factors: np.ndarray
     certified_defect: float | np.ndarray
+    norms: float | np.ndarray
 
 
 def _heisenberg_count_parts(group: HeisenbergGroup, x, y, z, delta: float):
@@ -188,9 +189,9 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
 
     Every call rebuilds the product of the returned factors and verifies that,
     for every element, it reproduces the element to 1e-10 with all factor
-    norms strictly below delta.  On a stack, ``upper`` and ``certified_defect``
-    are arrays (B,) and ``factors`` holds the words of all elements, element
-    after element, ``upper[i]`` rows for element i.
+    norms strictly below delta.  On a stack, ``upper``, ``certified_defect`` and
+    ``norms`` are arrays (B,) and ``factors`` holds the words of all elements,
+    element after element, ``upper[i]`` rows for element i.
     """
     group.require_chart_radius(delta)
     g = np.asarray(g, dtype=float)
@@ -213,7 +214,9 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
     factors, upper = _join_words((group.log(stack[inside]), inside.astype(np.int64)),
                                  (built, built_lengths))
 
-    if len(factors) and float(np.max(group.norm(factors))) >= delta:
+    # a one-factor row is log(g), whose norm is the chart norm the split put below
+    # delta, so only the constructed rows need the check
+    if len(built) and float(np.max(group.norm(built))) >= delta:
         raise RuntimeError("step-count certification failed: a factor left the ball")
     defects = _word_defects(group, factors, upper, stack)
     failed = defects[defects > CERTIFICATION_TOL]
@@ -221,8 +224,8 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
         raise RuntimeError(f"step-count certification failed: defect {failed[0]:.3e}")
     if g.ndim == 1:
         return StepCountResult(upper=int(upper[0]), factors=factors,
-                               certified_defect=float(defects[0]))
-    return StepCountResult(upper=upper, factors=factors, certified_defect=defects)
+                               certified_defect=float(defects[0]), norms=float(chart[0]))
+    return StepCountResult(upper=upper, factors=factors, certified_defect=defects, norms=chart)
 
 
 def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: bool = False):
@@ -230,7 +233,7 @@ def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: boo
     their chart norms.  On the Heisenberg group the counts are vectorized,
     branch-identical to ``step_count_upper``, and the norms are the sum
     |x|_p + |y|_q + |z| they form, the same sum as ``group.norm``; on other
-    groups they are the certified counts of one ``step_count_upper`` call."""
+    groups both come from one ``step_count_upper`` call."""
     group.require_chart_radius(delta)
     elements = np.asarray(elements, dtype=float)
     if isinstance(group, HeisenbergGroup):
@@ -238,10 +241,10 @@ def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: boo
         m_x, m_y, gadgets, _, norms = _heisenberg_count_parts(group, x, y, z, delta)
         full = m_x + m_y + 4.0 * gadgets
         counts = np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
-        return (counts, norms) if with_norms else counts
-    counts = step_count_upper(group, elements.reshape(-1, group.dim),
-                              delta).upper.reshape(elements.shape[:-1])
-    return (counts, group.chart_norm(elements)) if with_norms else counts
+    else:
+        result = step_count_upper(group, elements.reshape(-1, group.dim), delta)
+        counts, norms = (v.reshape(elements.shape[:-1]) for v in (result.upper, result.norms))
+    return (counts, norms) if with_norms else counts
 
 
 def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict:

@@ -211,17 +211,17 @@ class _NilpotentGroup:
     ``prefix_products`` with its closed form, ``UnipotentGroup`` the
     ``_prefix_products`` hook with the matrix-form fold.
 
-    It may also supply ``norm_bounds(vec) -> (lo, hi)`` with ``lo <= norm(vec)
-    <= hi`` on finite rows.  The generic pairwise route then takes ``norm`` only
-    on the pairs whose bounds cannot decide a comparison with delta
-    (``UnipotentGroup`` supplies max-abs and Frobenius; the class default is
-    None).
+    The all-pairs chart norms evaluate only the j < k pairs, through the
+    ``_pair_norms`` hook.  ``HeisenbergGroup`` overrides the hook with its block
+    closed form; the generic hook needs ``norm_bounds(vec) -> (lo, hi)`` with
+    ``lo <= norm(vec) <= hi`` on finite rows, and takes ``norm`` only on the
+    pairs whose bounds cannot decide a comparison with delta (``UnipotentGroup``
+    supplies max-abs and Frobenius).
     """
 
     dim: int
     nilpotency_step: int
     chart: ChartSpec
-    norm_bounds = None
 
     # -- element algebra ---------------------------------------------------
 
@@ -303,9 +303,10 @@ class _NilpotentGroup:
         return self._prefix_products(increments)
 
     def pair_increment(self, prefix: np.ndarray, j, k) -> np.ndarray:
-        """Two-parameter value inv(g_j) g_k from cached prefix products."""
+        """Two-parameter values inv(g_j) g_k from cached prefix products; each prefix
+        row is inverted once and then gathered."""
         (prefix,) = self._check(prefix)
-        return self.mul(self.inv(prefix[..., j, :]), prefix[..., k, :])
+        return self.mul(self.inv(prefix)[..., j, :], prefix[..., k, :])
 
     def pairs_outside(self, prefix: np.ndarray, delta: float) -> np.ndarray:
         """Which two-parameter values leave the delta-ball, shape (..., n+1, n+1): the
@@ -321,28 +322,27 @@ class _NilpotentGroup:
         with ``norm_bounds``, a pair whose bounds lie clear of delta by a relative
         1e-12 gets the deciding bound in place of its norm, which compares with
         delta as the norm does.  ``pairs_outside`` makes that comparison."""
-        # the one entry point: a group with a closed form overrides the hook below
-        return self._pairwise_chart_norms(prefix, delta)
-
-    def _pairwise_chart_norms(self, prefix: np.ndarray, delta: float | None = None) -> np.ndarray:
-        # the generic route: only the j < k pairs are evaluated, then mirrored; the
-        # m rows are inverted once and then gathered, the bits of pair_increment
+        # the one upper-pair loop: the j < k pairs through the group's hook, mirrored
         (prefix,) = self._check(prefix)
         j, k = np.triu_indices(prefix.shape[-2], 1)
-        logs = self.log(self.mul(self.inv(prefix)[..., j, :], prefix[..., k, :]))
-        if delta is None or self.norm_bounds is None:
-            norms = self.norm(logs)
-        else:
-            # lo and hi bracket the norm; only pairs within the margin of delta, and
-            # rows with a non-finite entry (on which norm raises), take the norm
-            lo, hi = self.norm_bounds(logs)
-            above = np.isfinite(lo) & (lo >= delta * (1.0 + 1e-12))
-            norms = np.where(above, lo, hi)
-            near = ~(above | (hi < delta * (1.0 - 1e-12)))
-            norms[near] = self.norm(logs[near])
         out = np.zeros(prefix.shape[:-1] + prefix.shape[-2:-1])   # (..., m, m)
-        out[..., j, k] = out[..., k, j] = norms
+        out[..., j, k] = out[..., k, j] = self._pair_norms(prefix, j, k, delta)
         return out
+
+    def _pair_norms(self, prefix: np.ndarray, j, k, delta: float | None) -> np.ndarray:
+        # chart norms of the pairs (j[i], k[i]), or with delta values only good for
+        # comparing with delta, as pairwise_chart_norms says
+        logs = self.log(self.pair_increment(prefix, j, k))
+        if delta is None:
+            return self.norm(logs)
+        # lo and hi bracket the norm; only pairs within the margin of delta, and
+        # rows with a non-finite entry (on which norm raises), take the norm
+        lo, hi = self.norm_bounds(logs)
+        above = np.isfinite(lo) & (lo >= delta * (1.0 + 1e-12))
+        norms = np.where(above, lo, hi)
+        near = ~(above | (hi < delta * (1.0 - 1e-12)))
+        norms[near] = self.norm(logs[near])
+        return norms
 
 
 class HeisenbergGroup(_NilpotentGroup):
@@ -403,7 +403,6 @@ class HeisenbergGroup(_NilpotentGroup):
         return coordinate_sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
 
     def mul(self, g, h):
-        g, h = self._check(g, h)
         x1, y1, z1 = self.split(g)
         x2, y2, z2 = self.split(h)
         return self.embed(
@@ -425,37 +424,35 @@ class HeisenbergGroup(_NilpotentGroup):
         return g.copy()
 
     def bracket(self, u, v):
-        u, v = self._check(u, v)
         x1, y1, _ = self.split(u)
         x2, y2, _ = self.split(v)
         return self.embed(c=self.pairing(x1, y2) - self.pairing(x2, y1))
 
     def norm(self, vec):
-        (vec,) = self._check(vec)
         a, b, c = self.split(vec)
         return lp_norm(a, self.p) + lp_norm(b, self.q) + np.abs(c)
 
     def chart_norm(self, g):
         return self.norm(g)   # log is the coordinate identity
 
-    def _pairwise_chart_norms(self, prefix, delta=None):
+    def _pair_norms(self, prefix, j, k, delta):
         # delta is ignored: these norms are already cheap.  Blocks (dx, dy, dz) of
-        # inv(g_j) g_k for all pairs (j, k), bit-identical to
-        # mul(inv(g_j), g_k): (-a) + b rounds as b - a, and the z pairings are its
-        # products and coordinate sums, negated; dx and dy stream one coordinate
-        # at a time, so no (..., m, m, N) array is built
+        # inv(g_j) g_k, bit-identical to mul(inv(g_j), g_k): (-a) + b rounds as
+        # b - a, and the z pairings are its products and coordinate sums, negated;
+        # every block streams one coordinate's gathers at a time, so no
+        # (..., pairs, N) array is built
         x, y, z = self.split(prefix)
-        cross = self.pairing(x[..., :, None, :], y[..., None, :, :])   # <x_j|y_k>
-        dz = (z[..., None, :] - z[..., :, None]) + 0.5 * (np.swapaxes(cross, -1, -2) - cross)
-        del cross   # freed before the column norms
-        dx = (x[..., None, :, i] - x[..., :, None, i] for i in range(self.N))
-        dy = (y[..., None, :, i] - y[..., :, None, i] for i in range(self.N))
+        dz = (z[..., k] - z[..., j]) + 0.5 * (
+            coordinate_sum(x[..., k, i] * y[..., j, i] for i in range(self.N))
+            - coordinate_sum(x[..., j, i] * y[..., k, i] for i in range(self.N)))
+        dx = (x[..., k, i] - x[..., j, i] for i in range(self.N))
+        dy = (y[..., k, i] - y[..., j, i] for i in range(self.N))
         try:
             with np.errstate(under="raise", over="raise"):
                 return (column_lp_norm(dx, self.p) + column_lp_norm(dy, self.q)
                         + np.abs(dz))
         except FloatingPointError:   # a lost norm: the generic route takes lp_norm's
-            return super()._pairwise_chart_norms(prefix)
+            return super()._pair_norms(prefix, j, k, None)
 
     def prefix_products(self, increments):
         # same left-to-right recursion as the generic loop, vectorized:
@@ -523,7 +520,6 @@ class UnipotentGroup(_NilpotentGroup):
         return self.from_matrix(out)
 
     def mul(self, g, h):
-        g, h = self._check(g, h)
         a = self.to_matrix(g)
         b = self.to_matrix(h)
         return self.from_matrix(a + b + a @ b)
@@ -552,7 +548,6 @@ class UnipotentGroup(_NilpotentGroup):
         return self.from_matrix(out)
 
     def bracket(self, u, v):
-        u, v = self._check(u, v)
         a = self.to_matrix(u)
         b = self.to_matrix(v)
         return self.from_matrix(a @ b - b @ a)

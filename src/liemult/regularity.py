@@ -139,7 +139,7 @@ def _any_pair_outside(group, prefixes: np.ndarray, threshold: float) -> np.ndarr
 
 def _suffix_norms(group, prefixes: np.ndarray) -> np.ndarray:
     """Chart norms of the suffix increments x(j, n), shape (trials, n+1)."""
-    return group.chart_norm(group.mul(group.inv(prefixes), prefixes[:, -1:, :]))
+    return group.chart_norm(group.pair_increment(prefixes, slice(None), [-1]))
 
 
 def _superset_check(lemma: str, model: LevyModel, grid: TimeGrid, delta: float,

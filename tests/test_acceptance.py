@@ -273,3 +273,15 @@ def test_reports_pinned_at_unipotent_n4(tmp_path, jobs):
     assert cli_main(["run", str(U4_CONFIG), "--out", str(tmp_path), "--jobs", jobs]) == 0
     changed = unpinned_reports(tmp_path, U4_DIGESTS)
     assert changed == [], f"report bytes differ from {U4_DIGESTS.name}: {changed}"
+
+
+@pytest.mark.parametrize("trial_chunk, fold_chunk", [(8, 1), (200, 64)])
+def test_unipotent_n4_reports_do_not_depend_on_chunk_sizes(tmp_path, monkeypatch,
+                                                           trial_chunk, fold_chunk):
+    # the trial chunks of the pairwise batteries and the word chunks of the step
+    # counter are free to retune: the reports are the pinned ones at other sizes
+    monkeypatch.setattr("liemult.multiplicative.TRIAL_CHUNK", trial_chunk)
+    monkeypatch.setattr("liemult.geometry.FOLD_CHUNK", fold_chunk)
+    assert cli_main(["run", str(U4_CONFIG), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    changed = unpinned_reports(tmp_path, U4_DIGESTS)
+    assert changed == [], f"report bytes differ from {U4_DIGESTS.name}: {changed}"

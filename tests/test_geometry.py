@@ -198,6 +198,28 @@ class TestStepCountUpper:
             assert (word + 0.0).tobytes() == (single.factors + 0.0).tobytes()
         assert res.certified_defect.tobytes() == np.array(
             [s.certified_defect for s in singles]).tobytes()
+        # the chart norms of the delta split, those of chart_norm bit for bit
+        assert res.norms.tobytes() == group.chart_norm(stack).tobytes()
+        for g, single in zip(stack, singles):
+            assert np.float64(single.norms).tobytes() == group.chart_norm(g).tobytes()
+
+    def test_batch_norms_take_no_second_pass(self, rng):
+        # the chart norms with_norms returns are those step_count_upper took
+        class CountingNorms(UnipotentGroup):
+            calls = 0
+
+            def norm(self, vec):
+                CountingNorms.calls += 1
+                return super().norm(vec)
+
+        group = CountingNorms(4)
+        elements = group.exp(rng.standard_normal((3, 7, group.dim)) * 0.05)
+        counts = step_counts_batch(group, elements, 0.1)
+        plain, CountingNorms.calls = CountingNorms.calls, 0
+        got, norms = step_counts_batch(group, elements, 0.1, with_norms=True)
+        assert CountingNorms.calls == plain
+        assert got.tobytes() == counts.tobytes() and 1 in counts and counts.max() > 1
+        assert norms.tobytes() == group.chart_norm(elements).tobytes()
 
     @pytest.mark.parametrize("delta", [0.1, 0.3, 2.0])
     def test_gadget_amounts_match_sequential_loop(self, delta):
@@ -236,6 +258,26 @@ class TestStepCountUpper:
         step_count_upper(group, stack, delta)
         monkeypatch.setattr(geometry, name, corrupted)
         with pytest.raises(RuntimeError, match="defect"):
+            step_count_upper(group, stack, delta)
+
+    @pytest.mark.parametrize("group, delta", [(UnipotentGroup(4), 0.1), (HeisenbergGroup(2), 0.5)],
+                             ids=repr)
+    def test_constructed_factor_at_delta_leaves_the_ball(self, group, delta, monkeypatch):
+        # only the constructed rows take the factor check; one at norm delta fails it
+        name = "_heisenberg_factors" if isinstance(group, HeisenbergGroup) else "_unipotent_factors"
+        construct = getattr(geometry, name)
+        edge = np.zeros(group.dim)
+        edge[0] = delta
+        assert group.norm(edge) == delta
+
+        def widened(group, g, delta):
+            rows, lengths = construct(group, g, delta)
+            return np.concatenate([rows[:-1], edge[None]]), lengths
+
+        stack = group.exp(np.stack([np.full(group.dim, 0.1 * delta / group.dim),
+                                    np.full(group.dim, 3 * delta)]))
+        monkeypatch.setattr(geometry, name, widened)
+        with pytest.raises(RuntimeError, match="a factor left the ball"):
             step_count_upper(group, stack, delta)
 
 

@@ -609,8 +609,11 @@ class TestHeisenbergBlockKernel:
                 assert np.array_equal(group.pair_increment(prefix, j, k), pairs)
                 assert np.array_equal(group.chart_norm(pairs), norms)
                 assert np.array_equal(group.pairwise_chart_norms(prefix), norms)
+                # the generic hook on the j < k pairs, which the closed form replaces
+                upper = np.triu_indices(m, 1)
                 assert np.array_equal(
-                    _NilpotentGroup._pairwise_chart_norms(group, prefix), norms)
+                    _NilpotentGroup._pair_norms(group, prefix, *upper, None),
+                    norms[(...,) + upper])
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("N", [8, 32])
@@ -712,6 +715,25 @@ class TestGenericUpperPairs:
                 assert np.array_equal(norms[..., j, k], full[..., j, k])
                 assert np.array_equal(norms, np.swapaxes(norms, -1, -2))
                 assert not np.diagonal(norms, axis1=-2, axis2=-1).any()
+
+
+class TestPairIncrement:
+    """``pair_increment`` inverts each prefix row once and then gathers; its values
+    are those of inverting the gathered rows, bit for bit."""
+
+    @pytest.mark.parametrize("group", [UnipotentGroup(3), UnipotentGroup(4), UnipotentGroup(6),
+                                       UnipotentGroup(8), HeisenbergGroup(3, 3.0)], ids=repr)
+    def test_equals_inverse_of_gathered_rows(self, group):
+        rng = substream(group.dim, "pair-increment")
+        m = 9
+        indices = [(0, m - 1), (4, 2), (rng.integers(0, m, 20), rng.integers(0, m, 20)),
+                   np.indices((m, m))]
+        for lead in [(), (3,), (2, 3)]:
+            scale = 10.0 ** rng.uniform(-2, 1, size=lead + (m, 1))
+            prefix = rng.standard_normal(lead + (m, group.dim)) * scale
+            for j, k in indices:
+                assert_same_bits(group.pair_increment(prefix, j, k),
+                                 group.mul(group.inv(prefix[..., j, :]), prefix[..., k, :]))
 
 
 # the models and grids of the unipotent-mc benchmark workload
