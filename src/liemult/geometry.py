@@ -228,9 +228,9 @@ def step_count_upper(group, g: np.ndarray, delta: float) -> StepCountResult:
     return StepCountResult(upper=upper, factors=factors, certified_defect=defects, norms=chart)
 
 
-def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: bool = False):
-    """Step counts over an array of group elements (..., d), and with ``with_norms``
-    their chart norms.  On the Heisenberg group the counts are vectorized,
+def step_counts_batch(group, elements: np.ndarray, delta: float):
+    """Step counts and chart norms, ``(counts, norms)``, over an array of group
+    elements (..., d).  On the Heisenberg group the counts are vectorized,
     branch-identical to ``step_count_upper``, and the norms are the sum
     |x|_p + |y|_q + |z| they form, the same sum as ``group.norm``; on other
     groups both come from one ``step_count_upper`` call."""
@@ -244,7 +244,7 @@ def step_counts_batch(group, elements: np.ndarray, delta: float, with_norms: boo
     else:
         result = step_count_upper(group, elements.reshape(-1, group.dim), delta)
         counts, norms = (v.reshape(elements.shape[:-1]) for v in (result.upper, result.norms))
-    return (counts, norms) if with_norms else counts
+    return counts, norms
 
 
 def step_triangle_test(group, samples: int, delta: float, seed: int = 0) -> dict:
@@ -368,7 +368,7 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
     def reduce(chunk):
         # only the j < k pairs; a start j exits when some (j, k) leaves the ball
         pairs = group.pair_increment(chunk[:, idx], j, k)
-        counts, norms = step_counts_batch(group, pairs, delta, with_norms=True)
+        counts, norms = step_counts_batch(group, pairs, delta)
         exits = np.zeros((chunk.shape[0], idx.size, idx.size), dtype=bool)
         exits[:, j, k] = norms >= delta
         return counts.max(axis=1), exits.any(axis=2)
@@ -435,7 +435,7 @@ def exp_moment_estimate(model: LevyModel, window: tuple[float, float], alpha: fl
                         for _ in range(CERTIFY_SAMPLES)]).T
     pairs = group.mul(group.inv(prefixes[t, a]), prefixes[t, b])   # pair_increment per pick
     direct = step_count_upper(group, pairs, delta).upper
-    vector = step_counts_batch(group, pairs, delta)
+    vector, _ = step_counts_batch(group, pairs, delta)
     for d_count, v_count in zip(direct, vector):
         if d_count != v_count:
             raise RuntimeError(

@@ -309,24 +309,24 @@ class _NilpotentGroup:
         return self.mul(self.inv(prefix)[..., j, :], prefix[..., k, :])
 
     def pairs_outside(self, prefix: np.ndarray, delta: float) -> np.ndarray:
-        """Which two-parameter values leave the delta-ball, shape (..., n+1, n+1): the
-        bits of ``pairwise_chart_norms(prefix) >= delta``, for callers that compare
-        chart norms with delta and never read them."""
+        """Which two-parameter values x(j, k), j < k, leave the delta-ball: the bits of
+        ``pairwise_chart_norms(prefix, delta) >= delta``, False on and below the
+        diagonal for delta > 0, for callers that never read the norms."""
         return self.pairwise_chart_norms(prefix, delta) >= delta
 
     def pairwise_chart_norms(self, prefix: np.ndarray, delta: float | None = None) -> np.ndarray:
-        """Chart norms of all two-parameter values, shape (..., n+1, n+1), symmetric
-        with a zero diagonal as log(inv(g)) = -log(g); callers read the j < k pairs.
+        """Chart norms of the two-parameter values x(j, k), j < k, at [..., j, k] of a
+        (..., n+1, n+1) array that is zero on and below the diagonal.
 
         With ``delta``, an entry is only good for comparing with delta: in a group
         with ``norm_bounds``, a pair whose bounds lie clear of delta by a relative
         1e-12 gets the deciding bound in place of its norm, which compares with
         delta as the norm does.  ``pairs_outside`` makes that comparison."""
-        # the one upper-pair loop: the j < k pairs through the group's hook, mirrored
+        # the one upper-pair loop: the j < k pairs through the group's hook
         (prefix,) = self._check(prefix)
         j, k = np.triu_indices(prefix.shape[-2], 1)
         out = np.zeros(prefix.shape[:-1] + prefix.shape[-2:-1])   # (..., m, m)
-        out[..., j, k] = out[..., k, j] = self._pair_norms(prefix, j, k, delta)
+        out[..., j, k] = self._pair_norms(prefix, j, k, delta)
         return out
 
     def _pair_norms(self, prefix: np.ndarray, j, k, delta: float | None) -> np.ndarray:

@@ -176,9 +176,9 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     probe rejects when the Bonferroni-aggregated two-sample KS p-value falls
     below the 0.01 floor.
 
-    Each trial's path is sampled once, and its prefix products are built
-    only up to the last grid index the trial reads; the prefix recursion runs
-    left to right, so those rows equal the rows of the full path.
+    Each trial's path is sampled once, and its prefix products are built only
+    up to the last grid index it reads (the recursion runs left to right, so
+    those rows are the full path's); the pair is formed from its two rows alone.
     """
     group, steps = require_group(model), lag_steps(grid, h)
 
@@ -194,7 +194,7 @@ def restart_probe(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
                 continue
         prefix = group.prefix_products(cells[:k + steps])
         (post_hit if trial < half else fixed).append(
-            float(group.chart_norm(group.pair_increment(prefix, k, k + steps))))
+            float(group.chart_norm(group.pair_increment(prefix[[k, k + steps]], 0, 1))))
 
     result = {
         "h": h,

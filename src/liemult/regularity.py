@@ -133,8 +133,8 @@ def oscillation_axioms_test(model: LevyModel, grid: TimeGrid, delta: float, path
 
 def _any_pair_outside(group, prefixes: np.ndarray, threshold: float) -> np.ndarray:
     """Per trial: does some x(j, k), j < k, have chart norm >= threshold?"""
-    return map_trial_chunks(prefixes, lambda chunk: np.triu(
-        group.pairs_outside(chunk, threshold), k=1).any(axis=(1, 2)))
+    return map_trial_chunks(prefixes, lambda chunk: group.pairs_outside(
+        chunk, threshold).any(axis=(1, 2)))
 
 
 def _suffix_norms(group, prefixes: np.ndarray) -> np.ndarray:
@@ -310,8 +310,7 @@ def uniform_continuity_probe(model: LevyModel, T: float, delta: float, alpha: fl
     spans = points[None, :] - points[:, None]            # k - j at [j, k]
     # smallest band in which each trial already oscillates
     min_span = map_trial_chunks(prefixes, lambda chunk: np.where(
-        np.triu(group.pairs_outside(chunk, delta), k=1), spans, cells + 1
-    ).min(axis=(1, 2)))
+        group.pairs_outside(chunk, delta), spans, cells + 1).min(axis=(1, 2)))
 
     levels = int(np.log2(cells))
     curve = {}

@@ -275,13 +275,16 @@ def test_reports_pinned_at_unipotent_n4(tmp_path, jobs):
     assert changed == [], f"report bytes differ from {U4_DIGESTS.name}: {changed}"
 
 
+@pytest.mark.parametrize("config, digests", [(U4_CONFIG, U4_DIGESTS), (N9_CONFIG, N9_DIGESTS)],
+                         ids=["unipotent_n4", "heisenberg_n9"])
 @pytest.mark.parametrize("trial_chunk, fold_chunk", [(8, 1), (200, 64)])
-def test_unipotent_n4_reports_do_not_depend_on_chunk_sizes(tmp_path, monkeypatch,
-                                                           trial_chunk, fold_chunk):
+def test_pinned_reports_do_not_depend_on_chunk_sizes(tmp_path, monkeypatch, config, digests,
+                                                     trial_chunk, fold_chunk):
     # the trial chunks of the pairwise batteries and the word chunks of the step
-    # counter are free to retune: the reports are the pinned ones at other sizes
+    # counter are free to retune: the reports are the pinned ones at other sizes.
+    # The N = 9 config runs the Heisenberg block kernel through the trial chunks
     monkeypatch.setattr("liemult.multiplicative.TRIAL_CHUNK", trial_chunk)
     monkeypatch.setattr("liemult.geometry.FOLD_CHUNK", fold_chunk)
-    assert cli_main(["run", str(U4_CONFIG), "--out", str(tmp_path), "--jobs", "1"]) == 0
-    changed = unpinned_reports(tmp_path, U4_DIGESTS)
-    assert changed == [], f"report bytes differ from {U4_DIGESTS.name}: {changed}"
+    assert cli_main(["run", str(config), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    changed = unpinned_reports(tmp_path, digests)
+    assert changed == [], f"report bytes differ from {digests.name}: {changed}"

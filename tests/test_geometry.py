@@ -140,7 +140,7 @@ class TestStepCountUpper:
     def test_vectorized_counts_match_construction(self, heis2, rng):
         elements = rng.standard_normal((500, 5)) * rng.uniform(0.0, 3.0, size=(500, 1))
         direct = np.array([step_count_upper(heis2, g, DELTA).upper for g in elements])
-        vectorized = step_counts_batch(heis2, elements, DELTA)
+        vectorized, _ = step_counts_batch(heis2, elements, DELTA)
         np.testing.assert_array_equal(direct, vectorized)
 
     @pytest.mark.parametrize("delta, k", [(2.0, 198), (2.0, 10), (0.5, 59), (0.3, 56),
@@ -154,21 +154,22 @@ class TestStepCountUpper:
         for z in (k * cap, -k * cap):
             g = group.embed(c=z)
             res = step_count_upper(group, g, delta)
-            assert res.upper == step_counts_batch(group, g[None], delta)[0]
+            assert res.upper == step_counts_batch(group, g[None], delta)[0][0]
             assert res.certified_defect <= 1e-10
         if (delta, k) == (2.0, 198):
             assert res.upper == 796
 
     def test_unipotent_batch_falls_back_to_construction(self, uni4, rng):
         elements = uni4.exp(rng.standard_normal((10, 6)) * 0.3)
-        counts = step_counts_batch(uni4, elements, 0.2)
+        counts, _ = step_counts_batch(uni4, elements, 0.2)
         direct = [step_count_upper(uni4, g, 0.2).upper for g in elements]
         np.testing.assert_array_equal(counts, direct)
 
     def test_empty_batch_counts_are_integers(self, heis2, uni4):
         for group in (heis2, uni4):
-            counts = step_counts_batch(group, np.empty((0, group.dim)), 0.2)
+            counts, norms = step_counts_batch(group, np.empty((0, group.dim)), 0.2)
             assert counts.shape == (0,) and counts.dtype == np.int64
+            assert norms.shape == (0,)
 
     def test_delta_validation(self, heis2):
         with pytest.raises(ParameterError):
@@ -204,7 +205,7 @@ class TestStepCountUpper:
             assert np.float64(single.norms).tobytes() == group.chart_norm(g).tobytes()
 
     def test_batch_norms_take_no_second_pass(self, rng):
-        # the chart norms with_norms returns are those step_count_upper took
+        # the chart norms returned with the counts are those step_count_upper took
         class CountingNorms(UnipotentGroup):
             calls = 0
 
@@ -214,11 +215,12 @@ class TestStepCountUpper:
 
         group = CountingNorms(4)
         elements = group.exp(rng.standard_normal((3, 7, group.dim)) * 0.05)
-        counts = step_counts_batch(group, elements, 0.1)
+        direct = step_count_upper(group, elements.reshape(-1, group.dim), 0.1).upper
         plain, CountingNorms.calls = CountingNorms.calls, 0
-        got, norms = step_counts_batch(group, elements, 0.1, with_norms=True)
+        counts, norms = step_counts_batch(group, elements, 0.1)
         assert CountingNorms.calls == plain
-        assert got.tobytes() == counts.tobytes() and 1 in counts and counts.max() > 1
+        assert counts.tobytes() == direct.reshape(3, 7).tobytes()
+        assert 1 in counts and counts.max() > 1
         assert norms.tobytes() == group.chart_norm(elements).tobytes()
 
     @pytest.mark.parametrize("delta", [0.1, 0.3, 2.0])

@@ -60,6 +60,16 @@ def assert_same_bits(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def assert_strict_upper(got, full):
+    """``got`` holds the j < k entries of ``full``, bit for bit, and zero (False) on
+    and below the diagonal: the contract of the pairwise kernels."""
+    m = np.shape(full)[-1]
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    assert np.shape(got) == np.shape(full)
+    assert_same_bits(got[..., upper], full[..., upper])
+    assert_same_bits(got[..., ~upper], np.zeros_like(got[..., ~upper]))
+
+
 def full_pair_route(group, prefix):
     """All two-parameter values inv(g_j) g_k as a (..., m, m, d) array, every
     pair and both orders: the slow oracle of the pairwise chart norms."""
@@ -580,7 +590,8 @@ class TestChartMachinery:
 
 
 class TestHeisenbergBlockKernel:
-    """The block pairwise kernel against the full mul(inv(P), P) route, bit for bit."""
+    """The block pairwise kernel against the full mul(inv(P), P) route, bit for bit
+    on the j < k pairs."""
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 1.01])
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 9, 32])
@@ -608,7 +619,7 @@ class TestHeisenbergBlockKernel:
                 j, k = np.indices((m, m))
                 assert np.array_equal(group.pair_increment(prefix, j, k), pairs)
                 assert np.array_equal(group.chart_norm(pairs), norms)
-                assert np.array_equal(group.pairwise_chart_norms(prefix), norms)
+                assert_strict_upper(group.pairwise_chart_norms(prefix), norms)
                 # the generic hook on the j < k pairs, which the closed form replaces
                 upper = np.triu_indices(m, 1)
                 assert np.array_equal(
@@ -640,7 +651,7 @@ class TestHeisenbergBlockKernel:
             elements *= np.array([0.05, 0.5, 2.0, 8.0])[:, None, None]
             elements[0, :3] = 0.0
             for delta in (0.1, 0.5, 2.0):
-                digest.update(step_counts_batch(group, elements, delta).tobytes())
+                digest.update(step_counts_batch(group, elements, delta)[0].tobytes())
         assert digest.hexdigest() == (
             "1689fdff84c658ee5cd76f35a3edf1a307640096596ecc29831696af78964953")
 
@@ -696,9 +707,8 @@ class TestUnipotentPrefixKernel:
 
 
 class TestGenericUpperPairs:
-    """The generic pairwise hook evaluates only the j < k pairs and mirrors them:
-    its upper triangle is the full route's, bit for bit, and the matrix is exactly
-    symmetric with a zero diagonal."""
+    """The generic pairwise hook evaluates only the j < k pairs: its upper triangle
+    is the full route's, bit for bit, and the diagonal and lower triangle are zero."""
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_equals_full_route(self, n):
@@ -709,12 +719,8 @@ class TestGenericUpperPairs:
                 scale = 10.0 ** rng.uniform(-2, 1, size=lead + (m, 1))
                 prefix = rng.standard_normal(lead + (m, group.dim)) * scale
                 norms = group.pairwise_chart_norms(prefix)
-                full = group.chart_norm(full_pair_route(group, prefix))
-                j, k = np.triu_indices(m, 1)
                 assert norms.shape == lead + (m, m)
-                assert np.array_equal(norms[..., j, k], full[..., j, k])
-                assert np.array_equal(norms, np.swapaxes(norms, -1, -2))
-                assert not np.diagonal(norms, axis1=-2, axis2=-1).any()
+                assert_strict_upper(norms, group.chart_norm(full_pair_route(group, prefix)))
 
 
 class TestPairIncrement:
@@ -813,6 +819,32 @@ class TestPairsOutside:
         assert_same_bits(heis2.pairwise_chart_norms(prefix, 1.0),
                          heis2.pairwise_chart_norms(prefix))
         assert_same_decisions(heis2, prefix, 1.0)
+
+
+class TestThresholdedUpperPairs:
+    """With delta, ``pairwise_chart_norms`` and ``pairs_outside`` keep the j < k
+    contract: zero (False) on and below the diagonal, and above it the decisions of
+    the full route's norms, ``oracle >= delta``, bit for bit."""
+
+    @pytest.mark.parametrize("group", [UnipotentGroup(4), HeisenbergGroup(2),
+                                       HeisenbergGroup(9, 3.0)], ids=repr)
+    def test_decisions_equal_the_full_route(self, group):
+        rng = substream(group.dim, "thresholded-upper-pairs")
+        m = 17
+        upper = np.triu(np.ones((m, m), dtype=bool), 1)
+        for lead in [(), (3,), (2, 3)]:
+            scale = 10.0 ** rng.uniform(-2, 1, size=lead + (m, 1))
+            prefix = rng.standard_normal(lead + (m, group.dim)) * scale
+            oracle = group.chart_norm(full_pair_route(group, prefix))
+            for delta in np.quantile(oracle[..., upper], [0.1, 0.5, 0.9]):
+                bounded = group.pairwise_chart_norms(prefix, delta)
+                assert_strict_upper(bounded >= delta, oracle >= delta)
+                assert_strict_upper(group.pairs_outside(prefix, delta), oracle >= delta)
+                assert_same_bits(bounded[..., ~upper], np.zeros_like(bounded[..., ~upper]))
+                # the unipotent group decides pairs from its bounds, so some entries
+                # are bounds and not norms; the Heisenberg group takes its norms
+                bound_entries = bounded[..., upper] != oracle[..., upper]
+                assert bound_entries.any() == hasattr(group, "norm_bounds")
 
 
 def build_group(group: dict):
