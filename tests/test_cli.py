@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from liemult import cli, config, experiments, geometry, jumps, multiplicative, regularity
 from liemult.cli import main
@@ -1347,28 +1348,29 @@ class TestJointChecks:
                     "geometry", "jumps", "multiplicative", "regularity", "TimeGrid"}
 
 
-# a fresh interpreter: start up and a non-KS experiment, then the two KS helpers
-LEAN_STARTUP = """
+# a fresh interpreter with scipy blocked: the two KS helpers, then a small
+# poisson-battery and restart-probe of the default battery's models
+NO_SCIPY = """
 import json, sys
+sys.modules["scipy"] = None     # every import of scipy now raises ImportError
 import numpy as np
 import liemult, liemult.cli
 from liemult.config import build_context, default_config, validate_config
 from liemult.experiments import run_experiment
 from liemult.stats import batched_ks_exponential, batched_ks_two_sample
-cfg = default_config()
-validate_config(cfg)
-status = run_experiment("group-axioms", build_context(cfg), {"samples": 200}, 101)["status"]
-before = "scipy" in sys.modules
 rng = np.random.default_rng(5)
 a, b = rng.exponential(0.5, 120), rng.exponential(0.6, 130)
 got = [batched_ks_exponential(a, 2.0)["batch_pvalues"],
        batched_ks_two_sample(a, b)["batch_pvalues"]]
-after = "scipy" in sys.modules
-from scipy import stats
-want = [[stats.kstest(x, "expon", args=(0.0, 0.5)).pvalue for x in np.array_split(a, 2)],
-        [stats.ks_2samp(x, y).pvalue for x, y in zip(np.array_split(a, 2), np.array_split(b, 2))]]
-print(json.dumps({"status": status, "before": before, "after": after, "got": got,
-                  "want": want}))
+cfg = default_config()
+validate_config(cfg)
+ctx = build_context(cfg)
+jumps = {"model": "cp_poisson", "grid": "poisson", "epsilon": 0.05, "trials": 200}
+status = [run_experiment("poisson-battery", ctx, jumps, 118)["status"],
+          run_experiment("restart-probe", ctx, {**jumps, "h": 0.25}, 119)["status"]]
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.split(".")[0] == "scipy" and module is not None)
+print(json.dumps({"got": got, "status": status, "loaded": loaded}))
 """
 
 
@@ -1381,15 +1383,18 @@ def child_env() -> dict:
 
 
 class TestEntryPoint:
-    def test_scipy_loads_on_the_first_ks_test_only(self):
-        proc = subprocess.run([sys.executable, "-c", LEAN_STARTUP], capture_output=True,
+    def test_ks_batteries_run_without_scipy(self):
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True,
                               text=True, check=True, env=child_env())
         result = json.loads(proc.stdout)
-        assert result["status"] == "pass"
-        assert result["before"] is False, "scipy was imported before any KS test"
-        assert result["after"] is True
-        assert [len(p) for p in result["got"]] == [2, 2]
-        assert result["got"] == result["want"]
+        assert result["loaded"] == []
+        assert result["status"] == ["pass", "pass"]
+        rng = np.random.default_rng(5)
+        a, b = rng.exponential(0.5, 120), rng.exponential(0.6, 130)
+        want = [[stats.kstest(x, "expon", args=(0.0, 0.5)).pvalue for x in np.array_split(a, 2)],
+                [stats.ks_2samp(x, y).pvalue
+                 for x, y in zip(np.array_split(a, 2), np.array_split(b, 2))]]
+        np.testing.assert_allclose(result["got"], want, rtol=1e-10, atol=0)
 
     def test_module_invocation(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE)

@@ -94,7 +94,7 @@ CASES = {
         lambda: poisson_battery(MODELS["cp_poisson"], GRIDS["poisson"], JumpSetSpec(0.05),
                                 1000, 118),
         ("pass", True),
-        "993abc7a38658afc5ecf1a200cc8cd0993f3ad389700a9c3ca23964cfacf519d"),
+        "6bdca199381e693bf1217a11debcd4eb1b5d64ba3641cc6c750d761d7bff2b79"),
     "expectation-default": (
         lambda: mc_expectation_bound(MODELS["brownian_mild"], GRIDS["g32"], 0.5, 4000, 115),
         ("pass", True),
