@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .additive import (AdditivePath, DiscreteJumps, LevyModel, PiecewiseConstantRate,
                        TimeGrid, UniformBallJumps, driver_paths, sample_additive)
-from .errors import (ConfigError, GridMismatchError, HypothesisError,
-                     InvalidInputError, ParameterError)
+from .errors import ConfigError, GridMismatchError, InvalidInputError, ParameterError
 from .geometry import (StepCountResult, bounded_jumps_check, exp_moment_estimate,
                        gauge_distance, gauge_norm, metric_modulus_curve, minimal_jump_power,
                        step_count_upper, step_counts_batch, step_triangle_test,

@@ -32,11 +32,6 @@ __all__ = [
 ]
 
 EXTREME_DIRECTIONS = 32    # random directions beside the axes in a ball law's extreme points
-# the norm of a jump law's support, in units of bound_delta, may exceed 1 by this
-# relative round-off: an l^p norm with p != 2 takes a p-th root.  No battery reads
-# bound_delta as a number (require_bounded_jumps asks whether it is declared,
-# minimal_jump_power certifies the atoms), so no verdict moves
-BOUND_RTOL = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,6 @@ class UniformBallJumps:
                               norm=lambda v: space.norm(self._lift(space, v)))
         return self._lift(space, sample_norm_ball(rng, sub, self.radius, count))
 
-    def bound_ratio(self, space, bound):
-        return self.radius / bound if bound else np.inf
-
     def extreme_points(self, space, rng):
         """Support points of maximal norm: scaled coordinate axes plus random directions."""
         k = space.dim if self.indices is None else self.indices.size
@@ -215,15 +207,6 @@ class DiscreteJumps:
         idx = rng.choice(self.probs.size, size=count, p=self.probs)
         return self.vectors[idx]
 
-    def bound_ratio(self, space, bound):
-        """The support's largest norm over ``bound`` (inf for bound 0 and an atom != 0)."""
-        # top * norm(vectors / top) / bound: the norm sees entries in [-1, 1], so it
-        # neither overflows nor underflows, and a quotient past the floats is inf
-        top = float(np.max(np.abs(self.vectors)))
-        if not (top and bound):
-            return top and np.inf   # 0 for zero atoms, else inf for bound 0
-        return top / bound * float(np.max(space.norm(self.vectors / top)))
-
     def extreme_points(self, space, rng):
         return self.vectors
 
@@ -251,10 +234,6 @@ class LevyModel:
     jump_law : distribution of jump vectors; required when the intensity is
         positive, and its dimension must fit ``space`` (checked here).
     scale : optional piecewise-constant time rescaling; None means stationary.
-    bound_delta : when set, the jump law support must lie in the closed norm
-        ball of this radius: its norm in units of bound_delta is at most 1, up to a
-        relative ``BOUND_RTOL`` for the round-off of the norm's p-th root (checked
-        here, used by the bounded-jump batteries).
     """
 
     space: object
@@ -263,7 +242,6 @@ class LevyModel:
     jump_intensity: float = 0.0
     jump_law: object | None = None
     scale: PiecewiseConstantRate | None = None
-    bound_delta: float | None = None
 
     def __post_init__(self):
         drift = _per_direction(self.space.dim, "drift", self.drift)
@@ -273,9 +251,6 @@ class LevyModel:
         if not 0 <= self.jump_intensity < np.inf:   # NaN too
             raise ParameterError(
                 f"jump_intensity must be finite and nonnegative, got {self.jump_intensity}")
-        if self.bound_delta is not None and not 0 <= self.bound_delta < np.inf:
-            raise ParameterError(
-                f"bound_delta must be finite and nonnegative, got {self.bound_delta}")
         if self.jump_intensity > 0 and self.jump_law is None:
             raise ParameterError("a jump law is required when jump_intensity > 0")
         object.__setattr__(self, "drift", drift)
@@ -283,13 +258,6 @@ class LevyModel:
         object.__setattr__(self, "jump_intensity", float(self.jump_intensity))
         if self.jump_law is not None:
             self.jump_law.check_space(self.space)
-        if self.bound_delta is not None and self.jump_law is not None:
-            # in units of bound_delta: a tiny support's norm neither underflows to 0 nor
-            # carries the larger relative round-off of a p-th root taken far from 1
-            ratio = self.jump_law.bound_ratio(self.space, self.bound_delta)
-            if ratio > 1.0 + BOUND_RTOL:
-                raise ParameterError(f"jump law support (norm {ratio} times bound_delta)"
-                                     f" exceeds bound_delta={self.bound_delta}")
 
     def rate_integral(self, a, b) -> np.ndarray:
         if self.scale is None:

@@ -45,8 +45,7 @@ _SCALE = {"breaks": ([NUM], None), "rates": ([NUM], None)}
 # a model's space is bounded by the names of the group's spaces when it is built
 _MODEL = {"space": (str, "group"), "drift": ((NUM, [NUM]), 0.0),
           "diffusion": ((NUM, [NUM]), 0.0), "jump_intensity": (NUM, 0.0),
-          "jump_law": (dict, OPTIONAL), "scale": (_SCALE, OPTIONAL),
-          "bound_delta": (NUM, OPTIONAL)}
+          "jump_law": (dict, OPTIONAL), "scale": (_SCALE, OPTIONAL)}
 # a subspace ball is the ball law on the given coordinates, a fixed atom a discrete
 # law with one atom
 _LAWS = {
@@ -188,12 +187,10 @@ def default_config() -> dict:
             "moment_model": {"diffusion": [0.10, 0.10, 0.0, 0.0, 0.0],
                              "jump_intensity": 1.0,
                              "jump_law": {"kind": "fixed_atom",
-                                          "vector": [0.2, 0.0, 0.0, 0.0, 0.0]},
-                             "bound_delta": 0.2},
+                                          "vector": [0.2, 0.0, 0.0, 0.0, 0.0]}},
             "tail_model": {"jump_intensity": 2.0,
                            "jump_law": {"kind": "fixed_atom",
-                                        "vector": [0.4, 0.0, 0.0, 0.0, 0.0]},
-                           "bound_delta": 0.4},
+                                        "vector": [0.4, 0.0, 0.0, 0.0, 0.0]}},
             "block_brownian_x": {"space": "x", "diffusion": 0.5},
             "block_brownian_y": {"space": "y", "diffusion": 0.5},
             "block_brownian_z": {"space": "z", "diffusion": 0.2},

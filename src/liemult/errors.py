@@ -23,10 +23,6 @@ class GridMismatchError(ValueError):
     """Paths that must share a time grid do not."""
 
 
-class HypothesisError(ValueError):
-    """A statistical battery was invoked on a model violating its hypotheses."""
-
-
 class ConfigError(ValueError):
     """An experiment config violates the schema; carries the offending field path."""
 
@@ -44,7 +40,7 @@ def rejected_at(path: str):
         yield
     except ConfigError:
         raise
-    # ParameterError, HypothesisError, InvalidInputError, bad casts, integers too
-    # large for a float, and a grid too large to allocate
+    # ParameterError, InvalidInputError, bad casts, integers too large for a float,
+    # and a grid too large to allocate
     except (ValueError, TypeError, OverflowError, MemoryError) as exc:
         raise ConfigError(path, str(exc)) from exc

@@ -469,16 +469,15 @@ _TYPE_CHECKS = {
 _CELLS_U = ("cells", lambda p: TimeGrid.uniform(p["u"], p["cells"]))
 _CELLS_T = ("cells", lambda p: TimeGrid.uniform(p["T"], p["cells"]))
 _WINDOW = ("r", lambda p: geometry.window_indices(TimeGrid.uniform(p["u"], p["cells"]), p["r"], p["u"]))
-_BOUNDED = ("model", lambda p: geometry.require_bounded_jumps(p["model"]))
 _JOINT_BOUNDS = {
     "cocycle-fault-injection": (("cell", lambda p: multiplicative.require_cell(p["grid"], p["cell"])),),
     "oscillation-axioms": (("grid", lambda p: regularity.require_two_cells(p["grid"])),),
     "poisson-battery": (("model", lambda p: jumps.require_stationary(p["model"])),),
     "restart-probe": (("h", lambda p: jumps.lag_steps(p["grid"], p["h"])),),
     "uniform-continuity-probe": (_CELLS_T,),
-    "exp-moment": (_CELLS_U, _WINDOW, _BOUNDED),
-    "tail-decay": (_CELLS_U, _WINDOW, _BOUNDED),
-    "metric-modulus": (_BOUNDED, ("model", lambda p: geometry.require_gauge_metric(p["model"].space)),
+    "exp-moment": (_CELLS_U, _WINDOW),
+    "tail-decay": (_CELLS_U, _WINDOW),
+    "metric-modulus": (("model", lambda p: geometry.require_gauge_metric(p["model"].space)),
                        _CELLS_T,
                        ("window_sizes", lambda p: geometry.modulus_windows(
                            TimeGrid.uniform(p["T"], p["cells"]), p["window_sizes"]))),

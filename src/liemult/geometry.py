@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import LevyModel, TimeGrid
-from .errors import HypothesisError, InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError
 from .groups import HeisenbergGroup, UnipotentGroup, lp_norm, sample_scaled_vectors
 from .multiplicative import batch_prefixes, map_trial_chunks, require_group
 from .rng import substream
@@ -321,13 +321,6 @@ def bounded_jumps_check(model: LevyModel, delta: float, n_power: int,
     }
 
 
-def require_bounded_jumps(model: LevyModel) -> None:
-    """Raise HypothesisError unless ``model`` has no jumps or a declared ``bound_delta`` on them."""
-    if model.jump_intensity > 0 and model.bound_delta is None:
-        raise HypothesisError("the moment batteries require a bounded-jump model, got"
-                              f" jump_intensity {model.jump_intensity} and no bound_delta")
-
-
 def window_indices(grid: TimeGrid, r: float, u: float) -> np.ndarray:
     """Indices of the grid points strictly inside the window (r, u); ParameterError
     unless 0 <= r < u <= T and the window holds at least two of them."""
@@ -360,7 +353,6 @@ def _window_sup_counts(model: LevyModel, window: tuple[float, float], delta: flo
     """
     grid = TimeGrid.uniform(window[1], cells)
     idx = window_indices(grid, *window)
-    require_bounded_jumps(model)
     group = require_group(model)
     prefixes = batch_prefixes(model, grid, seed, trials)
     j, k = np.triu_indices(idx.size, 1)
@@ -519,7 +511,6 @@ def metric_modulus_curve(model: LevyModel, T: float, alpha: float,
     error allowed) and its final value must drop below a quarter of the
     first.
     """
-    require_bounded_jumps(model)
     group = model.space
     require_gauge_metric(group)
     grid = TimeGrid.uniform(T, cells)

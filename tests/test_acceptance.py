@@ -217,16 +217,14 @@ def test_criterion_7_moment_battery():
         moment_model = LevyModel(space=group,
                                  diffusion=np.array([0.10, 0.10, 0.0, 0.0, 0.0]),
                                  jump_intensity=1.0,
-                                 jump_law=DiscreteJumps([group.embed([0.2, 0.0])], [1.0]),
-                                 bound_delta=0.2)
+                                 jump_law=DiscreteJumps([group.embed([0.2, 0.0])], [1.0]))
         rep = exp_moment_estimate(moment_model, (0.25, 1.0), alpha, delta, 10**3, 61)
         assert rep["pass"], rep
         assert rep["diagnostics"]["running_mean"]["pass"]
         assert rep["diagnostics"]["partial_max"]["pass"]
 
         tail_model = LevyModel(space=group, jump_intensity=2.0,
-                               jump_law=DiscreteJumps([group.embed([0.4, 0.0])], [1.0]),
-                               bound_delta=0.4)
+                               jump_law=DiscreteJumps([group.embed([0.4, 0.0])], [1.0]))
         rep = tail_decay_fit(tail_model, (0.25, 1.0), alpha, delta, 1500, 62)
         assert rep["pass"], rep
         assert rep["fitted_slope"] <= np.log(rep["q_hat"]) + 0.1

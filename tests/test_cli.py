@@ -48,7 +48,7 @@ CSV_CONFIG = {
         "brownian_mild": {"diffusion": 0.11},
         "cp_detector": {"diffusion": 0.15, "jump_intensity": 3.0,
                         "jump_law": {"kind": "fixed_atom", "vector": [0.6, 0.0, 0.0, 0.0, 0.0]}},
-        "tail_model": {"jump_intensity": 2.0, "bound_delta": 0.4,
+        "tail_model": {"jump_intensity": 2.0,
                        "jump_law": {"kind": "fixed_atom", "vector": [0.4, 0.0, 0.0, 0.0, 0.0]}},
         "block_brownian_x": {"space": "x", "diffusion": 0.5},
         "block_brownian_y": {"space": "y", "diffusion": 0.5},
@@ -186,7 +186,7 @@ def walk_config(group="heisenberg", law="uniform_ball"):
             "grids": {"g": {"T": 1.0, "cells": 8}},
             "models": {"m": {"space": "group", "drift": 0.0, "diffusion": 0.1,
                              "jump_intensity": 1.0, "jump_law": {"kind": law, **WALK_LAWS[law]},
-                             "scale": {"breaks": [0.0], "rates": [1.0]}, "bound_delta": 1.0}},
+                             "scale": {"breaks": [0.0], "rates": [1.0]}}},
             "experiments": [{"name": "group-axioms", "seed": 1, "params": {"samples": 20}}],
             "output": {"csv": False}}
 
@@ -591,8 +591,7 @@ class TestRun:
         cfg = dict(BASE)
         cfg["models"] = {"tail": {"jump_intensity": 2.0,
                                   "jump_law": {"kind": "fixed_atom",
-                                               "vector": [0.4, 0.0, 0.0, 0.0, 0.0]},
-                                  "bound_delta": 0.4}}
+                                               "vector": [0.4, 0.0, 0.0, 0.0, 0.0]}}}
         cfg["experiments"] = [
             {"name": "tail-decay", "seed": 9,
              "params": {"model": "tail", "r": 0.25, "u": 1.0, "alpha": 0.5,
@@ -710,9 +709,6 @@ class TestValidation:
     @pytest.mark.parametrize("name, model, expected", [
         ("poisson-battery", "cp_nonstat",
          "the Poisson battery requires a stationary model, got one with a scale"),
-        *((name, "brownian_jump", "the moment batteries require a bounded-jump model,"
-                                  " got jump_intensity 2.0 and no bound_delta")
-          for name in ("exp-moment", "tail-decay", "metric-modulus")),
     ])
     def test_model_outside_the_battery_hypothesis_exits_two(self, tmp_path, capsys, monkeypatch,
                                                             name, model, expected):
@@ -726,6 +722,20 @@ class TestValidation:
         assert (f"config error: config.experiments[0].params.model: {expected}\n"
                 in capsys.readouterr().err)
         assert started == []
+
+    def test_undeclared_jump_model_runs_the_moment_batteries(self, tmp_path):
+        # a uniform-ball law is bounded by its radius, so the model declares no bound
+        cfg = default_config()
+        assert cfg["models"]["brownian_jump"]["jump_law"]["kind"] == "uniform_ball"
+        cfg["experiments"] = [default_entry(name)
+                              for name in ("exp-moment", "tail-decay", "metric-modulus")]
+        for entry in cfg["experiments"]:
+            entry["params"].update(model="brownian_jump", trials=50)
+        out = tmp_path / "o"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) != 2
+        for i, entry in enumerate(cfg["experiments"]):
+            report = json.loads((out / f"{i:02d}_{entry['name']}.json").read_text())
+            assert report["status"] in ("pass", "fail", "inconclusive")
 
     @pytest.mark.parametrize("group, name, field, built", [
         ({"kind": "unipotent", "n": 4}, "gauge-metric", "name", "UnipotentGroup(n=4)"),
@@ -936,8 +946,6 @@ class TestValidation:
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=INF, jump_law={"kind": "uniform_ball", "radius": 0.3}),
          "config.models.noisy", "jump_intensity"),
-        (lambda cfg: cfg["models"]["noisy"].update(bound_delta=NAN),
-         "config.models.noisy", "bound_delta"),
         (lambda cfg: cfg["models"]["noisy"].update(
             jump_intensity=1.0, jump_law={"kind": "uniform_ball", "radius": INF}),
          "config.models.noisy.jump_law", "radius"),
@@ -983,6 +991,9 @@ class TestValidation:
             jump_intensity=1.0, jump_law={"kind": "gaussian", "radius": 0.3}),
          "config.models.noisy.jump_law.kind", 'got "gaussian"'),
         (lambda cfg: cfg["group"].update(n=3), "config.group", "unknown keys ['n']"),
+        # a jump law bounds itself, so a model declares no bound
+        (lambda cfg: cfg["models"]["noisy"].update(bound_delta=0.3), "config.models.noisy",
+         "unknown keys ['bound_delta']"),
         (lambda cfg: cfg["models"]["noisy"].update(space="w"), "config.models.noisy.space",
          "expected one of ['group', 'x', 'y', 'z'], got \"w\""),
         (lambda cfg: (cfg.update(group={"kind": "unipotent", "n": 3}),
@@ -1073,7 +1084,7 @@ class TestValidation:
         written["group"].update(N=2.0, chart=None)
         written["grids"]["g8"].update(cells=8.0)
         for model in written["models"].values():
-            model.update(jump_law=None, scale=None, bound_delta=None)
+            model.update(jump_law=None, scale=None)
         want, got = validate_config(copy.deepcopy(BASE)), validate_config(written)
         assert repr(got["group"]) == repr(want["group"])
         assert got["group"].chart == want["group"].chart
@@ -1272,18 +1283,14 @@ JOINT_CASES = [
      "params.model"),
     *((HEIS_P2, "restart-probe", {"model": "noisy", "grid": "g8", "epsilon": 0.1, "h": h},
        "params.h") for h in (1.0, 0.3)),
-    *((HEIS_P2, name, {"model": model, "r": r, "u": u, "cells": cells, **WINDOW}, field)
-      for name in ("exp-moment", "tail-decay")
-      for model, r, u, cells, field in (("noisy", 0.9, 0.2, 64, "params.r"),
-                                        ("noisy", 0.9, 1.0, 4, "params.r"),
-                                        ("jumpy", 0.25, 1.0, 64, "params.model"))),
-    *((group, "metric-modulus", {"model": model, "T": 1.0, "alpha": 0.5, "window_sizes": sizes,
+    *((HEIS_P2, name, {"model": "noisy", "r": 0.9, "u": u, "cells": cells, **WINDOW},
+       "params.r") for name in ("exp-moment", "tail-decay") for u, cells in ((0.2, 64), (1.0, 4))),
+    *((group, "metric-modulus", {"model": "noisy", "T": 1.0, "alpha": 0.5, "window_sizes": sizes,
                                  "cells": 8}, field)
-      for group, model, sizes, field in ((HEIS_P2, "jumpy", [0.5], "params.model"),
-                                         (HEIS_P3, "noisy", [0.5], "params.model"),
-                                         (HEIS_P2, "noisy", [], "params.window_sizes"),
-                                         (HEIS_P2, "noisy", [0.5, 1.5], "params.window_sizes"),
-                                         (HEIS_P2, "noisy", [0.5, 0.01], "params.window_sizes"))),
+      for group, sizes, field in ((HEIS_P3, [0.5], "params.model"),
+                                  (HEIS_P2, [], "params.window_sizes"),
+                                  (HEIS_P2, [0.5, 1.5], "params.window_sizes"),
+                                  (HEIS_P2, [0.5, 0.01], "params.window_sizes"))),
     (HEIS_P3, "gauge-metric", {"samples": 10}, "name"),
     ({"kind": "unipotent", "n": 4}, "gauge-metric", {"samples": 10}, "name"),
     # a battery's own grid too large to allocate (8 TB), or for numpy to size at all
@@ -1301,9 +1308,7 @@ def joint_config(group, entries):
             "grids": {"g8": {"T": 1.0, "cells": 8}, "g1": {"T": 1.0, "cells": 1}},
             "models": {"noisy": {"diffusion": 0.2},
                        "scaled": {"diffusion": 0.2,
-                                  "scale": {"breaks": [0.0, 0.5], "rates": [1.0, 2.0]}},
-                       "jumpy": {"jump_intensity": 2.0,
-                                 "jump_law": {"kind": "uniform_ball", "radius": 0.3}}},
+                                  "scale": {"breaks": [0.0, 0.5], "rates": [1.0, 2.0]}}},
             "experiments": entries}
 
 
@@ -1332,7 +1337,7 @@ class TestJointChecks:
         ctx = validate_config(joint_config(group, [{"name": "group-axioms", "seed": 1}]))
         monkeypatch.setattr(experiments, "_checked", lambda *args: None)
         _, resolved = resolve_params(name, params, "params", ctx)
-        # ParameterError and HypothesisError, or numpy refusing the battery's grid
+        # a ParameterError, or numpy refusing the battery's grid
         with pytest.raises((ValueError, MemoryError)) as exc:
             EXPERIMENTS[name].runner(ctx, resolved, 1)
         assert str(exc.value) == message

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from liemult import (DiscreteJumps, HeisenbergGroup, HypothesisError, LevyModel,
-                     ParameterError, TimeGrid, UniformBallJumps, UnipotentGroup,
-                     bounded_jumps_check, exp_moment_estimate, gauge_distance,
-                     gauge_norm, mc_expectation_bound, mc_largest_step,
+from liemult import (DiscreteJumps, HeisenbergGroup, LevyModel, ParameterError,
+                     TimeGrid, UniformBallJumps, UnipotentGroup, bounded_jumps_check,
+                     exp_moment_estimate, gauge_distance, gauge_norm,
+                     mc_expectation_bound, mc_largest_step,
                      metric_modulus_curve, minimal_jump_power, step_count_upper,
                      step_counts_batch, step_triangle_test, tail_decay_fit)
 from liemult import geometry
@@ -52,8 +52,7 @@ def moment_model():
     h = HeisenbergGroup(2, 2.0)
     return h, LevyModel(space=h, diffusion=np.array([0.10, 0.10, 0.0, 0.0, 0.0]),
                         jump_intensity=1.0,
-                        jump_law=DiscreteJumps([h.embed([0.2, 0.0])], [1.0]),
-                        bound_delta=0.2)
+                        jump_law=DiscreteJumps([h.embed([0.2, 0.0])], [1.0]))
 
 
 class TestStepCountUpper:
@@ -382,12 +381,6 @@ class TestExpMoment:
         assert rep["diagnostics"]["partial_max"]["pass"]
         assert np.isfinite(rep["estimate"])
 
-    def test_unbounded_jump_model_rejected(self, heis2):
-        model = LevyModel(space=heis2, jump_intensity=1.0,
-                          jump_law=UniformBallJumps(0.3))   # no bound declared
-        with pytest.raises(HypothesisError):
-            exp_moment_estimate(model, (0.25, 1.0), ALPHA, DELTA, 10, 0)
-
     def test_window_validation(self, moment_model):
         _, model = moment_model
         with pytest.raises(ParameterError):
@@ -402,8 +395,7 @@ class TestTailDecay:
 
     def test_calibrated_atom_model(self, heis2):
         model = LevyModel(space=heis2, jump_intensity=2.0,
-                          jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]),
-                          bound_delta=0.4)
+                          jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]))
         rep = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 1500, 3)
         assert rep["pass"]
         assert rep["fitted_slope"] <= np.log(rep["q_hat"]) + 0.1
@@ -413,8 +405,7 @@ class TestTailDecay:
         # the exceedance floor scales with the trial count so both runs keep
         # the same usable-level policy and the binomial slope SE is comparable
         model = LevyModel(space=heis2, jump_intensity=2.0,
-                          jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]),
-                          bound_delta=0.4)
+                          jump_law=DiscreteJumps([heis2.embed([0.4, 0.0])], [1.0]))
         monkeypatch.setattr(geometry, "MIN_EXCEEDANCES", 10)
         small = tail_decay_fit(model, (0.25, 1.0), ALPHA, DELTA, 800, 3)
         monkeypatch.setattr(geometry, "MIN_EXCEEDANCES", 40)
@@ -443,8 +434,7 @@ class TestMetricModulus:
         # Poisson small-window oracle: jump mass inside a window of size w
         # scales like lambda * w, so the curve collapses with the window
         model = LevyModel(space=heis2, jump_intensity=1.0,
-                          jump_law=DiscreteJumps([heis2.embed([0.3, 0.0])], [1.0]),
-                          bound_delta=0.3)
+                          jump_law=DiscreteJumps([heis2.embed([0.3, 0.0])], [1.0]))
         rep = metric_modulus_curve(model, 1.0, ALPHA, [0.5, 0.125, 0.03125],
                                    600, 5, cells=128)
         values = rep["diagnostics"]["values"]
@@ -475,7 +465,7 @@ class TestUnipotentBatteriesPinned:
         assert self.TRIALS % TRIAL_CHUNK != 0
         group = UnipotentGroup(4)
         model = LevyModel(space=group, diffusion=0.03, jump_intensity=2.0,
-                          jump_law=UniformBallJumps(0.05), bound_delta=0.05)
+                          jump_law=UniformBallJumps(0.05))
         grid = TimeGrid.uniform(1.0, 16)
         window = (0.25, 1.0)
         monkeypatch.setattr(geometry, "MIN_EXCEEDANCES", 5)   # the tail fit's floor at 150 trials
