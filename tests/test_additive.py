@@ -86,6 +86,24 @@ class TestSampling:
         with pytest.raises(ParameterError, match="radius must be positive, got nan"):
             UniformBallJumps(np.nan)   # its box would have no bounds
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("N", [1, 2, 8])
+    @pytest.mark.parametrize("block", ["x", "y"])
+    def test_jump_law_is_its_own_bound(self, p, N, block):
+        # a ball law's draws stay in its open ball and its extreme points sit on the
+        # sphere, and an atom law's extreme points are its atoms, so the certified
+        # ball power needs no declared bound
+        space = HeisenbergGroup(N, p).block_spaces[block]
+        for law in (UniformBallJumps(0.3), UniformBallJumps(0.3, indices=[N - 1])):
+            assert np.all(space.norm(law.sample(np.random.default_rng(1), space, 500)) < 0.3)
+            extremes = law.extreme_points(space, np.random.default_rng(2))
+            np.testing.assert_allclose(space.norm(extremes), 0.3, rtol=1e-12)
+        atoms = 0.2 * np.eye(N)
+        law = DiscreteJumps(atoms, np.full(N, 1.0 / N))
+        assert np.array_equal(law.extreme_points(space, np.random.default_rng(2)), atoms)
+        drawn = law.sample(np.random.default_rng(1), space, 200)
+        assert np.all((drawn[:, None, :] == atoms).all(axis=2).any(axis=1))
+
     def test_discrete_law_probabilities(self, heis2, grid):
         with pytest.raises(ParameterError):
             DiscreteJumps(np.zeros((2, 5)), [0.5, 0.6])

@@ -360,6 +360,42 @@ class TestBoundedJumps:
         assert bounded_jumps_check(model, DELTA, 4)["pass"]
         assert not bounded_jumps_check(model, DELTA, 3)["pass"]
 
+    @pytest.mark.filterwarnings("error")    # no underflow warning on the way to a power
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("c", [1e-20, 1e-100, 1e-300])
+    def test_tiny_jumps_are_power_one(self, p, c):
+        for group in (HeisenbergGroup(2, p), UnipotentGroup(3)):
+            for law in (DiscreteJumps([c * np.eye(group.dim)[0]], [1.0]),
+                        DiscreteJumps([-c * np.eye(group.dim)[-1]], [1.0]),
+                        UniformBallJumps(c)):
+                model = LevyModel(space=group, jump_intensity=1.0, jump_law=law)
+                assert minimal_jump_power(model, 0.1) == 1
+                assert bounded_jumps_check(model, 0.1, 1)["pass"]
+
+
+UNDECLARED_LAWS = {
+    "uniform_ball": lambda h: UniformBallJumps(0.3),
+    "subspace_ball": lambda h: UniformBallJumps(0.3, indices=[0, 2]),
+    "fixed_atom": lambda h: DiscreteJumps([h.embed([0.3, 0.0])], [1.0]),
+    "discrete": lambda h: DiscreteJumps([h.embed([0.3, 0.0]), h.embed(c=0.01)], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("battery, args", [
+    (exp_moment_estimate, ((0.25, 1.0), ALPHA, DELTA, 50, 1)),
+    (tail_decay_fit, ((0.25, 1.0), ALPHA, DELTA, 50, 1)),
+    (metric_modulus_curve, (1.0, ALPHA, [0.5, 0.125], 50, 1, 32)),
+], ids=["exp-moment", "tail-decay", "metric-modulus"])
+@pytest.mark.parametrize("law", sorted(UNDECLARED_LAWS))
+def test_every_jump_law_runs_the_moment_batteries(heis2, law, battery, args):
+    # each law bounds itself, so a jump model runs every moment battery as built
+    model = LevyModel(space=heis2, diffusion=0.05, jump_intensity=2.0,
+                      jump_law=UNDECLARED_LAWS[law](heis2))
+    rep = battery(model, *args)
+    assert rep["trials"] == 50
+    assert rep["pass"] in (True, False, None)
+    assert rep["estimate"] is None or np.isfinite(rep["estimate"])
+
 
 class TestExpMoment:
     def test_zero_driver_estimate_is_one(self, heis2):
