@@ -68,13 +68,8 @@ def _run(args) -> int:
     except OSError as exc:
         print(f"argument --out: cannot create {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    # one context serves every entry and is never written to
     entries = cfg["experiments"]
-    # one context serves every entry and is never written to; a CSV run hands each
-    # entry a shallow copy that carries its own directory
-    csv = cfg.get("output", {}).get("csv")
-    contexts = [{**ctx, "csv_dir": out_dir / f"{i:02d}_{entry['name']}"} if csv else ctx
-                for i, entry in enumerate(entries)]
-
     rows = [None] * len(entries)
 
     def finished(index: int, result: tuple) -> None:
@@ -95,7 +90,7 @@ def _run(args) -> int:
     if args.jobs > 1:
         # a fork pool starts all its workers at the first submit: no more than there are entries
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(entries))) as pool:
-            futures = {pool.submit(_execute_entry, contexts[i], entries[i]): i
+            futures = {pool.submit(_execute_entry, ctx, entries[i]): i
                        for i in range(len(entries))}
             for fut in as_completed(futures):
                 try:
@@ -108,7 +103,7 @@ def _run(args) -> int:
                 finished(futures[fut], result)
     else:
         for i in range(len(entries)):
-            finished(i, _execute_entry(contexts[i], entries[i]))
+            finished(i, _execute_entry(ctx, entries[i]))
 
     # "error" enters the counts only when an entry errored
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}

@@ -26,10 +26,8 @@ __all__ = ["read_config", "load_config", "validate_config", "build_context", "de
 
 SCHEMA_VERSION = 1
 
-_OUTPUT = {"csv": (bool, False)}
 _CONTEXT = {"group": (dict, None), "grids": (dict, {}), "models": (dict, {})}
-_TOP = {"schema_version": (int, None), **_CONTEXT, "experiments": (NONEMPTY, None),
-        "output": (_OUTPUT, {})}
+_TOP = {"schema_version": (int, None), **_CONTEXT, "experiments": (NONEMPTY, None)}
 _ENTRY = {"name": (str, None), "seed": (int, None, 0), "params": (dict, {})}
 _CHART = {"rho_prime": (NUM, None), "rho_double_prime": (NUM, None),
           "bracket_bound": (NUM, None)}
@@ -272,5 +270,4 @@ def default_config() -> dict:
                         "window_sizes": [0.25, 0.125, 0.0625, 0.03125, 0.015625],
                         "trials": 300, "cells": 256}},
         ],
-        "output": {"csv": False},
     }

@@ -43,7 +43,7 @@ from .groups import sample_norm_ball, sample_scaled_vectors
 from .multiplicative import (convergence_study, product_exponential,
                              verify_multiplicative)
 from .regularity import exhaustive_count_reference, oscillation_counts_from_outside
-from .reporting import jsonable, write_csv
+from .reporting import jsonable
 from .rng import substream
 from .stats import SLACK_MULTIPLIER, binom_se
 
@@ -58,12 +58,6 @@ class ExperimentSpec:
     verifies: str
     module: str
     params: dict      # name -> (type, default[, bound]); default None: required
-
-
-def _side_csv(ctx, filename, header, rows):
-    """Optional CSV side output, written only when the config enables it."""
-    if ctx.get("csv_dir"):
-        write_csv(ctx["csv_dir"] / filename, header, rows)
 
 
 def _passes(report):
@@ -180,12 +174,8 @@ def _run_convergence(ctx, params, seed):
     models = {key: params[f"model_{key}"] for key in ("x", "y", "z")}
     rep = convergence_study(ctx["group"], models, params["grid"], params["refinements"],
                             params["trials"], seed)
-    expect = params["expect"]
-    passed = _CONVERGENCE_EXPECTATIONS[expect](rep)
-    _side_csv(ctx, "convergence.csv", ["mesh", "rms_error", "max_error"],
-              zip(rep["meshes"], rep["rms_errors"], rep["max_errors"]))
-    rep["expect"] = expect
-    return rep, passed
+    rep["expect"] = params["expect"]
+    return rep, _CONVERGENCE_EXPECTATIONS[rep["expect"]](rep)
 
 
 def _run_right_limit(ctx, params, seed):
@@ -219,14 +209,6 @@ def _run_oscillation_dp(ctx, params, seed):
     }, mismatches == 0
 
 
-def _run_expectation_bound(ctx, params, seed):
-    rep = regularity.mc_expectation_bound(params["model"], params["grid"], params["delta"],
-                                          params["trials"], seed)
-    _side_csv(ctx, "oscillation_counts.csv", ["count", "trials"],
-              sorted(rep["count_distribution"].items()))
-    return rep, rep["pass"]
-
-
 def _run_uniform_continuity(ctx, params, seed):
     def probe(probe_seed):
         return regularity.uniform_continuity_probe(
@@ -251,7 +233,6 @@ def _run_uniform_continuity(ctx, params, seed):
 def _run_detector_fidelity(ctx, params, seed):
     rep = jumps.detector_fidelity(params["model"], params["grid"],
                                   jumps.JumpSetSpec(params["epsilon"]), params["trials"], seed)
-    _side_csv(ctx, "hitting_times.csv", ["trial", "n", "tau"], rep.pop("hitting_times"))
     if "notes" in rep:
         return rep, None
     return rep, rep["precision"] == 1.0 and rep["recall"] == 1.0
@@ -298,15 +279,6 @@ def _run_bounded_jumps(ctx, params, seed):
                                        params["n_power"], seed)
     rep["expect"] = params["expect"]
     return rep, rep["pass"] == params["expect"]
-
-
-def _run_tail_decay(ctx, params, seed):
-    rep = geometry.tail_decay_fit(params["model"], (params["r"], params["u"]), params["alpha"],
-                                  params["delta"], params["trials"], seed, params["cells"])
-    _side_csv(ctx, "tail_decay.csv", ["k", "gamma", "exceedances", "p_hat", "se"],
-              [(p["k"], p["gamma"], p["exceedances"], p["p_hat"], p["se"])
-               for p in rep["tail_points"]])
-    return rep, rep["pass"]
 
 
 def _run_additive_determinism(ctx, params, seed):
@@ -392,7 +364,9 @@ EXPERIMENTS = {
         "any-pair exit probability is dominated by suffix-exit probability",
         "regularity", {"delta": DELTA_RHO2, "trials": (I, 10000, 1), **_DRIVER}),
     "expectation-bound": ExperimentSpec(
-        _run_expectation_bound, "mean oscillation count below a/(1-a) with geometric tail",
+        lambda ctx, p, seed: _passes(regularity.mc_expectation_bound(
+            p["model"], p["grid"], p["delta"], p["trials"], seed)),
+        "mean oscillation count below a/(1-a) with geometric tail",
         "regularity", {"delta": DELTA_RHO1, "trials": (I, 10000, 2), **_DRIVER}),
     "uniform-continuity-probe": ExperimentSpec(
         _run_uniform_continuity, "largest window keeping oscillation probability under budget",
@@ -428,7 +402,9 @@ EXPERIMENTS = {
         "windowed exponential moment of the step counter stabilizes",
         "geometry", _MOMENT_PARAMS),
     "tail-decay": ExperimentSpec(
-        _run_tail_decay, "exceedance tail decays at least geometrically with the exit rate",
+        lambda ctx, p, seed: _passes(geometry.tail_decay_fit(
+            p["model"], (p["r"], p["u"]), p["alpha"], p["delta"], p["trials"], seed, p["cells"])),
+        "exceedance tail decays at least geometrically with the exit rate",
         "geometry", _MOMENT_PARAMS),
     "metric-modulus": ExperimentSpec(
         lambda ctx, p, seed: _passes(geometry.metric_modulus_curve(

@@ -65,16 +65,33 @@ class StepCountResult:
     norms: float | np.ndarray
 
 
+def _ceil_counts(sizes, unit: float) -> np.ndarray:
+    """ceil(sizes / unit) as floats; the unit is made from delta, which a
+    ParameterError names if the unit underflows to 0."""
+    if unit == 0.0:
+        raise ParameterError("delta is too small: its step unit underflows to 0")
+    # a quotient past the float range is inf, which _int_counts rejects
+    with np.errstate(over="ignore"):
+        return np.ceil(sizes / unit)
+
+
+def _int_counts(counts: np.ndarray) -> np.ndarray:
+    """Float step counts as int64; a ParameterError names delta if one does not fit."""
+    if np.any(counts >= 2.0**63):
+        raise ParameterError("delta is too small: a step count reaches 2**63")
+    return counts.astype(np.int64)
+
+
 def _heisenberg_count_parts(group: HeisenbergGroup, x, y, z, delta: float):
     """Leg and gadget counts, z residual and norm, for both step counters."""
     leg = LEG_FRACTION * delta
     cap = (GADGET_FRACTION * delta) ** 2
     nx = lp_norm(np.asarray(x, float), group.p)
     ny = lp_norm(np.asarray(y, float), group.q)
-    m_x = np.where(nx > 0, np.ceil(nx / leg), 0.0)
-    m_y = np.where(ny > 0, np.ceil(ny / leg), 0.0)
+    m_x = np.where(nx > 0, _ceil_counts(nx, leg), 0.0)
+    m_y = np.where(ny > 0, _ceil_counts(ny, leg), 0.0)
     z_res = np.asarray(z, float) - 0.5 * group.pairing(x, y)
-    gadgets = np.where(z_res != 0, np.ceil(np.abs(z_res) / cap), 0.0)
+    gadgets = np.where(z_res != 0, _ceil_counts(np.abs(z_res), cap), 0.0)
     return m_x, m_y, gadgets, z_res, nx + ny + np.abs(z)
 
 
@@ -89,7 +106,7 @@ def _gadget_amounts(coeffs: np.ndarray, side: float):
     is left), so a * b with |a| = side sums to |coeff|."""
     cap = side * side
     remaining = np.abs(coeffs)
-    counts = np.ceil(remaining / cap).astype(np.int64)
+    counts = _int_counts(_ceil_counts(remaining, cap))
     amounts = np.zeros((counts.size, counts.max(initial=0)))
     for t in range(amounts.shape[1]):
         amount = np.minimum(cap, remaining)
@@ -148,8 +165,8 @@ def _word_defects(group, factors: np.ndarray, lengths: np.ndarray,
 def _heisenberg_factors(group: HeisenbergGroup, g: np.ndarray, delta: float):
     x, y, z = group.split(g)
     m_x, m_y, _, z_res, _ = _heisenberg_count_parts(group, x, y, z, delta)
-    return _join_words(_leg_words(group.embed(a=x), m_x.astype(np.int64)),
-                       _leg_words(group.embed(b=y), m_y.astype(np.int64)),
+    return _join_words(_leg_words(group.embed(a=x), _int_counts(m_x)),
+                       _leg_words(group.embed(b=y), _int_counts(m_y)),
                        _gadget_words(group.dim, 0, group.N, z_res, GADGET_FRACTION * delta))
 
 
@@ -174,7 +191,7 @@ def _unipotent_factors(group: UnipotentGroup, g: np.ndarray, delta: float):
         if target is None:
             a1 = np.zeros_like(residual)
             a1[:, first] = residual[:, first]
-            counts = np.ceil(group.norm(a1) / (LEG_FRACTION * delta)).astype(np.int64)
+            counts = _int_counts(_ceil_counts(group.norm(a1), LEG_FRACTION * delta))
             words.append(_leg_words(a1, counts))
         else:
             i, j = target
@@ -240,7 +257,7 @@ def step_counts_batch(group, elements: np.ndarray, delta: float):
         x, y, z = group.split(elements)
         m_x, m_y, gadgets, _, norms = _heisenberg_count_parts(group, x, y, z, delta)
         full = m_x + m_y + 4.0 * gadgets
-        counts = np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)).astype(np.int64)
+        counts = _int_counts(np.where(norms == 0.0, 0.0, np.where(norms < delta, 1.0, full)))
     else:
         result = step_count_upper(group, elements.reshape(-1, group.dim), delta)
         counts, norms = (v.reshape(elements.shape[:-1]) for v in (result.upper, result.norms))

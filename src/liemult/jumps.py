@@ -56,12 +56,10 @@ def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
     scored, and precision and recall are averaged over the trials that have
     detections and scored jumps respectively.  Only true jumps with chart
     norm at least twice the detection threshold are scored; smaller ones
-    straddle the threshold and are excluded from both counts.  The report
-    also lists every detection as a ``(trial, n, tau)`` row under
-    ``hitting_times``.
+    straddle the threshold and are excluded from both counts.
     """
     group = require_group(model)
-    precisions, recalls, scored, rows = [], [], 0, []
+    precisions, recalls, scored = [], [], 0
     for trial in range(trials):
         driver = sample_additive(model, grid, seed, stream=(trial,))
         detected = jump_set.hits(group, product_exponential(driver).cell_increments)
@@ -72,10 +70,9 @@ def detector_fidelity(model: LevyModel, grid: TimeGrid, jump_set: JumpSetSpec,
         if detected.size:
             precisions.append(np.isin(detected, true_cells).sum() / detected.size)
         scored += len(true_cells)
-        rows.extend((trial, n, float(tau)) for n, tau in enumerate(grid.points[detected + 1]))
     report = {"precision": float(np.mean(precisions)) if precisions else None,
               "recall": float(np.mean(recalls)) if recalls else None,
-              "scored_true_jumps": scored, "trials": trials, "hitting_times": rows}
+              "scored_true_jumps": scored, "trials": trials}
     if not (precisions and recalls):
         report["notes"] = {"inconclusive": "no scored jumps or no detections"}
     return report

@@ -2,18 +2,17 @@
 
 Report bytes must be a pure function of (config, seeds, version), so: keys
 are sorted, floats use repr (shortest round-trip form), no timestamps or
-environment data are recorded, and CSV rows are written in a fixed order.
+environment data are recorded.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["jsonable", "dump_json", "write_csv"]
+__all__ = ["jsonable", "dump_json"]
 
 
 def jsonable(obj):
@@ -38,17 +37,5 @@ def dump_json(obj, path: str | Path) -> bytes:
     """Write canonical JSON; returns the bytes written."""
     data = (json.dumps(jsonable(obj), sort_keys=True, indent=2,
                        ensure_ascii=True) + "\n").encode()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    Path(path).write_bytes(data)
     return data
-
-
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

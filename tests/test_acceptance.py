@@ -173,7 +173,7 @@ def test_criterion_6_jump_battery():
                                    jump_law=DiscreteJumps([group.embed([0.6, 0.0])], [1.0]))
         rep = detector_fidelity(detector_model, TimeGrid.uniform(1.0, 512), JumpSetSpec(0.25),
                                 500, 51)
-        assert rep["scored_true_jumps"] > 0 and rep["hitting_times"]
+        assert rep["scored_true_jumps"] > 0
         assert rep["precision"] == 1.0 and rep["recall"] == 1.0
 
         grid = TimeGrid.uniform(5.0, 8192)

@@ -39,8 +39,8 @@ BASE = {
 }
 
 
-# one experiment per CSV side output
-CSV_CONFIG = {
+# a small run over four experiments, whose --out holds exactly the files of OUT_DIGESTS
+OUT_CONFIG = {
     "schema_version": 1,
     "group": {"kind": "heisenberg", "N": 2, "p": 2.0},
     "grids": {"g16": {"T": 1.0, "cells": 16}, "g128": {"T": 1.0, "cells": 128}},
@@ -67,25 +67,16 @@ CSV_CONFIG = {
          "params": {"model": "tail_model", "r": 0.25, "u": 1.0, "alpha": 0.5, "delta": 0.5,
                     "trials": 800}},
     ],
-    "output": {"csv": True},
 }
-CSV_DIGESTS = {
+OUT_DIGESTS = {
     "00_detector-fidelity.json":
         "d0b8f80bd90941c4e6bb0cce7f8f8330d4cf62bb210bd2ebad5a617f5ed33f7e",
-    "00_detector-fidelity/hitting_times.csv":
-        "4f575dcbeeba469f13ffa11255fe3152eb50e71b4f9f727af4f02801dc045272",
     "01_product-limit-convergence.json":
         "7b4869de9bea6288f939bd37aa11152df6f37326c8085fa1599a41e88a822cae",
-    "01_product-limit-convergence/convergence.csv":
-        "3671b3f8d42f09cb5f96fe3710e56e86f07eb6d0b573668777b70d8c486d4049",
     "02_expectation-bound.json":
         "c5e181e71e248f3d630abe1f8b68a9f66cabe276dde6b78c989017cb9ebb379b",
-    "02_expectation-bound/oscillation_counts.csv":
-        "54dd6fd55a27f1c8f3057e1aec926688549d0cdbc9ddc20798a67226bc155f33",
     "03_tail-decay.json":
         "56acdd2cc5674ef26e1757ea86703bc07dadb94baac14f825e5d04ef8d673b68",
-    "03_tail-decay/tail_decay.csv":
-        "4b5157a1ce11634f1be7a71f423fc82ef12b6f213d0a93b94b8a93af5bc7f98b",
     "summary.json": "b1efb2544372eafba702e53b07f15ad9a4127f6f633201f8c9c52314a71315be",
 }
 
@@ -187,8 +178,7 @@ def walk_config(group="heisenberg", law="uniform_ball"):
             "models": {"m": {"space": "group", "drift": 0.0, "diffusion": 0.1,
                              "jump_intensity": 1.0, "jump_law": {"kind": law, **WALK_LAWS[law]},
                              "scale": {"breaks": [0.0], "rates": [1.0]}}},
-            "experiments": [{"name": "group-axioms", "seed": 1, "params": {"samples": 20}}],
-            "output": {"csv": False}}
+            "experiments": [{"name": "group-axioms", "seed": 1, "params": {"samples": 20}}]}
 
 
 KIND = {"kind": (str, None)}   # the row a kind's block adds to its kind's schema
@@ -204,7 +194,6 @@ SCHEMA_WALK = [
       for law in config._LAWS),
     (walk_config(), ("models", "m", "scale"), config._SCALE),
     (walk_config(), ("experiments", 0), config._ENTRY),
-    (walk_config(), ("output",), config._OUTPUT),
 ]
 
 
@@ -307,17 +296,17 @@ class TestRun:
         assert report["max_defect"] <= report["tol"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_csv_side_outputs_pinned(self, tmp_path, jobs):
-        # every file of a small run with CSV side outputs, one per CSV writer;
-        # the default battery writes none of them.  Under --jobs 2 each worker
-        # gets the pickled context with its own entry's CSV directory
+    def test_out_holds_the_reports_only(self, tmp_path, jobs):
+        # the reports and the summary, with their pinned bytes, are all that a run
+        # leaves under --out: no other file and no directory, serial or in workers
         out = tmp_path / "out"
-        code = main(["run", str(write_config(tmp_path, CSV_CONFIG)), "--out", str(out),
+        code = main(["run", str(write_config(tmp_path, OUT_CONFIG)), "--out", str(out),
                      "--jobs", jobs])
         assert code == 0
+        # a directory has no bytes to read: one under --out fails here too
         digests = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.rglob("*") if p.is_file()}
-        assert digests == CSV_DIGESTS
+                   for p in out.rglob("*")}
+        assert digests == OUT_DIGESTS
 
     def test_context_built_once_per_run(self, tmp_path, monkeypatch):
         # the one build that checks the file serves every entry, whatever the
@@ -586,25 +575,6 @@ class TestRun:
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["counts"] == {"pass": 2, "fail": 0, "inconclusive": 0, "error": 1}
         assert [row["status"] for row in summary["experiments"]] == ["pass", "pass", "error"]
-
-    def test_csv_outputs_written(self, tmp_path):
-        cfg = dict(BASE)
-        cfg["models"] = {"tail": {"jump_intensity": 2.0,
-                                  "jump_law": {"kind": "fixed_atom",
-                                               "vector": [0.4, 0.0, 0.0, 0.0, 0.0]}}}
-        cfg["experiments"] = [
-            {"name": "tail-decay", "seed": 9,
-             "params": {"model": "tail", "r": 0.25, "u": 1.0, "alpha": 0.5,
-                        "delta": 0.5, "trials": 300, "cells": 32}},
-        ]
-        cfg["output"] = {"csv": True}
-        out = tmp_path / "out"
-        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) in (0,)
-        csv_path = out / "00_tail-decay" / "tail_decay.csv"
-        assert csv_path.exists()
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "k,gamma,exceedances,p_hat,se"
-        assert len(lines) == 6
 
     def test_report_files_carry_schema_version(self, tmp_path):
         out = tmp_path / "out"
@@ -1005,17 +975,17 @@ class TestValidation:
          "config.experiments[0].params", "expected an object"),
         (lambda cfg: cfg.update(grids=[]), "config.grids", "expected an object, got []"),
         (lambda cfg: cfg.update(models=[]), "config.models", "expected an object, got []"),
-        (lambda cfg: cfg.update(output={"format": "csv"}), "config.output", "unknown keys ['format']"),
+        # the run's one output is its JSON reports: an output block is an unknown key
+        (lambda cfg: cfg.update(output={"csv": False}), "config", "unknown keys ['output']"),
         # an empty scale block is a malformed scale, not a stationary model
         (lambda cfg: cfg["models"]["noisy"].update(scale={}), "config.models.noisy.scale",
          "missing required key 'breaks'"),
-        # a truthy non-boolean must not turn CSV output on
-        (lambda cfg: cfg.update(output={"csv": "no"}), "config.output.csv",
-         'expected a boolean, got "no"'),
-        (lambda cfg: cfg.update(output={"csv": 0.5}), "config.output.csv",
-         "expected a boolean, got 0.5"),
-        (lambda cfg: cfg.update(output={"csv": 1}), "config.output.csv",
-         "expected a boolean, got 1"),
+        # a truthy non-boolean is no boolean
+        *((lambda cfg, value=value: cfg["experiments"].append(
+            {"name": "bounded-jumps-gate", "seed": 3,
+             "params": {"model": "noisy", "delta": 0.5, "n_power": 1, "expect": value}}),
+           "config.experiments[2].params.expect", f"expected a boolean, got {shown}")
+          for value, shown in (("no", '"no"'), (0.5, "0.5"), (1, "1"))),
         # unhashable names and kinds, and a version printed as it is written
         (lambda cfg: cfg["experiments"][0].update(name=["group-axioms"]),
          "config.experiments[0].name", 'expected a string, got ["group-axioms"]'),
@@ -1070,8 +1040,6 @@ class TestValidation:
         validate_config(cfg)
         for field, (typ, *_) in schema.items():
             for value in ("?", True, ["?"], {"?": 1}):
-                if typ is bool and value is True:   # the field's own type
-                    continue
                 bad = copy.deepcopy(cfg)
                 walk_object(bad, keys)[field] = value
                 code = main(["run", str(write_config(tmp_path, bad)), "--out", str(tmp_path / "o")])
@@ -1229,18 +1197,17 @@ class TestArguments:
 
 
 # each row that calls a battery whose report carries its own pass: the battery's
-# module, its name there, and the report fields the row's CSV side output reads
+# module and its name there
 BATTERY_ROWS = {
-    "oscillation-axioms": (regularity, "oscillation_axioms_test", {}),
-    "max-oscillation-bound": (regularity, "mc_maximum_oscillation", {}),
-    "largest-step-bound": (regularity, "mc_largest_step", {}),
-    "expectation-bound": (regularity, "mc_expectation_bound", {"count_distribution": {"1": 3}}),
-    "poisson-battery": (jumps, "poisson_battery", {}),
-    "step-triangle": (geometry, "step_triangle_test", {}),
-    "exp-moment": (geometry, "exp_moment_estimate", {}),
-    "tail-decay": (geometry, "tail_decay_fit", {"tail_points": [
-        {"k": 1, "gamma": 0.5, "exceedances": 2, "p_hat": 0.1, "se": 0.05}]}),
-    "metric-modulus": (geometry, "metric_modulus_curve", {}),
+    "oscillation-axioms": (regularity, "oscillation_axioms_test"),
+    "max-oscillation-bound": (regularity, "mc_maximum_oscillation"),
+    "largest-step-bound": (regularity, "mc_largest_step"),
+    "expectation-bound": (regularity, "mc_expectation_bound"),
+    "poisson-battery": (jumps, "poisson_battery"),
+    "step-triangle": (geometry, "step_triangle_test"),
+    "exp-moment": (geometry, "exp_moment_estimate"),
+    "tail-decay": (geometry, "tail_decay_fit"),
+    "metric-modulus": (geometry, "metric_modulus_curve"),
 }
 
 
@@ -1248,16 +1215,16 @@ class TestBatteryRows:
     @pytest.mark.parametrize("name", sorted(BATTERY_ROWS))
     def test_row_calls_the_battery_on_its_module(self, tmp_path, monkeypatch, name):
         # a wrapper installed on the module binding, such as a profiling span, sees the call
-        module, attr, fields = BATTERY_ROWS[name]
+        module, attr = BATTERY_ROWS[name]
         calls = []
 
         def stub(*args):
             calls.append(args)
-            return {"pass": True, "stub": name, **fields}
+            return {"pass": True, "stub": name}
 
         monkeypatch.setattr(module, attr, stub)
-        cfg = default_config()
-        ctx = {**validate_config(cfg), "csv_dir": tmp_path}
+        monkeypatch.chdir(tmp_path)
+        ctx = validate_config(default_config())
         report = run_experiment(name, ctx, default_entry(name)["params"], 987654)
         assert report["stub"] == name and report["status"] == "pass"
         assert len(calls) == 1 and 987654 in calls[0]
@@ -1267,7 +1234,7 @@ class TestBatteryRows:
             assert calls[0][2] == jumps.JumpSetSpec(0.05)
         if name in ("exp-moment", "tail-decay"):
             assert calls[0][1] == (0.25, 1.0)
-        assert len(list(tmp_path.iterdir())) == (1 if fields else 0)
+        assert list(tmp_path.iterdir()) == []    # a row writes no file
 
 
 HEIS_P2, HEIS_P3 = {"kind": "heisenberg", "N": 2, "p": 2.0}, {"kind": "heisenberg", "N": 2, "p": 3.0}

@@ -372,6 +372,25 @@ class TestBoundedJumps:
                 assert minimal_jump_power(model, 0.1) == 1
                 assert bounded_jumps_check(model, 0.1, 1)["pass"]
 
+    def test_small_delta_counts_every_gadget(self, heis2):
+        model = LevyModel(space=heis2, jump_intensity=1.0, jump_law=UniformBallJumps(3e-3))
+        assert minimal_jump_power(model, 1e-3) == 59260
+
+    @pytest.mark.filterwarnings("error")    # no numpy warning on the way to the error
+    @pytest.mark.parametrize("delta, radius, reason", [
+        (1e-20, 3e-20, r"a step count reaches 2\*\*63"),
+        (1e-200, 3e-200, "its step unit underflows to 0"),
+        (1e-161, 0.1, r"a step count reaches 2\*\*63"),
+    ])
+    def test_tiny_delta_is_a_parameter_error(self, delta, radius, reason):
+        # the gadget count ceil(|z| / (0.45 delta)^2) passes int64 at 1e-20, the cap
+        # (0.45 delta)^2 itself underflows to 0 at 1e-200, and at 1e-161 a jump of 0.1
+        # over the cap's few subnormal ulps is past the float range
+        for group in (HeisenbergGroup(2), UnipotentGroup(3)):
+            model = LevyModel(space=group, jump_intensity=1.0, jump_law=UniformBallJumps(radius))
+            with pytest.raises(ParameterError, match=f"delta is too small: {reason}"):
+                minimal_jump_power(model, delta)
+
 
 UNDECLARED_LAWS = {
     "uniform_ball": lambda h: UniformBallJumps(0.3),
